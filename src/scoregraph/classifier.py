@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._logdomain import counted_log_factor
+from ._logdomain import counted_log_factor, logsumexp
 from .errors import DegenerateModelError
 from .graph import NeighborCounts
 from .models import ModelSpec

@@ -4,9 +4,10 @@ Each agent keeps push-sum accumulators (xi, eta) whose ratio phi_i tracks the
 network-wide score distribution, plus a local parameter iterate z_i.  A round
 applies one ratio-consensus exchange over the active communication frame and
 one projected-gradient step of the phi-weighted fully-relaxed cost on every
-agent.  With a window-connected schedule the phi_i converge geometrically to
-the true empirical distribution and the iterates approach stationary points
-of the fully-relaxed problem.
+agent; the step is one batched gradient and projection over all agents.
+With a window-connected schedule the phi_i converge geometrically to the
+true empirical distribution and the iterates approach stationary points of
+the fully-relaxed problem.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NonFiniteError
 from .estimators import fr_gradient, fr_problem, lipschitz_stepsize
 from .graph import CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts, pushsum_matrix
 from .models import ModelSpec
@@ -88,17 +89,15 @@ def push_sum_round(state: DistributedState, frame) -> DistributedState:
 
 
 def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
-    """One agent's projected-gradient step on the phi-weighted relaxed cost."""
+    """Projected-gradient step on the phi-weighted relaxed cost, for every agent at once.
+
+    z (N, dim) and phi (N, R) hold one row per agent; a single agent's
+    z (dim,) and phi (R,) work the same way.  NonFiniteError names the
+    first agent whose cost is +inf.
+    """
     theta, gamma = model.feasible.split(z)
     grad = fr_gradient(phi, model, theta, gamma)
     return model.feasible.project(np.asarray(z, dtype=np.float64) - alpha * grad)
-
-
-def _step_all(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
-    out = np.empty_like(z)
-    for i in range(z.shape[0]):
-        out[i] = local_gradient_step(z[i], phi[i], model, alpha)
-    return out
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,11 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
         if gradient_uses_updated_phi:
             xi, eta = mat @ xi, mat @ eta
             phi = xi / eta[:, None]
-            z = _step_all(z, phi, model, alpha)
-        else:
-            z = _step_all(z, phi, model, alpha)
+        try:
+            z = local_gradient_step(z, phi, model, alpha)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"round {t}: {exc}") from exc
+        if not gradient_uses_updated_phi:
             xi, eta = mat @ xi, mat @ eta
             phi = xi / eta[:, None]
         if (t + 1) % record_every == 0 or t + 1 == n_rounds:

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._logdomain import counted_log_factor
+from ._logdomain import counted_log_factor, logsumexp
 from .errors import InfeasibleError, NonFiniteError
 from .graph import NeighborCounts, ScoreGraph, as_rng
 from .models import ModelSpec
@@ -135,14 +134,15 @@ def _edge_score_distribution(model: ModelSpec, theta, gamma):
     """Marginal score distribution of a single edge with i.i.d. endpoint states."""
     tensor = model.tensor(theta, validate=False)
     prior = model.prior(gamma, validate=False)
-    return np.einsum("hlm,l,m->h", tensor, prior, prior), tensor, prior
+    return np.einsum("...hlm,...l,...m->...h", tensor, prior, prior), tensor, prior
 
 
-def _check_phi(phi, n_scores: int) -> np.ndarray:
+def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
+    """phi as an array, checked; `stacked` admits rows along leading axes."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (n_scores,):
+    if phi.ndim == 0 or (phi.ndim > 1 and not stacked) or phi.shape[-1] != n_scores:
         raise ValueError(f"phi must have length {n_scores}")
-    if phi.min() < -PHI_TOL or abs(float(phi.sum()) - 1.0) > PHI_TOL:
+    if phi.min() < -PHI_TOL or abs(phi.sum(axis=-1) - 1.0).max() > PHI_TOL:
         raise ValueError("phi must lie on the probability simplex (tol 1e-9)")
     return phi
 
@@ -161,24 +161,32 @@ def fr_objective(phi, model: ModelSpec, theta, gamma, validate: bool = True) -> 
 
 
 def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
-    """Analytic gradient of fr_objective in the stacked vector z = [theta, gamma]."""
-    phi = _check_phi(phi, model.n_scores)
+    """Analytic gradient of fr_objective in the stacked vector z = [theta, gamma].
+
+    Broadcasts over leading axes: phi (..., R), theta (..., theta_dim) and
+    gamma (..., gamma_dim) give one gradient row per agent, shape (..., dim).
+    If the cost is +inf at some agent's point, NonFiniteError names the
+    first such agent by its row index.
+    """
+    phi = _check_phi(phi, model.n_scores, stacked=True)
     t_h, tensor, prior = _edge_score_distribution(model, theta, gamma)
-    if np.any((t_h <= 0) & (phi > 0)):
-        raise NonFiniteError("fully-relaxed cost is +inf at this point")
-    ratio = np.divide(phi, t_h, out=np.zeros_like(phi), where=t_h > 0)
-    parts = []
+    infinite = (t_h <= 0) & (phi > 0)
+    if infinite.any():
+        where = ("at agent " + ", ".join(map(str, np.argwhere(infinite)[0, :-1]))
+                 if infinite.ndim > 1 else "at this point")
+        raise NonFiniteError(f"fully-relaxed cost is +inf {where}")
+    # a column vector, so that matmul contracts each point's rows with its own ratio
+    ratio = (phi / np.where(t_h > 0, t_h, np.inf))[..., None]
     if model.theta_dim:
         d_tensor = model.tensor_grad(theta)
-        dt_theta = np.einsum("khlm,l,m->kh", d_tensor, prior, prior)
-        parts.append(-(dt_theta @ ratio))
+        dt_theta = np.einsum("...khlm,...l,...m->...kh", d_tensor, prior, prior)
+        grad_theta = -(dt_theta @ ratio)
     else:
-        parts.append(np.zeros(0))
+        grad_theta = np.zeros(ratio.shape[:-2] + (0, 1))
     d_prior = model.prior_grad(gamma)
-    dt_gamma = (np.einsum("hlm,kl,m->kh", tensor, d_prior, prior)
-                + np.einsum("hlm,l,km->kh", tensor, prior, d_prior))
-    parts.append(-(dt_gamma @ ratio))
-    return np.concatenate(parts)
+    dt_gamma = (np.einsum("...hlm,...kl,...m->...kh", tensor, d_prior, prior)
+                + np.einsum("...hlm,...l,...km->...kh", tensor, prior, d_prior))
+    return np.concatenate([grad_theta, -(dt_gamma @ ratio)], axis=-2)[..., 0]
 
 
 def fr_binary_closed_form(phi2: float) -> float:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "ScoreGraph",
@@ -310,6 +308,17 @@ def pushsum_matrix(n_agents: int, frame: np.ndarray) -> np.ndarray:
     return mat / d[None, :]
 
 
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether a search from node 0 along the edges i -> j where adj[i, j] reaches every node."""
+    reached = np.zeros(adj.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
+
+
 @dataclass(frozen=True)
 class CommSchedule:
     """Periodic time-varying communication graph.
@@ -360,9 +369,8 @@ class CommSchedule:
                 f = self.frames[(start + k) % p]
                 if len(f):
                     adj[f[:, 0], f[:, 1]] = True
-            ncomp, _ = connected_components(
-                csr_matrix(adj), directed=True, connection="strong")
-            if ncomp != 1:
+            # strongly connected iff node 0 reaches every node and every node reaches 0
+            if not (_reaches_all(adj) and _reaches_all(adj.T)):
                 return False
         return True
 

@@ -8,6 +8,14 @@ A model couples a conditional score distribution with a state prior:
 together with analytic gradients and a compact convex feasible set for the
 stacked parameter vector z = [theta, gamma].  The evaluator state is always
 the first state axis of the tensor.
+
+Every model callable broadcasts over leading axes, so one call evaluates a
+stack of points: theta of shape (..., theta_dim) gives a tensor of shape
+(..., R, C, C) and a tensor gradient of shape (..., theta_dim, R, C, C);
+gamma of shape (..., gamma_dim) gives a prior of shape (..., C) and a prior
+gradient of shape (..., gamma_dim, C).  A table that does not depend on its
+parameter may drop the leading axes, since the einsums that consume it
+broadcast.  Feasible-set projections likewise act row-wise on the last axis.
 """
 
 from __future__ import annotations
@@ -40,14 +48,17 @@ FEAS_TOL = 1e-9
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
+    """Euclidean projection onto the probability simplex, row-wise along the last axis.
+
+    Sort-based (Duchi et al. 2008): the threshold tau comes from the last
+    sorted position rho where u_rho > (sum of the rho largest entries - 1) / rho.
+    """
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    tau = css[cond][-1] / rho
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ind = np.arange(1, v.shape[-1] + 1)
+    rho = np.where(u - css / ind > 0, ind, 0).max(axis=-1, keepdims=True)
+    tau = np.where(ind == rho, css, 0.0).sum(axis=-1, keepdims=True) / rho
     return np.maximum(v - tau, 0.0)
 
 
@@ -128,7 +139,7 @@ class BlockSet:
         v = np.asarray(v, dtype=np.float64)
         out = np.empty_like(v)
         for sl, b in self._slices():
-            out[sl] = b.project(v[sl])
+            out[..., sl] = b.project(v[..., sl])
         return out
 
     def contains(self, v, tol=FEAS_TOL) -> bool:
@@ -177,7 +188,7 @@ class FeasibleSet:
 
     def split(self, z):
         z = np.asarray(z, dtype=np.float64)
-        return z[: self.theta.dim], z[self.theta.dim:]
+        return z[..., : self.theta.dim], z[..., self.theta.dim:]
 
     def join(self, theta, gamma) -> np.ndarray:
         return np.concatenate([
@@ -187,7 +198,7 @@ class FeasibleSet:
 
     def project(self, z) -> np.ndarray:
         t, g = self.split(z)
-        return np.concatenate([self.theta.project(t), self.gamma.project(g)])
+        return np.concatenate([self.theta.project(t), self.gamma.project(g)], axis=-1)
 
     def contains(self, z, tol=FEAS_TOL) -> bool:
         z = np.asarray(z, dtype=np.float64)
@@ -252,15 +263,15 @@ class ModelSpec:
         return self.feasible.gamma_dim
 
     def _theta(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel()
-        if theta.shape != (self.theta_dim,):
+        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+        if theta.shape[-1] != self.theta_dim:
             raise InfeasibleError(
                 f"{self.name}: theta must have {self.theta_dim} components")
         return theta
 
     def _gamma(self, gamma) -> np.ndarray:
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64)).ravel()
-        if gamma.shape != (self.gamma_dim,):
+        gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
+        if gamma.shape[-1] != self.gamma_dim:
             raise InfeasibleError(
                 f"{self.name}: gamma must have {self.gamma_dim} components")
         return gamma
@@ -307,8 +318,7 @@ def eval_gradients(model: ModelSpec, theta, gamma) -> ModelGradients:
 
 
 def _bernoulli_prior(gamma):
-    g = float(gamma[0])
-    return np.array([1.0 - g, g])
+    return np.concatenate([1.0 - gamma, gamma], axis=-1)
 
 
 def _bernoulli_prior_grad(gamma):
@@ -388,20 +398,17 @@ def _binomial_prior(n_states: int):
     coef = np.array([math.comb(n_states - 1, l) for l in range(n_states)],
                     dtype=np.float64)
     top = n_states - 1
+    l = np.arange(n_states)
+    # exponents clipped at 0 where the factor in front of the power is 0
+    down, up = np.maximum(l - 1, 0), np.maximum(top - l - 1, 0)
 
     def prior(gamma):
-        g = float(gamma[0])
-        l = np.arange(n_states)
-        return coef * g ** l * (1.0 - g) ** (top - l)
+        return coef * gamma ** l * (1.0 - gamma) ** (top - l)
 
     def prior_grad(gamma):
-        g = float(gamma[0])
-        out = np.zeros(n_states)
-        for l in range(n_states):
-            t1 = l * g ** (l - 1) * (1.0 - g) ** (top - l) if l > 0 else 0.0
-            t2 = (top - l) * g ** l * (1.0 - g) ** (top - l - 1) if l < top else 0.0
-            out[l] = coef[l] * (t1 - t2)
-        return out[None, :]
+        t1 = l * gamma ** down * (1.0 - gamma) ** (top - l)
+        t2 = (top - l) * gamma ** l * (1.0 - gamma) ** up
+        return (coef * (t1 - t2))[..., None, :]
 
     return prior, prior_grad
 
@@ -444,17 +451,17 @@ def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSp
     # the gamma -> 1 - gamma relabeling symmetry needs a reversal-invariant distance
     swap_ok = bool(np.allclose(dmat, dmat[::-1, ::-1].T) and np.allclose(dmat, dmat.T))
 
+    a2 = offsets ** 2
+
     def tensor(theta):
-        t = float(theta[0])
-        w = np.exp(-((offsets / t) ** 2))
-        return w / w.sum(axis=0, keepdims=True)
+        w = np.exp(-((offsets / theta[..., None, None]) ** 2))
+        return w / w.sum(axis=-3, keepdims=True)
 
     def tensor_grad(theta):
-        t = float(theta[0])
         p = tensor(theta)
-        a2 = offsets ** 2
-        mean_a2 = (p * a2).sum(axis=0, keepdims=True)
-        return ((2.0 / t ** 3) * p * (a2 - mean_a2))[None, ...]
+        mean_a2 = (p * a2).sum(axis=-3, keepdims=True)
+        scale = 2.0 / theta[..., None, None] ** 3
+        return (scale * p * (a2 - mean_a2))[..., None, :, :, :]
 
     prior, prior_grad = _binomial_prior(n_states)
     return ModelSpec(
@@ -488,7 +495,8 @@ def categorical_model(n_states: int, n_scores: int) -> ModelSpec:
     tdim = big_r * big_c * big_c
 
     def tensor(theta):
-        return theta.reshape(big_c, big_c, big_r).transpose(2, 0, 1)
+        blocks = theta.reshape(theta.shape[:-1] + (big_c, big_c, big_r))
+        return np.moveaxis(blocks, -1, -3)
 
     d_tensor = np.zeros((tdim, big_r, big_c, big_c))
     for l in range(big_c):

@@ -7,7 +7,7 @@ import pytest
 
 import scoregraph as sg
 from scoregraph.distributed import DistributedState, initial_state, push_sum_round
-from scoregraph.errors import InfeasibleError
+from scoregraph.errors import InfeasibleError, NonFiniteError
 
 
 def _fixture(seed=101):
@@ -127,6 +127,64 @@ class TestLocalGradientStep:
                                      np.array([0.0, 1.0]), model, 10.0)
         assert 0.0 <= out[0] <= 1.0
 
+    def test_infinite_cost_names_the_offending_agent(self):
+        # preparata at gamma = 0 gives score 1 zero probability, so an agent
+        # there whose phi puts mass on score 1 has cost +inf
+        model = sg.preparata_model()
+        z = np.full((6, 1), 0.5)
+        z[3] = 0.0
+        phi = np.tile([0.5, 0.5], (6, 1))
+        with pytest.raises(NonFiniteError, match=r"agent 3\b"):
+            sg.local_gradient_step(z, phi, model, 0.01)
+        with pytest.raises(NonFiniteError, match="at this point"):
+            sg.local_gradient_step(z[3], phi[3], model, 0.01)
+
+
+def _reference_run(counts, model, schedule, alpha, n_rounds, gradient_uses_updated_phi):
+    """The per-agent loop: every round steps each agent's 1-D row on its own."""
+    def step_all(z, phi):
+        return np.array([sg.local_gradient_step(z[i], phi[i], model, alpha)
+                         for i in range(z.shape[0])])
+
+    state = initial_state(counts, model)
+    xi, eta, z = state.xi, state.eta, state.z
+    phi = xi / eta[:, None]
+    phi_traj = [phi]
+    for t in range(n_rounds):
+        mat = schedule.matrix(t)
+        if gradient_uses_updated_phi:
+            xi, eta = mat @ xi, mat @ eta
+            phi = xi / eta[:, None]
+            z = step_all(z, phi)
+        else:
+            z = step_all(z, phi)
+            xi, eta = mat @ xi, mat @ eta
+            phi = xi / eta[:, None]
+        phi_traj.append(phi)
+    return z, np.asarray(phi_traj)
+
+
+@pytest.mark.parametrize("updated_phi", [False, True], ids=["pre-phi", "post-phi"])
+@pytest.mark.parametrize("model", [
+    sg.preparata_model(),
+    sg.reliability_model(5),
+    sg.social_ranking_model(3, 3),
+    sg.categorical_model(2, 3),
+], ids=lambda m: m.name)
+def test_batched_round_matches_the_per_agent_loop(model, updated_phi):
+    rng = np.random.default_rng(31)
+    g = sg.sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
+    theta, gamma = model.feasible.split(model.feasible.sample_interior(rng))
+    scored, _ = sg.generate_scores(g, model, theta, gamma, rng)
+    counts = sg.aggregate_counts(scored)
+    sched = sg.make_comm_schedule(12, "periodic-edge-partition", 3, rng=rng)
+    alpha = 0.02
+    run = sg.run_distributed(counts, model, sched, alpha=alpha, n_rounds=200,
+                             gradient_uses_updated_phi=updated_phi)
+    ref_z, ref_phi = _reference_run(counts, model, sched, alpha, 200, updated_phi)
+    np.testing.assert_allclose(run.final_z, ref_z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.phi_traj, ref_phi, rtol=0, atol=1e-12)
+
 
 class TestRunDistributed:
     def test_trajectory_shapes_and_times(self):
@@ -200,6 +258,17 @@ class TestRunDistributed:
         with pytest.raises(ValueError):
             sg.run_distributed(counts, sg.reliability_model(5), sched,
                                alpha=0.02)
+
+    def test_infinite_cost_names_the_round_and_agent(self):
+        _, counts, model = _fixture()
+        sched = sg.make_comm_schedule(10, "static-cycle")
+        agent = int(np.flatnonzero(counts.received[:, 1] > 0)[0])
+        start = np.full((10, 1), 0.5)
+        start[agent] = 0.0
+        with pytest.raises(NonFiniteError,
+                           match=rf"^round 0: .*agent {agent}\b"):
+            sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=5,
+                               start=start)
 
     def test_default_stepsize_is_deterministic(self):
         scored, counts, model = _fixture()

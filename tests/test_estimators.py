@@ -142,6 +142,15 @@ class TestFullyRelaxedObjective:
         with pytest.raises(ValueError):
             sg.fr_objective(np.array([1.1, -0.1]), model, (), (0.3,))
         sg.fr_objective(np.array([1.0 + 5e-10, -5e-10]), model, (), (0.3,))
+        # a stack of phi rows: the gradient checks every row; the objective
+        # and the problem take exactly one phi
+        rows = np.array([[0.5, 0.5], [0.6, 0.5]])
+        with pytest.raises(ValueError):
+            sg.fr_gradient(rows, model, np.zeros((2, 0)), np.full((2, 1), 0.3))
+        with pytest.raises(ValueError):
+            sg.fr_objective(rows[:1], model, (), (0.3,))
+        with pytest.raises(ValueError):
+            sg.fr_problem(rows[:1], model)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)

@@ -199,6 +199,11 @@ class TestCommSchedules:
         for t in range(2):
             lone = sg.CommSchedule(4, (sched.frame(t),), 1)
             assert not lone.satisfies_window_connectivity()
+        # a directed path is weakly but not strongly connected, in either direction
+        path = [(0, 1), (1, 2), (2, 3)]
+        assert not sg.CommSchedule(4, (path,), 1).satisfies_window_connectivity()
+        back = [(j, i) for i, j in path]
+        assert not sg.CommSchedule(4, (back,), 1).satisfies_window_connectivity()
         assert sum(len(sched.frame(t)) for t in range(2)) == 4
 
     def test_partition_q3_passes_window_check(self):

@@ -158,6 +158,49 @@ def test_simplex_projection_properties(vals):
     np.testing.assert_allclose(project_simplex(p), p, atol=1e-9)
 
 
+_ROW_ENTRIES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                         st.floats(-5, 5, allow_nan=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(_ROW_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=8),
+    st.lists(st.integers(0, k - 1), max_size=3))))
+def test_simplex_projection_is_row_wise(rows_and_vertices):
+    # sampled_from repeats entries, so rows carry ties; rows that are already
+    # on the simplex (vertices and the centroid) are stacked in as well
+    rows, vertices = rows_and_vertices
+    k = len(rows[0])
+    feasible = [np.eye(k)[j] for j in vertices] + [np.full(k, 1.0 / k)]
+    v = np.vstack([np.asarray(rows)] + feasible)
+    out = project_simplex(v)
+    assert out.shape == v.shape
+    for row, projected in zip(v, out):
+        np.testing.assert_array_equal(projected, project_simplex(row))
+    np.testing.assert_allclose(out[len(rows):], v[len(rows):], atol=1e-15)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_callables_broadcast_over_leading_axes(model):
+    rng = np.random.default_rng(8)
+    z = np.array([model.feasible.sample_interior(rng) for _ in range(6)]).reshape(2, 3, -1)
+    theta, gamma = model.feasible.split(z)
+    tensor, prior = model.tensor(theta, validate=False), model.prior(gamma, validate=False)
+    d_tensor, d_prior = model.tensor_grad(theta), model.prior_grad(gamma)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(np.broadcast_to(tensor, (2, 3) + tensor.shape[-3:])[idx],
+                                      model.tensor(theta[idx]))
+        np.testing.assert_array_equal(prior[idx], model.prior(gamma[idx]))
+        np.testing.assert_array_equal(
+            np.broadcast_to(d_tensor, (2, 3) + d_tensor.shape[-4:])[idx],
+            model.tensor_grad(theta[idx]))
+        np.testing.assert_array_equal(
+            np.broadcast_to(d_prior, (2, 3) + d_prior.shape[-2:])[idx],
+            model.prior_grad(gamma[idx]))
+        np.testing.assert_array_equal(model.feasible.project(z + 0.3)[idx],
+                                      model.feasible.project(z[idx] + 0.3))
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_normalization_on_random_feasible_points(model):
     rng = np.random.default_rng(123)
