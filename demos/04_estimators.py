@@ -25,13 +25,13 @@ print("score histogram phi:", np.round(counts.phi, 3))
 star = sg.fr_binary_closed_form(counts.phi[1])
 print(f"closed-form FR estimate: {star:.6f}")
 
-# the generic path: build a problem, let the solver pick a stepsize from
-# sampled curvature, polish from the best grid start
+# the generic path: build a problem, start from the best grid point and
+# polish with backtracking projected gradient until the residual certifies
 fr = sg.estimate(sg.fr_problem(counts, model), SolverConfig(tol=1e-10))
 nr = sg.estimate(sg.nr_problem(counts, model), SolverConfig(tol=1e-10))
 ex = sg.estimate(sg.exact_problem(scored, model), SolverConfig(tol=1e-10))
-print(f"FR    gamma={fr.gamma[0]:.6f}  iters={fr.solve.n_iters}")
-print(f"NR    gamma={nr.gamma[0]:.6f}  iters={nr.solve.n_iters}")
+print(f"FR    gamma={fr.gamma[0]:.6f}  iters={fr.solve.n_iters}  converged={fr.solve.converged}")
+print(f"NR    gamma={nr.gamma[0]:.6f}  iters={nr.solve.n_iters}  converged={nr.solve.converged}")
 print(f"exact gamma={ex.gamma[0]:.6f}  (10 agents is near the cap)")
 
 # some histograms admit two tied global optima; the grid start lands

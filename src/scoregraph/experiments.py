@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .classifier import ClassifierOutput, misclassification_rate, soft_classify, write_soft_csv
 from .distributed import run_distributed, write_trajectory_csv
-from .estimators import (EstimateResult, SolverConfig, estimate, exact_problem,
+from .estimators import (SolverConfig, _canonical_swap, estimate, exact_problem,
                          fr_problem, nr_problem, write_trace_csv)
 from .graph import (aggregate_counts, as_rng, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
@@ -102,11 +102,10 @@ class ExperimentConfig:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
-            alpha=self.solver_alpha,
+            alpha=1.0 if self.solver_alpha is None else self.solver_alpha,
             max_iters=self.solver_max_iters,
             tol=self.solver_tol,
             grid_points=self.solver_grid_points,
-            seed=self.master_seed,
         )
 
 
@@ -163,16 +162,6 @@ def _squared_errors(model: ModelSpec, theta_hat, gamma_hat, theta_true, gamma_tr
     return errs
 
 
-def _canonical_gamma(model: ModelSpec, z: np.ndarray) -> np.ndarray:
-    """Apply the label-swap canonical branch to a raw iterate."""
-    if model.label_swap_symmetric and model.gamma_dim == 1:
-        g = z[model.theta_dim]
-        if g > 0.5:
-            z = z.copy()
-            z[model.theta_dim] = 1.0 - g
-    return z
-
-
 def _run_estimator(name, model, graph, counts, config, schedule):
     """Return (theta_hat, gamma_hat, extras dict) for one estimator on one trial."""
     solver = config.solver_config()
@@ -194,7 +183,7 @@ def _run_estimator(name, model, graph, counts, config, schedule):
             record_every=max(1, config.solver_rounds),
             rng=config.master_seed,
         )
-        z = _canonical_gamma(model, run.final_z[0])
+        z, _ = _canonical_swap(run.final_z[0], model)
         theta, gamma = model.feasible.split(z)
         return theta, gamma, {"spread": run.spread()}
     raise ValueError(f"unknown estimator {name!r}")
@@ -410,7 +399,7 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
             distributed_run = run_distributed(
                 counts, model, schedule, alpha=cfg.solver_alpha,
                 n_rounds=cfg.solver_rounds, rng=cfg.master_seed)
-            z = _canonical_gamma(model, distributed_run.final_z[0])
+            z, _ = _canonical_swap(distributed_run.final_z[0], model)
             theta_hat, gamma_hat = model.feasible.split(z)
         else:
             problem = {"NR": lambda: nr_problem(counts, model),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +126,7 @@ class BlockSet:
 
     blocks: tuple
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
+from scoregraph import estimators
 from scoregraph.errors import InfeasibleError, NonFiniteError
 from scoregraph.estimators import SolverConfig
+from scoregraph.models import THETA_BOX
 
 from oracles import (binary_fr_maximizers, exact_loglik_brute_force, fd_gradient,
                      fr_product_loglik_brute_force, nr_loglik_brute_force)
+
+
+ALL_MODELS = (sg.preparata_model(), sg.reliability_model(5),
+              sg.social_ranking_model(3, 3), sg.categorical_model(2, 3))
 
 
 def _instance(model, rng, n_agents=6, n_edges=14):
@@ -250,6 +256,52 @@ class TestProjectedGradient:
         for row in res.trace:
             assert model.feasible.contains(row[2:], tol=1e-9)
 
+    def test_converged_solves_meet_the_residual_stop(self):
+        rng = np.random.default_rng(71)
+        tol = 1e-8
+        n_converged = 0
+        for model in ALL_MODELS:
+            for _ in range(3):
+                scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+                counts = sg.aggregate_counts(scored)
+                for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                    res = sg.projected_gradient_solve(problem, tol=tol, max_iters=5000,
+                                                      record_trace=False)
+                    if not res.converged:
+                        continue
+                    n_converged += 1
+                    sign = -1.0 if problem.maximize else 1.0
+                    step = model.feasible.project(res.z - sign * problem.gradient(res.z))
+                    residual = np.max(np.abs(res.z - step))
+                    assert residual <= tol * max(1.0, abs(res.objective))
+        assert n_converged >= 20
+
+    def test_armijo_trace_monotone_for_both_senses(self):
+        rng = np.random.default_rng(73)
+        for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3)):
+            scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
+            counts = sg.aggregate_counts(scored)
+            for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                start = model.feasible.sample_interior(rng)
+                res = sg.projected_gradient_solve(problem, start=start, max_iters=2000)
+                assert len(res.trace) > 2
+                change = np.diff(res.trace[:, 1])
+                assert np.all(change >= 0) if problem.maximize else np.all(change <= 0)
+
+    def test_line_search_backs_off_an_infinite_boundary(self):
+        # with few high scores the unit step from gamma = 1/2 overshoots to
+        # gamma = 0, where the high score is impossible and the cost is +inf
+        q = 0.01
+        model = sg.preparata_model()
+        phi = np.array([1 - q, q])
+        problem = sg.fr_problem(phi, model)
+        start = np.array([0.5])
+        assert model.feasible.project(start - problem.gradient(start))[0] == 0.0
+        assert sg.fr_objective(phi, model, (), (0.0,)) == np.inf
+        res = sg.projected_gradient_solve(problem, start=start, alpha=1.0)
+        assert res.converged
+        assert res.z[0] == pytest.approx(sg.fr_binary_closed_form(q), abs=1e-9)
+
     def test_lipschitz_stepsize_reproducible(self):
         problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
         a1 = sg.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
@@ -316,6 +368,34 @@ class TestEstimateWrapper:
             nr = sg.nr_objective(counts, model, th, ga)
             fr = sg.fr_objective(counts.phi, model, th, ga)
             assert nr == pytest.approx(-scored.n_edges * fr, abs=1e-10)
+
+    def test_estimate_never_samples_lipschitz(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "lipschitz_stepsize",
+                            lambda *a, **k: calls.append(a) or 1.0)
+        rng = np.random.default_rng(79)
+        model = sg.preparata_model()
+        scored, _, _ = _instance(model, rng, n_agents=6, n_edges=14)
+        counts = sg.aggregate_counts(scored)
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model),
+                        sg.exact_problem(scored, model)):
+            sg.estimate(problem)
+        assert calls == []
+
+    def test_label_swap_start_is_off_the_symmetry_line(self):
+        # from a start on gamma = 1/2 FR stopped there, at (0.4013, 0.5),
+        # above the cost of the off-line optimum near (0.503, 0.272)
+        model = sg.social_ranking_model(3, 3)
+        rng = np.random.default_rng([0, 500, 0])
+        g = sg.sample_score_graph(50, 500, "cyclic-plus-random-edges", rng)
+        scored, _ = sg.generate_scores(g, model, (0.5,), (0.3,), rng)
+        counts = sg.aggregate_counts(scored)
+        res = sg.estimate(sg.fr_problem(counts, model),
+                          SolverConfig(tol=1e-8, max_iters=5000, grid_points=33))
+        assert abs(res.gamma[0] - 0.5) > 1e-6
+        grid = [sg.fr_objective(counts.phi, model, (th,), (ga,))
+                for th in np.linspace(*THETA_BOX, 33) for ga in np.linspace(0, 1, 33)]
+        assert res.objective <= min(grid)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -244,6 +244,14 @@ def test_gradients_match_finite_differences(model):
             np.testing.assert_allclose(grads.d_prior.sum(axis=1), 0.0, atol=1e-9)
 
 
+def test_blockset_dim_is_the_sum_of_block_dims():
+    for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3),
+                  sg.categorical_model(2, 3)):
+        for blocks in (model.feasible.theta, model.feasible.gamma):
+            assert blocks.dim == sum(b.dim for b in blocks.blocks)
+    assert sg.categorical_model(2, 3).feasible.dim == 4 * 3 + 2
+
+
 def test_feasible_set_geometry():
     m = sg.social_ranking_model(3, 3)
     fs = m.feasible
