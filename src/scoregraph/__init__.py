@@ -16,10 +16,10 @@ from .graph import (CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts,
                     make_comm_schedule, pushsum_matrix, sample_score_graph,
                     save_score_graph, save_states)
 from .models import (Box, FeasibleSet, ModelSpec, Simplex, categorical_model,
-                     eval_gradients, eval_prior, eval_tensor, preparata_model,
-                     project_simplex, reliability_model, social_ranking_model)
-from .classifier import (ClassifierOutput, map_classify, misclassification_rate,
-                         soft_classify, write_soft_csv)
+                     preparata_model, project_simplex, reliability_model,
+                     social_ranking_model)
+from .classifier import (ClassifierOutput, misclassification_rate, soft_classify,
+                         write_soft_csv)
 from .estimators import (EstimateResult, EstimatorProblem, SolveResult,
                          SolverConfig, estimate, exact_loglikelihood,
                          exact_problem, fr_binary_closed_form, fr_gradient,
@@ -44,8 +44,7 @@ __all__ = [
     "save_score_graph", "load_score_graph", "save_states", "load_states",
     "ModelSpec", "FeasibleSet", "Box", "Simplex", "project_simplex",
     "preparata_model", "reliability_model", "social_ranking_model",
-    "categorical_model", "eval_tensor", "eval_prior", "eval_gradients",
-    "ClassifierOutput", "soft_classify", "map_classify",
+    "categorical_model", "ClassifierOutput", "soft_classify",
     "misclassification_rate", "write_soft_csv",
     "EstimatorProblem", "SolveResult", "SolverConfig", "EstimateResult",
     "exact_loglikelihood", "nr_objective", "nr_gradient",

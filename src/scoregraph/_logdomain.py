@@ -27,15 +27,27 @@ def logsumexp(a, axis=None) -> np.ndarray:
 def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     """Sum counts * log_table over score axes, treating 0 * (-inf) as 0.
 
-    counts has shape (N, *S); log_table has shape (*S, C).  Returns (N, C),
-    with -inf wherever a positive count meets a -inf log entry.
+    counts has shape (N, *S); log_table has shape (..., *S, C), one table per
+    point of a stack along the leading axes.  Returns (..., N, C), with -inf
+    wherever a positive count meets a -inf log entry.  The leading axes are
+    folded into the state axis, so a stack is one contraction, and each
+    point's block is the contraction a single table would get.
     """
+    n_score = counts.ndim - 1
+    lead = log_table.shape[:log_table.ndim - n_score - 1]
     score_axes = list(range(1, counts.ndim))
-    table_axes = list(range(log_table.ndim - 1))
-    finite = np.isfinite(log_table)
-    safe = np.where(finite, log_table, 0.0)
+    table_axes = list(range(n_score))
+    # (..., *S, C) -> (*S, ..., C) -> (*S, L * C)
+    table = np.moveaxis(log_table, list(range(len(lead))),
+                        list(range(n_score, n_score + len(lead))))
+    table = table.reshape(log_table.shape[len(lead):-1] + (-1,))
+    finite = np.isfinite(table)
+    safe = np.where(finite, table, 0.0)
     out = np.tensordot(counts, safe, axes=(score_axes, table_axes))
-    hits = np.tensordot((counts > 0).astype(np.int64), (~finite).astype(np.int64),
-                        axes=(score_axes, table_axes))
-    out[hits > 0] = -np.inf
-    return out
+    if not finite.all():
+        hits = np.tensordot((counts > 0).astype(np.int64), (~finite).astype(np.int64),
+                            axes=(score_axes, table_axes))
+        out[hits > 0] = -np.inf
+    # (N, L * C) -> (..., N, C)
+    return np.moveaxis(out.reshape((out.shape[0],) + lead + log_table.shape[-1:]),
+                       0, len(lead))

@@ -27,7 +27,6 @@ from .models import ModelSpec
 __all__ = [
     "ClassifierOutput",
     "soft_classify",
-    "map_classify",
     "misclassification_rate",
     "write_soft_csv",
 ]
@@ -121,11 +120,6 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
         log_unnormalized=log_v,
         log_normalizer=log_z,
     )
-
-
-def map_classify(output: ClassifierOutput) -> np.ndarray:
-    """Hard labels from a soft output: argmax with lowest-index tie break."""
-    return np.argmax(output.posterior, axis=1)
 
 
 def misclassification_rate(labels, true_states) -> float:

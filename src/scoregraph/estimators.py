@@ -13,10 +13,16 @@ fr (fully-relaxed)
     single-edge score distribution with both endpoint states marginalized.
     Minimized; equals -(1/n) times the fully relaxed log-likelihood.
 
+The NR and FR objectives and the FR gradient broadcast over leading axes of
+theta/gamma, like the model callables: one point gives a Python float (a
+gradient (dim,)), a stack (..., dim) gives an array (...) (gradients
+(..., dim)) whose entries equal the per-point values bit for bit.
+
 The solver is projected gradient with Armijo backtracking and a spectral
 (Barzilai-Borwein) trial step.  It reports convergence only where the
 projected-gradient residual certifies stationarity; `estimate` adds a grid
-start and the label-swap canonicalization.
+start, evaluated one mesh line per objective call, and the label-swap
+canonicalization.
 """
 
 from __future__ import annotations
@@ -83,30 +89,42 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
 
 
 def _nr_state_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
-    """Per-agent, per-state log block probabilities plus reusable pieces."""
+    """Per-agent, per-state log block probabilities plus reusable pieces.
+
+    Broadcasts over leading axes of theta/gamma: the table has shape
+    (..., N, C).
+    """
     tensor = model.tensor(theta, validate=False)
     prior = model.prior(gamma, validate=False)
     # probability of receiving score h when the receiver is in state l
-    m_in = np.einsum("hml,m->hl", tensor, prior)
+    m_in = np.einsum("...hml,...m->...hl", tensor, prior)
     with np.errstate(divide="ignore"):
         log_m = np.log(m_in)
         log_prior = np.log(prior)
-    s = counted_log_factor(counts.received, log_m) + log_prior[None, :]
+    s = counted_log_factor(counts.received, log_m) + log_prior[..., None, :]
     return s, tensor, prior, m_in
 
 
+def _point_or_rows(values: np.ndarray):
+    """A Python float for one point (0-d), else the array of per-row values."""
+    return float(values) if values.ndim == 0 else values
+
+
 def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma,
-                 validate: bool = True) -> float:
+                 validate: bool = True) -> float | np.ndarray:
     """Node-relaxed log-likelihood (to maximize).
 
     Sum over agents of log sum_l prior(l) * prod_h P(score h | state l)^count,
     where each received score is marginalized over the unknown evaluator
-    state independently.
+    state independently.  Broadcasts over leading axes: one point
+    (theta (theta_dim,), gamma (gamma_dim,)) gives a Python float, a stack
+    (..., theta_dim) / (..., gamma_dim) gives an array (...) whose entries
+    equal the per-point values.  With `validate`, every row is checked.
     """
     if validate:
         model.require_feasible(theta, gamma)
     s, *_ = _nr_state_table(counts, model, theta, gamma)
-    return float(logsumexp(s, axis=1).sum())
+    return _point_or_rows(logsumexp(s, axis=-1).sum(axis=-1))
 
 
 def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.ndarray:
@@ -152,9 +170,14 @@ def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
     return phi
 
 
-def fr_objective(phi, model: ModelSpec, theta, gamma, validate: bool = True) -> float:
+def fr_objective(phi, model: ModelSpec, theta, gamma,
+                 validate: bool = True) -> float | np.ndarray:
     """Fully-relaxed cost (to minimize): cross-entropy of phi against the
-    single-edge score distribution.  May be +inf at boundary parameters."""
+    single-edge score distribution.  May be +inf at boundary parameters.
+
+    Takes one phi and broadcasts over leading axes of theta/gamma, like
+    nr_objective: a Python float for one point, an array (...) for a stack.
+    """
     phi = _check_phi(phi, model.n_scores)
     if validate:
         model.require_feasible(theta, gamma)
@@ -162,7 +185,7 @@ def fr_objective(phi, model: ModelSpec, theta, gamma, validate: bool = True) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.log(t_h)
         terms = np.where(phi > 0, -phi * log_t, 0.0)
-    return float(terms.sum())
+    return _point_or_rows(terms.sum(axis=-1))
 
 
 def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
@@ -214,6 +237,12 @@ class EstimatorProblem:
 
     kind "exact" and "nr" are maximized, "fr" is minimized; the solver
     handles the sign internally and traces report the natural value.
+    `objective` and `gradient` take one point z (dim,) or a stack
+    (..., dim): one point gives a float (a gradient (dim,)), a stack an
+    array (...) (gradients (..., dim)) equal to the per-point values.  NR and
+    FR objectives and FR gradients evaluate a stack in one call; the exact
+    objective (its C^N table does not stack) and the NR and exact gradients
+    loop over the rows.
     """
 
     kind: str
@@ -226,21 +255,32 @@ class EstimatorProblem:
     def maximize(self) -> bool:
         return self.kind != "fr"
 
-    def objective(self, z, validate: bool = True) -> float:
-        theta, gamma = self.model.feasible.split(z)
+    def objective(self, z, validate: bool = True) -> float | np.ndarray:
+        split = self.model.feasible.split
         if self.kind == "exact":
-            return exact_loglikelihood(self.graph, self.model, theta, gamma, validate)
+            return _rowwise(lambda v: exact_loglikelihood(
+                self.graph, self.model, *split(v), validate), z)
         if self.kind == "nr":
-            return nr_objective(self.counts, self.model, theta, gamma, validate)
-        return fr_objective(self.phi, self.model, theta, gamma, validate)
+            return nr_objective(self.counts, self.model, *split(z), validate)
+        return fr_objective(self.phi, self.model, *split(z), validate)
 
     def gradient(self, z) -> np.ndarray:
-        theta, gamma = self.model.feasible.split(z)
+        split = self.model.feasible.split
         if self.kind == "exact":
-            return _fd_gradient(lambda v: self.objective(v, validate=False), np.asarray(z, float))
+            return _rowwise(lambda v: _fd_gradient(
+                lambda w: self.objective(w, validate=False), v), z)
         if self.kind == "nr":
-            return nr_gradient(self.counts, self.model, theta, gamma)
-        return fr_gradient(self.phi, self.model, theta, gamma)
+            return _rowwise(lambda v: nr_gradient(self.counts, self.model, *split(v)), z)
+        return fr_gradient(self.phi, self.model, *split(z))
+
+
+def _rowwise(fn, z):
+    """fn applied to one point z (dim,), or to each row of a stack (..., dim)."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        return fn(z)
+    rows = np.stack([fn(v) for v in z.reshape(-1, z.shape[-1])])
+    return rows.reshape(z.shape[:-1] + rows.shape[1:])
 
 
 def exact_problem(graph: ScoreGraph, model: ModelSpec) -> EstimatorProblem:
@@ -275,13 +315,14 @@ def lipschitz_stepsize(problem: EstimatorProblem, rng=0, n_samples: int = 100,
 
     Samples interior points only (boundary gradients of these objectives can
     be unbounded), so the estimate bounds the curvature where the iterates
-    actually travel.  Returns 1.0 for flat objectives.  The default seed is
-    fixed: identical problems get identical stepsizes.
+    actually travel.  The sampled gradients come from one stacked
+    `problem.gradient` call.  Returns 1.0 for flat objectives.  The default
+    seed is fixed: identical problems get identical stepsizes.
     """
     rng = as_rng(rng)
     feas = problem.model.feasible
     points = np.array([feas.sample_interior(rng, margin) for _ in range(n_samples)])
-    grads = np.array([problem.gradient(p) for p in points])
+    grads = problem.gradient(points)
     dz = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=2)
     mask = dz > 1e-12
@@ -453,9 +494,13 @@ def _canonical_swap(z: np.ndarray, model: ModelSpec):
 def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     """Best point of a coarse mesh over the box-constrained dimensions.
 
-    For label-swap-symmetric models the mesh keeps only gamma < 1/2: the
-    gamma gradient vanishes on the symmetry line gamma = 1/2, so a solve
-    started there never leaves it.
+    The mesh is evaluated one line of its last axis at a time (at most
+    `grid_points` points per `problem.objective` call), not whole, which
+    keeps the allocation of a call small.  The start is the first mesh
+    point, in C order, with the best finite value, or the centroid when no
+    value is finite.  For label-swap-symmetric models the mesh keeps only
+    gamma < 1/2: the gamma gradient vanishes on the symmetry line
+    gamma = 1/2, so a solve started there never leaves it.
     """
     model = problem.model
     feas = model.feasible
@@ -471,16 +516,18 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     for k, k_lo, k_hi in zip(box_idx, lo, hi):
         axis = np.linspace(k_lo, k_hi, grid_points)
         axes.append(axis[axis < 0.5] if k == swap_gamma else axis)
-    best_value, best_z = None, center
-    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box_idx.size):
-        z = center.copy()
-        z[box_idx] = combo
-        value = problem.objective(z, validate=False)
-        if not np.isfinite(value):
-            continue
-        score = value if problem.maximize else -value
-        if best_value is None or score > best_value:
-            best_value, best_z = score, z
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    points = np.broadcast_to(center, mesh.shape[:-1] + center.shape).copy()
+    points[..., box_idx] = mesh
+    best_score, best_z = -np.inf, center
+    for line in points.reshape(-1, len(axes[-1]), center.size):
+        values = problem.objective(line, validate=False)
+        scores = values if problem.maximize else -values
+        finite = np.flatnonzero(np.isfinite(scores))
+        if finite.size:
+            k = finite[np.argmax(scores[finite])]
+            if scores[k] > best_score:
+                best_score, best_z = scores[k], line[k]
     return best_z
 
 
@@ -489,8 +536,9 @@ def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> E
 
     Grid initialization scans a coarse mesh over box-constrained dimensions
     (skipped above 3 such dimensions and for simplex-only models; for
-    label-swap-symmetric models only gamma < 1/2) and starts the solver
-    from the best finite mesh value.  The solver is Armijo-backtracking
+    label-swap-symmetric models only gamma < 1/2), one stacked objective
+    call per line of the last mesh axis, and starts the solver from the
+    first best finite mesh value (the centroid if none is finite).  The solver is Armijo-backtracking
     projected gradient from the trial step config.alpha, stopped when the
     projected-gradient residual is at most config.tol * max(1, |objective|);
     `solve.converged` says whether that stop was reached.  Models that

@@ -162,31 +162,46 @@ def _squared_errors(model: ModelSpec, theta_hat, gamma_hat, theta_true, gamma_tr
     return errs
 
 
-def _run_estimator(name, model, graph, counts, config, schedule):
-    """Return (theta_hat, gamma_hat, extras dict) for one estimator on one trial."""
-    solver = config.solver_config()
-    if name == "NR":
-        res = estimate(nr_problem(counts, model), solver)
-        return res.theta, res.gamma, {}
-    if name == "FR":
-        res = estimate(fr_problem(counts, model), solver)
-        return res.theta, res.gamma, {}
-    if name == "exact":
-        res = estimate(exact_problem(graph, model),
-                       replace(solver, grid_points=21))
-        return res.theta, res.gamma, {}
+def _comm_schedule(cfg: ExperimentConfig):
+    """The FR-distributed communication schedule, or None when it is not run."""
+    if "FR-distributed" not in cfg.estimators:
+        return None
+    return make_comm_schedule(cfg.n_agents, cfg.comm_family, cfg.comm_window,
+                              rng=np.random.default_rng([cfg.master_seed, 0xC0FFEE]))
+
+
+def _run_estimator(name, model, graph, counts, config, schedule, record_trace=False):
+    """Fit one estimator on one trial: (theta_hat, gamma_hat, detail).
+
+    `detail` is the SolveResult for NR, FR and exact, and the DistributedRun
+    for FR-distributed.  The exact estimator always starts from a 21-point
+    grid.  With `record_trace` the solve keeps its iterate trace and the
+    distributed run records every round; otherwise only the first and last
+    rounds are kept.
+    """
+    solver = replace(config.solver_config(), record_trace=record_trace)
     if name == "FR-distributed":
         run = run_distributed(
             counts, model, schedule,
             alpha=config.solver_alpha,
             n_rounds=config.solver_rounds,
-            record_every=max(1, config.solver_rounds),
+            record_every=1 if record_trace else max(1, config.solver_rounds),
             rng=config.master_seed,
         )
         z, _ = _canonical_swap(run.final_z[0], model)
         theta, gamma = model.feasible.split(z)
-        return theta, gamma, {"spread": run.spread()}
-    raise ValueError(f"unknown estimator {name!r}")
+        return theta, gamma, run
+    if name == "NR":
+        problem = nr_problem(counts, model)
+    elif name == "FR":
+        problem = fr_problem(counts, model)
+    elif name == "exact":
+        problem = exact_problem(graph, model)
+        solver = replace(solver, grid_points=21)
+    else:
+        raise ValueError(f"unknown estimator {name!r}")
+    res = estimate(problem, solver)
+    return res.theta, res.gamma, res.solve
 
 
 @dataclass(frozen=True)
@@ -219,11 +234,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     model = build_model(cfg)
     theta_true, gamma_true = _true_params(cfg, model)
     names = _param_names(model)
-    schedule = None
-    if "FR-distributed" in cfg.estimators:
-        schedule = make_comm_schedule(
-            cfg.n_agents, cfg.comm_family, cfg.comm_window,
-            rng=np.random.default_rng([cfg.master_seed, 0xC0FFEE]))
+    schedule = _comm_schedule(cfg)
     fitted = tuple(est for est in cfg.estimators if est != "oracle")
     points = []
     t_start = time.perf_counter()
@@ -242,14 +253,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             oracle_out = soft_classify(counts, model, theta_true, gamma_true)
             mis["oracle"].append(misclassification_rate(oracle_out.labels, states))
             for est in fitted:
-                theta_hat, gamma_hat, extras = _run_estimator(
+                theta_hat, gamma_hat, detail = _run_estimator(
                     est, model, scored, counts, cfg, schedule)
                 sq_errors[est].append(
                     _squared_errors(model, theta_hat, gamma_hat, theta_true, gamma_true))
                 est_out = soft_classify(counts, model, theta_hat, gamma_hat)
                 mis[est].append(misclassification_rate(est_out.labels, states))
-                if "spread" in extras:
-                    spreads[est].append(extras["spread"])
+                if est == "FR-distributed":
+                    spreads[est].append(detail.spread())
         rmse = {
             est: dict(zip(names, np.sqrt(np.mean(np.asarray(sq_errors[est]), axis=0))))
             for est in fitted
@@ -388,26 +399,16 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
     outputs = {"oracle": soft_classify(counts, model, theta_true, gamma_true)}
     traces = {}
     distributed_run = None
-    solver = replace(cfg.solver_config(), record_trace=True)
+    schedule = _comm_schedule(cfg)
     for est in cfg.estimators:
         if est == "oracle":
             continue
+        theta_hat, gamma_hat, detail = _run_estimator(
+            est, model, scored, counts, cfg, schedule, record_trace=True)
         if est == "FR-distributed":
-            schedule = make_comm_schedule(
-                cfg.n_agents, cfg.comm_family, cfg.comm_window,
-                rng=np.random.default_rng([cfg.master_seed, 0xC0FFEE]))
-            distributed_run = run_distributed(
-                counts, model, schedule, alpha=cfg.solver_alpha,
-                n_rounds=cfg.solver_rounds, rng=cfg.master_seed)
-            z, _ = _canonical_swap(distributed_run.final_z[0], model)
-            theta_hat, gamma_hat = model.feasible.split(z)
+            distributed_run = detail
         else:
-            problem = {"NR": lambda: nr_problem(counts, model),
-                       "FR": lambda: fr_problem(counts, model),
-                       "exact": lambda: exact_problem(scored, model)}[est]()
-            res = estimate(problem, solver)
-            theta_hat, gamma_hat = res.theta, res.gamma
-            traces[est] = res.solve
+            traces[est] = detail
         estimates[est] = (theta_hat, gamma_hat)
         outputs[est] = soft_classify(counts, model, theta_hat, gamma_hat)
     return SingleRunResult(

@@ -34,15 +34,11 @@ __all__ = [
     "BlockSet",
     "FeasibleSet",
     "ModelSpec",
-    "ModelGradients",
     "project_simplex",
     "preparata_model",
     "reliability_model",
     "social_ranking_model",
     "categorical_model",
-    "eval_tensor",
-    "eval_prior",
-    "eval_gradients",
 ]
 
 FEAS_TOL = 1e-9
@@ -219,21 +215,6 @@ class FeasibleSet:
 
 
 @dataclass(frozen=True)
-class ModelGradients:
-    """Analytic partials of the score tensor and the prior.
-
-    d_tensor[k, h, l, m] = d tensor[h, l, m] / d theta_k
-    d_prior[k, l]        = d prior[l] / d gamma_k
-
-    Both tables sum to zero over their probability axis because the
-    normalization is identically one.
-    """
-
-    d_tensor: np.ndarray
-    d_prior: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """A concrete score model: dimensions, value maps, callables, feasible set."""
 
@@ -278,11 +259,17 @@ class ModelSpec:
         return gamma
 
     def require_feasible(self, theta, gamma, tol=FEAS_TOL) -> None:
+        """Raise InfeasibleError unless every row of a stack (or the one point) is feasible."""
         theta, gamma = self._theta(theta), self._gamma(gamma)
-        if not self.feasible.theta.contains(theta, tol):
-            raise InfeasibleError(f"{self.name}: theta {theta} is infeasible")
-        if not self.feasible.gamma.contains(gamma, tol):
-            raise InfeasibleError(f"{self.name}: gamma {gamma} is infeasible")
+        lead = np.broadcast_shapes(theta.shape[:-1], gamma.shape[:-1])
+        rows = math.prod(lead)
+        thetas = np.broadcast_to(theta, lead + theta.shape[-1:]).reshape(rows, self.theta_dim)
+        gammas = np.broadcast_to(gamma, lead + gamma.shape[-1:]).reshape(rows, self.gamma_dim)
+        for t, g in zip(thetas, gammas):
+            if not self.feasible.theta.contains(t, tol):
+                raise InfeasibleError(f"{self.name}: theta {t} is infeasible")
+            if not self.feasible.gamma.contains(g, tol):
+                raise InfeasibleError(f"{self.name}: gamma {g} is infeasible")
 
     def tensor(self, theta, validate: bool = True) -> np.ndarray:
         theta = self._theta(theta)
@@ -297,25 +284,12 @@ class ModelSpec:
         return self.prior_fn(gamma)
 
     def tensor_grad(self, theta) -> np.ndarray:
+        """d_tensor[..., k, h, l, m] = d tensor[..., h, l, m] / d theta_k."""
         return self.tensor_grad_fn(self._theta(theta))
 
     def prior_grad(self, gamma) -> np.ndarray:
+        """d_prior[..., k, l] = d prior[..., l] / d gamma_k."""
         return self.prior_grad_fn(self._gamma(gamma))
-
-
-def eval_tensor(model: ModelSpec, theta, validate: bool = True) -> np.ndarray:
-    """Evaluate the (R, C, C) conditional score table at theta."""
-    return model.tensor(theta, validate=validate)
-
-
-def eval_prior(model: ModelSpec, gamma, validate: bool = True) -> np.ndarray:
-    """Evaluate the length-C state prior at gamma."""
-    return model.prior(gamma, validate=validate)
-
-
-def eval_gradients(model: ModelSpec, theta, gamma) -> ModelGradients:
-    """Evaluate analytic parameter gradients of tensor and prior."""
-    return ModelGradients(model.tensor_grad(theta), model.prior_grad(gamma))
 
 
 def _bernoulli_prior(gamma):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
-from scoregraph.classifier import ClassifierOutput
 from scoregraph.errors import DegenerateModelError, InfeasibleError
 
 from oracles import posterior_brute_force
@@ -120,22 +119,18 @@ def test_permutation_equivariance():
     np.testing.assert_array_equal(out_p.labels[perm], out.labels)
 
 
-def _output_from_posterior(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    log_u = np.log(rows, out=np.full_like(rows, -np.inf), where=rows > 0)
-    return ClassifierOutput(posterior=rows,
-                            labels=np.argmax(rows, axis=1),
-                            log_unnormalized=log_u,
-                            log_normalizer=np.zeros(len(rows)))
-
-
 def test_map_tie_break_takes_lowest_index():
-    out = _output_from_posterior([
-        [0.5, 0.25, 0.15, 0.1],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.25, 0.25, 0.25, 0.25],
-    ])
-    np.testing.assert_array_equal(sg.map_classify(out), [0, 0, 0])
+    # uninformative score tables: every agent's posterior is the prior, so
+    # states with equal prior mass tie exactly
+    model = sg.categorical_model(4, 2)
+    theta = np.full(model.theta_dim, 0.5)
+    scored, _, _, _ = _random_instance(model, np.random.default_rng(8))
+    counts = sg.aggregate_counts(scored)
+    for prior in ([0.5, 0.25, 0.15, 0.1], [0.5, 0.5, 0.0, 0.0], [0.25] * 4):
+        out = sg.soft_classify(counts, model, theta, prior)
+        np.testing.assert_allclose(out.posterior,
+                                   np.broadcast_to(prior, out.posterior.shape), atol=1e-12)
+        np.testing.assert_array_equal(out.labels, [0] * out.n_agents)
 
 
 def test_map_invariant_to_rescaled_evidence():

@@ -1,5 +1,8 @@
 """Objectives, gradients, closed form, and the projected-gradient machinery."""
 
+import itertools
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -413,3 +416,182 @@ def test_trace_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == res.solve.trace[0, 1]
+
+
+def _stack_points(model, rng, n_points=24):
+    """Interior points plus, for scalar-gamma models, gamma = 0 and gamma = 1 rows."""
+    points = np.array([model.feasible.sample_interior(rng, 0.0) for _ in range(n_points)])
+    if model.gamma_dim == 1:
+        points[:4, -1] = 0.0
+        points[4:8, -1] = 1.0
+    return points
+
+
+def _grid_start_reference(problem, grid_points):
+    """Per-point mesh scan in C order: the first best finite value, else the centroid."""
+    model = problem.model
+    feas = model.feasible
+    center = feas.centroid()
+    box_idx = np.concatenate([feas.theta.box_dims(), feas.gamma.box_dims() + feas.theta_dim])
+    if box_idx.size == 0 or box_idx.size > 3:
+        return center
+    boxes = [b for b in feas.theta.blocks + feas.gamma.blocks if isinstance(b, sg.Box)]
+    swap_gamma = (model.theta_dim if model.label_swap_symmetric and model.gamma_dim == 1
+                  else None)
+    axes = []
+    for k, b_lo, b_hi in zip(box_idx, np.concatenate([b.lo for b in boxes]),
+                             np.concatenate([b.hi for b in boxes])):
+        axis = np.linspace(b_lo, b_hi, grid_points)
+        axes.append(axis[axis < 0.5] if k == swap_gamma else axis)
+    best_value, best_z = None, center
+    for combo in itertools.product(*axes):
+        z = center.copy()
+        z[box_idx] = combo
+        value = problem.objective(z, validate=False)
+        if not np.isfinite(value):
+            continue
+        score = value if problem.maximize else -value
+        if best_value is None or score > best_value:
+            best_value, best_z = score, z
+    return best_z
+
+
+@dataclass(frozen=True)
+class _Remapped:
+    """A problem whose objective values pass through `remap`; records each call's z shape."""
+
+    inner: estimators.EstimatorProblem
+    remap: object
+    calls: list = field(default_factory=list)
+
+    @property
+    def model(self):
+        return self.inner.model
+
+    @property
+    def maximize(self):
+        return self.inner.maximize
+
+    def objective(self, z, validate=True):
+        self.calls.append(np.shape(z))
+        return self.remap(np.asarray(self.inner.objective(z, validate)))
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_stacked_objectives_equal_per_point_calls(self, model):
+        rng = np.random.default_rng(83)
+        scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+        counts = sg.aggregate_counts(scored)
+        points = _stack_points(model, rng).reshape(4, 6, -1)
+        theta, gamma = model.feasible.split(points)
+        stacked = {
+            "nr": sg.nr_objective(counts, model, theta, gamma, validate=False),
+            "fr": sg.fr_objective(counts.phi, model, theta, gamma, validate=False),
+        }
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            per_point = np.array([[problem.objective(z, validate=False) for z in row]
+                                  for row in points])
+            assert all(isinstance(v, float) for v in per_point.ravel().tolist())
+            assert stacked[problem.kind].shape == (4, 6)
+            np.testing.assert_array_equal(stacked[problem.kind], per_point)
+            np.testing.assert_array_equal(problem.objective(points, validate=False),
+                                          per_point)
+            if model.name == "preparata":
+                # gamma = 0 makes the mixed scores impossible: -inf (NR), +inf (FR)
+                assert np.isinf(per_point).any() and np.isfinite(per_point).any()
+
+    def test_stacked_exact_objective_loops_over_rows(self):
+        rng = np.random.default_rng(89)
+        model = sg.preparata_model()
+        scored, _, _ = _instance(model, rng, n_agents=5, n_edges=12)
+        problem = sg.exact_problem(scored, model)
+        points = _stack_points(model, rng, n_points=12).reshape(3, 4, 1)
+        per_point = np.array([[problem.objective(z) for z in row] for row in points])
+        assert np.isinf(per_point).any() and np.isfinite(per_point).any()
+        np.testing.assert_array_equal(problem.objective(points), per_point)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_validate_checks_every_row_of_a_stack(self, model):
+        rng = np.random.default_rng(97)
+        scored, _, _ = _instance(model, rng)
+        counts = sg.aggregate_counts(scored)
+        points = _stack_points(model, rng, n_points=5)
+        problems = [sg.nr_problem(counts, model), sg.fr_problem(counts, model),
+                    sg.exact_problem(scored, model)]
+        for problem in problems:
+            problem.objective(points)
+        points[3, -1] = 1.2
+        theta, gamma = model.feasible.split(points)
+        with pytest.raises(InfeasibleError):
+            sg.nr_objective(counts, model, theta, gamma)
+        with pytest.raises(InfeasibleError):
+            sg.fr_objective(counts.phi, model, theta, gamma)
+        for problem in problems:
+            with pytest.raises(InfeasibleError):
+                problem.objective(points)
+
+    def _problems(self):
+        rng = np.random.default_rng(101)
+        out = []
+        for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3),
+                      sg.categorical_model(2, 3)):
+            scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
+            counts = sg.aggregate_counts(scored)
+            out += [sg.nr_problem(counts, model), sg.fr_problem(counts, model)]
+        model = sg.preparata_model()
+        scored, _, _ = _instance(model, rng, n_agents=6, n_edges=16)
+        return out + [sg.exact_problem(scored, model)]
+
+    @pytest.mark.parametrize("grid_points", [9, 33])
+    def test_grid_start_matches_the_per_point_scan(self, grid_points):
+        for problem in self._problems():
+            start = estimators._grid_start(problem, grid_points)
+            np.testing.assert_array_equal(start, _grid_start_reference(problem, grid_points))
+
+    def test_grid_start_evaluates_one_mesh_line_per_call(self):
+        model = sg.social_ranking_model(3, 3)
+        scored, _, _ = _instance(model, np.random.default_rng(103), n_agents=10, n_edges=40)
+        problem = _Remapped(sg.nr_problem(sg.aggregate_counts(scored), model), lambda v: v)
+        start = estimators._grid_start(problem, 33)
+        # the label-swap half mesh: 33 theta lines of the 16 gamma values below 1/2
+        assert problem.calls == [(16, 2)] * 33
+        assert start[1] < 0.5
+        np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
+
+    def test_grid_start_ties_go_to_the_first_mesh_point(self):
+        for problem in self._problems():
+            flat = _Remapped(problem, np.zeros_like)
+            coarse = _Remapped(problem, lambda v: np.floor(v / 5.0))
+            for tied in (flat, coarse):
+                np.testing.assert_array_equal(estimators._grid_start(tied, 9),
+                                              _grid_start_reference(tied, 9))
+            feas = problem.model.feasible
+            if feas.theta.box_dims().size + feas.gamma.box_dims().size:
+                # every mesh point ties: the first one, not the centroid
+                assert not np.array_equal(estimators._grid_start(flat, 9), feas.centroid())
+
+    def test_grid_start_without_a_finite_value_is_the_centroid(self):
+        for problem in self._problems():
+            for fill in (np.nan, np.inf, -np.inf):
+                none_finite = _Remapped(problem, lambda v, f=fill: np.full_like(v, f))
+                start = estimators._grid_start(none_finite, 9)
+                np.testing.assert_array_equal(start, problem.model.feasible.centroid())
+                np.testing.assert_array_equal(start, _grid_start_reference(none_finite, 9))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_lipschitz_stepsize_equals_the_per_point_computation(self, model):
+        rng = np.random.default_rng(107)
+        scored, _, _ = _instance(model, rng, n_agents=6, n_edges=14)
+        counts = sg.aggregate_counts(scored)
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            sample_rng = np.random.default_rng(5)
+            points = np.array([model.feasible.sample_interior(sample_rng, 0.02)
+                               for _ in range(100)])
+            grads = np.array([problem.gradient(p) for p in points])
+            dz = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+            dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=2)
+            mask = dz > 1e-12
+            lip = float((dg[mask] / dz[mask]).max())
+            expected = 1.0 / lip if lip > 0 else 1.0
+            assert sg.lipschitz_stepsize(problem, rng=np.random.default_rng(5)) == expected

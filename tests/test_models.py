@@ -220,7 +220,7 @@ def test_gradients_match_finite_differences(model):
     for _ in range(20):
         z = model.feasible.sample_interior(rng)
         theta, gamma = model.feasible.split(z)
-        grads = sg.eval_gradients(model, theta, gamma)
+        d_tensor, d_prior = model.tensor_grad(theta), model.prior_grad(gamma)
         # free-mass tables keep normalization by projection, not by formula,
         # so only functionally normalized models have zero-sum derivatives
         normalized_by_formula = model.name != "categorical"
@@ -230,18 +230,18 @@ def test_gradients_match_finite_differences(model):
                  - model.tensor(theta - dz, validate=False)) / (2e-6)
                 for dz in np.eye(model.theta_dim) * 1e-6
             ])
-            np.testing.assert_allclose(grads.d_tensor, fd_t, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(d_tensor, fd_t, rtol=1e-6, atol=1e-8)
             if normalized_by_formula:
-                np.testing.assert_allclose(grads.d_tensor.sum(axis=1), 0.0,
+                np.testing.assert_allclose(d_tensor.sum(axis=1), 0.0,
                                            atol=1e-9)
         fd_p = np.stack([
             (model.prior(gamma + dz, validate=False)
              - model.prior(gamma - dz, validate=False)) / (2e-6)
             for dz in np.eye(model.gamma_dim) * 1e-6
         ])
-        np.testing.assert_allclose(grads.d_prior, fd_p, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(d_prior, fd_p, rtol=1e-6, atol=1e-8)
         if normalized_by_formula:
-            np.testing.assert_allclose(grads.d_prior.sum(axis=1), 0.0, atol=1e-9)
+            np.testing.assert_allclose(d_prior.sum(axis=1), 0.0, atol=1e-9)
 
 
 def test_blockset_dim_is_the_sum_of_block_dims():
@@ -275,13 +275,13 @@ def test_split_and_join_are_inverse():
     np.testing.assert_array_equal(m.feasible.join(theta, gamma), z)
 
 
-def test_eval_wrappers_validate():
+def test_tensor_and_prior_validate():
     m = sg.social_ranking_model(3, 3)
     with pytest.raises(InfeasibleError):
-        sg.eval_tensor(m, (20.0,))
+        m.tensor((20.0,))
     with pytest.raises(InfeasibleError):
-        sg.eval_prior(m, (1.2,))
-    t = sg.eval_tensor(m, (0.5,))
+        m.prior((1.2,))
+    t = m.tensor((0.5,))
     assert t.shape == (3, 3, 3)
 
 
