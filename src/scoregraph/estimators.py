@@ -35,7 +35,7 @@ import numpy as np
 from ._logdomain import counted_log_factor, logsumexp
 from .errors import InfeasibleError, NonFiniteError
 from .graph import NeighborCounts, ScoreGraph, as_rng
-from .models import Box, ModelSpec
+from .models import ModelSpec
 
 __all__ = [
     "EstimatorProblem",
@@ -267,8 +267,9 @@ class EstimatorProblem:
     def gradient(self, z) -> np.ndarray:
         split = self.model.feasible.split
         if self.kind == "exact":
+            lo, hi = self.model.feasible.bounds()
             return _rowwise(lambda v: _fd_gradient(
-                lambda w: self.objective(w, validate=False), v), z)
+                lambda w: self.objective(w, validate=False), v, lo, hi), z)
         if self.kind == "nr":
             return _rowwise(lambda v: nr_gradient(self.counts, self.model, *split(v)), z)
         return fr_gradient(self.phi, self.model, *split(z))
@@ -299,13 +300,21 @@ def fr_problem(data, model: ModelSpec) -> EstimatorProblem:
     return EstimatorProblem("fr", model, phi=_check_phi(phi, model.n_scores))
 
 
-def _fd_gradient(fun, z: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def _fd_gradient(fun, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 step: float = 1e-6) -> np.ndarray:
+    """Central difference of `fun` at z, one-sided in a coordinate where z[k] +- step
+    would leave [lo[k], hi[k]] (the objective is undefined outside the feasible set)."""
     grad = np.zeros_like(z)
     for k in range(z.size):
         zp, zm = z.copy(), z.copy()
-        zp[k] += step
-        zm[k] -= step
-        grad[k] = (fun(zp) - fun(zm)) / (2.0 * step)
+        width = 0.0
+        if z[k] + step <= hi[k]:
+            zp[k] += step
+            width += step
+        if z[k] - step >= lo[k]:
+            zm[k] -= step
+            width += step
+        grad[k] = (fun(zp) - fun(zm)) / width
     return grad
 
 
@@ -508,12 +517,10 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     box_idx = np.concatenate([feas.theta.box_dims(), feas.gamma.box_dims() + feas.theta_dim])
     if box_idx.size == 0 or box_idx.size > 3:
         return center
-    boxes = [b for b in feas.theta.blocks + feas.gamma.blocks if isinstance(b, Box)]
-    lo = np.concatenate([b.lo for b in boxes])
-    hi = np.concatenate([b.hi for b in boxes])
+    lo, hi = feas.bounds()
     swap_gamma = model.theta_dim if _swap_symmetric(model) else None
     axes = []
-    for k, k_lo, k_hi in zip(box_idx, lo, hi):
+    for k, k_lo, k_hi in zip(box_idx, lo[box_idx], hi[box_idx]):
         axis = np.linspace(k_lo, k_hi, grid_points)
         axes.append(axis[axis < 0.5] if k == swap_gamma else axis)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -40,6 +40,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray, order) -> np.ndarray:
+    """Read-only `a` (rows permuted by `order` unless it is None).
+
+    A read-only input is kept as it is; a writable one is copied, so the
+    caller's array never becomes read-only behind its back.
+    """
+    if order is not None:
+        a = a[order]
+    elif a.flags.writeable:
+        a = a.copy()
+    return _freeze(a)
+
+
 @dataclass(frozen=True)
 class ScoreGraph:
     """Immutable directed graph with an optional score index per edge.
@@ -52,10 +65,16 @@ class ScoreGraph:
         Size R of the score alphabet (>= 2).
     edges : ndarray of shape (n, 2)
         Ordered pairs (evaluator, target), 0-based, no self loops, no
-        duplicates.  Stored sorted lexicographically.
+        duplicates.  Stored sorted by the flat key i*N + j, which is the
+        lexicographic order on (i, j).
     scores : ndarray of shape (n,), optional
         Score index in {0..R-1} for each edge, aligned with `edges`.
         None for a graph whose scores have not been generated yet.
+
+    Edges whose keys already strictly increase cost O(n) to check (the
+    check also rules out duplicates) and are stored as given, shared when
+    the array is read-only and copied otherwise; any other order is sorted
+    by one stable argsort of the keys that permutes the scores alongside.
     """
 
     n_agents: int
@@ -77,21 +96,22 @@ class ScoreGraph:
             raise ValueError("edge endpoints out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self loops are not allowed")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
         keys = edges[:, 0] * self.n_agents + edges[:, 1]
-        if np.any(np.diff(keys) == 0):
-            raise ValueError("duplicate edges are not allowed")
+        order = None
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValueError("duplicate edges are not allowed")
         if np.bincount(edges[:, 1], minlength=self.n_agents).min() < 1:
             raise ValueError("every agent needs at least one incoming edge")
-        object.__setattr__(self, "edges", _freeze(edges))
+        object.__setattr__(self, "edges", _owned(edges, order))
         if self.scores is not None:
             scores = np.asarray(self.scores, dtype=np.int64)
             if scores.shape != (edges.shape[0],):
                 raise ValueError("scores must align with edges")
             if scores.min() < 0 or scores.max() >= self.n_scores:
                 raise ValueError("score index out of range")
-            object.__setattr__(self, "scores", _freeze(scores[order]))
+            object.__setattr__(self, "scores", _owned(scores, order))
 
     @property
     def n_edges(self) -> int:
@@ -176,6 +196,18 @@ class NeighborCounts:
         assert np.array_equal(total_mutual, total_mutual.T)
 
 
+def _off_diagonal(n_agents: int) -> np.ndarray:
+    """Boolean mask over the flat keys i*N + j of all N^2 pairs: True where i != j."""
+    mask = np.ones(n_agents * n_agents, dtype=bool)
+    mask[:: n_agents + 1] = False
+    return mask
+
+
+def _mask_edges(mask: np.ndarray, n_agents: int) -> np.ndarray:
+    """Read-only (n, 2) edges (i, j) of the True flat keys of an N^2 mask, in key order."""
+    return _freeze(np.column_stack(np.divmod(np.flatnonzero(mask), n_agents)))
+
+
 def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-plus-random-edges",
                        rng=None) -> ScoreGraph:
     """Sample a score-graph topology (without scores).
@@ -193,6 +225,13 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
         N^2 - N; any other value is interpreted as an explicit edge list.
     rng : None, int, sequence, or numpy Generator
         Randomness source; fixed seeds give identical graphs.
+
+    The extra edges come from one draw, `rng.choice(k, size=extra,
+    replace=False)` over the k non-cycle, non-loop pairs in flat key order
+    i*N + j; that draw and its order are a contract pinned by tests, so a
+    seed gives the same graph and leaves the rng in the same state across
+    versions.  The edge set is read off an N^2 mask already in key order,
+    so building the graph costs no sort.
     """
     if n_agents < 2:
         raise ValueError("n_agents must be >= 2")
@@ -204,22 +243,18 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
         if topology == "complete":
             if edge_count_target != max_edges:
                 raise ValueError("complete topology fixes edge count at N^2 - N")
-            i, j = np.divmod(np.arange(n_agents * n_agents), n_agents)
-            edges = np.column_stack([i, j])[i != j]
+            edges = _mask_edges(_off_diagonal(n_agents), n_agents)
         elif topology == "cyclic-plus-random-edges":
             rng = as_rng(rng)
             idx = np.arange(n_agents)
-            cycle = np.column_stack([idx, (idx + 1) % n_agents])
+            chosen = np.zeros(n_agents * n_agents, dtype=bool)
+            chosen[idx * n_agents + (idx + 1) % n_agents] = True    # the directed N-cycle
             extra = edge_count_target - n_agents
-            if extra == 0:
-                edges = cycle
-            else:
-                i, j = np.divmod(np.arange(n_agents * n_agents), n_agents)
-                candidates = np.column_stack([i, j])
-                keep = (i != j) & (j != (i + 1) % n_agents)
-                candidates = candidates[keep]
-                pick = rng.choice(candidates.shape[0], size=extra, replace=False)
-                edges = np.vstack([cycle, candidates[pick]])
+            if extra:
+                candidates = np.flatnonzero(_off_diagonal(n_agents) & ~chosen)
+                pick = rng.choice(len(candidates), size=extra, replace=False)
+                chosen[candidates[pick]] = True
+            edges = _mask_edges(chosen, n_agents)
         else:
             raise ValueError(f"unknown topology family: {topology!r}")
     else:
@@ -237,7 +272,11 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
     States are i.i.d. from the model prior; each edge score is drawn from the
     conditional score distribution given the evaluator and target states.
     Edges are processed in the graph's canonical (sorted) order from a single
-    random stream, so a fixed seed fully determines the output.
+    random stream, so a fixed seed fully determines the output.  The draws
+    are `rng.choice(C, size=N, p=prior)` for the states, then one
+    `rng.random(n)` for the scores; edge e takes the first score whose
+    cumulative probability exceeds u[e], read from an (R, C^2) table of
+    per-state-pair CDFs.  The draws and their order are a contract pinned by tests.
 
     Returns
     -------
@@ -249,38 +288,42 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
     model.require_feasible(theta, gamma)
     prior = model.prior(gamma, validate=False)
     tensor = model.tensor(theta, validate=False)
-    states = rng.choice(model.n_states, size=graph.n_agents, p=prior)
-    probs = tensor[:, states[graph.edges[:, 0]], states[graph.edges[:, 1]]].T
-    cdf = np.cumsum(probs, axis=1)
+    n_states = model.n_states
+    states = rng.choice(n_states, size=graph.n_agents, p=prior)
+    # cdf[h, l*C + m]: P(score <= h) for an evaluator in state l and a target in state m
+    cdf = np.cumsum(tensor, axis=0).reshape(model.n_scores, n_states * n_states)
+    pair = states[graph.edges[:, 0]] * n_states + states[graph.edges[:, 1]]
     u = rng.random(graph.n_edges)
-    scores = (u[:, None] >= cdf).sum(axis=1)
+    scores = np.zeros(graph.n_edges, dtype=np.int64)
+    for level in cdf:                     # one pass per score: count the CDF levels u reaches
+        scores += u >= level[pair]
     scores = np.minimum(scores, model.n_scores - 1)  # guard cdf rounding
-    scored = ScoreGraph(graph.n_agents, model.n_scores, graph.edges, scores)
+    scored = ScoreGraph(graph.n_agents, model.n_scores, graph.edges, _freeze(scores))
     return scored, states
 
 
 def aggregate_counts(graph: ScoreGraph) -> NeighborCounts:
-    """Aggregate the per-agent histograms every estimator and the classifier use."""
+    """Aggregate the per-agent histograms every estimator and the classifier use.
+
+    Each histogram is one `np.bincount` over flat (agent, score[, score])
+    indices; the reverse of each edge is found by binary search in the
+    sorted edge keys, so the cost is O(n log n) with no N^2 table.
+    """
     if not graph.has_scores:
         raise ValueError("graph has no scores; generate or load them first")
     n, big = graph.n_agents, graph.n_scores
-    e, h = graph.edges, graph.scores
-    keys = e[:, 0] * n + e[:, 1]          # sorted by construction
-    rkeys = e[:, 1] * n + e[:, 0]
-    pos = np.searchsorted(keys, rkeys)
-    pos_clipped = np.minimum(pos, len(keys) - 1)
-    has_rev = keys[pos_clipped] == rkeys
+    i, j, h = graph.edges[:, 0], graph.edges[:, 1], graph.scores
+    keys = i * n + j                      # sorted by construction
+    rkeys = j * n + i
+    pos = np.minimum(np.searchsorted(keys, rkeys), len(keys) - 1)
+    m = keys[pos] == rkeys                # the edge (j, i) exists, at pos
+    given = i * big + h                   # flat (evaluator, score)
+    got = j * big + h                     # flat (target, score)
 
-    received = np.zeros((n, big), dtype=np.int64)
-    mutual = np.zeros((n, big, big), dtype=np.int64)
-    received_only = np.zeros((n, big), dtype=np.int64)
-    given_only = np.zeros((n, big), dtype=np.int64)
-
-    np.add.at(received, (e[:, 1], h), 1)
-    m = has_rev
-    np.add.at(mutual, (e[m, 0], h[m], h[pos_clipped[m]]), 1)
-    np.add.at(received_only, (e[~m, 1], h[~m]), 1)
-    np.add.at(given_only, (e[~m, 0], h[~m]), 1)
+    received = np.bincount(got, minlength=n * big).reshape(n, big)
+    mutual = np.bincount(given[m] * big + h[pos[m]], minlength=n * big * big).reshape(n, big, big)
+    received_only = np.bincount(got[~m], minlength=n * big).reshape(n, big)
+    given_only = np.bincount(given[~m], minlength=n * big).reshape(n, big)
 
     return NeighborCounts(
         received=_freeze(received),
@@ -394,8 +437,7 @@ def make_comm_schedule(n_agents: int, family: str, window: int = 1, rng=0) -> Co
     idx = np.arange(n_agents)
     cycle = np.column_stack([idx, (idx + 1) % n_agents])
     if family == "static-complete":
-        i, j = np.divmod(np.arange(n_agents * n_agents), n_agents)
-        frames = [np.column_stack([i, j])[i != j]]
+        frames = [_mask_edges(_off_diagonal(n_agents), n_agents)]
     elif family == "static-cycle":
         frames = [cycle]
     elif family == "periodic-edge-partition":
@@ -412,15 +454,20 @@ def make_comm_schedule(n_agents: int, family: str, window: int = 1, rng=0) -> Co
     return schedule
 
 
+def _text_rows(rows: np.ndarray) -> str:
+    """Integer rows as lines of space-separated decimals, each ending in a newline."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def save_score_graph(graph: ScoreGraph, path) -> None:
     """Write the 1-based edge-list format: header `scoregraph N R n`, lines `i j h`."""
     if not graph.has_scores:
         raise ValueError("only scored graphs are serializable")
-    lines = [f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}"]
-    for (i, j), h in zip(graph.edges, graph.scores):
-        lines.append(f"{i + 1} {j + 1} {h + 1}")
+    rows = np.column_stack([graph.edges, graph.scores]) + 1
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}\n")
+        fh.write(_text_rows(rows))
 
 
 def load_score_graph(path) -> ScoreGraph:
@@ -439,9 +486,9 @@ def load_score_graph(path) -> ScoreGraph:
 def save_states(states, path) -> None:
     """Write states as 1-based `i x_index` lines."""
     states = np.asarray(states, dtype=np.int64)
+    rows = np.column_stack([np.arange(states.size), states]) + 1
     with open(path, "w") as fh:
-        for i, x in enumerate(states):
-            fh.write(f"{i + 1} {x + 1}\n")
+        fh.write(_text_rows(rows))
 
 
 def load_states(path) -> np.ndarray:

@@ -207,6 +207,13 @@ class FeasibleSet:
     def centroid(self) -> np.ndarray:
         return np.concatenate([self.theta.centroid(), self.gamma.centroid()])
 
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate lower and upper bounds of z; simplex coordinates lie in [0, 1]."""
+        blocks = self.theta.blocks + self.gamma.blocks
+        lo = [b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in blocks]
+        hi = [b.hi if isinstance(b, Box) else np.ones(b.dim) for b in blocks]
+        return np.concatenate(lo), np.concatenate(hi)
+
     def sample_interior(self, rng, margin=0.05) -> np.ndarray:
         return np.concatenate([
             self.theta.sample_interior(rng, margin),

@@ -10,6 +10,7 @@ import scoregraph as sg
 from scoregraph import estimators
 from scoregraph.errors import InfeasibleError, NonFiniteError
 from scoregraph.estimators import SolverConfig
+from scoregraph.experiments import ExperimentConfig, build_model, run_single
 from scoregraph.models import THETA_BOX
 
 from oracles import (binary_fr_maximizers, exact_loglik_brute_force, fd_gradient,
@@ -352,6 +353,24 @@ class TestEstimateWrapper:
         best_grid = max(sg.exact_loglikelihood(scored, model, (), (gv,))
                         for gv in np.linspace(0, 1, 41))
         assert res.objective >= best_grid - 1e-9
+
+    def test_exact_gradient_is_one_sided_at_a_box_bound(self):
+        # the grid start lands on gamma = 0; a central difference there
+        # evaluates gamma = -1e-6, where the prior log is NaN
+        result = run_single(ExperimentConfig(model="reliability", n_agents=8, sweep=(20,),
+                                             trials=1, estimators=("exact",)))
+        model = build_model(result.config)
+        theta, gamma = result.estimates["exact"]
+        z = model.feasible.join(theta, gamma)
+        assert np.all(np.isfinite(z)) and model.feasible.contains(z)
+        assert np.isfinite(result.traces["exact"].objective)
+        problem = sg.exact_problem(result.graph, model)
+        f = lambda g: problem.objective(np.array([g]), validate=False)
+        step = 1e-6
+        assert problem.gradient(np.array([0.0]))[0] == (f(step) - f(0.0)) / step
+        assert problem.gradient(np.array([1.0]))[0] == (f(1.0) - f(1.0 - step)) / step
+        # interior points keep the central difference, bit for bit
+        assert problem.gradient(np.array([0.3]))[0] == (f(0.3 + step) - f(0.3 - step)) / (2 * step)
 
     def test_relaxations_coincide_on_a_pure_cycle(self):
         # in-degree 1 everywhere and no mutual pairs: the per-node

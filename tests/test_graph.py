@@ -184,6 +184,130 @@ def test_aggregate_requires_scores():
         sg.aggregate_counts(g)
 
 
+def _reference_sample(n_agents, edge_count_target, rng):
+    """The candidate-array sampler: cycle plus picked (N^2, 2) candidate rows, lexsorted."""
+    idx = np.arange(n_agents)
+    cycle = np.column_stack([idx, (idx + 1) % n_agents])
+    extra = edge_count_target - n_agents
+    if extra == 0:
+        edges = cycle
+    else:
+        i, j = np.divmod(np.arange(n_agents * n_agents), n_agents)
+        candidates = np.column_stack([i, j])
+        keep = (i != j) & (j != (i + 1) % n_agents)
+        candidates = candidates[keep]
+        pick = rng.choice(candidates.shape[0], size=extra, replace=False)
+        edges = np.vstack([cycle, candidates[pick]])
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def _reference_scores(edges, n_agents, model, theta, gamma, rng):
+    """The per-edge scorer: gather an (n, R) probability array, cumsum it, count."""
+    prior = model.prior(gamma)
+    tensor = model.tensor(theta)
+    states = rng.choice(model.n_states, size=n_agents, p=prior)
+    probs = tensor[:, states[edges[:, 0]], states[edges[:, 1]]].T
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(len(edges))
+    scores = (u[:, None] >= cdf).sum(axis=1)
+    return np.minimum(scores, model.n_scores - 1), states
+
+
+def _reference_counts(edges, scores, n, big):
+    """The np.add.at aggregator: received, mutual, received_only, given_only, in_degree."""
+    e, h = edges, scores
+    keys = e[:, 0] * n + e[:, 1]
+    rkeys = e[:, 1] * n + e[:, 0]
+    pos = np.minimum(np.searchsorted(keys, rkeys), len(keys) - 1)
+    m = keys[pos] == rkeys
+    received = np.zeros((n, big), dtype=np.int64)
+    mutual = np.zeros((n, big, big), dtype=np.int64)
+    received_only = np.zeros((n, big), dtype=np.int64)
+    given_only = np.zeros((n, big), dtype=np.int64)
+    np.add.at(received, (e[:, 1], h), 1)
+    np.add.at(mutual, (e[m, 0], h[m], h[pos[m]]), 1)
+    np.add.at(received_only, (e[~m, 1], h[~m]), 1)
+    np.add.at(given_only, (e[~m, 0], h[~m]), 1)
+    return received, mutual, received_only, given_only, received.sum(axis=1)
+
+
+PIN_MODELS = {"preparata": sg.preparata_model(), "reliability": sg.reliability_model(4),
+              "social-ranking": sg.social_ranking_model(3, 3),
+              "categorical": sg.categorical_model(3, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_MODELS))
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_data_path_matches_reference_implementations(n, name):
+    """Sampling, scoring and aggregation equal the reference implementations
+    bit for bit, and leave the rng in the same state after each call."""
+    model = PIN_MODELS[name]
+    theta, gamma = model.feasible.split(
+        model.feasible.sample_interior(np.random.default_rng(11)))
+    max_edges = n * n - n
+    targets = sorted({t for t in (n, n + 1, (n + max_edges) // 2, max_edges)
+                      if t <= max_edges})
+    for target in targets:
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = sg.sample_score_graph(n, target, "cyclic-plus-random-edges", rng)
+            ref_edges = _reference_sample(n, target, ref_rng)
+            assert np.array_equal(g.edges, ref_edges)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+            scored, states = sg.generate_scores(g, model, theta, gamma, rng)
+            ref_scores, ref_states = _reference_scores(ref_edges, n, model, theta, gamma,
+                                                       ref_rng)
+            assert np.array_equal(states, ref_states)
+            assert np.array_equal(scored.scores, ref_scores)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+            c = sg.aggregate_counts(scored)
+            ref = _reference_counts(ref_edges, ref_scores, n, model.n_scores)
+            got = (c.received, c.mutual, c.received_only, c.given_only, c.in_degree)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_all_pair_topologies_match_the_pair_list():
+    for n in (2, 3, 10):
+        i, j = np.divmod(np.arange(n * n), n)
+        pairs = np.column_stack([i, j])[i != j]
+        assert np.array_equal(sg.sample_score_graph(n, n * n - n, "complete").edges, pairs)
+        frame, = sg.make_comm_schedule(n, "static-complete").frames
+        assert np.array_equal(frame, pairs)
+
+
+def test_shuffled_edges_build_the_sorted_graph():
+    rng = np.random.default_rng(13)
+    g = sg.sample_score_graph(12, 60, "cyclic-plus-random-edges", rng)
+    scored, _ = sg.generate_scores(g, sg.reliability_model(4), (), (0.3,), rng)
+    for _ in range(5):
+        perm = rng.permutation(scored.n_edges)
+        back = sg.ScoreGraph(12, 4, scored.edges[perm], scored.scores[perm])
+        assert np.array_equal(back.edges, scored.edges)
+        assert np.array_equal(back.scores, scored.scores)
+
+
+def test_duplicate_edges_raise_sorted_or_not():
+    sorted_dup = np.array([(0, 1), (0, 1), (1, 0), (2, 0)])
+    unsorted_dup = np.array([(2, 0), (0, 1), (1, 0), (0, 1)])
+    for edges in (sorted_dup, unsorted_dup):
+        with pytest.raises(ValueError, match="duplicate"):
+            sg.ScoreGraph(3, 2, edges)
+
+
+def test_score_graph_never_freezes_the_callers_arrays():
+    edges = np.array([(0, 1), (1, 2), (2, 0)])
+    scores = np.array([0, 1, 1])
+    g = sg.ScoreGraph(3, 2, edges, scores)
+    assert edges.flags.writeable and scores.flags.writeable
+    edges[0] = (1, 0)
+    scores[0] = 1
+    assert g.edges[0].tolist() == [0, 1] and g.scores[0] == 0
+    assert not g.edges.flags.writeable and not g.scores.flags.writeable
+
+
 class TestCommSchedules:
     def test_static_cycle_every_frame_connected(self):
         sched = sg.make_comm_schedule(4, "static-cycle")
@@ -259,6 +383,27 @@ class TestSerialization:
         assert lines[0] == "scoregraph 2 2 2"
         assert lines[1].split() == ["1", "2", "2"]
         assert lines[2].split() == ["2", "1", "1"]
+
+    def test_graph_and_states_file_text(self, tmp_path):
+        g = sg.ScoreGraph(3, 3, np.array([(2, 0), (0, 1), (1, 2), (1, 0)]),
+                          scores=np.array([2, 0, 1, 1]))
+        sg.save_score_graph(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_bytes() == (
+            b"scoregraph 3 3 4\n1 2 1\n2 1 2\n2 3 2\n3 1 3\n")
+        sg.save_states(np.array([1, 0, 2]), tmp_path / "s.txt")
+        assert (tmp_path / "s.txt").read_bytes() == b"1 2\n2 1\n3 3\n"
+
+    def test_full_scale_graph_round_trip(self, tmp_path):
+        rng = np.random.default_rng(17)
+        g = sg.sample_score_graph(300, 89700, "complete")
+        scored, states = sg.generate_scores(g, sg.reliability_model(5), (), (0.3,), rng)
+        sg.save_score_graph(scored, tmp_path / "g.txt")
+        back = sg.load_score_graph(tmp_path / "g.txt")
+        assert back.n_edges == 89700 and back.n_scores == 5
+        assert np.array_equal(back.edges, scored.edges)
+        assert np.array_equal(back.scores, scored.scores)
+        sg.save_states(states, tmp_path / "s.txt")
+        assert np.array_equal(sg.load_states(tmp_path / "s.txt"), states)
 
     def test_states_round_trip(self, tmp_path):
         states = np.array([0, 2, 1, 1])
