@@ -13,8 +13,8 @@ from .errors import (DegenerateModelError, InfeasibleError, NonFiniteError,
                      ScoregraphError)
 from .graph import (CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts,
                     generate_scores, load_score_graph, load_states,
-                    make_comm_schedule, pushsum_matrix, sample_score_graph,
-                    save_score_graph, save_states)
+                    make_comm_schedule, sample_score_graph, save_score_graph,
+                    save_states)
 from .models import (Box, FeasibleSet, ModelSpec, Simplex, categorical_model,
                      preparata_model, project_simplex, reliability_model,
                      social_ranking_model)
@@ -23,24 +23,22 @@ from .classifier import (ClassifierOutput, misclassification_rate, soft_classify
 from .estimators import (EstimateResult, EstimatorProblem, SolveResult,
                          SolverConfig, estimate, exact_loglikelihood,
                          exact_problem, fr_binary_closed_form, fr_gradient,
-                         fr_objective, fr_problem, lipschitz_stepsize,
-                         nr_gradient, nr_objective, nr_problem,
-                         projected_gradient_solve, write_trace_csv)
+                         fr_objective, fr_problem, nr_gradient, nr_objective,
+                         nr_problem, projected_gradient_solve, write_trace_csv)
 from .distributed import (DistributedRun, DistributedState, initial_state,
                           local_gradient_step, push_sum_round, run_distributed,
                           stationarity_residual, write_trajectory_csv)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
                           build_model, emit_outputs, emit_single_outputs,
                           parse_config_file, read_misclass_csv, read_rmse_csv,
-                          run_invariant_checks, run_single,
-                          run_social_ranking_suite, run_sweep)
+                          run_invariant_checks, run_single, run_sweep)
 
 __all__ = [
     "__version__",
     "ScoregraphError", "InfeasibleError", "DegenerateModelError", "NonFiniteError",
     "ScoreGraph", "NeighborCounts", "CommSchedule",
     "sample_score_graph", "generate_scores", "aggregate_counts",
-    "make_comm_schedule", "pushsum_matrix",
+    "make_comm_schedule",
     "save_score_graph", "load_score_graph", "save_states", "load_states",
     "ModelSpec", "FeasibleSet", "Box", "Simplex", "project_simplex",
     "preparata_model", "reliability_model", "social_ranking_model",
@@ -50,13 +48,13 @@ __all__ = [
     "exact_loglikelihood", "nr_objective", "nr_gradient",
     "fr_objective", "fr_gradient", "fr_binary_closed_form",
     "exact_problem", "nr_problem", "fr_problem",
-    "lipschitz_stepsize", "projected_gradient_solve", "estimate",
+    "projected_gradient_solve", "estimate",
     "write_trace_csv",
     "DistributedState", "DistributedRun", "initial_state", "push_sum_round",
     "local_gradient_step", "run_distributed", "stationarity_residual",
     "write_trajectory_csv",
     "ExperimentConfig", "SweepPoint", "SweepResult", "build_model",
-    "parse_config_file", "run_sweep", "run_social_ranking_suite", "run_single",
+    "parse_config_file", "run_sweep", "run_single",
     "emit_outputs", "emit_single_outputs", "read_rmse_csv", "read_misclass_csv",
     "run_invariant_checks",
 ]

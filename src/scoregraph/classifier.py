@@ -38,14 +38,13 @@ class ClassifierOutput:
 
     posterior[i, l] is the normalized posterior probability that agent i is
     in state l; labels[i] is its argmax with lowest-index tie break.  The
-    unnormalized factors are kept in log domain: exp(log_unnormalized) may
-    underflow for large neighborhoods, exp(log_normalizer) likewise.
+    unnormalized posterior is kept in log domain, log_unnormalized, since
+    its exponential may underflow for large neighborhoods.
     """
 
     posterior: np.ndarray
     labels: np.ndarray
     log_unnormalized: np.ndarray
-    log_normalizer: np.ndarray
 
     @property
     def n_agents(self) -> int:
@@ -54,14 +53,6 @@ class ClassifierOutput:
     @property
     def n_states(self) -> int:
         return self.posterior.shape[1]
-
-    @property
-    def unnormalized(self) -> np.ndarray:
-        return np.exp(self.log_unnormalized)
-
-    @property
-    def normalizer(self) -> np.ndarray:
-        return np.exp(self.log_normalizer)
 
 
 def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
@@ -114,12 +105,7 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
             f"agent {bad}: every state has zero posterior probability")
     posterior = np.exp(log_v - log_z[:, None])
     labels = np.argmax(posterior, axis=1)
-    return ClassifierOutput(
-        posterior=posterior,
-        labels=labels,
-        log_unnormalized=log_v,
-        log_normalizer=log_z,
-    )
+    return ClassifierOutput(posterior=posterior, labels=labels, log_unnormalized=log_v)
 
 
 def misclassification_rate(labels, true_states) -> float:

@@ -1,34 +1,28 @@
 """Command line front end.
 
     scoregraph sweep   edge-count sweep, RMSE + misclassification CSVs
-    scoregraph social  same sweep pinned to the graded-state model
+    scoregraph social  same sweep pinned to the graded-state model, C = R = 3
     scoregraph single  one instance with full per-agent exports
     scoregraph check   fast invariant self-test, nonzero exit on failure
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import click
 
-from .experiments import (ExperimentConfig, emit_outputs, emit_single_outputs,
-                          parse_config_file, run_invariant_checks, run_single,
-                          run_social_ranking_suite, run_sweep)
+from .experiments import (ExperimentConfig, build_model, emit_outputs,
+                          emit_single_outputs, parse_config_file,
+                          run_invariant_checks, run_single, run_sweep)
 
 
-def _load_config(config_path, seed, out, trials, full_scale, **overrides) -> ExperimentConfig:
+def _load_config(config_path, **overrides) -> ExperimentConfig:
+    """The config file (or the defaults) with every option that was given applied."""
     cfg = parse_config_file(config_path) if config_path else ExperimentConfig()
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    if out is not None:
-        cfg = replace(cfg, out_dir=out)
-    if trials is not None:
-        cfg = replace(cfg, trials=trials)
-    if full_scale:
-        cfg = replace(cfg, full_scale=True)
     for key, value in overrides.items():
-        if value is not None:
+        if value is not None and value is not False:    # an unset option or flag
             cfg = replace(cfg, **{key: value})
     return cfg
 
@@ -36,8 +30,9 @@ def _load_config(config_path, seed, out, trials, full_scale, **overrides) -> Exp
 def _shared_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True),
                       default=None, help="Key-value config file.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
+    fn = click.option("--seed", "master_seed", type=int, default=None,
+                      help="Master seed.")(fn)
+    fn = click.option("--out", "out_dir", type=click.Path(), default=None,
                       help="Output directory.")(fn)
     fn = click.option("--trials", type=int, default=None,
                       help="Monte Carlo trials per sweep point.")(fn)
@@ -46,7 +41,21 @@ def _shared_options(fn):
     return fn
 
 
-def _report_sweep(result, paths):
+def _exit_1_on_error(fn):
+    """Report any exception from a command as `error: ...` on stderr and exit 1."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(1)
+    return wrapper
+
+
+def _sweep_and_report(cfg: ExperimentConfig) -> None:
+    result = run_sweep(cfg)
+    paths = emit_outputs(result, cfg.out_dir or "out")
     click.echo(f"model: {result.model_name}")
     for point in result.points:
         parts = [f"n={point.n_edges}"]
@@ -55,7 +64,7 @@ def _report_sweep(result, paths):
             parts.append(f"{est}[{rmses}]")
         parts.append(f"oracle-misclass={point.misclass['oracle']:.4g}")
         click.echo("  " + "  ".join(parts))
-    for key, path in paths.items():
+    for path in paths.values():
         click.echo(f"wrote {path}")
 
 
@@ -67,63 +76,48 @@ def main() -> None:
 
 @main.command()
 @_shared_options
-def sweep(config_path, seed, out, trials, full_scale) -> None:
+@_exit_1_on_error
+def sweep(config_path, **flags) -> None:
     """Run an edge-count sweep (reliability model by default)."""
-    try:
-        cfg = _load_config(config_path, seed, out, trials, full_scale)
-        result = run_sweep(cfg)
-        paths = emit_outputs(result, cfg.out_dir or "out")
-        _report_sweep(result, paths)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+    _sweep_and_report(_load_config(config_path, **flags))
 
 
 @main.command()
 @_shared_options
-def social(config_path, seed, out, trials, full_scale) -> None:
+@_exit_1_on_error
+def social(config_path, **flags) -> None:
     """Run the graded-state ranking sweep (three states, three scores)."""
-    try:
-        cfg = _load_config(config_path, seed, out, trials, full_scale,
-                           model="social-ranking")
-        if not cfg.theta:
-            cfg = replace(cfg, theta=(0.5,))
-        result = run_social_ranking_suite(cfg)
-        paths = emit_outputs(result, cfg.out_dir or "out")
-        _report_sweep(result, paths)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+    cfg = _load_config(config_path, model="social-ranking", **flags)
+    if not cfg.theta:
+        cfg = replace(cfg, theta=(0.5,))
+    model = build_model(cfg)
+    if (model.n_states, model.n_scores) != (3, 3):
+        raise ValueError("the social ranking sweep is defined for C = 3, R = 3")
+    _sweep_and_report(cfg)
 
 
 @main.command()
 @_shared_options
-def single(config_path, seed, out, trials, full_scale) -> None:
+@_exit_1_on_error
+def single(config_path, **flags) -> None:
     """Run one instance and export the graph, states, estimates, and traces."""
-    try:
-        cfg = _load_config(config_path, seed, out, trials, full_scale)
-        result = run_single(cfg)
-        paths = emit_single_outputs(result, cfg.out_dir or "out")
-        for name, (theta_hat, gamma_hat) in result.estimates.items():
-            values = list(theta_hat) + list(gamma_hat)
-            pairs = ", ".join(f"{k}={v:.6g}" for k, v in zip(result.param_names, values))
-            click.echo(f"{name}: {pairs}")
-        for key, path in paths.items():
-            click.echo(f"wrote {path}")
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+    cfg = _load_config(config_path, **flags)
+    result = run_single(cfg)
+    paths = emit_single_outputs(result, cfg.out_dir or "out")
+    for name, (theta_hat, gamma_hat) in result.estimates.items():
+        values = list(theta_hat) + list(gamma_hat)
+        pairs = ", ".join(f"{k}={v:.6g}" for k, v in zip(result.param_names, values))
+        click.echo(f"{name}: {pairs}")
+    for path in paths.values():
+        click.echo(f"wrote {path}")
 
 
 @main.command()
 @click.option("--seed", type=int, default=0, help="Master seed.")
+@_exit_1_on_error
 def check(seed) -> None:
     """Run fast internal consistency checks; exit 1 if any fail."""
-    try:
-        results = run_invariant_checks(seed)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+    results = run_invariant_checks(seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

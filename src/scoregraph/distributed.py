@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleError, NonFiniteError
 from .estimators import fr_gradient, fr_problem, lipschitz_stepsize
-from .graph import CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts, pushsum_matrix
+from .graph import CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts
 from .models import ModelSpec
 
 __all__ = [
@@ -48,10 +48,6 @@ class DistributedState:
     z: np.ndarray
 
     @property
-    def n_agents(self) -> int:
-        return self.eta.shape[0]
-
-    @property
     def phi(self) -> np.ndarray:
         return self.xi / self.eta[:, None]
 
@@ -77,14 +73,15 @@ def initial_state(counts: NeighborCounts, model: ModelSpec, start=None) -> Distr
     )
 
 
-def push_sum_round(state: DistributedState, frame) -> DistributedState:
-    """One synchronous ratio-consensus exchange over a frame's edges.
+def push_sum_round(state: DistributedState, schedule: CommSchedule, t: int) -> DistributedState:
+    """One synchronous ratio-consensus exchange over the edges of round t's frame.
 
     Every agent splits its xi and eta mass equally over its frame
-    out-neighbors plus itself; column totals are conserved exactly up to
-    floating error, and eta stays positive.
+    out-neighbors plus itself, through the schedule's cached mixing matrix;
+    column totals are conserved exactly up to floating error, and eta stays
+    positive.
     """
-    mat = pushsum_matrix(state.n_agents, frame)
+    mat = schedule.matrix(t)
     return DistributedState(xi=mat @ state.xi, eta=mat @ state.eta, z=state.z)
 
 
@@ -131,9 +128,11 @@ class DistributedRun:
 
 def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
                     n_rounds: int = 1000, start=None,
-                    gradient_uses_updated_phi: bool = False,
                     record_every: int = 1, rng=0) -> DistributedRun:
-    """Simulate n_rounds synchronous rounds of consensus + local gradient steps.
+    """Simulate n_rounds synchronous rounds of local gradient steps + consensus.
+
+    In round t every agent steps with its pre-round ratio phi_i(t), then
+    push_sum_round mixes the accumulators into phi_i(t+1).
 
     Parameters
     ----------
@@ -144,9 +143,6 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
     alpha : float, optional
         Stepsize; None uses the sampled-curvature heuristic on the
         fully-relaxed problem at the true phi (deterministic under `rng`).
-    gradient_uses_updated_phi : bool
-        Default False steps with the pre-round phi_i(t); True runs the
-        consensus exchange first and steps with phi_i(t+1).
     record_every : int
         Snapshot stride; round 0 and the final round are always recorded.
     """
@@ -158,32 +154,26 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
     if alpha is None:
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
     state = initial_state(counts, model, start)
-    xi, eta, z = state.xi, state.eta, state.z
-    phi = xi / eta[:, None]
+    phi = state.phi
     times = [0]
     phi_traj = [phi.copy()]
-    z_traj = [z.copy()]
+    z_traj = [state.z.copy()]
     for t in range(n_rounds):
-        mat = schedule.matrix(t)
-        if gradient_uses_updated_phi:
-            xi, eta = mat @ xi, mat @ eta
-            phi = xi / eta[:, None]
         try:
-            z = local_gradient_step(z, phi, model, alpha)
+            state.z = local_gradient_step(state.z, phi, model, alpha)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
-        if not gradient_uses_updated_phi:
-            xi, eta = mat @ xi, mat @ eta
-            phi = xi / eta[:, None]
+        state = push_sum_round(state, schedule, t)
+        phi = state.phi
         if (t + 1) % record_every == 0 or t + 1 == n_rounds:
             times.append(t + 1)
             phi_traj.append(phi.copy())
-            z_traj.append(z.copy())
+            z_traj.append(state.z.copy())
     return DistributedRun(
         times=np.asarray(times, dtype=np.int64),
         phi_traj=np.asarray(phi_traj),
         z_traj=np.asarray(z_traj),
-        state=DistributedState(xi=xi, eta=eta, z=z),
+        state=state,
         alpha=float(alpha),
         n_rounds=n_rounds,
         model_name=model.name,
@@ -197,8 +187,8 @@ def stationarity_residual(model: ModelSpec, z, phi, alpha: float) -> float:
     return float(np.linalg.norm(z - local_gradient_step(z, phi, model, alpha)))
 
 
-def write_trajectory_csv(run: DistributedRun, path, meta_path=None) -> None:
-    """Write `t, agent, phi_1..phi_R, theta..., gamma...` rows plus a metadata sidecar."""
+def write_trajectory_csv(run: DistributedRun, path) -> None:
+    """Write `t, agent, phi_1..phi_R, theta..., gamma...` rows plus a `<path>.meta.json` sidecar."""
     n_scores = run.phi_traj.shape[2]
     dim = run.z_traj.shape[2]
     cols = ["t", "agent"]
@@ -223,8 +213,6 @@ def write_trajectory_csv(run: DistributedRun, path, meta_path=None) -> None:
         "z_dim": int(dim),
         "snapshots": [int(t) for t in run.times],
     }
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
-    with open(meta_path, "w") as fh:
+    with open(str(path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

@@ -13,15 +13,21 @@ fr (fully-relaxed)
     single-edge score distribution with both endpoint states marginalized.
     Minimized; equals -(1/n) times the fully relaxed log-likelihood.
 
-The NR and FR objectives and the FR gradient broadcast over leading axes of
-theta/gamma, like the model callables: one point gives a Python float (a
-gradient (dim,)), a stack (..., dim) gives an array (...) (gradients
-(..., dim)) whose entries equal the per-point values bit for bit.
+Broadcast contract.  The NR and FR objectives and the FR gradient broadcast
+over leading axes of theta/gamma, like the model callables: one point gives
+a Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
+(gradients (..., dim)) whose entries equal the per-point values bit for bit;
+with `validate`, every row is checked.  FR takes one phi for the whole
+stack, except `fr_gradient`, which also takes one phi row per point.
+`EstimatorProblem.objective`/`gradient` accept the same stacks: the exact
+objective (its C^N table does not stack) and the NR and exact gradients loop
+over the rows.
 
 The solver is projected gradient with Armijo backtracking and a spectral
 (Barzilai-Borwein) trial step.  It reports convergence only where the
 projected-gradient residual certifies stationarity; `estimate` adds a grid
-start, evaluated one mesh line per objective call, and the label-swap
+start, evaluated one mesh line per objective call (at most `grid_points`
+points, which keeps the allocation of a call small), and the label-swap
 canonicalization.
 """
 
@@ -51,7 +57,6 @@ __all__ = [
     "fr_objective",
     "fr_gradient",
     "fr_binary_closed_form",
-    "lipschitz_stepsize",
     "projected_gradient_solve",
     "estimate",
     "write_trace_csv",
@@ -116,10 +121,7 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma,
 
     Sum over agents of log sum_l prior(l) * prod_h P(score h | state l)^count,
     where each received score is marginalized over the unknown evaluator
-    state independently.  Broadcasts over leading axes: one point
-    (theta (theta_dim,), gamma (gamma_dim,)) gives a Python float, a stack
-    (..., theta_dim) / (..., gamma_dim) gives an array (...) whose entries
-    equal the per-point values.  With `validate`, every row is checked.
+    state independently.
     """
     if validate:
         model.require_feasible(theta, gamma)
@@ -174,9 +176,6 @@ def fr_objective(phi, model: ModelSpec, theta, gamma,
                  validate: bool = True) -> float | np.ndarray:
     """Fully-relaxed cost (to minimize): cross-entropy of phi against the
     single-edge score distribution.  May be +inf at boundary parameters.
-
-    Takes one phi and broadcasts over leading axes of theta/gamma, like
-    nr_objective: a Python float for one point, an array (...) for a stack.
     """
     phi = _check_phi(phi, model.n_scores)
     if validate:
@@ -191,10 +190,9 @@ def fr_objective(phi, model: ModelSpec, theta, gamma,
 def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
     """Analytic gradient of fr_objective in the stacked vector z = [theta, gamma].
 
-    Broadcasts over leading axes: phi (..., R), theta (..., theta_dim) and
-    gamma (..., gamma_dim) give one gradient row per agent, shape (..., dim).
-    If the cost is +inf at some agent's point, NonFiniteError names the
-    first such agent by its row index.
+    With one phi row per agent, phi (..., R), the rows are agents: if the
+    cost is +inf at some agent's point, NonFiniteError names the first such
+    agent by its row index.
     """
     phi = _check_phi(phi, model.n_scores, stacked=True)
     t_h, tensor, prior = _edge_score_distribution(model, theta, gamma)
@@ -237,12 +235,6 @@ class EstimatorProblem:
 
     kind "exact" and "nr" are maximized, "fr" is minimized; the solver
     handles the sign internally and traces report the natural value.
-    `objective` and `gradient` take one point z (dim,) or a stack
-    (..., dim): one point gives a float (a gradient (dim,)), a stack an
-    array (...) (gradients (..., dim)) equal to the per-point values.  NR and
-    FR objectives and FR gradients evaluate a stack in one call; the exact
-    objective (its C^N table does not stack) and the NR and exact gradients
-    loop over the rows.
     """
 
     kind: str
@@ -318,19 +310,25 @@ def _fd_gradient(fun, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return grad
 
 
-def lipschitz_stepsize(problem: EstimatorProblem, rng=0, n_samples: int = 100,
-                       margin: float = 0.02) -> float:
+LIPSCHITZ_SAMPLES = 100
+LIPSCHITZ_MARGIN = 0.02
+
+
+def lipschitz_stepsize(problem: EstimatorProblem, rng=0) -> float:
     """Stepsize 1 / L_hat with L_hat the largest pairwise gradient variation.
 
-    Samples interior points only (boundary gradients of these objectives can
-    be unbounded), so the estimate bounds the curvature where the iterates
-    actually travel.  The sampled gradients come from one stacked
-    `problem.gradient` call.  Returns 1.0 for flat objectives.  The default
-    seed is fixed: identical problems get identical stepsizes.
+    Samples LIPSCHITZ_SAMPLES points at least LIPSCHITZ_MARGIN inside the
+    feasible set (boundary gradients of these objectives can be unbounded),
+    so the estimate bounds the curvature where the iterates actually
+    travel.  The sampled gradients come from one stacked `problem.gradient`
+    call.  Returns 1.0 for flat objectives.  The default seed is fixed:
+    identical problems get identical stepsizes.  This is the default step
+    of the distributed estimator; the centralized solver does not use it.
     """
     rng = as_rng(rng)
     feas = problem.model.feasible
-    points = np.array([feas.sample_interior(rng, margin) for _ in range(n_samples)])
+    points = np.array([feas.sample_interior(rng, LIPSCHITZ_MARGIN)
+                       for _ in range(LIPSCHITZ_SAMPLES)])
     grads = problem.gradient(points)
     dz = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=2)
@@ -458,16 +456,16 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for estimate(): initial trial step, stopping, grid initialization.
+    """Knobs for estimate(): initial trial step, stopping, start grid.
 
     `alpha` is the first Armijo trial step; `tol` scales the residual stop
-    (see projected_gradient_solve).
+    (see projected_gradient_solve); `grid_points` is the number of mesh
+    points per box dimension of the grid start, which estimate always runs.
     """
 
     alpha: float = 1.0
     max_iters: int = 100000
     tol: float = 1e-9
-    grid_init: bool = True
     grid_points: int = 21
     record_trace: bool = False
 
@@ -503,13 +501,12 @@ def _canonical_swap(z: np.ndarray, model: ModelSpec):
 def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     """Best point of a coarse mesh over the box-constrained dimensions.
 
-    The mesh is evaluated one line of its last axis at a time (at most
-    `grid_points` points per `problem.objective` call), not whole, which
-    keeps the allocation of a call small.  The start is the first mesh
-    point, in C order, with the best finite value, or the centroid when no
-    value is finite.  For label-swap-symmetric models the mesh keeps only
-    gamma < 1/2: the gamma gradient vanishes on the symmetry line
-    gamma = 1/2, so a solve started there never leaves it.
+    The mesh is evaluated one line of its last axis per `problem.objective`
+    call.  The start is the first mesh point, in C order, with the best
+    finite value, or the centroid when no value is finite.  For
+    label-swap-symmetric models the mesh keeps only gamma < 1/2: the gamma
+    gradient vanishes on the symmetry line gamma = 1/2, so a solve started
+    there never leaves it.
     """
     model = problem.model
     feas = model.feasible
@@ -541,11 +538,9 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
 def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> EstimateResult:
     """Convenience wrapper: pick a start, solve, canonicalize if symmetric.
 
-    Grid initialization scans a coarse mesh over box-constrained dimensions
-    (skipped above 3 such dimensions and for simplex-only models; for
-    label-swap-symmetric models only gamma < 1/2), one stacked objective
-    call per line of the last mesh axis, and starts the solver from the
-    first best finite mesh value (the centroid if none is finite).  The solver is Armijo-backtracking
+    The start is the best point of a coarse mesh over the box-constrained
+    dimensions (see _grid_start; the centroid above 3 such dimensions and
+    for simplex-only models).  The solver is Armijo-backtracking
     projected gradient from the trial step config.alpha, stopped when the
     projected-gradient residual is at most config.tol * max(1, |objective|);
     `solve.converged` says whether that stop was reached.  Models that
@@ -553,12 +548,9 @@ def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> E
     gamma <= 1/2; the symmetry is verified on the objective values.
     """
     config = config or SolverConfig()
-    start = None
-    if config.grid_init:
-        start = _grid_start(problem, config.grid_points)
     solve = projected_gradient_solve(
         problem,
-        start=start,
+        start=_grid_start(problem, config.grid_points),
         alpha=config.alpha,
         max_iters=config.max_iters,
         tol=config.tol,

@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .classifier import ClassifierOutput, misclassification_rate, soft_classify, write_soft_csv
-from .distributed import run_distributed, write_trajectory_csv
+from .classifier import misclassification_rate, soft_classify, write_soft_csv
+from .distributed import initial_state, push_sum_round, run_distributed, write_trajectory_csv
 from .estimators import (SolverConfig, _canonical_swap, estimate, exact_problem,
-                         fr_problem, nr_problem, write_trace_csv)
-from .graph import (aggregate_counts, as_rng, generate_scores, make_comm_schedule,
+                         fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
+                         nr_problem, write_trace_csv)
+from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
                      reliability_model, social_ranking_model)
@@ -37,7 +38,6 @@ __all__ = [
     "build_model",
     "parse_config_file",
     "run_sweep",
-    "run_social_ranking_suite",
     "run_single",
     "emit_outputs",
     "emit_single_outputs",
@@ -46,7 +46,6 @@ __all__ = [
     "run_invariant_checks",
 ]
 
-KNOWN_ESTIMATORS = ("NR", "FR", "FR-distributed", "exact", "oracle")
 FULL_SCALE_AGENTS = 300
 FULL_SCALE_TRIALS = 1000
 
@@ -95,7 +94,7 @@ class ExperimentConfig:
             if not n <= v <= max_edges:
                 raise ValueError(f"sweep value {v} outside [{n}, {max_edges}]")
         for est in cfg.estimators:
-            if est not in KNOWN_ESTIMATORS:
+            if est not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
         if "exact" in cfg.estimators and cfg.n_agents > 12:
             raise ValueError("exact estimator is limited to 12 agents")
@@ -170,16 +169,26 @@ def _comm_schedule(cfg: ExperimentConfig):
                               rng=np.random.default_rng([cfg.master_seed, 0xC0FFEE]))
 
 
-def _run_estimator(name, model, graph, counts, config, schedule, record_trace=False):
+# Estimator name -> (problem factory, start-grid points or None for the
+# configured count).  FR-distributed runs the push-sum simulation instead, and
+# "oracle" classifies with the true parameters.
+_ESTIMATORS = {
+    "NR": (lambda graph, counts, model: nr_problem(counts, model), None),
+    "FR": (lambda graph, counts, model: fr_problem(counts, model), None),
+    "exact": (lambda graph, counts, model: exact_problem(graph, model), 21),
+    "FR-distributed": None,
+    "oracle": None,
+}
+
+
+def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
     """Fit one estimator on one trial: (theta_hat, gamma_hat, detail).
 
-    `detail` is the SolveResult for NR, FR and exact, and the DistributedRun
-    for FR-distributed.  The exact estimator always starts from a 21-point
-    grid.  With `record_trace` the solve keeps its iterate trace and the
-    distributed run records every round; otherwise only the first and last
-    rounds are kept.
+    `detail` is the SolveResult of a centralized estimator and the
+    DistributedRun of FR-distributed.  With `record_trace` the solve keeps
+    its iterate trace and the distributed run records every round;
+    otherwise only the first and last rounds are kept.
     """
-    solver = replace(config.solver_config(), record_trace=record_trace)
     if name == "FR-distributed":
         run = run_distributed(
             counts, model, schedule,
@@ -191,17 +200,38 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace=Fa
         z, _ = _canonical_swap(run.final_z[0], model)
         theta, gamma = model.feasible.split(z)
         return theta, gamma, run
-    if name == "NR":
-        problem = nr_problem(counts, model)
-    elif name == "FR":
-        problem = fr_problem(counts, model)
-    elif name == "exact":
-        problem = exact_problem(graph, model)
-        solver = replace(solver, grid_points=21)
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
-    res = estimate(problem, solver)
+    build, grid_points = _ESTIMATORS[name]
+    solver = replace(config.solver_config(), record_trace=record_trace,
+                     grid_points=grid_points or config.solver_grid_points)
+    res = estimate(build(graph, counts, model), solver)
     return res.theta, res.gamma, res.solve
+
+
+def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,
+               trial: int, record_trace: bool = False):
+    """One trial: sample, score, aggregate, classify with the true parameters,
+    then fit and classify with each configured estimator.
+
+    The draws come from the stream keyed by (master_seed, n_edges, trial).
+    Returns (scored graph, true states, estimates, outputs, details):
+    `estimates` and `outputs` map each classifier, "oracle" first, to its
+    (theta, gamma) and ClassifierOutput; `details` maps each fitted
+    estimator to its SolveResult or DistributedRun.
+    """
+    rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
+    graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
+    scored, states = generate_scores(graph, model, *truth, rng)
+    counts = aggregate_counts(scored)
+    estimates = {"oracle": truth}
+    outputs = {"oracle": soft_classify(counts, model, *truth)}
+    details = {}
+    for est in cfg.estimators:
+        if est != "oracle":
+            theta_hat, gamma_hat, details[est] = _run_estimator(
+                est, model, scored, counts, cfg, schedule, record_trace)
+            estimates[est] = (theta_hat, gamma_hat)
+            outputs[est] = soft_classify(counts, model, theta_hat, gamma_hat)
+    return scored, states, estimates, outputs, details
 
 
 @dataclass(frozen=True)
@@ -232,35 +262,27 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     config.validate()
     cfg = config.resolved()
     model = build_model(cfg)
-    theta_true, gamma_true = _true_params(cfg, model)
+    truth = _true_params(cfg, model)
     names = _param_names(model)
     schedule = _comm_schedule(cfg)
     fitted = tuple(est for est in cfg.estimators if est != "oracle")
+    classifiers = ("oracle", *fitted)
     points = []
     t_start = time.perf_counter()
     for n_edges in cfg.sweep:
         p_start = time.perf_counter()
         sq_errors = {est: [] for est in fitted}
-        mis = {est: [] for est in fitted}
-        mis["oracle"] = []
+        mis = {cls: [] for cls in classifiers}
         spreads = {est: [] for est in fitted if est == "FR-distributed"}
         for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
-            graph = sample_score_graph(cfg.n_agents, n_edges,
-                                       "cyclic-plus-random-edges", rng)
-            scored, states = generate_scores(graph, model, theta_true, gamma_true, rng)
-            counts = aggregate_counts(scored)
-            oracle_out = soft_classify(counts, model, theta_true, gamma_true)
-            mis["oracle"].append(misclassification_rate(oracle_out.labels, states))
+            _, states, estimates, outputs, details = _run_trial(
+                cfg, model, truth, schedule, n_edges, trial)
+            for cls in classifiers:
+                mis[cls].append(misclassification_rate(outputs[cls].labels, states))
             for est in fitted:
-                theta_hat, gamma_hat, detail = _run_estimator(
-                    est, model, scored, counts, cfg, schedule)
-                sq_errors[est].append(
-                    _squared_errors(model, theta_hat, gamma_hat, theta_true, gamma_true))
-                est_out = soft_classify(counts, model, theta_hat, gamma_hat)
-                mis[est].append(misclassification_rate(est_out.labels, states))
-                if est == "FR-distributed":
-                    spreads[est].append(detail.spread())
+                sq_errors[est].append(_squared_errors(model, *estimates[est], *truth))
+                if est in spreads:
+                    spreads[est].append(details[est].spread())
         rmse = {
             est: dict(zip(names, np.sqrt(np.mean(np.asarray(sq_errors[est]), axis=0))))
             for est in fitted
@@ -278,21 +300,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         model_name=model.name,
         param_names=names,
         estimator_names=fitted,
-        classifier_names=("oracle", *fitted),
+        classifier_names=classifiers,
         points=tuple(points),
         wall_clock=time.perf_counter() - t_start,
     )
-
-
-def run_social_ranking_suite(config: ExperimentConfig) -> SweepResult:
-    """Sweep wrapper for the graded-state model with joint (theta, gamma) RMSE."""
-    cfg = config.resolved()
-    if cfg.model != "social-ranking":
-        raise ValueError("run_social_ranking_suite requires model = social-ranking")
-    model = build_model(cfg)
-    if model.n_states != 3 or model.n_scores != 3:
-        raise ValueError("the social ranking suite is defined for C = 3, R = 3")
-    return run_sweep(cfg)
 
 
 def _fmt(x: float) -> str:
@@ -385,32 +396,13 @@ class SingleRunResult:
 
 
 def run_single(config: ExperimentConfig) -> SingleRunResult:
-    """Run a single instance at the first sweep point with full exports."""
+    """Run trial 0 of the first sweep point, with solver traces and every round recorded."""
     config.validate()
     cfg = config.resolved()
     model = build_model(cfg)
-    theta_true, gamma_true = _true_params(cfg, model)
-    rng = np.random.default_rng([cfg.master_seed, cfg.sweep[0], 0])
-    graph = sample_score_graph(cfg.n_agents, cfg.sweep[0],
-                               "cyclic-plus-random-edges", rng)
-    scored, states = generate_scores(graph, model, theta_true, gamma_true, rng)
-    counts = aggregate_counts(scored)
-    estimates = {"oracle": (theta_true, gamma_true)}
-    outputs = {"oracle": soft_classify(counts, model, theta_true, gamma_true)}
-    traces = {}
-    distributed_run = None
-    schedule = _comm_schedule(cfg)
-    for est in cfg.estimators:
-        if est == "oracle":
-            continue
-        theta_hat, gamma_hat, detail = _run_estimator(
-            est, model, scored, counts, cfg, schedule, record_trace=True)
-        if est == "FR-distributed":
-            distributed_run = detail
-        else:
-            traces[est] = detail
-        estimates[est] = (theta_hat, gamma_hat)
-        outputs[est] = soft_classify(counts, model, theta_hat, gamma_hat)
+    scored, states, estimates, outputs, details = _run_trial(
+        cfg, model, _true_params(cfg, model), _comm_schedule(cfg), cfg.sweep[0], 0,
+        record_trace=True)
     return SingleRunResult(
         config=cfg,
         model_name=model.name,
@@ -419,8 +411,8 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
         states=states,
         estimates=estimates,
         outputs=outputs,
-        traces=traces,
-        distributed_run=distributed_run,
+        traces={est: d for est, d in details.items() if est != "FR-distributed"},
+        distributed_run=details.get("FR-distributed"),
     )
 
 
@@ -546,9 +538,6 @@ def _check(name, fn) -> CheckResult:
 
 def run_invariant_checks(seed: int = 0) -> list:
     """Fast self-contained invariant suite backing the `check` CLI command."""
-    from .distributed import initial_state, push_sum_round
-    from .estimators import (fr_binary_closed_form, fr_objective, nr_objective)
-
     checks = []
 
     def counts_identities():
@@ -584,7 +573,7 @@ def run_invariant_checks(seed: int = 0) -> list:
         target_xi = state.xi.sum(axis=0)
         target_eta = state.eta.sum()
         for t in range(600):
-            state = push_sum_round(state, sched.frame(t))
+            state = push_sum_round(state, sched, t)
             assert np.all(np.abs(state.xi.sum(axis=0) - target_xi) <= 1e-9 * target_xi)
             assert abs(state.eta.sum() - target_eta) <= 1e-9 * target_eta
         final_err = np.abs(state.phi - counts.phi[None, :]).max()

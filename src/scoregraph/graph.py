@@ -20,7 +20,6 @@ __all__ = [
     "generate_scores",
     "aggregate_counts",
     "make_comm_schedule",
-    "pushsum_matrix",
     "save_score_graph",
     "load_score_graph",
     "save_states",
@@ -124,13 +123,6 @@ class ScoreGraph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.edges[:, 1], minlength=self.n_agents)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.n_agents)
-
-    def with_scores(self, scores) -> "ScoreGraph":
-        """Return a copy of this graph carrying the given per-edge scores."""
-        return ScoreGraph(self.n_agents, self.n_scores, self.edges, scores)
-
 
 @dataclass(frozen=True)
 class NeighborCounts:
@@ -218,11 +210,11 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
         Number of agents N >= 2.
     edge_count_target : int
         Exact number of directed edges, in [N, N^2 - N].
-    topology : str or iterable
+    topology : str
         "cyclic-plus-random-edges" starts from the directed N-cycle (which
         guarantees every agent one incoming edge) and adds uniformly random
         distinct extra edges; "complete" requires edge_count_target equal to
-        N^2 - N; any other value is interpreted as an explicit edge list.
+        N^2 - N.  A graph with explicit edges is built with ScoreGraph.
     rng : None, int, sequence, or numpy Generator
         Randomness source; fixed seeds give identical graphs.
 
@@ -239,28 +231,23 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
     if not n_agents <= edge_count_target <= max_edges:
         raise ValueError(
             f"edge_count_target must lie in [{n_agents}, {max_edges}]")
-    if isinstance(topology, str):
-        if topology == "complete":
-            if edge_count_target != max_edges:
-                raise ValueError("complete topology fixes edge count at N^2 - N")
-            edges = _mask_edges(_off_diagonal(n_agents), n_agents)
-        elif topology == "cyclic-plus-random-edges":
-            rng = as_rng(rng)
-            idx = np.arange(n_agents)
-            chosen = np.zeros(n_agents * n_agents, dtype=bool)
-            chosen[idx * n_agents + (idx + 1) % n_agents] = True    # the directed N-cycle
-            extra = edge_count_target - n_agents
-            if extra:
-                candidates = np.flatnonzero(_off_diagonal(n_agents) & ~chosen)
-                pick = rng.choice(len(candidates), size=extra, replace=False)
-                chosen[candidates[pick]] = True
-            edges = _mask_edges(chosen, n_agents)
-        else:
-            raise ValueError(f"unknown topology family: {topology!r}")
+    if topology == "complete":
+        if edge_count_target != max_edges:
+            raise ValueError("complete topology fixes edge count at N^2 - N")
+        edges = _mask_edges(_off_diagonal(n_agents), n_agents)
+    elif topology == "cyclic-plus-random-edges":
+        rng = as_rng(rng)
+        idx = np.arange(n_agents)
+        chosen = np.zeros(n_agents * n_agents, dtype=bool)
+        chosen[idx * n_agents + (idx + 1) % n_agents] = True    # the directed N-cycle
+        extra = edge_count_target - n_agents
+        if extra:
+            candidates = np.flatnonzero(_off_diagonal(n_agents) & ~chosen)
+            pick = rng.choice(len(candidates), size=extra, replace=False)
+            chosen[candidates[pick]] = True
+        edges = _mask_edges(chosen, n_agents)
     else:
-        edges = np.asarray(list(topology), dtype=np.int64)
-        if edges.shape[0] != edge_count_target:
-            raise ValueError("explicit edge list does not match edge_count_target")
+        raise ValueError(f"unknown topology family: {topology!r}")
     # R is unknown until scores exist; use the minimum legal alphabet as a
     # placeholder that generate_scores replaces with the model's R.
     return ScoreGraph(n_agents, 2, edges)
@@ -334,16 +321,14 @@ def aggregate_counts(graph: ScoreGraph) -> NeighborCounts:
     )
 
 
-def pushsum_matrix(n_agents: int, frame: np.ndarray) -> np.ndarray:
+def _pushsum_matrix(n_agents: int, frame: np.ndarray) -> np.ndarray:
     """Column-stochastic mixing matrix of one frame, with implicit self loops.
 
     Column j spreads mass 1/d_j to j itself and to every out-neighbor of j in
     the frame, where d_j counts the self loop plus frame out-edges.
     """
     out = np.zeros((n_agents, n_agents), dtype=bool)
-    if len(frame):
-        frame = np.asarray(frame, dtype=np.int64)
-        out[frame[:, 0], frame[:, 1]] = True
+    out[frame[:, 0], frame[:, 1]] = True
     np.fill_diagonal(out, False)
     d = 1 + out.sum(axis=1)
     mat = out.T.astype(np.float64)
@@ -381,9 +366,9 @@ class CommSchedule:
         if self.window < 1:
             raise ValueError("window must be >= 1")
         frames = tuple(
-            _freeze(np.asarray(f, dtype=np.int64).reshape(-1, 2)) for f in self.frames)
+            _owned(np.asarray(f, dtype=np.int64).reshape(-1, 2), None) for f in self.frames)
         object.__setattr__(self, "frames", frames)
-        mats = tuple(_freeze(pushsum_matrix(self.n_agents, f)) for f in frames)
+        mats = tuple(_freeze(_pushsum_matrix(self.n_agents, f)) for f in frames)
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -396,13 +381,6 @@ class CommSchedule:
     def matrix(self, t: int) -> np.ndarray:
         return self.matrices[t % self.n_frames]
 
-    def out_degrees(self, t: int) -> np.ndarray:
-        f = self.frame(t)
-        d = np.ones(self.n_agents, dtype=np.int64)
-        if len(f):
-            d += np.bincount(f[:, 0], minlength=self.n_agents)
-        return d
-
     def satisfies_window_connectivity(self) -> bool:
         """Check that every Q-round window union is strongly connected."""
         p = self.n_frames
@@ -410,8 +388,7 @@ class CommSchedule:
             adj = np.eye(self.n_agents, dtype=bool)
             for k in range(self.window):
                 f = self.frames[(start + k) % p]
-                if len(f):
-                    adj[f[:, 0], f[:, 1]] = True
+                adj[f[:, 0], f[:, 1]] = True
             # strongly connected iff node 0 reaches every node and every node reaches 0
             if not (_reaches_all(adj) and _reaches_all(adj.T)):
                 return False

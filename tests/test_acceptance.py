@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
-from scoregraph.experiments import ExperimentConfig, emit_outputs, run_sweep, \
-    run_social_ranking_suite
+from scoregraph.experiments import ExperimentConfig, emit_outputs, run_sweep
 
 from oracles import (binary_fr_maximizers, fd_gradient,
                      fr_product_loglik_brute_force, nr_loglik_brute_force,
@@ -159,7 +158,7 @@ def test_criterion_5_push_sum_consensus():
         eta_total = state.eta.sum()
         worst_mass = 0.0
         for t in range(200):
-            state = push_sum_round(state, static.frame(t))
+            state = push_sum_round(state, static, t)
             worst_mass = max(
                 worst_mass,
                 float(np.abs(state.xi.sum(axis=0) / xi_total - 1.0).max()),
@@ -173,7 +172,7 @@ def test_criterion_5_push_sum_consensus():
         state = initial_state(counts, model)
         errs = []
         for t in range(1200):
-            state = push_sum_round(state, sched.frame(t))
+            state = push_sum_round(state, sched, t)
             errs.append(float(np.abs(state.phi - counts.phi[None, :]).max()))
         errs = np.asarray(errs)
         keep = errs > 1e-12
@@ -228,7 +227,7 @@ def test_criterion_8_social_sweep_trends_and_symmetry():
                    900.0) as info:
         cfg = ExperimentConfig(model="social-ranking", theta=(0.5,),
                                gamma=(0.3,))
-        result = run_social_ranking_suite(cfg)
+        result = run_sweep(cfg)
         points = result.points
         for est in ("NR", "FR"):
             for param in ("theta", "gamma"):

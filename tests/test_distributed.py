@@ -25,7 +25,7 @@ class TestPushSumRound:
         state = DistributedState(xi=np.array([[2.0], [0.0]]),
                                  eta=np.array([1.0, 1.0]),
                                  z=np.zeros((2, 1)))
-        nxt = push_sum_round(state, [(0, 1), (1, 0)])
+        nxt = push_sum_round(state, sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1), 0)
         np.testing.assert_allclose(nxt.xi, [[1.0], [1.0]])
         np.testing.assert_allclose(nxt.eta, [1.0, 1.0])
         np.testing.assert_allclose(nxt.phi, [[1.0], [1.0]])
@@ -36,7 +36,7 @@ class TestPushSumRound:
         state = DistributedState(xi=np.tile([[0.3, 0.7]], (n, 1)),
                                  eta=np.full(n, 2.0),
                                  z=np.zeros((n, 1)))
-        nxt = push_sum_round(state, frame)
+        nxt = push_sum_round(state, sg.CommSchedule(n, (frame,), 1), 0)
         np.testing.assert_allclose(nxt.xi, state.xi, atol=1e-15)
         np.testing.assert_allclose(nxt.eta, state.eta, atol=1e-15)
 
@@ -48,7 +48,7 @@ class TestPushSumRound:
         xi_total = state.xi.sum(axis=0).copy()
         eta_total = state.eta.sum()
         for t in range(120):
-            state = push_sum_round(state, sched.frame(t))
+            state = push_sum_round(state, sched, t)
             np.testing.assert_allclose(state.xi.sum(axis=0), xi_total,
                                        rtol=1e-12)
             assert state.eta.sum() == pytest.approx(eta_total, rel=1e-12)
@@ -60,7 +60,7 @@ class TestPushSumRound:
         state = initial_state(counts, model)
         target = counts.phi
         for t in range(200):
-            state = push_sum_round(state, sched.frame(t))
+            state = push_sum_round(state, sched, t)
         assert np.abs(state.phi - target[None, :]).max() < 1e-10
 
     def test_partition_schedule_mixes_slower_but_still_converges(self):
@@ -70,7 +70,7 @@ class TestPushSumRound:
         state = initial_state(counts, model)
         errs = []
         for t in range(900):
-            state = push_sum_round(state, sched.frame(t))
+            state = push_sum_round(state, sched, t)
             if t % 300 == 299:
                 errs.append(np.abs(state.phi - counts.phi[None, :]).max())
         assert errs[0] > errs[1] > errs[2]
@@ -140,8 +140,9 @@ class TestLocalGradientStep:
             sg.local_gradient_step(z[3], phi[3], model, 0.01)
 
 
-def _reference_run(counts, model, schedule, alpha, n_rounds, gradient_uses_updated_phi):
-    """The per-agent loop: every round steps each agent's 1-D row on its own."""
+def _reference_run(counts, model, schedule, alpha, n_rounds):
+    """The per-agent loop: every round steps each agent's 1-D row on its own,
+    with the pre-round phi, then mixes."""
     def step_all(z, phi):
         return np.array([sg.local_gradient_step(z[i], phi[i], model, alpha)
                          for i in range(z.shape[0])])
@@ -152,26 +153,20 @@ def _reference_run(counts, model, schedule, alpha, n_rounds, gradient_uses_updat
     phi_traj = [phi]
     for t in range(n_rounds):
         mat = schedule.matrix(t)
-        if gradient_uses_updated_phi:
-            xi, eta = mat @ xi, mat @ eta
-            phi = xi / eta[:, None]
-            z = step_all(z, phi)
-        else:
-            z = step_all(z, phi)
-            xi, eta = mat @ xi, mat @ eta
-            phi = xi / eta[:, None]
+        z = step_all(z, phi)
+        xi, eta = mat @ xi, mat @ eta
+        phi = xi / eta[:, None]
         phi_traj.append(phi)
     return z, np.asarray(phi_traj)
 
 
-@pytest.mark.parametrize("updated_phi", [False, True], ids=["pre-phi", "post-phi"])
 @pytest.mark.parametrize("model", [
     sg.preparata_model(),
     sg.reliability_model(5),
     sg.social_ranking_model(3, 3),
     sg.categorical_model(2, 3),
-], ids=lambda m: m.name)
-def test_batched_round_matches_the_per_agent_loop(model, updated_phi):
+], ids=lambda m: f"{m.name}-pre-phi")     # each step uses the pre-round phi
+def test_batched_round_matches_the_per_agent_loop(model):
     rng = np.random.default_rng(31)
     g = sg.sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
     theta, gamma = model.feasible.split(model.feasible.sample_interior(rng))
@@ -179,9 +174,8 @@ def test_batched_round_matches_the_per_agent_loop(model, updated_phi):
     counts = sg.aggregate_counts(scored)
     sched = sg.make_comm_schedule(12, "periodic-edge-partition", 3, rng=rng)
     alpha = 0.02
-    run = sg.run_distributed(counts, model, sched, alpha=alpha, n_rounds=200,
-                             gradient_uses_updated_phi=updated_phi)
-    ref_z, ref_phi = _reference_run(counts, model, sched, alpha, 200, updated_phi)
+    run = sg.run_distributed(counts, model, sched, alpha=alpha, n_rounds=200)
+    ref_z, ref_phi = _reference_run(counts, model, sched, alpha, 200)
     np.testing.assert_allclose(run.final_z, ref_z, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run.phi_traj, ref_phi, rtol=0, atol=1e-12)
 
@@ -234,20 +228,6 @@ class TestRunDistributed:
         late = sg.run_distributed(counts, model, part, alpha=0.02,
                                   n_rounds=500, record_every=500)
         assert late.spread() < early.spread() / 10
-
-    def test_update_order_flag_changes_first_step_not_the_limit(self):
-        scored, counts, model = _fixture()
-        sched = sg.CommSchedule(10, (scored.edges,), 1)
-        kw = dict(alpha=0.05, n_rounds=1)
-        first_pre = sg.run_distributed(counts, model, sched, **kw)
-        first_post = sg.run_distributed(counts, model, sched,
-                                        gradient_uses_updated_phi=True, **kw)
-        assert np.abs(first_pre.final_z - first_post.final_z).max() > 1e-3
-        kw = dict(alpha=0.05, n_rounds=2000, record_every=2000)
-        lim_pre = sg.run_distributed(counts, model, sched, **kw)
-        lim_post = sg.run_distributed(counts, model, sched,
-                                      gradient_uses_updated_phi=True, **kw)
-        assert np.abs(lim_pre.final_z - lim_post.final_z).max() < 1e-9
 
     def test_input_validation(self):
         scored, counts, model = _fixture()

@@ -238,7 +238,7 @@ class TestProjectedGradient:
         for _ in range(10):
             q = rng.uniform(0.05, 0.95)
             problem = sg.fr_problem(np.array([1 - q, q]), model)
-            alpha = sg.lipschitz_stepsize(problem, rng=rng)
+            alpha = estimators.lipschitz_stepsize(problem, rng=rng)
             start = np.array([rng.uniform(0.05, 0.95)])
             res = sg.projected_gradient_solve(problem, start=start, alpha=alpha,
                                               max_iters=2000)
@@ -308,8 +308,8 @@ class TestProjectedGradient:
 
     def test_lipschitz_stepsize_reproducible(self):
         problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
-        a1 = sg.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
-        a2 = sg.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
+        a1 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
+        a2 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
         assert a1 == a2 and 0 < a1 < np.inf
 
 
@@ -613,4 +613,4 @@ class TestStackedEvaluation:
             mask = dz > 1e-12
             lip = float((dg[mask] / dz[mask]).max())
             expected = 1.0 / lip if lip > 0 else 1.0
-            assert sg.lipschitz_stepsize(problem, rng=np.random.default_rng(5)) == expected
+            assert estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5)) == expected

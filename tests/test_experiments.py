@@ -11,8 +11,7 @@ from scoregraph.cli import main
 from scoregraph.experiments import (ExperimentConfig, build_model, emit_outputs,
                                     emit_single_outputs, parse_config_file,
                                     read_misclass_csv, read_rmse_csv,
-                                    run_invariant_checks, run_single, run_sweep,
-                                    run_social_ranking_suite)
+                                    run_invariant_checks, run_single, run_sweep)
 
 TINY = ExperimentConfig(model="preparata", n_agents=6, sweep=(6, 12), trials=3,
                         estimators=("FR",), solver_max_iters=2000,
@@ -173,13 +172,6 @@ class TestRunSweep:
         assert point.spread["FR-distributed"] >= 0.0
         assert "FR-distributed" in point.rmse
 
-    def test_social_suite_guards_its_shape(self):
-        with pytest.raises(ValueError, match="social-ranking"):
-            run_social_ranking_suite(ExperimentConfig(model="preparata"))
-        with pytest.raises(ValueError, match="C = 3"):
-            run_social_ranking_suite(ExperimentConfig(model="social-ranking",
-                                                      n_states=4))
-
     def test_bad_csv_headers_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b,c\n")
@@ -218,6 +210,26 @@ class TestRunSingle:
         theta_hat, gamma_hat = result.estimates["oracle"]
         assert tuple(gamma_hat) == (0.3,)
         assert theta_hat.size == 0
+
+    def test_sweep_trial_is_the_single_run(self, tmp_path):
+        # one trial at one point: every sweep figure is that of run_single
+        cfg = ExperimentConfig(model="preparata", n_agents=6, sweep=(12,), trials=1,
+                               estimators=("NR", "FR", "FR-distributed", "exact", "oracle"),
+                               solver_rounds=200, solver_grid_points=9)
+        sweep_paths = emit_outputs(run_sweep(cfg), tmp_path / "sweep")
+        rmse = read_rmse_csv(sweep_paths["rmse"])
+        mis = read_misclass_csv(sweep_paths["misclass"])
+        single = run_single(cfg)
+        emit_single_outputs(single, tmp_path / "single")
+        single_mis = json.loads((tmp_path / "single" / "meta.json").read_text())
+        truth = single.estimates["oracle"][1][0]
+        fitted = ("NR", "FR", "FR-distributed", "exact")
+        assert set(rmse) == {(12, est, "gamma") for est in fitted}
+        for est in fitted:
+            assert rmse[(12, est, "gamma")] == abs(single.estimates[est][1][0] - truth)
+        assert set(mis) == {(12, cls) for cls in ("oracle", *fitted)}
+        for cls in ("oracle", *fitted):
+            assert mis[(12, cls)] == single_mis["misclassification"][cls]
 
 
 class TestInvariantChecks:
@@ -280,6 +292,17 @@ class TestCli:
         assert "model: social-ranking" in result.output
         rmse = read_rmse_csv(out / "rmse.csv")
         assert (8, "FR", "theta") in rmse and (8, "FR", "gamma") in rmse
+
+    def test_social_requires_three_states_and_scores(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("C = 4\nN = 8\nsweep = 8\ntrials = 1\nestimators = FR\n")
+        out = tmp_path / "soc"
+        runner = CliRunner()
+        result = runner.invoke(main, ["social", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "C = 3" in result.stderr
+        assert not out.exists()
 
     def test_errors_exit_nonzero_with_message(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

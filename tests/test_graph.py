@@ -344,8 +344,18 @@ class TestCommSchedules:
             assert np.all(np.diag(mat) > 0)   # implicit self loops
 
     def test_two_agent_complete_matrix(self):
-        mat = sg.pushsum_matrix(2, np.array([(0, 1), (1, 0)]))
+        mat = sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1).matrix(0)
         np.testing.assert_allclose(mat, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_schedule_never_aliases_the_callers_frame(self):
+        f = np.array([(0, 1), (1, 2), (2, 0)])
+        s = sg.CommSchedule(3, (f,), 1)
+        f[0] = (0, 2)
+        assert f.flags.writeable
+        assert s.frame(0)[0].tolist() == [0, 1]
+        cycle = sg.CommSchedule(3, ([(0, 1), (1, 2), (2, 0)],), 1)
+        np.testing.assert_array_equal(s.matrix(0), cycle.matrix(0))
+        assert not s.frame(0).flags.writeable
 
     def test_impossible_window_rejected(self):
         # splitting a 3-cycle into 5 frames leaves empty frames; the 5-window
