@@ -7,21 +7,33 @@ import numpy as np
 __all__ = ["counted_log_factor", "logsumexp"]
 
 
-def logsumexp(a, axis=None) -> np.ndarray:
+def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along `axis` (all axes when None), shifted by the max.
 
-    The maximal entries are summed apart as log(m) + log1p(rest / m), so the
-    result matches scipy.special.logsumexp bit for bit on real input.  A
-    slice of all -inf gives -inf, without a NaN or a warning.
+    The m maximal entries are summed apart as log(m) + log1p(rest / m), so
+    the result matches scipy.special.logsumexp bit for bit on real input.  A
+    slice of all -inf gives -inf, without a NaN or a warning.  The only
+    full-size temporaries are one float array (the shifted exponentials, in
+    C order) and one boolean mask; with `overwrite_input`, a writable,
+    C-contiguous float64 `a` is that float array when every slice has a
+    finite max, and its contents are lost.
     """
     a = np.asarray(a, dtype=np.float64)
     a_max = np.max(a, axis=axis, keepdims=True)
-    top = a == a_max
-    m = np.count_nonzero(top, axis=axis, keepdims=True)
-    shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=~top)
-    out = (np.log1p(np.sum(np.exp(shifted), axis=axis, keepdims=True) / m)
-           + np.log(m) + a_max)
-    return np.squeeze(out, axis=axis)
+    below = a < a_max                         # every entry but the maximal ones
+    m = a.size // a_max.size - np.count_nonzero(below, axis=axis, keepdims=True)
+    if np.isfinite(a_max).all():
+        if overwrite_input and a.flags.writeable and a.flags.c_contiguous:
+            shifted = np.subtract(a, a_max, out=a)
+        else:
+            shifted = np.subtract(a, a_max, order="C")
+        np.exp(shifted, out=shifted)
+        shifted *= below                      # exp(0) = 1 at the maximal entries
+    else:                                     # inf - inf is NaN: keep those entries at -inf
+        shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=below)
+        np.exp(shifted, out=shifted)
+    rest = np.sum(shifted, axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)
 
 
 def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:

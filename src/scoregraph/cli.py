@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import click
 
-from .experiments import (ExperimentConfig, build_model, emit_outputs,
-                          emit_single_outputs, parse_config_file,
+from .experiments import (SOCIAL_RANKING_THETA, ExperimentConfig, build_model,
+                          emit_outputs, emit_single_outputs, parse_config_file,
                           run_invariant_checks, run_single, run_sweep)
 
 
@@ -89,7 +89,7 @@ def social(config_path, **flags) -> None:
     """Run the graded-state ranking sweep (three states, three scores)."""
     cfg = _load_config(config_path, model="social-ranking", **flags)
     if not cfg.theta:
-        cfg = replace(cfg, theta=(0.5,))
+        cfg = replace(cfg, theta=SOCIAL_RANKING_THETA)
     model = build_model(cfg)
     if (model.n_states, model.n_scores) != (3, 3):
         raise ValueError("the social ranking sweep is defined for C = 3, R = 3")

@@ -13,21 +13,23 @@ fr (fully-relaxed)
     single-edge score distribution with both endpoint states marginalized.
     Minimized; equals -(1/n) times the fully relaxed log-likelihood.
 
-Broadcast contract.  The NR and FR objectives and the FR gradient broadcast
-over leading axes of theta/gamma, like the model callables: one point gives
-a Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
+Broadcast contract.  The NR and FR objectives and gradients broadcast over
+leading axes of theta/gamma, like the model callables: one point gives a
+Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
 (gradients (..., dim)) whose entries equal the per-point values bit for bit;
 with `validate`, every row is checked.  FR takes one phi for the whole
 stack, except `fr_gradient`, which also takes one phi row per point.
-`EstimatorProblem.objective`/`gradient` accept the same stacks: the exact
-objective (its C^N table does not stack) and the NR and exact gradients loop
-over the rows.
+`EstimatorProblem.objective`/`gradient` accept the same stacks; only the
+exact objective (its C^N table does not stack) and its finite-difference
+gradient loop over the rows.
 
 The solver is projected gradient with Armijo backtracking and a spectral
-(Barzilai-Borwein) trial step.  It reports convergence only where the
+(Barzilai-Borwein) trial step.  The NR gradient at an accepted point
+reuses the state table that the cost evaluation there built, so an NR solve
+builds one table per point.  It reports convergence only where the
 projected-gradient residual certifies stationarity; `estimate` adds a grid
-start, evaluated one mesh line per objective call (at most `grid_points`
-points, which keeps the allocation of a call small), and the label-swap
+start, evaluated in blocks of at most GRID_BLOCK mesh points per objective
+call (which keeps the allocation of a call small), and the label-swap
 canonicalization.
 """
 
@@ -64,6 +66,9 @@ __all__ = [
 
 MAX_EXACT_AGENTS = 12
 PHI_TOL = 1e-9
+# mesh points per objective call of the grid start; bounds the stacked NR
+# table (GRID_BLOCK, N, C), about 460 KB at N = 300 and C = 3
+GRID_BLOCK = 64
 
 
 def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
@@ -94,10 +99,10 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
 
 
 def _nr_state_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
-    """Per-agent, per-state log block probabilities plus reusable pieces.
+    """Per-agent, per-state log block probabilities s plus reusable pieces.
 
-    Broadcasts over leading axes of theta/gamma: the table has shape
-    (..., N, C).
+    Returns (s, tensor, prior, m_in).  Broadcasts over leading axes of
+    theta/gamma: s has shape (..., N, C).
     """
     tensor = model.tensor(theta, validate=False)
     prior = model.prior(gamma, validate=False)
@@ -106,7 +111,8 @@ def _nr_state_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
     with np.errstate(divide="ignore"):
         log_m = np.log(m_in)
         log_prior = np.log(prior)
-    s = counted_log_factor(counts.received, log_m) + log_prior[..., None, :]
+    # C order, so that logsumexp can reduce s in place
+    s = np.add(counted_log_factor(counts.received, log_m), log_prior[..., None, :], order="C")
     return s, tensor, prior, m_in
 
 
@@ -126,33 +132,52 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma,
     if validate:
         model.require_feasible(theta, gamma)
     s, *_ = _nr_state_table(counts, model, theta, gamma)
-    return _point_or_rows(logsumexp(s, axis=-1).sum(axis=-1))
+    return _point_or_rows(logsumexp(s, axis=-1, overwrite_input=True).sum(axis=-1))
 
 
-def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.ndarray:
-    """Analytic gradient of nr_objective in the stacked vector z = [theta, gamma]."""
-    s, tensor, prior, m_in = _nr_state_table(counts, model, theta, gamma)
-    row_lse = logsumexp(s, axis=1)
+def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
+    """The NR objective and the table its gradient reuses at the same point.
+
+    Returns (value, (s, tensor, prior, m_in, row_lse)), where row_lse is the
+    per-agent logsumexp of s whose sum is the value.
+    """
+    table = _nr_state_table(counts, model, theta, gamma)
+    row_lse = logsumexp(table[0], axis=-1)
+    return _point_or_rows(row_lse.sum(axis=-1)), (*table, row_lse)
+
+
+def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
+                table=None) -> np.ndarray:
+    """Analytic gradient of nr_objective in the stacked vector z = [theta, gamma].
+
+    `table` is the table kept by the NR cost evaluation at this same point
+    (see EstimatorProblem.evaluate); without it the table is built here.
+    Either way the gradient is the same, bit for bit.
+    """
+    if table is None:
+        _, table = _nr_kept_table(counts, model, theta, gamma)
+    s, tensor, prior, m_in, row_lse = table
     if not np.all(np.isfinite(row_lse)):
         raise NonFiniteError("node-relaxed objective is -inf at this point")
-    w = np.exp(s - row_lse[:, None])          # posterior state weights, 0 at -inf
+    w = np.exp(s - row_lse[..., None])        # posterior state weights, 0 at -inf
     received = counts.received
     ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
     parts = []
     if model.theta_dim:
         d_tensor = model.tensor_grad(theta)
-        dm_theta = np.einsum("khml,m->khl", d_tensor, prior)
-        a = np.einsum("ih,khl,hl->kil", received, dm_theta, ratio_m)
-        parts.append(np.einsum("il,kil->k", w, a))
+        dm_theta = np.einsum("...khml,...m->...khl", d_tensor, prior)
+        a = np.einsum("ih,...khl,...hl->...kil", received, dm_theta, ratio_m)
+        parts.append(np.einsum("...il,...kil->...k", w, a))
     else:
-        parts.append(np.zeros(0))
+        parts.append(np.zeros(w.shape[:-2] + (0,)))
     d_prior = model.prior_grad(gamma)
-    dm_gamma = np.einsum("hml,km->khl", tensor, d_prior)
-    b = np.einsum("ih,khl,hl->kil", received, dm_gamma, ratio_m)
-    ratio_p = np.divide(d_prior, prior[None, :], out=np.zeros_like(d_prior),
-                        where=prior[None, :] > 0)
-    parts.append(np.einsum("il,kil->k", w, b + ratio_p[:, None, :]))
-    return np.concatenate(parts)
+    dm_gamma = np.einsum("...hml,...km->...khl", tensor, d_prior)
+    b = np.einsum("ih,...khl,...hl->...kil", received, dm_gamma, ratio_m)
+    prior_k = prior[..., None, :]
+    ratio_p = np.divide(d_prior, prior_k, where=prior_k > 0,
+                        out=np.zeros(np.broadcast_shapes(d_prior.shape, prior_k.shape)))
+    parts.append(np.einsum("...il,...kil->...k", w, b + ratio_p[..., None, :]))
+    return np.concatenate(parts, axis=-1)
 
 
 def _edge_score_distribution(model: ModelSpec, theta, gamma):
@@ -247,6 +272,15 @@ class EstimatorProblem:
     def maximize(self) -> bool:
         return self.kind != "fr"
 
+    def evaluate(self, z):
+        """(objective at z without validation, state kept for the gradient there).
+
+        NR keeps its state table (see nr_gradient); the other kinds keep None.
+        """
+        if self.kind == "nr":
+            return _nr_kept_table(self.counts, self.model, *self.model.feasible.split(z))
+        return self.objective(z, validate=False), None
+
     def objective(self, z, validate: bool = True) -> float | np.ndarray:
         split = self.model.feasible.split
         if self.kind == "exact":
@@ -256,14 +290,15 @@ class EstimatorProblem:
             return nr_objective(self.counts, self.model, *split(z), validate)
         return fr_objective(self.phi, self.model, *split(z), validate)
 
-    def gradient(self, z) -> np.ndarray:
+    def gradient(self, z, state=None) -> np.ndarray:
+        """Gradient at z; `state` is what evaluate(z) kept, or None."""
         split = self.model.feasible.split
         if self.kind == "exact":
             lo, hi = self.model.feasible.bounds()
             return _rowwise(lambda v: _fd_gradient(
                 lambda w: self.objective(w, validate=False), v, lo, hi), z)
         if self.kind == "nr":
-            return _rowwise(lambda v: nr_gradient(self.counts, self.model, *split(v)), z)
+            return nr_gradient(self.counts, self.model, *split(z), table=state)
         return fr_gradient(self.phi, self.model, *split(z))
 
 
@@ -343,9 +378,10 @@ def lipschitz_stepsize(problem: EstimatorProblem, rng=0) -> float:
 class SolveResult:
     """Outcome of one projected-gradient run (natural objective sign).
 
-    `converged` is True only when the projected-gradient residual at `z`
-    met the stopping test; `alpha` is the last accepted step (the initial
-    trial step if none was taken).
+    `residual` is the projected-gradient residual ||z - P(z - g)||_inf at
+    the returned `z`; `converged` is True only when it met the stopping
+    test, residual <= tol * max(1, |objective|).  `alpha` is the last
+    accepted step (the initial trial step if none was taken).
     """
 
     z: np.ndarray
@@ -354,6 +390,7 @@ class SolveResult:
     objective: float
     n_iters: int
     converged: bool
+    residual: float
     alpha: float
     trace: np.ndarray | None
 
@@ -364,16 +401,17 @@ ARMIJO_DECREASE = 1e-4
 def _backtrack(cost, project, z, f, grad, step):
     """Halve `step` until P(z - step grad) is finite and decreases the cost enough.
 
-    Returns (point, cost, step), or None once no smaller step moves z.
+    `cost` returns (value, kept state).  Returns (point, cost, step, state),
+    or None once no smaller step moves z.
     """
     while True:
         trial = z - step * grad
         z_new = project(trial)
         if np.array_equal(trial, z) or np.array_equal(z_new, z):
             return None
-        f_new = cost(z_new)
+        f_new, state = cost(z_new)
         if np.isfinite(f_new) and f_new <= f + ARMIJO_DECREASE * float(grad @ (z_new - z)):
-            return z_new, f_new, step
+            return z_new, f_new, step, state
         step *= 0.5
 
 
@@ -383,7 +421,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     """Projected gradient with Armijo backtracking, stopped on the residual.
 
     Works on the cost f to minimize (the objective, negated when the problem
-    is maximized).  Each iteration evaluates the gradient g at z and stops
+    is maximized).  Each iteration evaluates the gradient g at z, from the
+    state that the cost evaluation at z kept (problem.evaluate), and stops
     with converged=True once the projected-gradient residual
     ||z - P(z - g)||_inf is at most tol * max(1, |f(z)|); the scale follows
     the objective, which for NR is a sum over agents.  Otherwise it tries a
@@ -398,8 +437,10 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     cannot be seen; with doubled steps alone about half of small FR and NR
     solves at tol 1e-9 stall at that floor.  The solve stops with
     converged=False after max_iters iterations, or when no smaller step
-    moves z; it does not raise for that.  Raises NonFiniteError if the cost
-    at the start or the gradient at an iterate is not finite.
+    moves z; it does not raise for that.  The residual at the returned z is
+    reported either way; after max_iters steps it takes one more gradient.
+    Raises NonFiniteError if the cost at the start or the gradient at an
+    iterate is not finite.
     """
     feas = problem.model.feasible
     z = feas.centroid() if start is None else np.asarray(start, dtype=np.float64).copy()
@@ -410,9 +451,13 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     sign = -1.0 if problem.maximize else 1.0
 
     def cost(v):
-        return sign * problem.objective(v, validate=False)
+        value, state = problem.evaluate(v)
+        return sign * value, state
 
-    f = cost(z)
+    def residual_at(v, grad):
+        return float(np.max(np.abs(v - feas.project(v - grad))))
+
+    f, state = cost(z)
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {sign * f} at the start point")
     trace = [(0, sign * f, *z)] if record_trace else None
@@ -421,11 +466,12 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     converged = False
     n_iters = 0
     for it in range(max_iters):
-        grad = sign * problem.gradient(z)
+        grad = sign * problem.gradient(z, state)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
         n_iters = it + 1
-        if np.max(np.abs(z - feas.project(z - grad))) <= tol * max(1.0, abs(f)):
+        residual = residual_at(z, grad)
+        if residual <= tol * max(1.0, abs(f)):
             converged = True
             break
         if previous is not None:
@@ -437,10 +483,13 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
         if found is None:
             break
         previous = (z, grad)
-        z, f, accepted = found
+        z, f, accepted, state = found
         if record_trace:
             trace.append((it + 1, sign * f, *z))
         step = 2.0 * accepted
+    else:
+        # max_iters steps taken (or none allowed): measure the residual at z
+        residual = residual_at(z, sign * problem.gradient(z, state))
     theta, gamma = feas.split(z)
     return SolveResult(
         z=z,
@@ -449,6 +498,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
         objective=sign * f,
         n_iters=n_iters,
         converged=converged,
+        residual=residual,
         alpha=accepted,
         trace=np.asarray(trace, dtype=np.float64) if record_trace else None,
     )
@@ -501,12 +551,12 @@ def _canonical_swap(z: np.ndarray, model: ModelSpec):
 def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     """Best point of a coarse mesh over the box-constrained dimensions.
 
-    The mesh is evaluated one line of its last axis per `problem.objective`
-    call.  The start is the first mesh point, in C order, with the best
-    finite value, or the centroid when no value is finite.  For
-    label-swap-symmetric models the mesh keeps only gamma < 1/2: the gamma
-    gradient vanishes on the symmetry line gamma = 1/2, so a solve started
-    there never leaves it.
+    The mesh is evaluated in C order, GRID_BLOCK points per
+    `problem.objective` call (the last block may be shorter).  The start is
+    the first mesh point, in C order, with the best finite value, or the
+    centroid when no value is finite.  For label-swap-symmetric models the
+    mesh keeps only gamma < 1/2: the gamma gradient vanishes on the symmetry
+    line gamma = 1/2, so a solve started there never leaves it.
     """
     model = problem.model
     feas = model.feasible
@@ -520,18 +570,19 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     for k, k_lo, k_hi in zip(box_idx, lo[box_idx], hi[box_idx]):
         axis = np.linspace(k_lo, k_hi, grid_points)
         axes.append(axis[axis < 0.5] if k == swap_gamma else axis)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    points = np.broadcast_to(center, mesh.shape[:-1] + center.shape).copy()
-    points[..., box_idx] = mesh
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    points = np.broadcast_to(center, (len(mesh),) + center.shape).copy()
+    points[:, box_idx] = mesh
     best_score, best_z = -np.inf, center
-    for line in points.reshape(-1, len(axes[-1]), center.size):
-        values = problem.objective(line, validate=False)
+    for start in range(0, len(points), GRID_BLOCK):
+        block = points[start:start + GRID_BLOCK]
+        values = problem.objective(block, validate=False)
         scores = values if problem.maximize else -values
         finite = np.flatnonzero(np.isfinite(scores))
         if finite.size:
             k = finite[np.argmax(scores[finite])]
             if scores[k] > best_score:
-                best_score, best_z = scores[k], line[k]
+                best_score, best_z = scores[k], block[k]
     return best_z
 
 

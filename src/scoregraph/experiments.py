@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .classifier import misclassification_rate, soft_classify, write_soft_csv
 from .distributed import initial_state, push_sum_round, run_distributed, write_trajectory_csv
-from .estimators import (SolverConfig, _canonical_swap, estimate, exact_problem,
-                         fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
-                         nr_problem, write_trace_csv)
+from .estimators import (MAX_EXACT_AGENTS, SolverConfig, _canonical_swap, estimate,
+                         exact_problem, fr_binary_closed_form, fr_objective, fr_problem,
+                         nr_objective, nr_problem, write_trace_csv)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -48,6 +48,8 @@ __all__ = [
 
 FULL_SCALE_AGENTS = 300
 FULL_SCALE_TRIALS = 1000
+# true dispersion theta of the social-ranking sweep when the config sets none
+SOCIAL_RANKING_THETA = (0.5,)
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class ExperimentConfig:
         for est in cfg.estimators:
             if est not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
-        if "exact" in cfg.estimators and cfg.n_agents > 12:
-            raise ValueError("exact estimator is limited to 12 agents")
+        if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
+            raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -127,7 +129,7 @@ def _true_params(config: ExperimentConfig, model: ModelSpec):
     if theta.size == 0 and model.theta_dim:
         theta = model.feasible.theta.centroid()
         if model.name == "social-ranking":
-            theta = np.array([0.5])
+            theta = np.array(SOCIAL_RANKING_THETA)
     gamma = np.asarray(config.gamma, dtype=np.float64)
     if gamma.size == 0 or (model.gamma_dim > 1 and gamma.size == 1):
         gamma = model.feasible.gamma.centroid()

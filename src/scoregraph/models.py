@@ -193,7 +193,17 @@ class FeasibleSet:
             np.atleast_1d(np.asarray(gamma, dtype=np.float64)).ravel(),
         ])
 
+    @cached_property
+    def _all_box(self) -> bool:
+        return all(isinstance(b, Box) for b in self.theta.blocks + self.gamma.blocks)
+
     def project(self, z) -> np.ndarray:
+        """Row-wise projection of z, or of a stack (..., dim), onto the set.
+
+        Without simplex blocks this is one clip against bounds().
+        """
+        if self._all_box:
+            return np.clip(np.asarray(z, dtype=np.float64), *self.bounds())
         t, g = self.split(z)
         return np.concatenate([self.theta.project(t), self.gamma.project(g)], axis=-1)
 
@@ -208,11 +218,20 @@ class FeasibleSet:
         return np.concatenate([self.theta.centroid(), self.gamma.centroid()])
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate lower and upper bounds of z; simplex coordinates lie in [0, 1]."""
+        """Per-coordinate lower and upper bounds of z; simplex coordinates lie in [0, 1].
+
+        Computed once per set; the arrays are read-only.
+        """
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         blocks = self.theta.blocks + self.gamma.blocks
-        lo = [b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in blocks]
-        hi = [b.hi if isinstance(b, Box) else np.ones(b.dim) for b in blocks]
-        return np.concatenate(lo), np.concatenate(hi)
+        lo = np.concatenate([b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in blocks])
+        hi = np.concatenate([b.hi if isinstance(b, Box) else np.ones(b.dim) for b in blocks])
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
 
     def sample_interior(self, rng, margin=0.05) -> np.ndarray:
         return np.concatenate([

@@ -277,8 +277,77 @@ class TestProjectedGradient:
                     sign = -1.0 if problem.maximize else 1.0
                     step = model.feasible.project(res.z - sign * problem.gradient(res.z))
                     residual = np.max(np.abs(res.z - step))
+                    assert res.residual == residual
                     assert residual <= tol * max(1.0, abs(res.objective))
         assert n_converged >= 20
+
+    def test_a_solve_cut_by_max_iters_reports_the_residual_at_its_final_point(self):
+        rng = np.random.default_rng(113)
+        n_cut = 0
+        for model in ALL_MODELS:
+            scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+            counts = sg.aggregate_counts(scored)
+            problems = [sg.nr_problem(counts, model), sg.fr_problem(counts, model)]
+            if model.name == "preparata":
+                problems.append(sg.exact_problem(scored, model))
+            for problem in problems:
+                for max_iters in (0, 1, 2):
+                    res = sg.projected_gradient_solve(problem, tol=1e-8, max_iters=max_iters)
+                    sign = -1.0 if problem.maximize else 1.0
+                    step = model.feasible.project(res.z - sign * problem.gradient(res.z))
+                    assert res.residual == float(np.max(np.abs(res.z - step)))
+                    n_cut += not res.converged and res.n_iters == max_iters
+        assert n_cut >= 20
+
+    def test_a_solve_builds_one_nr_table_per_cost_evaluation(self, monkeypatch):
+        counted = {"table": 0, "evaluate": 0, "gradient": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counted[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimators, "_nr_state_table",
+                            counting("table", estimators._nr_state_table))
+        for name in ("evaluate", "gradient"):
+            monkeypatch.setattr(estimators.EstimatorProblem, name,
+                                counting(name, getattr(estimators.EstimatorProblem, name)))
+        rng = np.random.default_rng(131)
+        n_iters = 0
+        for model in ALL_MODELS:
+            scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+            problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+            res = sg.projected_gradient_solve(problem, start=model.feasible.sample_interior(rng),
+                                              tol=1e-8, max_iters=5000, record_trace=False)
+            assert res.converged
+            n_iters += res.n_iters
+        assert counted["gradient"] == n_iters
+        assert counted["evaluate"] > n_iters
+        assert counted["table"] == counted["evaluate"]
+
+    def test_solver_gradients_from_kept_tables_equal_nr_gradient(self, monkeypatch):
+        seen = []
+        nr_gradient = estimators.nr_gradient
+
+        def spy(counts, model, theta, gamma, table=None):
+            grad = nr_gradient(counts, model, theta, gamma, table=table)
+            seen.append((table is not None, grad, nr_gradient(counts, model, theta, gamma)))
+            return grad
+
+        monkeypatch.setattr(estimators, "nr_gradient", spy)
+        rng = np.random.default_rng(137)
+        for model in ALL_MODELS:
+            scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+            problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+            sg.estimate(problem, SolverConfig(tol=1e-8, max_iters=5000, grid_points=9))
+            z = model.feasible.sample_interior(rng)
+            value, _ = problem.evaluate(z)
+            assert value == problem.objective(z, validate=False)
+        assert len(seen) > len(ALL_MODELS)
+        for from_table, got, want in seen:
+            assert from_table
+            np.testing.assert_array_equal(got, want)
 
     def test_armijo_trace_monotone_for_both_senses(self):
         rng = np.random.default_rng(73)
@@ -568,14 +637,23 @@ class TestStackedEvaluation:
             start = estimators._grid_start(problem, grid_points)
             np.testing.assert_array_equal(start, _grid_start_reference(problem, grid_points))
 
-    def test_grid_start_evaluates_one_mesh_line_per_call(self):
+    def test_grid_start_evaluates_the_mesh_in_blocks(self):
         model = sg.social_ranking_model(3, 3)
         scored, _, _ = _instance(model, np.random.default_rng(103), n_agents=10, n_edges=40)
         problem = _Remapped(sg.nr_problem(sg.aggregate_counts(scored), model), lambda v: v)
         start = estimators._grid_start(problem, 33)
-        # the label-swap half mesh: 33 theta lines of the 16 gamma values below 1/2
-        assert problem.calls == [(16, 2)] * 33
+        # the label-swap half mesh, 33 theta values by the 16 gamma values below
+        # 1/2: 528 points in C order, 64 per call
+        assert estimators.GRID_BLOCK == 64
+        assert problem.calls == [(64, 2)] * 8 + [(16, 2)]
         assert start[1] < 0.5
+        np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
+        # a one-dimensional mesh of 33 points is one call
+        model = sg.reliability_model(5)
+        scored, _, _ = _instance(model, np.random.default_rng(109), n_agents=10, n_edges=40)
+        problem = _Remapped(sg.fr_problem(sg.aggregate_counts(scored), model), lambda v: v)
+        start = estimators._grid_start(problem, 33)
+        assert problem.calls == [(33, 1)]
         np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
 
     def test_grid_start_ties_go_to_the_first_mesh_point(self):
@@ -597,6 +675,25 @@ class TestStackedEvaluation:
                 start = estimators._grid_start(none_finite, 9)
                 np.testing.assert_array_equal(start, problem.model.feasible.centroid())
                 np.testing.assert_array_equal(start, _grid_start_reference(none_finite, 9))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_stacked_gradients_equal_per_point_calls(self, model):
+        rng = np.random.default_rng(127)
+        scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+        counts = sg.aggregate_counts(scored)
+        points = np.array([model.feasible.sample_interior(rng, 0.02)
+                           for _ in range(12)]).reshape(3, 4, -1)
+        theta, gamma = model.feasible.split(points)
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            per_point = np.array([[problem.gradient(z) for z in row] for row in points])
+            assert per_point.shape == (3, 4, model.feasible.dim)
+            np.testing.assert_array_equal(problem.gradient(points), per_point)
+            values, state = problem.evaluate(points)
+            np.testing.assert_array_equal(values, problem.objective(points, validate=False))
+            np.testing.assert_array_equal(problem.gradient(points, state), per_point)
+            if problem.kind == "nr":
+                np.testing.assert_array_equal(sg.nr_gradient(counts, model, theta, gamma),
+                                              per_point)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_lipschitz_stepsize_equals_the_per_point_computation(self, model):

@@ -1,4 +1,5 @@
-"""The numpy logsumexp helper against scipy's, which serves as the reference."""
+"""The numpy logsumexp helper against scipy's, which serves as the reference,
+and against the previous max-shift formula, which it reproduces bit for bit."""
 
 import warnings
 
@@ -12,9 +13,25 @@ _ENTRIES = st.one_of(st.floats(-700, 700, allow_nan=False),
                      st.sampled_from([-np.inf, 0.0, 1.0]))
 
 
+def _reference_logsumexp(a, axis=None):
+    """The formula logsumexp replaced: a full tie mask, its complement and a copy."""
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.count_nonzero(top, axis=axis, keepdims=True)
+    shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=~top)
+    out = (np.log1p(np.sum(np.exp(shifted), axis=axis, keepdims=True) / m)
+           + np.log(m) + a_max)
+    return np.squeeze(out, axis=axis)
+
+
+def _rows(max_cols=6, max_rows=6):
+    return st.integers(1, max_cols).flatmap(lambda k: st.lists(
+        st.lists(_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=max_rows))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda k: st.lists(
-    st.lists(_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=6)))
+@given(_rows())
 def test_rows_match_scipy(rows):
     a = np.asarray(rows, dtype=np.float64)
     with warnings.catch_warnings():
@@ -29,6 +46,54 @@ def test_rows_match_scipy(rows):
     assert not np.any(np.isnan(ours))
     np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=0)
     np.testing.assert_allclose(whole, ref_whole, rtol=1e-14, atol=0)
+
+
+def _with_ties_and_empty_rows(a, data):
+    """Set one entry of some rows to the row's max (a tie); fill others with -inf."""
+    a = a.copy()
+    flat = a.reshape(-1, a.shape[-1])
+    for r in range(len(flat)):
+        kind = data.draw(st.sampled_from(["as drawn", "tie", "all -inf"]))
+        if kind == "tie":
+            flat[r, data.draw(st.integers(0, a.shape[-1] - 1))] = flat[r].max()
+        elif kind == "all -inf":
+            flat[r] = -np.inf
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows(), st.integers(1, 4), st.data())
+def test_equals_the_previous_formula_bit_for_bit(rows, k, data):
+    base = np.asarray(rows, dtype=np.float64)
+    stack = _with_ties_and_empty_rows(np.stack([base] * k) + np.arange(k)[:, None, None],
+                                      data)
+    for a in (_with_ties_and_empty_rows(base, data), stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis in (None, -1, 0):
+                want = _reference_logsumexp(a, axis=axis)
+                np.testing.assert_array_equal(logsumexp(a, axis=axis), want)
+                scratch = a.copy()
+                np.testing.assert_array_equal(
+                    logsumexp(scratch, axis=axis, overwrite_input=True), want)
+            # a non-contiguous input is copied, not overwritten
+            view = np.moveaxis(a, -1, 0)
+            before = view.copy()
+            want = _reference_logsumexp(before, axis=0)
+            np.testing.assert_array_equal(logsumexp(view, axis=0, overwrite_input=True), want)
+            if not view.flags.c_contiguous:
+                np.testing.assert_array_equal(view, before)
+
+
+def test_input_is_kept_unless_it_may_be_overwritten():
+    a = np.array([[0.0, -1.0, -np.inf], [2.0, 2.0, 1.0]])
+    before = a.copy()
+    logsumexp(a, axis=-1)
+    np.testing.assert_array_equal(a, before)
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    np.testing.assert_array_equal(logsumexp(frozen, axis=-1, overwrite_input=True),
+                                  _reference_logsumexp(a, axis=-1))
 
 
 def test_all_neg_inf_rows_give_neg_inf():

@@ -267,6 +267,23 @@ def test_feasible_set_geometry():
         assert fs.contains(fs.sample_interior(rng))
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_projection_equals_the_blockwise_projection(model):
+    feas = model.feasible
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-3.0, 12.0, size=(3, 5, feas.dim))
+    z[0, 0] = feas.centroid()
+    for v in (z, z[1, 2], z[2, 3].tolist()):
+        theta, gamma = feas.split(v)
+        blockwise = np.concatenate([feas.theta.project(theta), feas.gamma.project(gamma)],
+                                   axis=-1)
+        out = feas.project(v)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, blockwise)
+    lo, hi = feas.bounds()
+    assert lo is feas.bounds()[0] and not (lo.flags.writeable or hi.flags.writeable)
+
+
 def test_split_and_join_are_inverse():
     m = sg.categorical_model(2, 2)
     rng = np.random.default_rng(4)
