@@ -145,7 +145,10 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
         fully-relaxed problem at the true phi (deterministic under `rng`).
     record_every : int
         Snapshot stride; round 0 and the final round are always recorded.
+        The snapshots are written into trajectories allocated up front.
     """
+    if n_rounds < 0 or record_every < 1:
+        raise ValueError("n_rounds must be >= 0 and record_every >= 1")
     counts = aggregate_counts(data) if isinstance(data, ScoreGraph) else data
     if schedule.n_agents != counts.n_agents:
         raise ValueError("schedule and counts disagree on the number of agents")
@@ -154,25 +157,29 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
     if alpha is None:
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
     state = initial_state(counts, model, start)
-    phi = state.phi
-    times = [0]
-    phi_traj = [phi.copy()]
-    z_traj = [state.z.copy()]
+    times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
+    phi_traj = np.empty((times.size,) + state.xi.shape)
+    z_traj = np.empty((times.size,) + state.z.shape)
+    phi = np.divide(state.xi, state.eta[:, None], out=phi_traj[0])
+    z_traj[0] = state.z
+    recorded = times.tolist()
+    k = 1
     for t in range(n_rounds):
         try:
             state.z = local_gradient_step(state.z, phi, model, alpha)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
         state = push_sum_round(state, schedule, t)
-        phi = state.phi
-        if (t + 1) % record_every == 0 or t + 1 == n_rounds:
-            times.append(t + 1)
-            phi_traj.append(phi.copy())
-            z_traj.append(state.z.copy())
+        if t + 1 == recorded[k]:
+            phi = np.divide(state.xi, state.eta[:, None], out=phi_traj[k])
+            z_traj[k] = state.z
+            k += 1
+        else:
+            phi = state.phi
     return DistributedRun(
-        times=np.asarray(times, dtype=np.int64),
-        phi_traj=np.asarray(phi_traj),
-        z_traj=np.asarray(z_traj),
+        times=times,
+        phi_traj=phi_traj,
+        z_traj=z_traj,
         state=state,
         alpha=float(alpha),
         n_rounds=n_rounds,

@@ -23,14 +23,19 @@ stack, except `fr_gradient`, which also takes one phi row per point.
 exact objective (its C^N table does not stack) and its finite-difference
 gradient loop over the rows.
 
+The FR gradient goes through the prior by the chain rule: with
+r = phi / t_h and q[l, m] = sum_h r_h T[h, l, m], the gamma gradient is
+-dprior (q + q^T) p, one two-operand einsum plus two small matmuls (see
+fr_gradient).  This is what each round of the distributed estimator runs.
+
 The solver is projected gradient with Armijo backtracking and a spectral
-(Barzilai-Borwein) trial step.  The NR gradient at an accepted point
-reuses the state table that the cost evaluation there built, so an NR solve
-builds one table per point.  It reports convergence only where the
-projected-gradient residual certifies stationarity; `estimate` adds a grid
-start, evaluated in blocks of at most GRID_BLOCK mesh points per objective
-call (which keeps the allocation of a call small), and the label-swap
-canonicalization.
+(Barzilai-Borwein) trial step.  The NR and FR gradients at an accepted point
+reuse the table that the cost evaluation there built (the NR state table,
+the FR edge score distribution), so a solve builds one table per point.
+It reports convergence only where the projected-gradient residual
+certifies stationarity; `estimate` adds a grid start, evaluated in blocks
+of at most GRID_BLOCK mesh points per objective call (which keeps the
+allocation of a call small), and the label-swap canonicalization.
 """
 
 from __future__ import annotations
@@ -197,6 +202,14 @@ def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
     return phi
 
 
+def _fr_cost(phi: np.ndarray, t_h: np.ndarray) -> float | np.ndarray:
+    """Cross-entropy of a checked phi against the edge score distribution t_h."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.log(t_h)
+        terms = np.where(phi > 0, -phi * log_t, 0.0)
+    return _point_or_rows(terms.sum(axis=-1))
+
+
 def fr_objective(phi, model: ModelSpec, theta, gamma,
                  validate: bool = True) -> float | np.ndarray:
     """Fully-relaxed cost (to minimize): cross-entropy of phi against the
@@ -206,38 +219,59 @@ def fr_objective(phi, model: ModelSpec, theta, gamma,
     if validate:
         model.require_feasible(theta, gamma)
     t_h, *_ = _edge_score_distribution(model, theta, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t = np.log(t_h)
-        terms = np.where(phi > 0, -phi * log_t, 0.0)
-    return _point_or_rows(terms.sum(axis=-1))
+    return _fr_cost(phi, t_h)
 
 
-def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
+def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta, gamma):
+    """The FR cost of a checked phi and the table (t_h, tensor, prior) its
+    gradient reuses at the same point."""
+    table = _edge_score_distribution(model, theta, gamma)
+    return _fr_cost(phi, table[0]), table
+
+
+def fr_gradient(phi, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
     """Analytic gradient of fr_objective in the stacked vector z = [theta, gamma].
 
+    With t_h = sum_lm T[h, l, m] p_l p_m the edge score distribution, the
+    chain rule through the prior p gives, for r = phi / t_h and
+    q[l, m] = sum_h r_h T[h, l, m],
+
+        d cost / d gamma = -dprior (q + q^T) p,
+        d cost / d theta_k = -sum_h r_h sum_lm dT[k, h, l, m] p_l p_m,
+
+    where dprior[k, l] = d p_l / d gamma_k and dT is the tensor gradient.
+    A score with t_h = 0 and phi_h = 0 contributes nothing.
+
+    `table` is the table (t_h, tensor, prior) kept by the FR cost evaluation
+    at this same point (see EstimatorProblem.evaluate); without it the table
+    is built here.  Either way the gradient is the same, bit for bit.
     With one phi row per agent, phi (..., R), the rows are agents: if the
     cost is +inf at some agent's point, NonFiniteError names the first such
     agent by its row index.
     """
     phi = _check_phi(phi, model.n_scores, stacked=True)
-    t_h, tensor, prior = _edge_score_distribution(model, theta, gamma)
-    infinite = (t_h <= 0) & (phi > 0)
-    if infinite.any():
-        where = ("at agent " + ", ".join(map(str, np.argwhere(infinite)[0, :-1]))
-                 if infinite.ndim > 1 else "at this point")
-        raise NonFiniteError(f"fully-relaxed cost is +inf {where}")
-    # a column vector, so that matmul contracts each point's rows with its own ratio
-    ratio = (phi / np.where(t_h > 0, t_h, np.inf))[..., None]
-    if model.theta_dim:
-        d_tensor = model.tensor_grad(theta)
-        dt_theta = np.einsum("...khlm,...l,...m->...kh", d_tensor, prior, prior)
-        grad_theta = -(dt_theta @ ratio)
+    if table is None:
+        table = _edge_score_distribution(model, theta, gamma)
+    t_h, tensor, prior = table
+    if t_h.min() > 0:
+        ratio = phi / t_h
     else:
-        grad_theta = np.zeros(ratio.shape[:-2] + (0, 1))
-    d_prior = model.prior_grad(gamma)
-    dt_gamma = (np.einsum("...hlm,...kl,...m->...kh", tensor, d_prior, prior)
-                + np.einsum("...hlm,...l,...km->...kh", tensor, prior, d_prior))
-    return np.concatenate([grad_theta, -(dt_gamma @ ratio)], axis=-2)[..., 0]
+        infinite = (t_h <= 0) & (phi > 0)
+        if infinite.any():
+            where = ("at agent " + ", ".join(map(str, np.argwhere(infinite)[0, :-1]))
+                     if infinite.ndim > 1 else "at this point")
+            raise NonFiniteError(f"fully-relaxed cost is +inf {where}")
+        ratio = phi / np.where(t_h > 0, t_h, np.inf)
+    q = np.einsum("...h,...hlm->...lm", ratio, tensor)
+    # column vectors, so that matmul contracts each point's rows with its own vector
+    qp = (q + np.swapaxes(q, -1, -2)) @ prior[..., None]
+    grad_gamma = -(model.prior_grad(gamma) @ qp)[..., 0]
+    if not model.theta_dim:
+        return grad_gamma
+    outer = prior[..., :, None] * prior[..., None, :]
+    dt_theta = np.einsum("...khlm,...lm->...kh", model.tensor_grad(theta), outer)
+    grad_theta = -(dt_theta @ ratio[..., None])[..., 0]
+    return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
 def fr_binary_closed_form(phi2: float) -> float:
@@ -275,10 +309,14 @@ class EstimatorProblem:
     def evaluate(self, z):
         """(objective at z without validation, state kept for the gradient there).
 
-        NR keeps its state table (see nr_gradient); the other kinds keep None.
+        NR keeps its state table (see nr_gradient) and FR its edge score
+        distribution (see fr_gradient); exact keeps None.
         """
+        split = self.model.feasible.split
         if self.kind == "nr":
-            return _nr_kept_table(self.counts, self.model, *self.model.feasible.split(z))
+            return _nr_kept_table(self.counts, self.model, *split(z))
+        if self.kind == "fr":
+            return _fr_kept_table(self.phi, self.model, *split(z))
         return self.objective(z, validate=False), None
 
     def objective(self, z, validate: bool = True) -> float | np.ndarray:
@@ -299,7 +337,7 @@ class EstimatorProblem:
                 lambda w: self.objective(w, validate=False), v, lo, hi), z)
         if self.kind == "nr":
             return nr_gradient(self.counts, self.model, *split(z), table=state)
-        return fr_gradient(self.phi, self.model, *split(z))
+        return fr_gradient(self.phi, self.model, *split(z), table=state)
 
 
 def _rowwise(fn, z):
@@ -355,15 +393,15 @@ def lipschitz_stepsize(problem: EstimatorProblem, rng=0) -> float:
     Samples LIPSCHITZ_SAMPLES points at least LIPSCHITZ_MARGIN inside the
     feasible set (boundary gradients of these objectives can be unbounded),
     so the estimate bounds the curvature where the iterates actually
-    travel.  The sampled gradients come from one stacked `problem.gradient`
-    call.  Returns 1.0 for flat objectives.  The default seed is fixed:
-    identical problems get identical stepsizes.  This is the default step
-    of the distributed estimator; the centralized solver does not use it.
+    travel.  The points come from one `sample_interior` call (one uniform
+    draw on all-box sets) and their gradients from one stacked
+    `problem.gradient` call.  Returns 1.0 for flat objectives.  The default
+    seed is fixed: identical problems get identical stepsizes.  This is the
+    default step of the distributed estimator; the centralized solver does
+    not use it.
     """
-    rng = as_rng(rng)
-    feas = problem.model.feasible
-    points = np.array([feas.sample_interior(rng, LIPSCHITZ_MARGIN)
-                       for _ in range(LIPSCHITZ_SAMPLES)])
+    points = problem.model.feasible.sample_interior(as_rng(rng), LIPSCHITZ_MARGIN,
+                                                    size=LIPSCHITZ_SAMPLES)
     grads = problem.gradient(points)
     dz = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=2)

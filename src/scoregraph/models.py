@@ -132,11 +132,31 @@ class BlockSet:
             yield slice(start, start + b.dim), b
             start += b.dim
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """(slice, block, count): each run of consecutive equal-size simplex
+        blocks as one entry, every box block on its own."""
+        runs = []
+        for sl, b in self._slices():
+            if runs and isinstance(b, Simplex) and runs[-1][1] == b:
+                prev, _, count = runs[-1]
+                runs[-1] = (slice(prev.start, sl.stop), b, count + 1)
+            else:
+                runs.append((sl, b, 1))
+        return tuple(runs)
+
     def project(self, v) -> np.ndarray:
+        """Row-wise projection; a run of k equal-size simplex blocks of size d is
+        one project_simplex call on its coordinates reshaped to (..., k, d)."""
         v = np.asarray(v, dtype=np.float64)
         out = np.empty_like(v)
-        for sl, b in self._slices():
-            out[..., sl] = b.project(v[..., sl])
+        lead = v.shape[:-1]
+        for sl, b, count in self._runs:
+            if count == 1:
+                out[..., sl] = b.project(v[..., sl])
+            else:
+                blocks = v[..., sl].reshape(lead + (count, b.dim))
+                out[..., sl] = project_simplex(blocks).reshape(lead + (count * b.dim,))
         return out
 
     def contains(self, v, tol=FEAS_TOL) -> bool:
@@ -233,11 +253,23 @@ class FeasibleSet:
         hi.setflags(write=False)
         return lo, hi
 
-    def sample_interior(self, rng, margin=0.05) -> np.ndarray:
-        return np.concatenate([
-            self.theta.sample_interior(rng, margin),
-            self.gamma.sample_interior(rng, margin),
-        ])
+    def sample_interior(self, rng, margin=0.05, size: int | None = None) -> np.ndarray:
+        """One interior point (dim,), or `size` points (size, dim) drawn one after another.
+
+        On all-box sets the `size` points come from one uniform draw, which
+        consumes the same stream and gives the same bits as `size` one-point
+        calls.
+        """
+        if size is None:
+            return np.concatenate([
+                self.theta.sample_interior(rng, margin),
+                self.gamma.sample_interior(rng, margin),
+            ])
+        if self._all_box:
+            lo, hi = self.bounds()
+            w = hi - lo
+            return rng.uniform(lo + margin * w, hi - margin * w, size=(size, self.dim))
+        return np.array([self.sample_interior(rng, margin) for _ in range(size)])
 
 
 @dataclass(frozen=True)

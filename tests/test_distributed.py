@@ -8,6 +8,7 @@ import pytest
 import scoregraph as sg
 from scoregraph.distributed import DistributedState, initial_state, push_sum_round
 from scoregraph.errors import InfeasibleError, NonFiniteError
+from scoregraph.experiments import ExperimentConfig, run_single
 
 
 def _fixture(seed=101):
@@ -192,6 +193,39 @@ class TestRunDistributed:
         assert run.alpha == 0.02 and run.n_rounds == 50
         np.testing.assert_allclose(run.final_z, run.z_traj[-1])
 
+    def test_snapshots_land_in_preallocated_trajectories(self):
+        scored, counts, model = _fixture()
+        sched = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
+                                      rng=np.random.default_rng(103))
+        every = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=25)
+        run = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=25,
+                                 record_every=10)
+        np.testing.assert_array_equal(run.times, [0, 10, 20, 25])
+        assert run.times.dtype == np.int64
+        np.testing.assert_array_equal(every.times, np.arange(26))
+        np.testing.assert_array_equal(run.phi_traj, every.phi_traj[run.times])
+        np.testing.assert_array_equal(run.z_traj, every.z_traj[run.times])
+        for k, t in enumerate(run.times):
+            # snapshot k is the state after round t, as a run cut there ends
+            cut = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=int(t))
+            np.testing.assert_array_equal(run.z_traj[k], cut.final_z)
+            np.testing.assert_array_equal(run.phi_traj[k], cut.state.phi)
+        np.testing.assert_array_equal(
+            sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=0).times, [0])
+
+    def test_phi_trajectory_is_the_push_sum_alone(self):
+        # the local steps never feed back into the exchange, bit for bit
+        _, counts, model = _fixture()
+        sched = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
+                                      rng=np.random.default_rng(104))
+        run = sg.run_distributed(counts, model, sched, n_rounds=60)
+        state = initial_state(counts, model)
+        phis = [state.phi]
+        for t in range(60):
+            state = push_sum_round(state, sched, t)
+            phis.append(state.phi)
+        np.testing.assert_array_equal(run.phi_traj, np.asarray(phis))
+
     def test_scored_graph_and_counts_agree(self):
         scored, counts, model = _fixture()
         sched = sg.CommSchedule(10, (scored.edges,), 1)
@@ -238,6 +272,9 @@ class TestRunDistributed:
         with pytest.raises(ValueError):
             sg.run_distributed(counts, sg.reliability_model(5), sched,
                                alpha=0.02)
+        for bad in (dict(record_every=0), dict(n_rounds=-1)):
+            with pytest.raises(ValueError):
+                sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
 
     def test_infinite_cost_names_the_round_and_agent(self):
         _, counts, model = _fixture()
@@ -281,3 +318,16 @@ def test_trajectory_csv_layout(tmp_path):
     assert meta["alpha"] == 0.01
     assert meta["snapshots"] == [0, 2, 4, 6]
     assert meta["model"] == "social-ranking"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_categorical_three_states_on_a_sparse_graph_runs_clean(seed):
+    # a reported failure: FR-distributed on categorical C = R = 3 with N = 20
+    # agents and 20 edges raised NonFiniteError from one agent's local step
+    cfg = ExperimentConfig(model="categorical", n_states=3, n_scores=3, n_agents=20,
+                           sweep=(20,), trials=1, estimators=("FR-distributed",),
+                           comm_family="static-complete", master_seed=seed)
+    run = run_single(cfg).distributed_run
+    assert run.n_rounds == cfg.solver_rounds
+    feas = sg.categorical_model(3, 3).feasible
+    assert all(np.all(np.isfinite(z)) and feas.contains(z) for z in run.final_z)

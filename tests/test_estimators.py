@@ -182,6 +182,65 @@ class TestFullyRelaxedObjective:
             sg.fr_gradient(np.array([0.0, 1.0]), model, (), (0.0,))
 
 
+def _fr_gradient_reference(phi, model, theta, gamma):
+    """The FR gradient with t_h differentiated factor by factor: the theta
+    part through the tensor, the gamma part through each prior factor (two
+    three-operand einsums).  Also returns the same sums over the absolute
+    values of the terms, which scale the rounding error of either formula."""
+    t_h, tensor, prior = estimators._edge_score_distribution(model, theta, gamma)
+    ratio = (phi / np.where(t_h > 0, t_h, np.inf))[..., None]
+    d_prior = model.prior_grad(gamma)
+    out = []
+    for f in (lambda a: a, np.abs):
+        if model.theta_dim:
+            dt_theta = np.einsum("...khlm,...l,...m->...kh", f(model.tensor_grad(theta)),
+                                 prior, prior)
+            grad_theta = -(dt_theta @ ratio)
+        else:
+            grad_theta = np.zeros(ratio.shape[:-2] + (0, 1))
+        dt_gamma = (np.einsum("...hlm,...kl,...m->...kh", tensor, f(d_prior), prior)
+                    + np.einsum("...hlm,...l,...km->...kh", tensor, prior, f(d_prior)))
+        out.append(np.concatenate([grad_theta, -(dt_gamma @ ratio)], axis=-2)[..., 0])
+    return out[0], np.abs(out[1])
+
+
+class TestFullyRelaxedGradient:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_equals_the_factor_by_factor_formula(self, model):
+        # near a stationary point the terms cancel, so the tolerance is
+        # relative to the sum of their magnitudes, not to the result
+        rng = np.random.default_rng(43)
+        points = np.array([model.feasible.sample_interior(rng, 0.02)
+                           for _ in range(12)]).reshape(3, 4, -1)
+        one_phi = rng.dirichlet(np.ones(model.n_scores))
+        row_phi = rng.dirichlet(np.ones(model.n_scores), size=(3, 4))
+        cases = [(one_phi, points), (row_phi, points)]
+        cases += [(phi, z) for phi, z in zip(row_phi.reshape(-1, model.n_scores),
+                                             points.reshape(-1, model.feasible.dim))]
+        for phi, z in cases:
+            theta, gamma = model.feasible.split(z)
+            got = sg.fr_gradient(phi, model, theta, gamma)
+            want, scale = _fr_gradient_reference(phi, model, theta, gamma)
+            assert got.shape == want.shape == z.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_an_impossible_score_that_was_never_seen_does_not_raise(self):
+        # preparata at gamma = 0: score 1 has t_h = 0, harmless while phi_1 = 0
+        model = sg.preparata_model()
+        z = np.full((4, 1), 0.4)
+        z[2] = 0.0
+        phi = np.tile([0.6, 0.4], (4, 1))
+        phi[2] = (1.0, 0.0)
+        theta, gamma = model.feasible.split(z)
+        got = sg.fr_gradient(phi, model, theta, gamma)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[2], sg.fr_gradient(phi[2], model, (), (0.0,)))
+        want, scale = _fr_gradient_reference(phi, model, theta, gamma)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        with pytest.raises(NonFiniteError, match=r"agent 2\b"):
+            sg.fr_gradient(np.tile([0.6, 0.4], (4, 1)), model, theta, gamma)
+
+
 class TestBinaryClosedForm:
     def test_pinned_values(self):
         assert sg.fr_binary_closed_form(9 / 16) == pytest.approx(0.75, abs=1e-15)
@@ -340,6 +399,56 @@ class TestProjectedGradient:
         for model in ALL_MODELS:
             scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
             problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+            sg.estimate(problem, SolverConfig(tol=1e-8, max_iters=5000, grid_points=9))
+            z = model.feasible.sample_interior(rng)
+            value, _ = problem.evaluate(z)
+            assert value == problem.objective(z, validate=False)
+        assert len(seen) > len(ALL_MODELS)
+        for from_table, got, want in seen:
+            assert from_table
+            np.testing.assert_array_equal(got, want)
+
+    def test_an_fr_solve_builds_one_edge_distribution_per_cost_evaluation(self, monkeypatch):
+        counted = {"table": 0, "evaluate": 0, "gradient": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counted[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimators, "_edge_score_distribution",
+                            counting("table", estimators._edge_score_distribution))
+        for name in ("evaluate", "gradient"):
+            monkeypatch.setattr(estimators.EstimatorProblem, name,
+                                counting(name, getattr(estimators.EstimatorProblem, name)))
+        rng = np.random.default_rng(139)
+        n_iters = 0
+        for model in ALL_MODELS:
+            scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+            problem = sg.fr_problem(sg.aggregate_counts(scored), model)
+            res = sg.projected_gradient_solve(problem, start=model.feasible.sample_interior(rng),
+                                              tol=1e-8, max_iters=5000, record_trace=False)
+            assert res.converged
+            n_iters += res.n_iters
+        assert counted["gradient"] == n_iters
+        assert counted["evaluate"] > n_iters
+        assert counted["table"] == counted["evaluate"]
+
+    def test_solver_gradients_from_kept_tables_equal_fr_gradient(self, monkeypatch):
+        seen = []
+        fr_gradient = estimators.fr_gradient
+
+        def spy(phi, model, theta, gamma, table=None):
+            grad = fr_gradient(phi, model, theta, gamma, table=table)
+            seen.append((table is not None, grad, fr_gradient(phi, model, theta, gamma)))
+            return grad
+
+        monkeypatch.setattr(estimators, "fr_gradient", spy)
+        rng = np.random.default_rng(149)
+        for model in ALL_MODELS:
+            scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+            problem = sg.fr_problem(sg.aggregate_counts(scored), model)
             sg.estimate(problem, SolverConfig(tol=1e-8, max_iters=5000, grid_points=9))
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
@@ -700,6 +809,13 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(107)
         scored, _, _ = _instance(model, rng, n_agents=6, n_edges=14)
         counts = sg.aggregate_counts(scored)
+        sampled = []
+        gradient = estimators.EstimatorProblem.gradient
+
+        def spy(self, z, state=None):
+            sampled.append(z)
+            return gradient(self, z, state)
+
         for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
             sample_rng = np.random.default_rng(5)
             points = np.array([model.feasible.sample_interior(sample_rng, 0.02)
@@ -710,4 +826,10 @@ class TestStackedEvaluation:
             mask = dz > 1e-12
             lip = float((dg[mask] / dz[mask]).max())
             expected = 1.0 / lip if lip > 0 else 1.0
-            assert estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5)) == expected
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators.EstimatorProblem, "gradient", spy)
+                alpha = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
+            assert alpha == expected
+            # one stacked gradient call at the same points, bit for bit
+            assert len(sampled) == 1
+            np.testing.assert_array_equal(sampled.pop(), points)

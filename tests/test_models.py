@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoregraph as sg
 from scoregraph.errors import InfeasibleError
-from scoregraph.models import THETA_BOX, project_simplex
+from scoregraph.models import THETA_BOX, BlockSet, Box, Simplex, project_simplex
 
 ALL_MODELS = [
     sg.preparata_model(),
@@ -282,6 +282,56 @@ def test_projection_equals_the_blockwise_projection(model):
         np.testing.assert_array_equal(out, blockwise)
     lo, hi = feas.bounds()
     assert lo is feas.bounds()[0] and not (lo.flags.writeable or hi.flags.writeable)
+
+
+def _blockwise_loop(blocks, v):
+    """The per-block projection: one `project` call per block."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    start = 0
+    for b in blocks.blocks:
+        out[..., start:start + b.dim] = b.project(v[..., start:start + b.dim])
+        start += b.dim
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=lambda s: f"C{s[0]}R{s[1]}")
+def test_stacked_simplex_projection_equals_the_block_loop(shape):
+    feas = sg.categorical_model(*shape).feasible
+    # the C^2 equal-size theta simplices form one run, projected in one call
+    assert [count for _, _, count in feas.theta._runs] == [shape[0] ** 2]
+    rng = np.random.default_rng(14)
+    z = rng.uniform(-2.0, 3.0, size=(4, 6, feas.dim))
+    for v in (z, z.reshape(-1, feas.dim), z[1, 2], z[:0, 0]):
+        theta, gamma = feas.split(v)
+        np.testing.assert_array_equal(feas.theta.project(theta),
+                                      _blockwise_loop(feas.theta, theta))
+        np.testing.assert_array_equal(feas.project(v), np.concatenate(
+            [_blockwise_loop(feas.theta, theta), _blockwise_loop(feas.gamma, gamma)], axis=-1))
+
+
+def test_simplex_runs_break_at_boxes_and_size_changes():
+    blocks = BlockSet((Simplex(3), Simplex(3), Box(np.zeros(2), np.ones(2)),
+                       Simplex(2), Simplex(2), Simplex(3)))
+    runs = [(sl.start, sl.stop, count) for sl, _, count in blocks._runs]
+    assert runs == [(0, 6, 2), (6, 8, 1), (8, 12, 2), (12, 15, 1)]
+    v = np.random.default_rng(15).uniform(-2.0, 3.0, size=(5, blocks.dim))
+    for w in (v, v[0]):
+        np.testing.assert_array_equal(blocks.project(w), _blockwise_loop(blocks, w))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_sampling_a_stack_equals_one_point_at_a_time(model):
+    feas = model.feasible
+    for margin in (0.0, 0.02):
+        rng = np.random.default_rng(16)
+        stack = feas.sample_interior(rng, margin, size=7)
+        after = rng.uniform()
+        rng = np.random.default_rng(16)
+        points = np.array([feas.sample_interior(rng, margin) for _ in range(7)])
+        assert stack.shape == (7, feas.dim)
+        np.testing.assert_array_equal(stack, points)
+        assert rng.uniform() == after      # the same stream was consumed
 
 
 def test_split_and_join_are_inverse():
