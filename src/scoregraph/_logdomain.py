@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 __all__ = ["counted_log_factor", "logsumexp"]
+
+SHORT_AXIS = 8   # logsumexp folds a last axis shorter than this
 
 
 def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
@@ -17,11 +21,25 @@ def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
     C order) and one boolean mask; with `overwrite_input`, a writable,
     C-contiguous float64 `a` is that float array when every slice has a
     finite max, and its contents are lost.
+
+    Along a last axis shorter than SHORT_AXIS (the C states of an NR or
+    classifier table), the max, the tie count and the sum fold the slices
+    elementwise instead of reducing row by row.  The bits stay the same: max
+    is exact, and np.sum over a contiguous axis shorter than 8 (where its
+    pairwise summation starts) is the same left fold over the C-ordered
+    exponentials.
     """
     a = np.asarray(a, dtype=np.float64)
-    a_max = np.max(a, axis=axis, keepdims=True)
-    below = a < a_max                         # every entry but the maximal ones
-    m = a.size // a_max.size - np.count_nonzero(below, axis=axis, keepdims=True)
+    n = a.shape[-1] if a.ndim else 0
+    fold = axis is not None and axis in (-1, a.ndim - 1) and 1 < n < SHORT_AXIS
+    if fold:
+        a_max = reduce(np.maximum, _slices(a))
+        below = a < a_max                     # every entry but the maximal ones
+        m = np.subtract(n, reduce(np.add, _slices(below.view(np.uint8))), dtype=np.float64)
+    else:
+        a_max = np.max(a, axis=axis, keepdims=True)
+        below = a < a_max
+        m = a.size // a_max.size - np.count_nonzero(below, axis=axis, keepdims=True)
     if np.isfinite(a_max).all():
         if overwrite_input and a.flags.writeable and a.flags.c_contiguous:
             shifted = np.subtract(a, a_max, out=a)
@@ -32,8 +50,13 @@ def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
     else:                                     # inf - inf is NaN: keep those entries at -inf
         shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=below)
         np.exp(shifted, out=shifted)
-    rest = np.sum(shifted, axis=axis, keepdims=True)
+    rest = reduce(np.add, _slices(shifted)) if fold else np.sum(shifted, axis=axis, keepdims=True)
     return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)
+
+
+def _slices(a: np.ndarray) -> list:
+    """The last-axis slices a[..., j:j + 1], in order."""
+    return [a[..., j:j + 1] for j in range(a.shape[-1])]
 
 
 def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
@@ -41,25 +64,25 @@ def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
 
     counts has shape (N, *S); log_table has shape (..., *S, C), one table per
     point of a stack along the leading axes.  Returns (..., N, C), with -inf
-    wherever a positive count meets a -inf log entry.  The leading axes are
-    folded into the state axis, so a stack is one contraction, and each
-    point's block is the contraction a single table would get.
+    wherever a positive count meets a -inf log entry.  The sum is one matmul,
+    counts (N, prod S) @ table (prod S, L * C), with a stack's L tables moved
+    behind the score axes, so each point's block is the contraction a single
+    table would get.  -inf entries enter it as 0 and come back through a
+    second product of hit counts, run only when the table has one.
     """
     n_score = counts.ndim - 1
-    lead = log_table.shape[:log_table.ndim - n_score - 1]
-    score_axes = list(range(1, counts.ndim))
-    table_axes = list(range(n_score))
-    # (..., *S, C) -> (*S, ..., C) -> (*S, L * C)
-    table = np.moveaxis(log_table, list(range(len(lead))),
-                        list(range(n_score, n_score + len(lead))))
-    table = table.reshape(log_table.shape[len(lead):-1] + (-1,))
+    n_lead = log_table.ndim - n_score - 1
+    lead = log_table.shape[:n_lead]
+    counts = counts.reshape(len(counts), -1)
+    if n_lead:   # (..., *S, C) -> (*S, ..., C)
+        log_table = np.moveaxis(log_table, range(n_lead), range(n_score, n_score + n_lead))
+    table = log_table.reshape(counts.shape[1], -1)
     finite = np.isfinite(table)
-    safe = np.where(finite, table, 0.0)
-    out = np.tensordot(counts, safe, axes=(score_axes, table_axes))
-    if not finite.all():
-        hits = np.tensordot((counts > 0).astype(np.int64), (~finite).astype(np.int64),
-                            axes=(score_axes, table_axes))
-        out[hits > 0] = -np.inf
-    # (N, L * C) -> (..., N, C)
-    return np.moveaxis(out.reshape((out.shape[0],) + lead + log_table.shape[-1:]),
-                       0, len(lead))
+    if finite.all():
+        out = counts @ table
+    else:   # 0/1 products, so the float sums are exact hit counts
+        out = counts @ np.where(finite, table, 0.0)
+        out[(counts > 0).astype(np.float64) @ (~finite).astype(np.float64) > 0] = -np.inf
+    if n_lead:   # (N, L * C) -> (..., N, C)
+        out = np.moveaxis(out.reshape((len(out),) + lead + (-1,)), 0, n_lead)
+    return out

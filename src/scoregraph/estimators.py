@@ -23,10 +23,13 @@ stack, except `fr_gradient`, which also takes one phi row per point.
 exact objective (its C^N table does not stack) and its finite-difference
 gradient loop over the rows.
 
-The FR gradient goes through the prior by the chain rule: with
-r = phi / t_h and q[l, m] = sum_h r_h T[h, l, m], the gamma gradient is
--dprior (q + q^T) p, one two-operand einsum plus two small matmuls (see
-fr_gradient).  This is what each round of the distributed estimator runs.
+Both gradients go through one small table and the chain rule.  NR: with
+w[i, l] the posterior state weights, G[h, l] = sum_i received[i, h] w[i, l]
+/ m_in[h, l] is one (R, N) x (N, C) product, and each derivative contracts G
+with the tensor or prior derivative, O(N R C + k R C^2) for k parameters
+and no per-agent (k, N, C) array (see nr_gradient).  FR, what each round of
+the distributed estimator runs: with r = phi / t_h and q[l, m] = sum_h r_h
+T[h, l, m], the gamma gradient is -dprior (q + q^T) p (see fr_gradient).
 
 The solver is projected gradient with Armijo backtracking and a spectral
 (Barzilai-Borwein) trial step.  The NR and FR gradients at an accepted point
@@ -151,13 +154,28 @@ def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
     return _point_or_rows(row_lse.sum(axis=-1)), (*table, row_lse)
 
 
+def _contract(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """sum_X a[..., k, X] b[..., X] over the n trailing axes X, as one matmul;
+    a stack is a loop of the matmul a single point gets."""
+    flat_b = b.reshape(b.shape[:b.ndim - n] + (-1, 1))
+    return (a.reshape(a.shape[:a.ndim - n] + (-1,)) @ flat_b)[..., 0]
+
+
 def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
                 table=None) -> np.ndarray:
     """Analytic gradient of nr_objective in the stacked vector z = [theta, gamma].
 
-    `table` is the table kept by the NR cost evaluation at this same point
-    (see EstimatorProblem.evaluate); without it the table is built here.
-    Either way the gradient is the same, bit for bit.
+    With w[i, l] = exp(s[i, l] - logsumexp_l s) the posterior state weights
+    and m_in[h, l] = sum_m T[h, m, l] p_m, the chain rule gives
+
+        G[h, l] = sum_i received[i, h] w[i, l] / m_in[h, l]   (0 where m_in = 0),
+        d/d theta_k = sum_hml dT[k, h, m, l] p_m G[h, l],
+        d/d gamma_k = sum_m dprior[k, m] (u_m + W_m / p_m),
+
+    with u_m = sum_hl T[h, m, l] G[h, l], W_m = sum_i w[i, m] and W_m / p_m
+    = 0 where p_m = 0.  `table` is what the NR cost evaluation at this same
+    point kept (see EstimatorProblem.evaluate), else it is built here; the
+    gradient is the same bits either way.
     """
     if table is None:
         _, table = _nr_kept_table(counts, model, theta, gamma)
@@ -166,23 +184,18 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
         raise NonFiniteError("node-relaxed objective is -inf at this point")
     w = np.exp(s - row_lse[..., None])        # posterior state weights, 0 at -inf
     received = counts.received
-    ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
-    parts = []
-    if model.theta_dim:
-        d_tensor = model.tensor_grad(theta)
-        dm_theta = np.einsum("...khml,...m->...khl", d_tensor, prior)
-        a = np.einsum("ih,...khl,...hl->...kil", received, dm_theta, ratio_m)
-        parts.append(np.einsum("...il,...kil->...k", w, a))
-    else:
-        parts.append(np.zeros(w.shape[:-2] + (0,)))
-    d_prior = model.prior_grad(gamma)
-    dm_gamma = np.einsum("...hml,...km->...khl", tensor, d_prior)
-    b = np.einsum("ih,...khl,...hl->...kil", received, dm_gamma, ratio_m)
-    prior_k = prior[..., None, :]
-    ratio_p = np.divide(d_prior, prior_k, where=prior_k > 0,
-                        out=np.zeros(np.broadcast_shapes(d_prior.shape, prior_k.shape)))
-    parts.append(np.einsum("...il,...kil->...k", w, b + ratio_p[..., None, :]))
-    return np.concatenate(parts, axis=-1)
+    # rows: the received histogram of each score h, then all ones (for W)
+    sums = np.concatenate([received.T, np.ones((1, len(received)))]) @ w
+    g = np.divide(sums[..., :-1, :], m_in, out=np.zeros_like(m_in), where=m_in > 0)
+    total = sums[..., -1, :]
+    v = (_contract(np.swapaxes(tensor, -3, -2), g, 2)
+         + np.divide(total, prior, out=np.zeros_like(total), where=prior > 0))
+    grad_gamma = _contract(model.prior_grad(gamma), v, 1)
+    if not model.theta_dim:
+        return grad_gamma
+    outer = prior[..., None, :, None] * g[..., :, None, :]    # p_m G[h, l]
+    grad_theta = _contract(model.tensor_grad(theta), outer, 3)
+    return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
 def _edge_score_distribution(model: ModelSpec, theta, gamma):

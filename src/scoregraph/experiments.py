@@ -5,8 +5,9 @@ graph and score realization, runs the configured estimators, classifies every
 agent both with each estimate and with the true parameters (the "oracle"
 benchmark), and aggregates per-parameter RMSE and per-classifier
 misclassification rates.  Everything is deterministic given the master seed:
-trial k at sweep point p draws from an independent stream keyed by
-(master_seed, p, k).
+trial k at edge count n draws from an independent stream keyed by
+(master_seed, n, k), so the rows of an edge count do not depend on the other
+edge counts of the sweep or on their order.
 """
 
 from __future__ import annotations
@@ -312,6 +313,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_lines(lines, path) -> str:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _write_json(obj, path) -> str:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
 def emit_outputs(result: SweepResult, out_dir) -> dict:
     """Write rmse.csv, misclass.csv, and a meta.json sidecar; return the paths.
 
@@ -319,24 +333,17 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
     carries timestamps, so identical runs produce byte-identical CSVs.
     """
     os.makedirs(out_dir, exist_ok=True)
-    rmse_path = os.path.join(out_dir, "rmse.csv")
     lines = ["n,estimator,param,rmse"]
     for point in result.points:
         for est in result.estimator_names:
             for name in result.param_names:
                 lines.append(f"{point.n_edges},{est},{name},{_fmt(point.rmse[est][name])}")
-    with open(rmse_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    mis_path = os.path.join(out_dir, "misclass.csv")
+    rmse_path = _write_lines(lines, os.path.join(out_dir, "rmse.csv"))
     lines = ["n,classifier,rate"]
     for point in result.points:
         for cls in result.classifier_names:
             lines.append(f"{point.n_edges},{cls},{_fmt(point.misclass[cls])}")
-    with open(mis_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    meta_path = os.path.join(out_dir, "meta.json")
+    mis_path = _write_lines(lines, os.path.join(out_dir, "misclass.csv"))
     meta = {
         "package": "scoregraph",
         "version": __version__,
@@ -350,36 +357,30 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
             for p in result.points
         ],
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    meta_path = _write_json(meta, os.path.join(out_dir, "meta.json"))
     return {"rmse": rmse_path, "misclass": mis_path, "meta": meta_path}
+
+
+def _read_csv(path, header: str, error: str) -> dict:
+    """Parse `n,<key columns>,value` rows back into {(n, *keys): value}."""
+    out = {}
+    with open(path) as fh:
+        if fh.readline().strip() != header:
+            raise ValueError(error)
+        for line in fh:
+            n, *keys, value = line.strip().split(",")
+            out[(int(n), *keys)] = float(value)
+    return out
 
 
 def read_rmse_csv(path) -> dict:
     """Parse rmse.csv back into {(n, estimator, param): rmse}."""
-    out = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,estimator,param,rmse":
-            raise ValueError("not an rmse.csv file")
-        for line in fh:
-            n, est, name, value = line.strip().split(",")
-            out[(int(n), est, name)] = float(value)
-    return out
+    return _read_csv(path, "n,estimator,param,rmse", "not an rmse.csv file")
 
 
 def read_misclass_csv(path) -> dict:
     """Parse misclass.csv back into {(n, classifier): rate}."""
-    out = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,classifier,rate":
-            raise ValueError("not a misclass.csv file")
-        for line in fh:
-            n, cls, value = line.strip().split(",")
-            out[(int(n), cls)] = float(value)
-    return out
+    return _read_csv(path, "n,classifier,rate", "not a misclass.csv file")
 
 
 @dataclass(frozen=True)
@@ -423,48 +424,36 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(result.config)
     paths = {}
-    graph_path = os.path.join(out_dir, "graph.txt")
-    save_score_graph(result.graph, graph_path)
-    paths["graph"] = graph_path
-    states_path = os.path.join(out_dir, "states.txt")
-    save_states(result.states, states_path)
-    paths["states"] = states_path
+
+    def write(key, filename, writer, *args):
+        paths[key] = os.path.join(out_dir, filename)
+        writer(*args, paths[key])
+
+    write("graph", "graph.txt", save_score_graph, result.graph)
+    write("states", "states.txt", save_states, result.states)
     for name, output in result.outputs.items():
-        p = os.path.join(out_dir, f"soft_{name}.csv")
-        write_soft_csv(output, p)
-        paths[f"soft_{name}"] = p
+        write(f"soft_{name}", f"soft_{name}.csv", write_soft_csv, output)
     for name, solve in result.traces.items():
-        p = os.path.join(out_dir, f"trace_{name}.csv")
-        write_trace_csv(solve, model, p)
-        paths[f"trace_{name}"] = p
+        write(f"trace_{name}", f"trace_{name}.csv", write_trace_csv, solve, model)
     if result.distributed_run is not None:
-        p = os.path.join(out_dir, "trajectory.csv")
-        write_trajectory_csv(result.distributed_run, p)
-        paths["trajectory"] = p
-    est_path = os.path.join(out_dir, "estimates.csv")
+        write("trajectory", "trajectory.csv", write_trajectory_csv, result.distributed_run)
     lines = ["estimator,param,value"]
     for name, (theta_hat, gamma_hat) in result.estimates.items():
         values = list(theta_hat) + list(gamma_hat)
         for pname, v in zip(result.param_names, values):
             lines.append(f"{name},{pname},{_fmt(v)}")
-    with open(est_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    paths["estimates"] = est_path
-    meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump({
-            "package": "scoregraph",
-            "version": __version__,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "config": asdict(result.config),
-            "model": result.model_name,
-            "misclassification": {
-                name: misclassification_rate(out.labels, result.states)
-                for name, out in result.outputs.items()
-            },
-        }, fh, indent=2)
-        fh.write("\n")
-    paths["meta"] = meta_path
+    write("estimates", "estimates.csv", _write_lines, lines)
+    write("meta", "meta.json", _write_json, {
+        "package": "scoregraph",
+        "version": __version__,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "config": asdict(result.config),
+        "model": result.model_name,
+        "misclassification": {
+            name: misclassification_rate(out.labels, result.states)
+            for name, out in result.outputs.items()
+        },
+    })
     return paths
 
 
@@ -540,7 +529,6 @@ def _check(name, fn) -> CheckResult:
 
 def run_invariant_checks(seed: int = 0) -> list:
     """Fast self-contained invariant suite backing the `check` CLI command."""
-    checks = []
 
     def counts_identities():
         rng = np.random.default_rng([seed, 1])
@@ -552,16 +540,12 @@ def run_invariant_checks(seed: int = 0) -> list:
         assert counts.n_edges == scored.n_edges
         assert np.all(np.abs(counts.phi.sum() - 1.0) < 1e-12)
 
-    checks.append(_check("counts-identities", counts_identities))
-
     def schedule_connectivity():
         for family, window in (("static-complete", 1), ("static-cycle", 1),
                                ("periodic-edge-partition", 3)):
             sched = make_comm_schedule(8, family, window,
                                        rng=np.random.default_rng([seed, 2]))
             assert sched.satisfies_window_connectivity()
-
-    checks.append(_check("schedule-window-connectivity", schedule_connectivity))
 
     def pushsum_conservation():
         rng = np.random.default_rng([seed, 3])
@@ -581,8 +565,6 @@ def run_invariant_checks(seed: int = 0) -> list:
         final_err = np.abs(state.phi - counts.phi[None, :]).max()
         assert final_err < 1e-6, f"phi error {final_err}"
 
-    checks.append(_check("push-sum-conservation", pushsum_conservation))
-
     def model_normalization():
         rng = np.random.default_rng([seed, 5])
         for model in (preparata_model(), reliability_model(5),
@@ -596,8 +578,6 @@ def run_invariant_checks(seed: int = 0) -> list:
                 assert abs(prior.sum() - 1.0) < 1e-12
                 assert tensor.min() >= 0 and prior.min() >= 0
 
-    checks.append(_check("model-normalization", model_normalization))
-
     def closed_form_matches_grid():
         grid = np.linspace(0.0, 1.0, 4001)
         for phi2 in (0.1, 0.3, 0.45, 0.52, 0.6, 0.9):
@@ -607,8 +587,6 @@ def run_invariant_checks(seed: int = 0) -> list:
             best = values.min()
             got = fr_objective(phi, model, (), (fr_binary_closed_form(phi2),))
             assert got <= best + 1e-9, f"phi2={phi2}: {got} vs grid {best}"
-
-    checks.append(_check("closed-form-matches-grid", closed_form_matches_grid))
 
     def label_swap_objective():
         rng = np.random.default_rng([seed, 6])
@@ -624,8 +602,6 @@ def run_invariant_checks(seed: int = 0) -> list:
             b = fr_objective(counts.phi, model, (th,), (1.0 - g,))
             assert abs(a - b) < 1e-9
 
-    checks.append(_check("label-swap-objective", label_swap_objective))
-
     def determinism():
         import tempfile
         cfg = ExperimentConfig(model="reliability", n_scores=3, gamma=(0.3,),
@@ -640,6 +616,11 @@ def run_invariant_checks(seed: int = 0) -> list:
                 with open(p1[key], "rb") as f1, open(p2[key], "rb") as f2:
                     assert f1.read() == f2.read(), f"{key} differs between runs"
 
-    checks.append(_check("determinism", determinism))
-
-    return checks
+    return [_check(name, fn) for name, fn in (
+        ("counts-identities", counts_identities),
+        ("schedule-window-connectivity", schedule_connectivity),
+        ("push-sum-conservation", pushsum_conservation),
+        ("model-normalization", model_normalization),
+        ("closed-form-matches-grid", closed_form_matches_grid),
+        ("label-swap-objective", label_swap_objective),
+        ("determinism", determinism))]

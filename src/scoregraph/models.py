@@ -14,14 +14,14 @@ stack of points: theta of shape (..., theta_dim) gives a tensor of shape
 (..., R, C, C) and a tensor gradient of shape (..., theta_dim, R, C, C);
 gamma of shape (..., gamma_dim) gives a prior of shape (..., C) and a prior
 gradient of shape (..., gamma_dim, C).  A table that does not depend on its
-parameter may drop the leading axes, since the einsums that consume it
-broadcast.  Feasible-set projections likewise act row-wise on the last axis.
+parameter may drop the leading axes, since the einsums and matmuls that
+consume it broadcast.  Feasible-set projections act row-wise on the last axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -363,31 +363,10 @@ def preparata_model() -> ModelSpec:
 
     A state-0 (healthy) evaluator reports the target's state exactly; a
     state-1 (faulty) evaluator reports uniformly at random.  No theta; gamma
-    is the scalar fault probability in [0, 1].
+    is the scalar fault probability in [0, 1].  This is reliability_model(2),
+    whose ramp tables are exactly (1, 0), (0, 1) and (1/2, 1/2).
     """
-    tensor = np.empty((2, 2, 2))
-    tensor[:, 0, 0] = (1.0, 0.0)
-    tensor[:, 0, 1] = (0.0, 1.0)
-    tensor[:, 1, 0] = (0.5, 0.5)
-    tensor[:, 1, 1] = (0.5, 0.5)
-    tensor.setflags(write=False)
-    empty_grad = np.zeros((0, 2, 2, 2))
-    return ModelSpec(
-        name="preparata",
-        n_states=2,
-        n_scores=2,
-        state_values=np.array([0.0, 1.0]),
-        score_values=np.array([0.0, 1.0]),
-        feasible=FeasibleSet(
-            theta=BlockSet(()),
-            gamma=BlockSet((Box(np.array([0.0]), np.array([1.0])),)),
-        ),
-        label_swap_symmetric=False,
-        tensor_fn=lambda theta: tensor,
-        prior_fn=_bernoulli_prior,
-        tensor_grad_fn=lambda theta: empty_grad,
-        prior_grad_fn=_bernoulli_prior_grad,
-    )
+    return replace(reliability_model(2), name="preparata")
 
 
 def reliability_model(n_scores: int) -> ModelSpec:

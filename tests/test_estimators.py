@@ -8,6 +8,7 @@ import pytest
 
 import scoregraph as sg
 from scoregraph import estimators
+from scoregraph._logdomain import logsumexp
 from scoregraph.errors import InfeasibleError, NonFiniteError
 from scoregraph.estimators import SolverConfig
 from scoregraph.experiments import ExperimentConfig, build_model, run_single
@@ -115,6 +116,63 @@ class TestNodeRelaxedObjective:
         counts = sg.aggregate_counts(g)
         with pytest.raises(NonFiniteError):
             sg.nr_gradient(counts, model, (), (0.0,))
+
+
+def _nr_gradient_reference(counts, model, theta, gamma):
+    """The NR gradient through per-agent (k, N, C) arrays, the formula the
+    R x C weight table replaced (three-operand einsums).  Also returns the
+    same sums over the absolute values of the terms, which scale the
+    rounding error of either formula."""
+    s, tensor, prior, m_in = estimators._nr_state_table(counts, model, theta, gamma)
+    w = np.exp(s - logsumexp(s, axis=-1)[..., None])
+    received = counts.received
+    ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
+    prior_k = prior[..., None, :]
+    out = []
+    for f in (lambda a: a, np.abs):
+        if model.theta_dim:
+            dm_theta = np.einsum("...khml,...m->...khl", f(model.tensor_grad(theta)), prior)
+            a = np.einsum("ih,...khl,...hl->...kil", received, dm_theta, ratio_m)
+            grad_theta = np.einsum("...il,...kil->...k", w, a)
+        else:
+            grad_theta = np.zeros(w.shape[:-2] + (0,))
+        d_prior = f(model.prior_grad(gamma))
+        dm_gamma = np.einsum("...hml,...km->...khl", tensor, d_prior)
+        b = np.einsum("ih,...khl,...hl->...kil", received, dm_gamma, ratio_m)
+        ratio_p = np.divide(d_prior, prior_k, where=prior_k > 0,
+                            out=np.zeros(np.broadcast_shapes(d_prior.shape, prior_k.shape)))
+        grad_gamma = np.einsum("...il,...kil->...k", w, b + ratio_p[..., None, :])
+        out.append(np.concatenate([grad_theta, grad_gamma], axis=-1))
+    return out[0], np.abs(out[1])
+
+
+class TestNodeRelaxedGradient:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_equals_the_per_agent_formula(self, model):
+        # near a stationary point the terms cancel, so the tolerance is
+        # relative to the sum of their magnitudes, not to the result
+        rng = np.random.default_rng(131)
+        scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
+        counts = sg.aggregate_counts(scored)
+        points = np.array([model.feasible.sample_interior(rng, 0.02) for _ in range(12)])
+        cases = [points.reshape(3, 4, -1)] + list(points)
+        for z in cases:
+            theta, gamma = model.feasible.split(z)
+            got = sg.nr_gradient(counts, model, theta, gamma)
+            want, scale = _nr_gradient_reference(counts, model, theta, gamma)
+            assert got.shape == want.shape == z.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_a_zero_prior_state_contributes_no_ratio_term(self):
+        # reliability at gamma = 1: the unreliable state has prior 0 and weight 0
+        model = sg.reliability_model(5)
+        scored, _, _ = _instance(model, np.random.default_rng(137), n_agents=8, n_edges=30)
+        counts = sg.aggregate_counts(scored)
+        theta, gamma = model.feasible.split(np.array([1.0]))
+        got = sg.nr_gradient(counts, model, theta, gamma)
+        want, scale = _nr_gradient_reference(counts, model, theta, gamma)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestFullyRelaxedObjective:

@@ -1,6 +1,7 @@
 """Monte Carlo harness: configs, sweeps, file outputs, CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ class TestRunSweep:
                                             estimators=("FR",)))
         assert wide.points[1].rmse == narrow.points[0].rmse
         assert wide.points[1].misclass == narrow.points[0].misclass
+
+    def test_sweep_order_does_not_change_the_rows_of_an_edge_count(self, tmp_path):
+        # the trial streams are keyed by the edge count, not by the sweep position
+        cfg = ExperimentConfig(model="social-ranking", n_states=3, n_scores=3, n_agents=8,
+                               sweep=(10, 24), trials=2, estimators=("NR", "FR"),
+                               solver_grid_points=9)
+        forward = emit_outputs(run_sweep(cfg), tmp_path / "forward")
+        backward = emit_outputs(run_sweep(replace(cfg, sweep=(24, 10))), tmp_path / "backward")
+        assert read_rmse_csv(forward["rmse"]) == read_rmse_csv(backward["rmse"])
+        assert read_misclass_csv(forward["misclass"]) == read_misclass_csv(backward["misclass"])
+        assert len(read_rmse_csv(forward["rmse"])) == 2 * 2 * 2   # points x estimators x params
 
     def test_empty_sweep_writes_headers_only(self, tmp_path):
         cfg = ExperimentConfig(model="preparata", sweep=(), trials=1,

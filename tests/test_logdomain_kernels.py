@@ -1,0 +1,105 @@
+"""The short-axis fold of logsumexp and the one-matmul counted_log_factor,
+each against the formula it replaced, bit for bit."""
+
+import warnings
+from functools import reduce
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from scoregraph._logdomain import SHORT_AXIS, counted_log_factor, logsumexp
+from test_logdomain import _reference_logsumexp, _with_ties_and_empty_rows
+
+# magnitudes far apart, so that a different summation order changes the bits
+_ADDENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.sampled_from([(5, n), (4, 6, n)]).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_ADDENDS))))
+def test_numpy_sum_over_a_short_contiguous_axis_is_a_left_fold(a):
+    # the fold in logsumexp relies on this: if a numpy release changes the
+    # order of short reductions, this test names it before any CSV bytes move
+    assert a.flags.c_contiguous and a.shape[-1] < SHORT_AXIS == 8
+    fold = reduce(np.add, [a[..., j] for j in range(a.shape[-1])])
+    np.testing.assert_array_equal(np.sum(a, axis=-1), fold)
+
+
+# near entries (exponentials of one magnitude, so the summation order shows),
+# far entries, ties and -inf
+_ENTRIES = st.one_of(st.floats(-4, 4, allow_nan=False), st.floats(-700, 700, allow_nan=False),
+                     st.sampled_from([-np.inf, 0.0, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_logsumexp_equals_the_reduction_formula_for_every_short_length(n, rows, k, data):
+    # lengths 2..7 take the fold, 1 and 8..16 the reductions
+    base = data.draw(arrays(np.float64, (rows, n), elements=_ENTRIES))
+    stack = np.stack([base] * k) + np.arange(k)[:, None, None]
+    for a in (_with_ties_and_empty_rows(base, data), _with_ties_and_empty_rows(stack, data)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis in (None, 0, -1):
+                want = _reference_logsumexp(a, axis=axis)
+                np.testing.assert_array_equal(logsumexp(a, axis=axis), want)
+                scratch = a.copy()
+                np.testing.assert_array_equal(
+                    logsumexp(scratch, axis=axis, overwrite_input=True), want)
+
+
+def test_the_fold_keeps_the_input_unless_it_may_be_overwritten():
+    a = np.array([[0.0, -1.0, 2.0], [2.0, 2.0, 1.0], [-np.inf, -np.inf, -np.inf]])
+    before = a.copy()
+    want = _reference_logsumexp(a, axis=-1)
+    np.testing.assert_array_equal(logsumexp(a, axis=-1), want)
+    np.testing.assert_array_equal(a, before)
+    finite = a[:2].copy()
+    np.testing.assert_array_equal(logsumexp(finite, axis=-1, overwrite_input=True), want[:2])
+    assert not np.array_equal(finite, a[:2])   # the exponentials were written into it
+
+
+def _tensordot_reference(counts, log_table):
+    """The formula counted_log_factor replaced: two moveaxis and a tensordot."""
+    n_score = counts.ndim - 1
+    lead = log_table.shape[:log_table.ndim - n_score - 1]
+    score_axes = list(range(1, counts.ndim))
+    table_axes = list(range(n_score))
+    table = np.moveaxis(log_table, list(range(len(lead))),
+                        list(range(n_score, n_score + len(lead))))
+    table = table.reshape(log_table.shape[len(lead):-1] + (-1,))
+    finite = np.isfinite(table)
+    safe = np.where(finite, table, 0.0)
+    out = np.tensordot(counts, safe, axes=(score_axes, table_axes))
+    if not finite.all():
+        hits = np.tensordot((counts > 0).astype(np.int64), (~finite).astype(np.int64),
+                            axes=(score_axes, table_axes))
+        out[hits > 0] = -np.inf
+    return np.moveaxis(out.reshape((out.shape[0],) + lead + log_table.shape[-1:]),
+                       0, len(lead))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 5), st.integers(2, 4),
+       st.sampled_from([(), (3,), (2, 5)]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_counted_log_factor_equals_the_tensordot_formula(n, r, c, lead, mutual, seed):
+    rng = np.random.default_rng(seed)
+    score_shape = (r, r) if mutual else (r,)
+    # sparse counts, so that a -inf entry meets both zero and positive counts
+    counts = rng.integers(0, 4, size=(n,) + score_shape) * (rng.random((n,) + score_shape) < 0.5)
+    table = np.log(rng.random(lead + score_shape + (c,)))
+    for log_table in (table, np.where(rng.random(table.shape) < 0.2, -np.inf, table)):
+        got = counted_log_factor(counts, log_table)
+        assert got.shape == lead + (n, c)
+        np.testing.assert_array_equal(got, _tensordot_reference(counts, log_table))
+
+
+def test_a_neg_inf_entry_counts_only_under_a_positive_count():
+    counts = np.array([[0, 2], [1, 0]])
+    log_table = np.array([[-np.inf, 0.0], [np.log(0.5), -np.inf]])
+    got = counted_log_factor(counts, log_table)
+    np.testing.assert_array_equal(got, [[2 * np.log(0.5), -np.inf], [-np.inf, 0.0]])
+    np.testing.assert_array_equal(got, _tensordot_reference(counts, log_table))
+    stacked = counted_log_factor(counts, np.stack([log_table, np.zeros((2, 2))]))
+    np.testing.assert_array_equal(stacked, [got, np.zeros((2, 2))])
