@@ -39,7 +39,4 @@ for n_edges in (12, 40, 120):
     od = sg.soft_classify(sg.aggregate_counts(sd), model, (), (0.3,))
     conf = od.posterior.max(axis=1).mean()
     print(f"n={n_edges:4d}: mean top-posterior {conf:.3f}")
-
-# per-agent posteriors export to CSV for plotting
-sg.write_soft_csv(out, "/tmp/demo_soft.csv")
-print("wrote /tmp/demo_soft.csv")
+# `scoregraph single` exports every classifier's posteriors as soft_<name>.csv

@@ -63,5 +63,4 @@ res = sg.estimate(problem, SolverConfig(record_trace=True))
 trace = res.solve.trace
 print(f"\ntrace: {len(trace)} rows, objective "
       f"{trace[0, 1]:.6f} -> {trace[-1, 1]:.6f}")
-sg.write_trace_csv(res.solve, model, "/tmp/demo_trace.csv")
-print("wrote /tmp/demo_trace.csv")
+# `scoregraph single` exports each estimator's trace as trace_<name>.csv

@@ -39,10 +39,10 @@ run_p = sg.run_distributed(counts, model, part, alpha=0.02, n_rounds=2000,
 err = np.abs(run_p.final_z[:, 0] - star).max()
 print(f"\npartition schedule (Q=3), 2000 rounds: max error {err:.2e}")
 
-# every agent ends at a stationary point of the relaxed cost
-resid = max(sg.stationarity_residual(model, run_p.final_z[i], counts.phi,
-                                     run_p.alpha) for i in range(15))
+# every agent ends at a stationary point of the relaxed cost: one more
+# local step, taken by all agents at once, barely moves it
+step = sg.local_gradient_step(run_p.final_z, np.tile(counts.phi, (15, 1)), model,
+                              run_p.alpha)
+resid = np.linalg.norm(run_p.final_z - step, axis=1).max()
 print(f"worst stationarity residual: {resid:.2e}")
-
-sg.write_trajectory_csv(run, "/tmp/demo_trajectory.csv")
-print("wrote /tmp/demo_trajectory.csv")
+# `scoregraph single` exports every round of a run as trajectory.csv

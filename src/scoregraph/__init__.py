@@ -18,16 +18,14 @@ from .graph import (CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts,
 from .models import (Box, FeasibleSet, ModelSpec, Simplex, categorical_model,
                      preparata_model, project_simplex, reliability_model,
                      social_ranking_model)
-from .classifier import (ClassifierOutput, misclassification_rate, soft_classify,
-                         write_soft_csv)
+from .classifier import ClassifierOutput, misclassification_rate, soft_classify
 from .estimators import (EstimateResult, EstimatorProblem, SolveResult,
                          SolverConfig, estimate, exact_loglikelihood,
                          exact_problem, fr_binary_closed_form, fr_gradient,
                          fr_objective, fr_problem, nr_gradient, nr_objective,
-                         nr_problem, projected_gradient_solve, write_trace_csv)
+                         nr_problem, projected_gradient_solve)
 from .distributed import (DistributedRun, DistributedState, initial_state,
-                          local_gradient_step, push_sum_round, run_distributed,
-                          stationarity_residual, write_trajectory_csv)
+                          local_gradient_step, push_sum_round, run_distributed)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
                           build_model, emit_outputs, emit_single_outputs,
                           parse_config_file, read_misclass_csv, read_rmse_csv,
@@ -43,16 +41,14 @@ __all__ = [
     "ModelSpec", "FeasibleSet", "Box", "Simplex", "project_simplex",
     "preparata_model", "reliability_model", "social_ranking_model",
     "categorical_model", "ClassifierOutput", "soft_classify",
-    "misclassification_rate", "write_soft_csv",
+    "misclassification_rate",
     "EstimatorProblem", "SolveResult", "SolverConfig", "EstimateResult",
     "exact_loglikelihood", "nr_objective", "nr_gradient",
     "fr_objective", "fr_gradient", "fr_binary_closed_form",
     "exact_problem", "nr_problem", "fr_problem",
     "projected_gradient_solve", "estimate",
-    "write_trace_csv",
     "DistributedState", "DistributedRun", "initial_state", "push_sum_round",
-    "local_gradient_step", "run_distributed", "stationarity_residual",
-    "write_trajectory_csv",
+    "local_gradient_step", "run_distributed",
     "ExperimentConfig", "SweepPoint", "SweepResult", "build_model",
     "parse_config_file", "run_sweep", "run_single",
     "emit_outputs", "emit_single_outputs", "read_rmse_csv", "read_misclass_csv",

@@ -11,16 +11,14 @@ __all__ = ["counted_log_factor", "logsumexp"]
 SHORT_AXIS = 8   # logsumexp folds a last axis shorter than this
 
 
-def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
+def logsumexp(a, axis=None) -> np.ndarray:
     """log(sum(exp(a))) along `axis` (all axes when None), shifted by the max.
 
     The m maximal entries are summed apart as log(m) + log1p(rest / m), so
     the result matches scipy.special.logsumexp bit for bit on real input.  A
     slice of all -inf gives -inf, without a NaN or a warning.  The only
     full-size temporaries are one float array (the shifted exponentials, in
-    C order) and one boolean mask; with `overwrite_input`, a writable,
-    C-contiguous float64 `a` is that float array when every slice has a
-    finite max, and its contents are lost.
+    C order) and one boolean mask; `a` itself is never written.
 
     Along a last axis shorter than SHORT_AXIS (the C states of an NR or
     classifier table), the max, the tie count and the sum fold the slices
@@ -41,10 +39,7 @@ def logsumexp(a, axis=None, overwrite_input: bool = False) -> np.ndarray:
         below = a < a_max
         m = a.size // a_max.size - np.count_nonzero(below, axis=axis, keepdims=True)
     if np.isfinite(a_max).all():
-        if overwrite_input and a.flags.writeable and a.flags.c_contiguous:
-            shifted = np.subtract(a, a_max, out=a)
-        else:
-            shifted = np.subtract(a, a_max, order="C")
+        shifted = np.subtract(a, a_max, order="C")
         np.exp(shifted, out=shifted)
         shifted *= below                      # exp(0) = 1 at the maximal entries
     else:                                     # inf - inf is NaN: keep those entries at -inf

@@ -28,7 +28,6 @@ __all__ = [
     "ClassifierOutput",
     "soft_classify",
     "misclassification_rate",
-    "write_soft_csv",
 ]
 
 
@@ -45,14 +44,6 @@ class ClassifierOutput:
     posterior: np.ndarray
     labels: np.ndarray
     log_unnormalized: np.ndarray
-
-    @property
-    def n_agents(self) -> int:
-        return self.posterior.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.posterior.shape[1]
 
 
 def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
@@ -116,13 +107,3 @@ def misclassification_rate(labels, true_states) -> float:
         raise ValueError("labels and true_states must have equal length")
     return float(np.mean(labels != true_states))
 
-
-def write_soft_csv(output: ClassifierOutput, path) -> None:
-    """Write `agent, u_1..u_C, map_label` rows (1-based ids and labels)."""
-    cols = ",".join(f"u_{l + 1}" for l in range(output.n_states))
-    lines = [f"agent,{cols},map_label"]
-    for i in range(output.n_agents):
-        u = ",".join(repr(float(x)) for x in output.posterior[i])
-        lines.append(f"{i + 1},{u},{int(output.labels[i]) + 1}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

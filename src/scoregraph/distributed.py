@@ -12,7 +12,6 @@ the fully-relaxed problem.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "push_sum_round",
     "local_gradient_step",
     "run_distributed",
-    "stationarity_residual",
-    "write_trajectory_csv",
 ]
 
 
@@ -112,8 +109,6 @@ class DistributedRun:
     state: DistributedState
     alpha: float
     n_rounds: int
-    model_name: str
-    theta_dim: int
 
     @property
     def final_z(self) -> np.ndarray:
@@ -141,7 +136,7 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
     schedule : CommSchedule
         Window-connected communication schedule; frame t drives round t.
     alpha : float, optional
-        Stepsize; None uses the sampled-curvature heuristic on the
+        Stepsize, > 0; None uses the sampled-curvature heuristic on the
         fully-relaxed problem at the true phi (deterministic under `rng`).
     record_every : int
         Snapshot stride; round 0 and the final round are always recorded.
@@ -156,6 +151,8 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
         raise ValueError("counts and model disagree on the score alphabet")
     if alpha is None:
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
+    elif not alpha > 0:
+        raise ValueError("alpha must be positive")
     state = initial_state(counts, model, start)
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
     phi_traj = np.empty((times.size,) + state.xi.shape)
@@ -183,43 +180,5 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
         state=state,
         alpha=float(alpha),
         n_rounds=n_rounds,
-        model_name=model.name,
-        theta_dim=model.feasible.theta_dim,
     )
 
-
-def stationarity_residual(model: ModelSpec, z, phi, alpha: float) -> float:
-    """Fixed-point residual ||z - P[z - alpha * grad(phi' g)(z)]|| of one iterate."""
-    z = np.asarray(z, dtype=np.float64)
-    return float(np.linalg.norm(z - local_gradient_step(z, phi, model, alpha)))
-
-
-def write_trajectory_csv(run: DistributedRun, path) -> None:
-    """Write `t, agent, phi_1..phi_R, theta..., gamma...` rows plus a `<path>.meta.json` sidecar."""
-    n_scores = run.phi_traj.shape[2]
-    dim = run.z_traj.shape[2]
-    cols = ["t", "agent"]
-    cols += [f"phi_{h + 1}" for h in range(n_scores)]
-    cols += [f"theta_{k + 1}" for k in range(run.theta_dim)]
-    cols += [f"gamma_{k + 1}" for k in range(dim - run.theta_dim)]
-    lines = [",".join(cols)]
-    for k, t in enumerate(run.times):
-        for i in range(run.phi_traj.shape[1]):
-            cells = [str(int(t)), str(i + 1)]
-            cells += [repr(float(x)) for x in run.phi_traj[k, i]]
-            cells += [repr(float(x)) for x in run.z_traj[k, i]]
-            lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    meta = {
-        "alpha": run.alpha,
-        "n_rounds": int(run.n_rounds),
-        "model": run.model_name,
-        "n_agents": int(run.phi_traj.shape[1]),
-        "n_scores": int(n_scores),
-        "z_dim": int(dim),
-        "snapshots": [int(t) for t in run.times],
-    }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")

@@ -69,7 +69,6 @@ __all__ = [
     "fr_binary_closed_form",
     "projected_gradient_solve",
     "estimate",
-    "write_trace_csv",
 ]
 
 MAX_EXACT_AGENTS = 12
@@ -106,24 +105,6 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
     return float(logsumexp(total))
 
 
-def _nr_state_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
-    """Per-agent, per-state log block probabilities s plus reusable pieces.
-
-    Returns (s, tensor, prior, m_in).  Broadcasts over leading axes of
-    theta/gamma: s has shape (..., N, C).
-    """
-    tensor = model.tensor(theta, validate=False)
-    prior = model.prior(gamma, validate=False)
-    # probability of receiving score h when the receiver is in state l
-    m_in = np.einsum("...hml,...m->...hl", tensor, prior)
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m_in)
-        log_prior = np.log(prior)
-    # C order, so that logsumexp can reduce s in place
-    s = np.add(counted_log_factor(counts.received, log_m), log_prior[..., None, :], order="C")
-    return s, tensor, prior, m_in
-
-
 def _point_or_rows(values: np.ndarray):
     """A Python float for one point (0-d), else the array of per-row values."""
     return float(values) if values.ndim == 0 else values
@@ -139,19 +120,26 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma,
     """
     if validate:
         model.require_feasible(theta, gamma)
-    s, *_ = _nr_state_table(counts, model, theta, gamma)
-    return _point_or_rows(logsumexp(s, axis=-1, overwrite_input=True).sum(axis=-1))
+    return _nr_kept_table(counts, model, theta, gamma)[0]
 
 
 def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
     """The NR objective and the table its gradient reuses at the same point.
 
-    Returns (value, (s, tensor, prior, m_in, row_lse)), where row_lse is the
-    per-agent logsumexp of s whose sum is the value.
+    Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., i, l] is agent
+    i's log block probability in state l, m_in[..., h, l] the probability of
+    receiving score h in state l, and row_lse the per-agent logsumexp of s
+    whose sum is the value.  Broadcasts over leading axes of theta/gamma.
     """
-    table = _nr_state_table(counts, model, theta, gamma)
-    row_lse = logsumexp(table[0], axis=-1)
-    return _point_or_rows(row_lse.sum(axis=-1)), (*table, row_lse)
+    tensor = model.tensor(theta, validate=False)
+    prior = model.prior(gamma, validate=False)
+    m_in = np.einsum("...hml,...m->...hl", tensor, prior)
+    with np.errstate(divide="ignore"):
+        log_m = np.log(m_in)
+        log_prior = np.log(prior)
+    s = counted_log_factor(counts.received, log_m) + log_prior[..., None, :]
+    row_lse = logsumexp(s, axis=-1)
+    return _point_or_rows(row_lse.sum(axis=-1)), (s, tensor, prior, m_in, row_lse)
 
 
 def _contract(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -215,14 +203,6 @@ def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
     return phi
 
 
-def _fr_cost(phi: np.ndarray, t_h: np.ndarray) -> float | np.ndarray:
-    """Cross-entropy of a checked phi against the edge score distribution t_h."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t = np.log(t_h)
-        terms = np.where(phi > 0, -phi * log_t, 0.0)
-    return _point_or_rows(terms.sum(axis=-1))
-
-
 def fr_objective(phi, model: ModelSpec, theta, gamma,
                  validate: bool = True) -> float | np.ndarray:
     """Fully-relaxed cost (to minimize): cross-entropy of phi against the
@@ -231,15 +211,16 @@ def fr_objective(phi, model: ModelSpec, theta, gamma,
     phi = _check_phi(phi, model.n_scores)
     if validate:
         model.require_feasible(theta, gamma)
-    t_h, *_ = _edge_score_distribution(model, theta, gamma)
-    return _fr_cost(phi, t_h)
+    return _fr_kept_table(phi, model, theta, gamma)[0]
 
 
 def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta, gamma):
     """The FR cost of a checked phi and the table (t_h, tensor, prior) its
     gradient reuses at the same point."""
     table = _edge_score_distribution(model, theta, gamma)
-    return _fr_cost(phi, table[0]), table
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(phi > 0, -phi * np.log(table[0]), 0.0)
+    return _point_or_rows(terms.sum(axis=-1)), table
 
 
 def fr_gradient(phi, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
@@ -330,16 +311,13 @@ class EstimatorProblem:
             return _nr_kept_table(self.counts, self.model, *split(z))
         if self.kind == "fr":
             return _fr_kept_table(self.phi, self.model, *split(z))
-        return self.objective(z, validate=False), None
+        return _rowwise(lambda v: exact_loglikelihood(
+            self.graph, self.model, *split(v), validate=False), z), None
 
     def objective(self, z, validate: bool = True) -> float | np.ndarray:
-        split = self.model.feasible.split
-        if self.kind == "exact":
-            return _rowwise(lambda v: exact_loglikelihood(
-                self.graph, self.model, *split(v), validate), z)
-        if self.kind == "nr":
-            return nr_objective(self.counts, self.model, *split(z), validate)
-        return fr_objective(self.phi, self.model, *split(z), validate)
+        if validate:
+            self.model.require_feasible(*self.model.feasible.split(z))
+        return self.evaluate(z)[0]
 
     def gradient(self, z, state=None) -> np.ndarray:
         """Gradient at z; `state` is what evaluate(z) kept, or None."""
@@ -675,17 +653,3 @@ def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> E
         solve=solve,
     )
 
-
-def write_trace_csv(result: SolveResult, model: ModelSpec, path) -> None:
-    """Write `iter, objective, theta..., gamma...` rows for a traced solve."""
-    if result.trace is None:
-        raise ValueError("solve was run without a trace")
-    cols = ["iter", "objective"]
-    cols += [f"theta_{k + 1}" for k in range(model.theta_dim)]
-    cols += [f"gamma_{k + 1}" for k in range(model.gamma_dim)]
-    lines = [",".join(cols)]
-    for row in result.trace:
-        cells = [str(int(row[0]))] + [repr(float(x)) for x in row[1:]]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .classifier import misclassification_rate, soft_classify, write_soft_csv
-from .distributed import initial_state, push_sum_round, run_distributed, write_trajectory_csv
+from .classifier import misclassification_rate, soft_classify
+from .distributed import initial_state, push_sum_round, run_distributed
 from .estimators import (MAX_EXACT_AGENTS, SolverConfig, _canonical_swap, estimate,
                          exact_problem, fr_binary_closed_form, fr_objective, fr_problem,
-                         nr_objective, nr_problem, write_trace_csv)
+                         nr_objective, nr_problem)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -92,6 +92,8 @@ class ExperimentConfig:
         cfg = self.resolved()
         if cfg.trials < 1:
             raise ValueError("trials must be >= 1")
+        if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
+            raise ValueError("solver_alpha must be positive")
         n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
         for v in cfg.sweep:
             if not n <= v <= max_edges:
@@ -402,6 +404,8 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
     """Run trial 0 of the first sweep point, with solver traces and every round recorded."""
     config.validate()
     cfg = config.resolved()
+    if not cfg.sweep:
+        raise ValueError("a single run needs at least one sweep value")
     model = build_model(cfg)
     scored, states, estimates, outputs, details = _run_trial(
         cfg, model, _true_params(cfg, model), _comm_schedule(cfg), cfg.sweep[0], 0,
@@ -420,9 +424,15 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
 
 
 def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
-    """Write graph/states files, per-classifier soft CSVs, solver traces, estimates."""
+    """Write graph/states files, per-classifier soft CSVs, solver traces, estimates.
+
+    Traces and the trajectory index every parameter column (theta_1, ...,
+    gamma_1, ...); estimates.csv names them as sweeps do (see _param_names).
+    """
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(result.config)
+    z_cols = ([f"theta_{k + 1}" for k in range(model.theta_dim)]
+              + [f"gamma_{k + 1}" for k in range(model.gamma_dim)])
     paths = {}
 
     def write(key, filename, writer, *args):
@@ -432,11 +442,33 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
     write("graph", "graph.txt", save_score_graph, result.graph)
     write("states", "states.txt", save_states, result.states)
     for name, output in result.outputs.items():
-        write(f"soft_{name}", f"soft_{name}.csv", write_soft_csv, output)
+        lines = [",".join(["agent", *(f"u_{l + 1}" for l in range(model.n_states)),
+                           "map_label"])]
+        for i, (u, label) in enumerate(zip(output.posterior, output.labels), start=1):
+            lines.append(",".join([str(i), *map(_fmt, u), str(int(label) + 1)]))
+        write(f"soft_{name}", f"soft_{name}.csv", _write_lines, lines)
     for name, solve in result.traces.items():
-        write(f"trace_{name}", f"trace_{name}.csv", write_trace_csv, solve, model)
-    if result.distributed_run is not None:
-        write("trajectory", "trajectory.csv", write_trajectory_csv, result.distributed_run)
+        lines = [",".join(["iter", "objective", *z_cols])]
+        for row in solve.trace:
+            lines.append(",".join([str(int(row[0])), *map(_fmt, row[1:])]))
+        write(f"trace_{name}", f"trace_{name}.csv", _write_lines, lines)
+    run = result.distributed_run
+    if run is not None:
+        lines = [",".join(["t", "agent", *(f"phi_{h + 1}" for h in range(model.n_scores)),
+                           *z_cols])]
+        for t, phis, zs in zip(run.times, run.phi_traj, run.z_traj):
+            for i, (phi, z) in enumerate(zip(phis, zs), start=1):
+                lines.append(",".join([str(int(t)), str(i), *map(_fmt, phi), *map(_fmt, z)]))
+        write("trajectory", "trajectory.csv", _write_lines, lines)
+        _write_json({
+            "alpha": run.alpha,
+            "n_rounds": int(run.n_rounds),
+            "model": result.model_name,
+            "n_agents": int(run.phi_traj.shape[1]),
+            "n_scores": model.n_scores,
+            "z_dim": model.feasible.dim,
+            "snapshots": [int(t) for t in run.times],
+        }, paths["trajectory"] + ".meta.json")
     lines = ["estimator,param,value"]
     for name, (theta_hat, gamma_hat) in result.estimates.items():
         values = list(theta_hat) + list(gamma_hat)
@@ -483,9 +515,11 @@ def parse_config_file(path) -> ExperimentConfig:
     """Parse the flat key-value config format.
 
     One `key = value` per line; `#` starts a comment; lists are
-    comma-separated.  Keys: model, C, R, theta, gamma, N, sweep, trials,
-    estimators, comm.family, comm.Q, solver.alpha, solver.T, solver.tol,
-    solver.max_iters, solver.grid_points, seed, out.
+    comma-separated, and an empty list value gives () (for theta and gamma:
+    the model default).  A value that does not convert raises ValueError
+    prefixed with `path:line:`.  Keys: model, C, R, theta, gamma, N, sweep,
+    trials, estimators, comm.family, comm.Q, solver.alpha, solver.T,
+    solver.tol, solver.max_iters, solver.grid_points, seed, out.
     """
     values = {}
     with open(path) as fh:
@@ -500,14 +534,14 @@ def parse_config_file(path) -> ExperimentConfig:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field_name, kind = _CONFIG_KEYS[key]
-            if kind == "floats":
-                value = tuple(float(x) for x in text.split(","))
-            elif kind == "ints":
-                value = tuple(int(x) for x in text.split(","))
-            elif kind == "strs":
-                value = tuple(x.strip() for x in text.split(","))
-            else:
-                value = kind(text)
+            try:
+                if isinstance(kind, str):   # a list; an empty value is ()
+                    item = {"floats": float, "ints": int, "strs": str.strip}[kind]
+                    value = tuple(item(x) for x in text.split(",")) if text else ()
+                else:
+                    value = kind(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             values[field_name] = value
     return ExperimentConfig(**values)
 

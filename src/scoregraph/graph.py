@@ -120,9 +120,6 @@ class ScoreGraph:
     def has_scores(self) -> bool:
         return self.scores is not None
 
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 1], minlength=self.n_agents)
-
 
 @dataclass(frozen=True)
 class NeighborCounts:
@@ -166,14 +163,9 @@ class NeighborCounts:
         return int(self.received.sum())
 
     @property
-    def per_score_totals(self) -> np.ndarray:
-        """Network-wide received histogram, one total per score index."""
-        return self.received.sum(axis=0)
-
-    @property
     def phi(self) -> np.ndarray:
-        """Empirical score distribution: per_score_totals / n_edges."""
-        return self.per_score_totals / self.n_edges
+        """Empirical score distribution: the network-wide received histogram / n_edges."""
+        return self.received.sum(axis=0) / self.n_edges
 
     def validate(self) -> None:
         """Check internal consistency identities; raise AssertionError on failure."""
@@ -374,9 +366,6 @@ class CommSchedule:
     @property
     def n_frames(self) -> int:
         return len(self.frames)
-
-    def frame(self, t: int) -> np.ndarray:
-        return self.frames[t % self.n_frames]
 
     def matrix(self, t: int) -> np.ndarray:
         return self.matrices[t % self.n_frames]

@@ -274,25 +274,17 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete score model: dimensions, value maps, callables, feasible set."""
+    """A concrete score model: dimensions, callables, feasible set."""
 
     name: str
     n_states: int
     n_scores: int
-    state_values: np.ndarray
-    score_values: np.ndarray
     feasible: FeasibleSet
     label_swap_symmetric: bool
     tensor_fn: callable = field(repr=False, compare=False)
     prior_fn: callable = field(repr=False, compare=False)
     tensor_grad_fn: callable = field(repr=False, compare=False)
     prior_grad_fn: callable = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "state_values",
-                           np.asarray(self.state_values, dtype=np.float64))
-        object.__setattr__(self, "score_values",
-                           np.asarray(self.score_values, dtype=np.float64))
 
     @property
     def theta_dim(self) -> int:
@@ -392,8 +384,6 @@ def reliability_model(n_scores: int) -> ModelSpec:
         name="reliability",
         n_states=2,
         n_scores=big,
-        state_values=np.array([0.0, 1.0]),
-        score_values=r,
         feasible=FeasibleSet(
             theta=BlockSet(()),
             gamma=BlockSet((Box(np.array([0.0]), np.array([1.0])),)),
@@ -480,8 +470,6 @@ def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSp
         name="social-ranking",
         n_states=n_states,
         n_scores=n_scores,
-        state_values=c_vals,
-        score_values=r_vals,
         feasible=FeasibleSet(
             theta=BlockSet((Box(np.array([THETA_BOX[0]]), np.array([THETA_BOX[1]])),)),
             gamma=BlockSet((Box(np.array([0.0]), np.array([1.0])),)),
@@ -522,8 +510,6 @@ def categorical_model(n_states: int, n_scores: int) -> ModelSpec:
         name="categorical",
         n_states=big_c,
         n_scores=big_r,
-        state_values=np.arange(1, big_c + 1, dtype=np.float64),
-        score_values=np.arange(1, big_r + 1, dtype=np.float64),
         feasible=FeasibleSet(
             theta=BlockSet(tuple(Simplex(big_r) for _ in range(big_c * big_c))),
             gamma=BlockSet((Simplex(big_c),)),

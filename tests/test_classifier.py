@@ -5,6 +5,7 @@ import pytest
 
 import scoregraph as sg
 from scoregraph.errors import DegenerateModelError, InfeasibleError
+from scoregraph.experiments import ExperimentConfig, run_single
 
 from oracles import posterior_brute_force
 
@@ -130,7 +131,7 @@ def test_map_tie_break_takes_lowest_index():
         out = sg.soft_classify(counts, model, theta, prior)
         np.testing.assert_allclose(out.posterior,
                                    np.broadcast_to(prior, out.posterior.shape), atol=1e-12)
-        np.testing.assert_array_equal(out.labels, [0] * out.n_agents)
+        np.testing.assert_array_equal(out.labels, [0] * out.posterior.shape[0])
 
 
 def test_map_invariant_to_rescaled_evidence():
@@ -161,7 +162,7 @@ def test_posterior_rows_normalized_and_nonnegative():
         out = sg.soft_classify(sg.aggregate_counts(scored), model, theta, gamma)
         assert np.all(out.posterior >= 0)
         np.testing.assert_allclose(out.posterior.sum(axis=1), 1.0, atol=1e-12)
-        assert out.n_agents == 6 and out.n_states == model.n_states
+        assert out.posterior.shape == (6, model.n_states)
 
 
 def test_score_alphabet_must_match():
@@ -181,13 +182,12 @@ def test_infeasible_estimate_rejected():
 
 
 def test_soft_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    model = sg.social_ranking_model(3, 3)
-    scored, _, theta, gamma = _random_instance(model, rng)
-    out = sg.soft_classify(sg.aggregate_counts(scored), model, theta, gamma)
-    path = tmp_path / "soft.csv"
-    sg.write_soft_csv(out, path)
-    lines = path.read_text().splitlines()
+    cfg = ExperimentConfig(model="social-ranking", n_agents=6, sweep=(14,), trials=1,
+                           estimators=("oracle",), master_seed=19)
+    single = run_single(cfg)
+    sg.emit_single_outputs(single, tmp_path)
+    out = single.outputs["oracle"]
+    lines = (tmp_path / "soft_oracle.csv").read_text().splitlines()
     assert lines[0] == "agent,u_1,u_2,u_3,map_label"
     assert len(lines) == 1 + 6
     for i, line in enumerate(lines[1:]):

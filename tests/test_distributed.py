@@ -119,8 +119,7 @@ class TestLocalGradientStep:
         out = sg.local_gradient_step(np.array([star]), np.array([1 - q, q]),
                                      model, 0.05)
         assert out[0] == pytest.approx(star, abs=1e-12)
-        assert sg.stationarity_residual(model, np.array([star]),
-                                        np.array([1 - q, q]), 0.05) < 1e-12
+        assert np.linalg.norm(np.array([star]) - out) < 1e-12
 
     def test_projection_clamps_to_the_box(self):
         model = sg.preparata_model()
@@ -275,6 +274,9 @@ class TestRunDistributed:
         for bad in (dict(record_every=0), dict(n_rounds=-1)):
             with pytest.raises(ValueError):
                 sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
+        for alpha in (0.0, -0.05, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                sg.run_distributed(counts, model, sched, alpha=alpha)
 
     def test_infinite_cost_names_the_round_and_agent(self):
         _, counts, model = _fixture()
@@ -297,26 +299,22 @@ class TestRunDistributed:
 
 
 def test_trajectory_csv_layout(tmp_path):
-    rng = np.random.default_rng(11)
-    g = sg.sample_score_graph(4, 9, "cyclic-plus-random-edges", rng)
-    model = sg.social_ranking_model(3, 3)
-    z = model.feasible.sample_interior(rng)
-    theta, gamma = model.feasible.split(z)
-    scored, _ = sg.generate_scores(g, model, theta, gamma, rng)
-    sched = sg.CommSchedule(4, (scored.edges,), 1)
-    run = sg.run_distributed(scored, model, sched, alpha=0.01, n_rounds=6,
-                             record_every=2)
-    path = tmp_path / "traj.csv"
-    sg.write_trajectory_csv(run, path)
-    lines = path.read_text().splitlines()
+    cfg = ExperimentConfig(model="social-ranking", n_agents=4, sweep=(9,), trials=1,
+                           estimators=("FR-distributed",), master_seed=11,
+                           solver_alpha=0.01, solver_rounds=6)
+    single = run_single(cfg)
+    sg.emit_single_outputs(single, tmp_path)
+    run = single.distributed_run
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,agent,phi_1,phi_2,phi_3,theta_1,gamma_1"
     assert len(lines) == 1 + 4 * len(run.times)
     row = lines[1].split(",")
     assert row[0] == "0" and row[1] == "1"
-    np.testing.assert_allclose([float(x) for x in row[2:5]], run.phi_traj[0, 0])
-    meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
+    np.testing.assert_array_equal([float(x) for x in row[2:5]], run.phi_traj[0, 0])
+    np.testing.assert_array_equal([float(x) for x in row[5:]], run.z_traj[0, 0])
+    meta = json.loads((tmp_path / "trajectory.csv.meta.json").read_text())
     assert meta["alpha"] == 0.01
-    assert meta["snapshots"] == [0, 2, 4, 6]
+    assert meta["snapshots"] == [0, 1, 2, 3, 4, 5, 6]
     assert meta["model"] == "social-ranking"
 
 

@@ -123,7 +123,7 @@ def _nr_gradient_reference(counts, model, theta, gamma):
     R x C weight table replaced (three-operand einsums).  Also returns the
     same sums over the absolute values of the terms, which scale the
     rounding error of either formula."""
-    s, tensor, prior, m_in = estimators._nr_state_table(counts, model, theta, gamma)
+    _, (s, tensor, prior, m_in, _) = estimators._nr_kept_table(counts, model, theta, gamma)
     w = np.exp(s - logsumexp(s, axis=-1)[..., None])
     received = counts.received
     ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
@@ -425,8 +425,8 @@ class TestProjectedGradient:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(estimators, "_nr_state_table",
-                            counting("table", estimators._nr_state_table))
+        monkeypatch.setattr(estimators, "_nr_kept_table",
+                            counting("table", estimators._nr_kept_table))
         for name in ("evaluate", "gradient"):
             monkeypatch.setattr(estimators.EstimatorProblem, name,
                                 counting(name, getattr(estimators.EstimatorProblem, name)))
@@ -657,20 +657,20 @@ class TestEstimateWrapper:
 
 
 def test_trace_csv_round_trip(tmp_path):
-    model = sg.social_ranking_model(3, 3)
-    rng = np.random.default_rng(67)
-    scored, _, _ = _instance(model, rng, n_agents=8, n_edges=26)
-    counts = sg.aggregate_counts(scored)
-    res = sg.estimate(sg.fr_problem(counts, model),
-                      SolverConfig(record_trace=True, max_iters=200))
-    path = tmp_path / "trace.csv"
-    sg.write_trace_csv(res.solve, model, path)
+    cfg = ExperimentConfig(model="social-ranking", n_agents=8, sweep=(26,), trials=1,
+                           estimators=("FR",), master_seed=67, solver_max_iters=200)
+    single = run_single(cfg)
+    sg.emit_single_outputs(single, tmp_path)
+    trace = single.traces["FR"].trace
+    path = tmp_path / "trace_FR.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,objective,theta_1,gamma_1"
-    assert len(lines) == 1 + len(res.solve.trace)
+    assert len(lines) == 1 + len(trace)
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[1]) == res.solve.trace[0, 1]
+    assert float(first[1]) == trace[0, 1]
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
+                                  trace)
 
 
 def _stack_points(model, rng, n_points=24):

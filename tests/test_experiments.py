@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,9 @@ class TestConfig:
             ExperimentConfig(estimators=("NR", "newton")).validate()
         with pytest.raises(ValueError, match="exact"):
             ExperimentConfig(estimators=("exact",), n_agents=13).validate()
+        for alpha in (0.0, -0.05):
+            with pytest.raises(ValueError, match="solver_alpha"):
+                ExperimentConfig(solver_alpha=alpha).validate()
         ExperimentConfig(estimators=("exact",), n_agents=12,
                          sweep=(12,)).validate()
 
@@ -104,6 +108,30 @@ out = results
         path = tmp_path / "cfg.txt"
         path.write_text("trials = 4\nknobs = 9\n")
         with pytest.raises(ValueError, match="cfg.txt:2"):
+            parse_config_file(path)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```\n")[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        cfg = parse_config_file(path)
+        cfg.validate()
+        assert cfg.theta == () and cfg.gamma == (0.3,) and cfg.sweep == (50, 500, 2450)
+
+    def test_empty_list_values_parse_as_empty(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("theta =\ngamma =  \nsweep =\n")
+        cfg = parse_config_file(path)
+        assert (cfg.theta, cfg.gamma, cfg.sweep) == ((), (), ())
+
+    def test_conversion_error_includes_line_number(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("N = abc\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:1: N: invalid literal"):
+            parse_config_file(path)
+        path.write_text("trials = 4\ngamma = 0.3, x\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:2: gamma: could not convert"):
             parse_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -216,6 +244,29 @@ class TestRunSingle:
         assert len(est_lines) == 1 + 3     # one gamma row per estimator
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert set(meta["misclassification"]) == set(result.estimates)
+
+    @pytest.mark.parametrize("estimator", ["NR", "FR", "FR-distributed"])
+    def test_reruns_export_identical_files(self, tmp_path, estimator):
+        cfg = replace(self.CFG, estimators=(estimator,))
+        emit_single_outputs(run_single(cfg), tmp_path / "a")
+        emit_single_outputs(run_single(cfg), tmp_path / "b")
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            if name != "meta.json":
+                assert ((tmp_path / "a" / name).read_bytes()
+                        == (tmp_path / "b" / name).read_bytes()), name
+        # a scalar gamma is `gamma` in estimates.csv and `gamma_1` in traces
+        estimates = (tmp_path / "a" / "estimates.csv").read_text().splitlines()
+        assert ([line.rsplit(",", 1)[0] for line in estimates]
+                == ["estimator,param", "oracle,gamma", f"{estimator},gamma"])
+        trace = "trajectory.csv" if estimator == "FR-distributed" else f"trace_{estimator}.csv"
+        header = (tmp_path / "a" / trace).read_text().splitlines()[0]
+        assert header.endswith(",gamma_1")
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="sweep"):
+            run_single(replace(self.CFG, sweep=()))
 
     def test_oracle_estimate_is_the_truth(self):
         result = run_single(self.CFG)

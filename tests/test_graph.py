@@ -59,7 +59,7 @@ def test_sampled_graph_invariants(n, data):
     g = sg.sample_score_graph(n, target, "cyclic-plus-random-edges",
                               np.random.default_rng(seed))
     assert g.n_edges == target
-    assert g.in_degrees().min() >= 1
+    assert np.bincount(g.edges[:, 1], minlength=n).min() >= 1
     pairs = {tuple(e) for e in g.edges}
     assert len(pairs) == target and all(i != j for i, j in pairs)
 
@@ -134,7 +134,7 @@ def test_every_edge_counted_once_at_its_head():
     c = sg.aggregate_counts(scored)
     assert c.received.sum() == scored.n_edges
     assert np.array_equal(c.received.sum(axis=1), c.in_degree)
-    assert np.array_equal(c.per_score_totals,
+    assert np.array_equal(c.received.sum(axis=0),
                           np.bincount(scored.scores, minlength=4))
 
 
@@ -313,22 +313,22 @@ class TestCommSchedules:
         sched = sg.make_comm_schedule(4, "static-cycle")
         assert sched.satisfies_window_connectivity()
         for t in range(3):
-            assert sorted(map(tuple, sched.frame(t))) == [(0, 1), (1, 2),
-                                                          (2, 3), (3, 0)]
+            frame = sched.frames[t % sched.n_frames]
+            assert sorted(map(tuple, frame)) == [(0, 1), (1, 2), (2, 3), (3, 0)]
 
     def test_partition_frames_alone_disconnected_union_connected(self):
         sched = sg.make_comm_schedule(4, "periodic-edge-partition", 2,
                                       rng=np.random.default_rng(0))
         assert sched.satisfies_window_connectivity()
         for t in range(2):
-            lone = sg.CommSchedule(4, (sched.frame(t),), 1)
+            lone = sg.CommSchedule(4, (sched.frames[t % sched.n_frames],), 1)
             assert not lone.satisfies_window_connectivity()
         # a directed path is weakly but not strongly connected, in either direction
         path = [(0, 1), (1, 2), (2, 3)]
         assert not sg.CommSchedule(4, (path,), 1).satisfies_window_connectivity()
         back = [(j, i) for i, j in path]
         assert not sg.CommSchedule(4, (back,), 1).satisfies_window_connectivity()
-        assert sum(len(sched.frame(t)) for t in range(2)) == 4
+        assert sum(len(sched.frames[t % sched.n_frames]) for t in range(2)) == 4
 
     def test_partition_q3_passes_window_check(self):
         sched = sg.make_comm_schedule(6, "periodic-edge-partition", 3,
@@ -352,10 +352,10 @@ class TestCommSchedules:
         s = sg.CommSchedule(3, (f,), 1)
         f[0] = (0, 2)
         assert f.flags.writeable
-        assert s.frame(0)[0].tolist() == [0, 1]
+        assert s.frames[0][0].tolist() == [0, 1]
         cycle = sg.CommSchedule(3, ([(0, 1), (1, 2), (2, 0)],), 1)
         np.testing.assert_array_equal(s.matrix(0), cycle.matrix(0))
-        assert not s.frame(0).flags.writeable
+        assert not s.frames[0].flags.writeable
 
     def test_impossible_window_rejected(self):
         # splitting a 3-cycle into 5 frames leaves empty frames; the 5-window

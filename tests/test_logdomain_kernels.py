@@ -41,23 +41,22 @@ def test_logsumexp_equals_the_reduction_formula_for_every_short_length(n, rows, 
     for a in (_with_ties_and_empty_rows(base, data), _with_ties_and_empty_rows(stack, data)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            before = a.copy()
             for axis in (None, 0, -1):
                 want = _reference_logsumexp(a, axis=axis)
                 np.testing.assert_array_equal(logsumexp(a, axis=axis), want)
-                scratch = a.copy()
-                np.testing.assert_array_equal(
-                    logsumexp(scratch, axis=axis, overwrite_input=True), want)
+            np.testing.assert_array_equal(a, before)   # the input is never written
 
 
-def test_the_fold_keeps_the_input_unless_it_may_be_overwritten():
+def test_the_fold_never_writes_the_input():
     a = np.array([[0.0, -1.0, 2.0], [2.0, 2.0, 1.0], [-np.inf, -np.inf, -np.inf]])
     before = a.copy()
     want = _reference_logsumexp(a, axis=-1)
     np.testing.assert_array_equal(logsumexp(a, axis=-1), want)
     np.testing.assert_array_equal(a, before)
     finite = a[:2].copy()
-    np.testing.assert_array_equal(logsumexp(finite, axis=-1, overwrite_input=True), want[:2])
-    assert not np.array_equal(finite, a[:2])   # the exponentials were written into it
+    np.testing.assert_array_equal(logsumexp(finite, axis=-1), want[:2])
+    np.testing.assert_array_equal(finite, a[:2])
 
 
 def _tensordot_reference(counts, log_table):
