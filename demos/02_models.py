@@ -39,8 +39,8 @@ fd = (mr.tensor((theta0 + h,)) - mr.tensor((theta0 - h,))) / (2 * h)
 print("tensor gradient max |analytic - fd|:",
       float(np.abs(mr.tensor_grad((theta0,))[0] - fd).max()))
 
-# feasible sets know their geometry: box for theta, simplex for free
-# masses, and projection is Euclidean
+# the feasible set is one product of blocks over z = [theta, gamma]: boxes
+# for scalar parameters, simplices for free masses; projection is Euclidean
 mc = sg.categorical_model(2, 3)
 z = mc.feasible.sample_interior(np.random.default_rng(1))
 print("\ncategorical z dim:", z.size, "(theta", mc.theta_dim,

@@ -30,8 +30,8 @@ print(f"closed-form FR estimate: {star:.6f}")
 fr = sg.estimate(sg.fr_problem(counts, model), SolverConfig(tol=1e-10))
 nr = sg.estimate(sg.nr_problem(counts, model), SolverConfig(tol=1e-10))
 ex = sg.estimate(sg.exact_problem(scored, model), SolverConfig(tol=1e-10))
-print(f"FR    gamma={fr.gamma[0]:.6f}  iters={fr.solve.n_iters}  converged={fr.solve.converged}")
-print(f"NR    gamma={nr.gamma[0]:.6f}  iters={nr.solve.n_iters}  converged={nr.solve.converged}")
+print(f"FR    gamma={fr.gamma[0]:.6f}  iters={fr.n_iters}  converged={fr.converged}")
+print(f"NR    gamma={nr.gamma[0]:.6f}  iters={nr.n_iters}  converged={nr.converged}")
 print(f"exact gamma={ex.gamma[0]:.6f}  (10 agents is near the cap)")
 
 # some histograms admit two tied global optima; the grid start lands
@@ -47,7 +47,8 @@ print(f"\nphi2={phi2}: cost at {lo}: "
 print(f"estimate landed on {res.gamma[0]:.6f}")
 
 # the ranking model is label-swap symmetric: gamma and 1 - gamma are
-# indistinguishable, so estimates are canonicalized to gamma <= 1/2
+# indistinguishable, so estimate returns the member of the pair with
+# gamma <= 1/2 (and checks that both have the same objective)
 mr = sg.social_ranking_model(3, 3)
 rng2 = np.random.default_rng(21)
 gr = sg.sample_score_graph(25, 240, "cyclic-plus-random-edges", rng2)
@@ -55,12 +56,12 @@ sr, _ = sg.generate_scores(gr, mr, (0.5,), (0.7,), rng2)
 res = sg.estimate(sg.nr_problem(sg.aggregate_counts(sr), mr),
                   SolverConfig(tol=1e-10))
 print(f"\nranking data from theta=0.5, gamma=0.7: estimate "
-      f"theta={res.theta[0]:.4f}, gamma={res.gamma[0]:.4f}, "
-      f"canonicalized={res.canonicalized}")
+      f"theta={res.theta[0]:.4f}, gamma={res.gamma[0]:.4f} "
+      f"(mirror 1 - gamma = {1 - res.gamma[0]:.4f})")
 
 # solver traces record iterates for convergence plots
 res = sg.estimate(problem, SolverConfig(record_trace=True))
-trace = res.solve.trace
+trace = res.trace
 print(f"\ntrace: {len(trace)} rows, objective "
       f"{trace[0, 1]:.6f} -> {trace[-1, 1]:.6f}")
 # `scoregraph single` exports each estimator's trace as trace_<name>.csv

@@ -19,11 +19,10 @@ from .models import (Box, FeasibleSet, ModelSpec, Simplex, categorical_model,
                      preparata_model, project_simplex, reliability_model,
                      social_ranking_model)
 from .classifier import ClassifierOutput, misclassification_rate, soft_classify
-from .estimators import (EstimateResult, EstimatorProblem, SolveResult,
-                         SolverConfig, estimate, exact_loglikelihood,
-                         exact_problem, fr_binary_closed_form, fr_gradient,
-                         fr_objective, fr_problem, nr_gradient, nr_objective,
-                         nr_problem, projected_gradient_solve)
+from .estimators import (EstimatorProblem, SolveResult, SolverConfig, estimate,
+                         exact_loglikelihood, exact_problem, fr_binary_closed_form,
+                         fr_gradient, fr_objective, fr_problem, nr_gradient,
+                         nr_objective, nr_problem, projected_gradient_solve)
 from .distributed import (DistributedRun, DistributedState, initial_state,
                           local_gradient_step, push_sum_round, run_distributed)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
@@ -42,7 +41,7 @@ __all__ = [
     "preparata_model", "reliability_model", "social_ranking_model",
     "categorical_model", "ClassifierOutput", "soft_classify",
     "misclassification_rate",
-    "EstimatorProblem", "SolveResult", "SolverConfig", "EstimateResult",
+    "EstimatorProblem", "SolveResult", "SolverConfig",
     "exact_loglikelihood", "nr_objective", "nr_gradient",
     "fr_objective", "fr_gradient", "fr_binary_closed_form",
     "exact_problem", "nr_problem", "fr_problem",

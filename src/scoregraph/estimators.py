@@ -44,7 +44,7 @@ allocation of a call small), and the label-swap canonicalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "EstimatorProblem",
     "SolverConfig",
     "SolveResult",
-    "EstimateResult",
     "exact_problem",
     "nr_problem",
     "fr_problem",
@@ -410,7 +409,9 @@ class SolveResult:
     `residual` is the projected-gradient residual ||z - P(z - g)||_inf at
     the returned `z`; `converged` is True only when it met the stopping
     test, residual <= tol * max(1, |objective|).  `alpha` is the last
-    accepted step (the initial trial step if none was taken).
+    accepted step (the initial trial step if none was taken).  `estimate`
+    returns it with z, theta and gamma moved to the label-swap mirror when
+    it takes that mirror; the other fields are the solve's.
     """
 
     z: np.ndarray
@@ -549,16 +550,6 @@ class SolverConfig:
     record_trace: bool = False
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    theta: np.ndarray
-    gamma: np.ndarray
-    z: np.ndarray
-    objective: float
-    canonicalized: bool
-    solve: SolveResult
-
-
 def _swap_symmetric(model: ModelSpec) -> bool:
     """Whether the model has the gamma -> 1 - gamma label-swap symmetry."""
     return model.label_swap_symmetric and model.gamma_dim == 1
@@ -590,7 +581,7 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     model = problem.model
     feas = model.feasible
     center = feas.centroid()
-    box_idx = np.concatenate([feas.theta.box_dims(), feas.gamma.box_dims() + feas.theta_dim])
+    box_idx = feas.box_dims()
     if box_idx.size == 0 or box_idx.size > 3:
         return center
     lo, hi = feas.bounds()
@@ -615,7 +606,7 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     return best_z
 
 
-def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> EstimateResult:
+def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> SolveResult:
     """Convenience wrapper: pick a start, solve, canonicalize if symmetric.
 
     The start is the best point of a coarse mesh over the box-constrained
@@ -623,9 +614,11 @@ def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> E
     for simplex-only models).  The solver is Armijo-backtracking
     projected gradient from the trial step config.alpha, stopped when the
     projected-gradient residual is at most config.tol * max(1, |objective|);
-    `solve.converged` says whether that stop was reached.  Models that
-    declare the label-swap symmetry get the representative with
-    gamma <= 1/2; the symmetry is verified on the objective values.
+    `converged` says whether that stop was reached.  Models that declare
+    the label-swap symmetry get the representative with gamma <= 1/2: the
+    solve's result with z, theta and gamma moved to the mirror when the
+    solve ended above 1/2 (its trace keeps the raw iterates).  The symmetry
+    is verified on the objective values of every such solve.
     """
     config = config or SolverConfig()
     solve = projected_gradient_solve(
@@ -643,13 +636,8 @@ def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> E
         if abs(mirror_value - value) > 1e-9 + 1e-9 * abs(value):
             raise AssertionError(
                 f"label-swap symmetry violated: {value} vs {mirror_value}")
+    if z is not mirror:
+        return solve
     theta, gamma = problem.model.feasible.split(z)
-    return EstimateResult(
-        theta=theta,
-        gamma=gamma,
-        z=z,
-        objective=solve.objective,
-        canonicalized=z is mirror,
-        solve=solve,
-    )
+    return replace(solve, z=z, theta=theta, gamma=gamma)
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .classifier import misclassification_rate, soft_classify
 from .distributed import initial_state, push_sum_round, run_distributed
-from .estimators import (MAX_EXACT_AGENTS, SolverConfig, _canonical_swap, estimate,
-                         exact_problem, fr_binary_closed_form, fr_objective, fr_problem,
-                         nr_objective, nr_problem)
+from .estimators import (MAX_EXACT_AGENTS, SolverConfig, _canonical_swap, _swap_symmetric,
+                         estimate, exact_problem, fr_binary_closed_form, fr_objective,
+                         fr_problem, nr_objective, nr_problem)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -128,14 +128,15 @@ def build_model(config: ExperimentConfig) -> ModelSpec:
 
 
 def _true_params(config: ExperimentConfig, model: ModelSpec):
+    center_theta, center_gamma = model.feasible.split(model.feasible.centroid())
     theta = np.asarray(config.theta, dtype=np.float64)
     if theta.size == 0 and model.theta_dim:
-        theta = model.feasible.theta.centroid()
+        theta = center_theta
         if model.name == "social-ranking":
             theta = np.array(SOCIAL_RANKING_THETA)
     gamma = np.asarray(config.gamma, dtype=np.float64)
     if gamma.size == 0 or (model.gamma_dim > 1 and gamma.size == 1):
-        gamma = model.feasible.gamma.centroid()
+        gamma = center_gamma
     model.require_feasible(theta, gamma)
     return theta, gamma
 
@@ -157,7 +158,7 @@ def _squared_errors(model: ModelSpec, theta_hat, gamma_hat, theta_true, gamma_tr
     errs = []
     for k in range(model.theta_dim):
         errs.append((float(theta_hat[k]) - float(theta_true[k])) ** 2)
-    if model.label_swap_symmetric and model.gamma_dim == 1:
+    if _swap_symmetric(model):
         g, gt = float(gamma_hat[0]), float(gamma_true[0])
         errs.append(min(abs(g - gt), abs(g - (1.0 - gt))) ** 2)
     else:
@@ -189,7 +190,7 @@ _ESTIMATORS = {
 def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
     """Fit one estimator on one trial: (theta_hat, gamma_hat, detail).
 
-    `detail` is the SolveResult of a centralized estimator and the
+    `detail` is the estimate's SolveResult of a centralized estimator and the
     DistributedRun of FR-distributed.  With `record_trace` the solve keeps
     its iterate trace and the distributed run records every round;
     otherwise only the first and last rounds are kept.
@@ -209,7 +210,7 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
     solver = replace(config.solver_config(), record_trace=record_trace,
                      grid_points=grid_points or config.solver_grid_points)
     res = estimate(build(graph, counts, model), solver)
-    return res.theta, res.gamma, res.solve
+    return res.theta, res.gamma, res
 
 
 def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,

@@ -458,9 +458,19 @@ def save_states(states, path) -> None:
 
 
 def load_states(path) -> np.ndarray:
+    """Read the `i x_index` lines of save_states: n lines hold each id 1..n once, states >= 1."""
     rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    states = np.full(rows.shape[0], -1, dtype=np.int64)
-    states[rows[:, 0] - 1] = rows[:, 1] - 1
-    if states.min() < 0:
-        raise ValueError("missing agent ids in states file")
+    if rows.shape[1:] != (2,):
+        raise ValueError("a states file has two columns: agent id and state")
+    ids, values = rows[:, 0], rows[:, 1]
+    bad = ids[(ids < 1) | (ids > len(rows))]
+    if bad.size:
+        raise ValueError(f"agent id {bad[0]} in states file is outside 1..{len(rows)}")
+    seen = np.bincount(ids - 1, minlength=len(rows))
+    if seen.max() > 1:
+        raise ValueError(f"agent id {np.argmax(seen) + 1} appears twice in states file")
+    if values.min() < 1:
+        raise ValueError(f"state {values.min()} in states file is below 1")
+    states = np.empty(len(rows), dtype=np.int64)
+    states[ids - 1] = values - 1
     return states

@@ -6,8 +6,9 @@ A model couples a conditional score distribution with a state prior:
     prior(gamma)[l]        = P(state l)
 
 together with analytic gradients and a compact convex feasible set for the
-stacked parameter vector z = [theta, gamma].  The evaluator state is always
-the first state axis of the tensor.
+stacked parameter vector z = [theta, gamma]: one product of box and simplex
+blocks over z, split into theta and gamma at theta_dim.  The evaluator state
+is always the first state axis of the tensor.
 
 Every model callable broadcasts over leading axes, so one call evaluates a
 stack of points: theta of shape (..., theta_dim) gives a tensor of shape
@@ -15,7 +16,8 @@ stack of points: theta of shape (..., theta_dim) gives a tensor of shape
 gamma of shape (..., gamma_dim) gives a prior of shape (..., C) and a prior
 gradient of shape (..., gamma_dim, C).  A table that does not depend on its
 parameter may drop the leading axes, since the einsums and matmuls that
-consume it broadcast.  Feasible-set projections act row-wise on the last axis.
+consume it broadcast.  Feasible-set projections act row-wise on the last
+axis, and validation checks every row of a stack.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import InfeasibleError
 __all__ = [
     "Box",
     "Simplex",
-    "BlockSet",
     "FeasibleSet",
     "ModelSpec",
     "project_simplex",
@@ -117,14 +118,31 @@ class Simplex:
 
 
 @dataclass(frozen=True)
-class BlockSet:
-    """A product of box/simplex blocks over one flat parameter vector."""
+class FeasibleSet:
+    """A product of box/simplex blocks over the stacked vector z = [theta, gamma].
+
+    The first `theta_dim` coordinates are theta, the rest gamma; no block
+    straddles that split.
+    """
 
     blocks: tuple
+    theta_dim: int
+
+    def __post_init__(self):
+        if self.theta_dim not in {0, *(sl.stop for sl, _ in self._slices())}:
+            raise ValueError("a block straddles the theta/gamma split")
 
     @cached_property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
+
+    @property
+    def gamma_dim(self) -> int:
+        return self.dim - self.theta_dim
+
+    def split(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        return z[..., : self.theta_dim], z[..., self.theta_dim:]
 
     def _slices(self):
         start = 0
@@ -145,97 +163,51 @@ class BlockSet:
                 runs.append((sl, b, 1))
         return tuple(runs)
 
-    def project(self, v) -> np.ndarray:
-        """Row-wise projection; a run of k equal-size simplex blocks of size d is
-        one project_simplex call on its coordinates reshaped to (..., k, d)."""
-        v = np.asarray(v, dtype=np.float64)
-        out = np.empty_like(v)
-        lead = v.shape[:-1]
+    @cached_property
+    def _all_box(self) -> bool:
+        return all(isinstance(b, Box) for b in self.blocks)
+
+    def project(self, z) -> np.ndarray:
+        """Row-wise projection of z, or of a stack (..., dim), onto the set.
+
+        Without simplex blocks this is one clip against bounds(); otherwise a
+        run of k equal-size simplex blocks of size d is one project_simplex
+        call on its coordinates reshaped to (..., k, d).
+        """
+        z = np.asarray(z, dtype=np.float64)
+        if self._all_box:
+            return np.clip(z, *self.bounds())
+        out = np.empty_like(z)
+        lead = z.shape[:-1]
         for sl, b, count in self._runs:
             if count == 1:
-                out[..., sl] = b.project(v[..., sl])
+                out[..., sl] = b.project(z[..., sl])
             else:
-                blocks = v[..., sl].reshape(lead + (count, b.dim))
+                blocks = z[..., sl].reshape(lead + (count, b.dim))
                 out[..., sl] = project_simplex(blocks).reshape(lead + (count * b.dim,))
         return out
 
-    def contains(self, v, tol=FEAS_TOL) -> bool:
+    def contains(self, v, tol=FEAS_TOL, part: str | None = None) -> bool:
+        """Whether the point v lies in the set: v is all of z, or with `part`
+        "theta" or "gamma" only that part of it."""
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
+        start = self.theta_dim if part == "gamma" else 0
+        stop = self.theta_dim if part == "theta" else self.dim
+        if v.shape != (stop - start,):
             return False
-        return all(b.contains(v[sl], tol) for sl, b in self._slices())
+        return all(b.contains(v[sl.start - start:sl.stop - start], tol)
+                   for sl, b in self._slices() if start <= sl.start and sl.stop <= stop)
 
     def centroid(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
         return np.concatenate([b.centroid() for b in self.blocks])
 
-    def sample_interior(self, rng, margin=0.05) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate([b.sample_interior(rng, margin) for b in self.blocks])
-
     def box_dims(self) -> np.ndarray:
-        """Flat indices that belong to box (not simplex) blocks."""
+        """Indices of z that belong to box (not simplex) blocks."""
         idx = []
         for sl, b in self._slices():
             if isinstance(b, Box):
                 idx.extend(range(sl.start, sl.stop))
         return np.asarray(idx, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Feasible set for the stacked vector z = [theta, gamma]."""
-
-    theta: BlockSet
-    gamma: BlockSet
-
-    @property
-    def theta_dim(self) -> int:
-        return self.theta.dim
-
-    @property
-    def gamma_dim(self) -> int:
-        return self.gamma.dim
-
-    @property
-    def dim(self) -> int:
-        return self.theta.dim + self.gamma.dim
-
-    def split(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        return z[..., : self.theta.dim], z[..., self.theta.dim:]
-
-    def join(self, theta, gamma) -> np.ndarray:
-        return np.concatenate([
-            np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel(),
-            np.atleast_1d(np.asarray(gamma, dtype=np.float64)).ravel(),
-        ])
-
-    @cached_property
-    def _all_box(self) -> bool:
-        return all(isinstance(b, Box) for b in self.theta.blocks + self.gamma.blocks)
-
-    def project(self, z) -> np.ndarray:
-        """Row-wise projection of z, or of a stack (..., dim), onto the set.
-
-        Without simplex blocks this is one clip against bounds().
-        """
-        if self._all_box:
-            return np.clip(np.asarray(z, dtype=np.float64), *self.bounds())
-        t, g = self.split(z)
-        return np.concatenate([self.theta.project(t), self.gamma.project(g)], axis=-1)
-
-    def contains(self, z, tol=FEAS_TOL) -> bool:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.dim,):
-            return False
-        t, g = self.split(z)
-        return self.theta.contains(t, tol) and self.gamma.contains(g, tol)
-
-    def centroid(self) -> np.ndarray:
-        return np.concatenate([self.theta.centroid(), self.gamma.centroid()])
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-coordinate lower and upper bounds of z; simplex coordinates lie in [0, 1].
@@ -246,9 +218,8 @@ class FeasibleSet:
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks = self.theta.blocks + self.gamma.blocks
-        lo = np.concatenate([b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in blocks])
-        hi = np.concatenate([b.hi if isinstance(b, Box) else np.ones(b.dim) for b in blocks])
+        lo = np.concatenate([b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in self.blocks])
+        hi = np.concatenate([b.hi if isinstance(b, Box) else np.ones(b.dim) for b in self.blocks])
         lo.setflags(write=False)
         hi.setflags(write=False)
         return lo, hi
@@ -261,10 +232,7 @@ class FeasibleSet:
         calls.
         """
         if size is None:
-            return np.concatenate([
-                self.theta.sample_interior(rng, margin),
-                self.gamma.sample_interior(rng, margin),
-            ])
+            return np.concatenate([b.sample_interior(rng, margin) for b in self.blocks])
         if self._all_box:
             lo, hi = self.bounds()
             w = hi - lo
@@ -294,52 +262,38 @@ class ModelSpec:
     def gamma_dim(self) -> int:
         return self.feasible.gamma_dim
 
-    def _theta(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        if theta.shape[-1] != self.theta_dim:
-            raise InfeasibleError(
-                f"{self.name}: theta must have {self.theta_dim} components")
-        return theta
-
-    def _gamma(self, gamma) -> np.ndarray:
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-        if gamma.shape[-1] != self.gamma_dim:
-            raise InfeasibleError(
-                f"{self.name}: gamma must have {self.gamma_dim} components")
-        return gamma
+    def _part(self, part: str, v, validate: bool = False, tol=FEAS_TOL) -> np.ndarray:
+        """theta or gamma (`part`) as an array, a point or a stack (..., dim);
+        with `validate`, InfeasibleError names the first row outside the set."""
+        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        dim = self.theta_dim if part == "theta" else self.gamma_dim
+        if v.shape[-1] != dim:
+            raise InfeasibleError(f"{self.name}: {part} must have {dim} components")
+        if validate:
+            for idx in np.ndindex(v.shape[:-1]):
+                if not self.feasible.contains(v[idx], tol, part):
+                    at = f" (row {', '.join(map(str, idx))})" if idx else ""
+                    raise InfeasibleError(f"{self.name}: {part} {v[idx]}{at} is infeasible")
+        return v
 
     def require_feasible(self, theta, gamma, tol=FEAS_TOL) -> None:
         """Raise InfeasibleError unless every row of a stack (or the one point) is feasible."""
-        theta, gamma = self._theta(theta), self._gamma(gamma)
-        lead = np.broadcast_shapes(theta.shape[:-1], gamma.shape[:-1])
-        rows = math.prod(lead)
-        thetas = np.broadcast_to(theta, lead + theta.shape[-1:]).reshape(rows, self.theta_dim)
-        gammas = np.broadcast_to(gamma, lead + gamma.shape[-1:]).reshape(rows, self.gamma_dim)
-        for t, g in zip(thetas, gammas):
-            if not self.feasible.theta.contains(t, tol):
-                raise InfeasibleError(f"{self.name}: theta {t} is infeasible")
-            if not self.feasible.gamma.contains(g, tol):
-                raise InfeasibleError(f"{self.name}: gamma {g} is infeasible")
+        self._part("theta", theta, True, tol)
+        self._part("gamma", gamma, True, tol)
 
     def tensor(self, theta, validate: bool = True) -> np.ndarray:
-        theta = self._theta(theta)
-        if validate and not self.feasible.theta.contains(theta):
-            raise InfeasibleError(f"{self.name}: theta {theta} is infeasible")
-        return self.tensor_fn(theta)
+        return self.tensor_fn(self._part("theta", theta, validate))
 
     def prior(self, gamma, validate: bool = True) -> np.ndarray:
-        gamma = self._gamma(gamma)
-        if validate and not self.feasible.gamma.contains(gamma):
-            raise InfeasibleError(f"{self.name}: gamma {gamma} is infeasible")
-        return self.prior_fn(gamma)
+        return self.prior_fn(self._part("gamma", gamma, validate))
 
     def tensor_grad(self, theta) -> np.ndarray:
         """d_tensor[..., k, h, l, m] = d tensor[..., h, l, m] / d theta_k."""
-        return self.tensor_grad_fn(self._theta(theta))
+        return self.tensor_grad_fn(self._part("theta", theta))
 
     def prior_grad(self, gamma) -> np.ndarray:
         """d_prior[..., k, l] = d prior[..., l] / d gamma_k."""
-        return self.prior_grad_fn(self._gamma(gamma))
+        return self.prior_grad_fn(self._part("gamma", gamma))
 
 
 def _bernoulli_prior(gamma):
@@ -384,10 +338,7 @@ def reliability_model(n_scores: int) -> ModelSpec:
         name="reliability",
         n_states=2,
         n_scores=big,
-        feasible=FeasibleSet(
-            theta=BlockSet(()),
-            gamma=BlockSet((Box(np.array([0.0]), np.array([1.0])),)),
-        ),
+        feasible=FeasibleSet((Box(np.array([0.0]), np.array([1.0])),), theta_dim=0),
         label_swap_symmetric=False,
         tensor_fn=lambda theta: tensor,
         prior_fn=_bernoulli_prior,
@@ -470,10 +421,8 @@ def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSp
         name="social-ranking",
         n_states=n_states,
         n_scores=n_scores,
-        feasible=FeasibleSet(
-            theta=BlockSet((Box(np.array([THETA_BOX[0]]), np.array([THETA_BOX[1]])),)),
-            gamma=BlockSet((Box(np.array([0.0]), np.array([1.0])),)),
-        ),
+        feasible=FeasibleSet((Box(np.array([THETA_BOX[0]]), np.array([THETA_BOX[1]])),
+                              Box(np.array([0.0]), np.array([1.0]))), theta_dim=1),
         label_swap_symmetric=swap_ok,
         tensor_fn=tensor,
         prior_fn=prior,
@@ -510,10 +459,8 @@ def categorical_model(n_states: int, n_scores: int) -> ModelSpec:
         name="categorical",
         n_states=big_c,
         n_scores=big_r,
-        feasible=FeasibleSet(
-            theta=BlockSet(tuple(Simplex(big_r) for _ in range(big_c * big_c))),
-            gamma=BlockSet((Simplex(big_c),)),
-        ),
+        feasible=FeasibleSet((*(Simplex(big_r) for _ in range(big_c * big_c)), Simplex(big_c)),
+                             theta_dim=tdim),
         label_swap_symmetric=False,
         tensor_fn=tensor,
         prior_fn=lambda gamma: np.array(gamma, dtype=np.float64),

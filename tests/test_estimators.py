@@ -1,7 +1,7 @@
 """Objectives, gradients, closed form, and the projected-gradient machinery."""
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -597,7 +597,7 @@ class TestEstimateWrapper:
                                              trials=1, estimators=("exact",)))
         model = build_model(result.config)
         theta, gamma = result.estimates["exact"]
-        z = model.feasible.join(theta, gamma)
+        z = np.concatenate([theta, gamma])
         assert np.all(np.isfinite(z)) and model.feasible.contains(z)
         assert np.isfinite(result.traces["exact"].objective)
         problem = sg.exact_problem(result.graph, model)
@@ -655,6 +655,41 @@ class TestEstimateWrapper:
                 for th in np.linspace(*THETA_BOX, 33) for ga in np.linspace(0, 1, 33)]
         assert res.objective <= min(grid)
 
+    def test_symmetric_estimate_is_the_solve_at_the_canonical_z(self, monkeypatch):
+        model = sg.social_ranking_model(3, 3)
+        rng = np.random.default_rng(131)
+        g = sg.sample_score_graph(20, 120, "cyclic-plus-random-edges", rng)
+        scored, _ = sg.generate_scores(g, model, (0.5,), (0.3,), rng)
+        problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+        config = SolverConfig(tol=1e-10, record_trace=True)
+        grid_start = estimators._grid_start(problem, config.grid_points)
+        res = sg.estimate(problem, config)
+        raw = sg.projected_gradient_solve(problem, start=grid_start, tol=config.tol)
+        assert raw.gamma[0] < 0.5
+        np.testing.assert_array_equal(res.z, raw.z)
+        # started from the mirror of the grid start, the solve ends above 1/2
+        mirror_start = np.array([grid_start[0], 1.0 - grid_start[1]])
+        monkeypatch.setattr(estimators, "_grid_start", lambda problem, points: mirror_start)
+        res = sg.estimate(problem, config)
+        raw = sg.projected_gradient_solve(problem, start=mirror_start, tol=config.tol)
+        assert raw.gamma[0] > 0.5
+        for name in ("n_iters", "converged", "residual", "objective", "alpha"):
+            assert getattr(res, name) == getattr(raw, name)
+        np.testing.assert_array_equal(res.trace, raw.trace)
+        np.testing.assert_array_equal(res.z, [raw.z[0], 1.0 - raw.z[1]])
+        np.testing.assert_array_equal(res.theta, raw.theta)
+        np.testing.assert_array_equal(res.gamma, 1.0 - raw.gamma)
+
+    def test_label_swap_symmetry_is_checked_on_the_objective(self):
+        skew = np.array([[0.0, 1, 2], [3, 0, 1], [2, 3, 0]])
+        model = replace(sg.social_ranking_model(3, 3, distance=skew),
+                        label_swap_symmetric=True)
+        rng = np.random.default_rng(138)
+        g = sg.sample_score_graph(20, 120, "cyclic-plus-random-edges", rng)
+        scored, _ = sg.generate_scores(g, model, (0.5,), (0.2,), rng)
+        with pytest.raises(AssertionError, match="label-swap symmetry violated"):
+            sg.estimate(sg.nr_problem(sg.aggregate_counts(scored), model))
+
 
 def test_trace_csv_round_trip(tmp_path):
     cfg = ExperimentConfig(model="social-ranking", n_agents=8, sweep=(26,), trials=1,
@@ -687,15 +722,19 @@ def _grid_start_reference(problem, grid_points):
     model = problem.model
     feas = model.feasible
     center = feas.centroid()
-    box_idx = np.concatenate([feas.theta.box_dims(), feas.gamma.box_dims() + feas.theta_dim])
-    if box_idx.size == 0 or box_idx.size > 3:
+    box_idx, box_lo, box_hi, start = [], [], [], 0
+    for b in feas.blocks:
+        if isinstance(b, sg.Box):
+            box_idx += range(start, start + b.dim)
+            box_lo += list(b.lo)
+            box_hi += list(b.hi)
+        start += b.dim
+    if len(box_idx) == 0 or len(box_idx) > 3:
         return center
-    boxes = [b for b in feas.theta.blocks + feas.gamma.blocks if isinstance(b, sg.Box)]
     swap_gamma = (model.theta_dim if model.label_swap_symmetric and model.gamma_dim == 1
                   else None)
     axes = []
-    for k, b_lo, b_hi in zip(box_idx, np.concatenate([b.lo for b in boxes]),
-                             np.concatenate([b.hi for b in boxes])):
+    for k, b_lo, b_hi in zip(box_idx, box_lo, box_hi):
         axis = np.linspace(b_lo, b_hi, grid_points)
         axes.append(axis[axis < 0.5] if k == swap_gamma else axis)
     best_value, best_z = None, center
@@ -831,7 +870,7 @@ class TestStackedEvaluation:
                 np.testing.assert_array_equal(estimators._grid_start(tied, 9),
                                               _grid_start_reference(tied, 9))
             feas = problem.model.feasible
-            if feas.theta.box_dims().size + feas.gamma.box_dims().size:
+            if feas.box_dims().size:
                 # every mesh point ties: the first one, not the centroid
                 assert not np.array_equal(estimators._grid_start(flat, 9), feas.centroid())
 

@@ -422,6 +422,24 @@ class TestSerialization:
         assert np.array_equal(sg.load_states(path), states)
         assert path.read_text().splitlines()[0] == "1 1"   # 1-based both columns
 
+    @pytest.mark.parametrize("text, fault", [
+        ("0 1\n1 2\n", "agent id 0 in states file is outside 1..2"),
+        ("1 1\n3 2\n", "agent id 3 in states file is outside 1..2"),
+        ("2 1\n2 2\n", "agent id 2 appears twice"),
+        ("1 0\n2 1\n", "state 0 in states file is below 1"),
+        ("1 1 1\n2 1 1\n", "two columns"),
+    ], ids=["id-zero", "id-above-rows", "duplicate-id", "state-zero", "three-columns"])
+    def test_bad_states_file_rejected(self, tmp_path, text, fault):
+        path = tmp_path / "states.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=fault):
+            sg.load_states(path)
+
+    def test_states_file_ids_in_any_order(self, tmp_path):
+        path = tmp_path / "states.txt"
+        path.write_text("2 3\n1 1\n3 2\n")
+        np.testing.assert_array_equal(sg.load_states(path), [0, 2, 1])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("wrong 2 2 1\n1 2 1\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoregraph as sg
 from scoregraph.errors import InfeasibleError
-from scoregraph.models import THETA_BOX, BlockSet, Box, Simplex, project_simplex
+from scoregraph.models import THETA_BOX, Box, FeasibleSet, Simplex, project_simplex
 
 ALL_MODELS = [
     sg.preparata_model(),
@@ -117,7 +117,7 @@ class TestFreeTensorModel:
     def test_tensor_layout_round_trip(self):
         m = sg.categorical_model(2, 3)
         rng = np.random.default_rng(0)
-        theta = m.feasible.theta.sample_interior(rng)
+        theta, _ = m.feasible.split(m.feasible.sample_interior(rng))
         t = m.tensor(theta)
         for l in range(2):
             for mm in range(2):
@@ -244,12 +244,23 @@ def test_gradients_match_finite_differences(model):
             np.testing.assert_allclose(d_prior.sum(axis=1), 0.0, atol=1e-9)
 
 
-def test_blockset_dim_is_the_sum_of_block_dims():
+def test_feasible_set_dim_is_the_sum_of_block_dims():
     for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3),
                   sg.categorical_model(2, 3)):
-        for blocks in (model.feasible.theta, model.feasible.gamma):
-            assert blocks.dim == sum(b.dim for b in blocks.blocks)
-    assert sg.categorical_model(2, 3).feasible.dim == 4 * 3 + 2
+        feas = model.feasible
+        assert feas.dim == sum(b.dim for b in feas.blocks)
+        assert feas.theta_dim + feas.gamma_dim == feas.dim
+    feas = sg.categorical_model(2, 3).feasible
+    assert (feas.dim, feas.theta_dim, feas.gamma_dim) == (4 * 3 + 2, 4 * 3, 2)
+
+
+def test_a_block_may_not_straddle_the_split():
+    blocks = (Box(np.zeros(2), np.ones(2)), Simplex(3))
+    for theta_dim in (0, 2, 5):
+        assert FeasibleSet(blocks, theta_dim).gamma_dim == 5 - theta_dim
+    for theta_dim in (-1, 1, 3, 4, 6):
+        with pytest.raises(ValueError, match="straddles"):
+            FeasibleSet(blocks, theta_dim)
 
 
 def test_feasible_set_geometry():
@@ -274,22 +285,19 @@ def test_projection_equals_the_blockwise_projection(model):
     z = rng.uniform(-3.0, 12.0, size=(3, 5, feas.dim))
     z[0, 0] = feas.centroid()
     for v in (z, z[1, 2], z[2, 3].tolist()):
-        theta, gamma = feas.split(v)
-        blockwise = np.concatenate([feas.theta.project(theta), feas.gamma.project(gamma)],
-                                   axis=-1)
         out = feas.project(v)
         assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, blockwise)
+        np.testing.assert_array_equal(out, _blockwise_loop(feas, v))
     lo, hi = feas.bounds()
     assert lo is feas.bounds()[0] and not (lo.flags.writeable or hi.flags.writeable)
 
 
-def _blockwise_loop(blocks, v):
-    """The per-block projection: one `project` call per block."""
+def _blockwise_loop(feas, v):
+    """The per-block projection: one `project` call per block of `feas`."""
     v = np.asarray(v, dtype=np.float64)
     out = np.empty_like(v)
     start = 0
-    for b in blocks.blocks:
+    for b in feas.blocks:
         out[..., start:start + b.dim] = b.project(v[..., start:start + b.dim])
         start += b.dim
     return out
@@ -297,22 +305,21 @@ def _blockwise_loop(blocks, v):
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=lambda s: f"C{s[0]}R{s[1]}")
 def test_stacked_simplex_projection_equals_the_block_loop(shape):
-    feas = sg.categorical_model(*shape).feasible
-    # the C^2 equal-size theta simplices form one run, projected in one call
-    assert [count for _, _, count in feas.theta._runs] == [shape[0] ** 2]
+    n_states, n_scores = shape
+    feas = sg.categorical_model(n_states, n_scores).feasible
+    # the C^2 equal-size theta simplices form one run, projected in one call;
+    # the gamma simplex joins the run when it has the same size
+    runs = [count for _, _, count in feas._runs]
+    assert runs == ([n_states ** 2 + 1] if n_states == n_scores else [n_states ** 2, 1])
     rng = np.random.default_rng(14)
     z = rng.uniform(-2.0, 3.0, size=(4, 6, feas.dim))
     for v in (z, z.reshape(-1, feas.dim), z[1, 2], z[:0, 0]):
-        theta, gamma = feas.split(v)
-        np.testing.assert_array_equal(feas.theta.project(theta),
-                                      _blockwise_loop(feas.theta, theta))
-        np.testing.assert_array_equal(feas.project(v), np.concatenate(
-            [_blockwise_loop(feas.theta, theta), _blockwise_loop(feas.gamma, gamma)], axis=-1))
+        np.testing.assert_array_equal(feas.project(v), _blockwise_loop(feas, v))
 
 
 def test_simplex_runs_break_at_boxes_and_size_changes():
-    blocks = BlockSet((Simplex(3), Simplex(3), Box(np.zeros(2), np.ones(2)),
-                       Simplex(2), Simplex(2), Simplex(3)))
+    blocks = FeasibleSet((Simplex(3), Simplex(3), Box(np.zeros(2), np.ones(2)),
+                          Simplex(2), Simplex(2), Simplex(3)), theta_dim=8)
     runs = [(sl.start, sl.stop, count) for sl, _, count in blocks._runs]
     assert runs == [(0, 6, 2), (6, 8, 1), (8, 12, 2), (12, 15, 1)]
     v = np.random.default_rng(15).uniform(-2.0, 3.0, size=(5, blocks.dim))
@@ -334,12 +341,13 @@ def test_sampling_a_stack_equals_one_point_at_a_time(model):
         assert rng.uniform() == after      # the same stream was consumed
 
 
-def test_split_and_join_are_inverse():
+def test_split_parts_concatenate_to_z():
     m = sg.categorical_model(2, 2)
     rng = np.random.default_rng(4)
     z = m.feasible.sample_interior(rng)
     theta, gamma = m.feasible.split(z)
-    np.testing.assert_array_equal(m.feasible.join(theta, gamma), z)
+    assert theta.shape == (m.theta_dim,) and gamma.shape == (m.gamma_dim,)
+    np.testing.assert_array_equal(np.concatenate([theta, gamma]), z)
 
 
 def test_tensor_and_prior_validate():
@@ -350,6 +358,26 @@ def test_tensor_and_prior_validate():
         m.prior((1.2,))
     t = m.tensor((0.5,))
     assert t.shape == (3, 3, 3)
+
+
+def test_validation_checks_every_row_of_a_stack():
+    m = sg.social_ranking_model(3, 3)
+    theta, gamma = np.array([[0.5], [0.6], [2.0]]), np.array([[0.1], [0.5], [0.9]])
+    np.testing.assert_array_equal(m.tensor(theta), np.stack([m.tensor(t) for t in theta]))
+    np.testing.assert_array_equal(m.prior(gamma), np.stack([m.prior(g) for g in gamma]))
+    m.require_feasible(theta, gamma)
+    m.require_feasible(theta[0], gamma)
+    bad_theta, bad_gamma = theta.copy(), gamma.copy()
+    bad_theta[1, 0], bad_gamma[2, 0] = 20.0, 1.2
+    with pytest.raises(InfeasibleError, match=r"theta \[20\.\] \(row 1\)"):
+        m.tensor(bad_theta)
+    with pytest.raises(InfeasibleError, match=r"gamma \[1\.2\] \(row 2\)"):
+        m.prior(bad_gamma)
+    with pytest.raises(InfeasibleError, match=r"\(row 1, 0\)"):
+        m.require_feasible(bad_theta.reshape(3, 1, 1), gamma[0])
+    with pytest.raises(InfeasibleError, match=r"\(row 2\)"):
+        m.require_feasible(theta, bad_gamma)
+    m.tensor(bad_theta, validate=False)
 
 
 def test_wrong_parameter_shape_is_infeasible():
