@@ -11,7 +11,6 @@ depends on the data only through the global score histogram.
 import numpy as np
 
 import scoregraph as sg
-from scoregraph.estimators import SolverConfig
 
 rng = np.random.default_rng(3)
 model = sg.preparata_model()
@@ -27,9 +26,9 @@ print(f"closed-form FR estimate: {star:.6f}")
 
 # the generic path: build a problem, start from the best grid point and
 # polish with backtracking projected gradient until the residual certifies
-fr = sg.estimate(sg.fr_problem(counts, model), SolverConfig(tol=1e-10))
-nr = sg.estimate(sg.nr_problem(counts, model), SolverConfig(tol=1e-10))
-ex = sg.estimate(sg.exact_problem(scored, model), SolverConfig(tol=1e-10))
+fr = sg.estimate(sg.fr_problem(counts, model), tol=1e-10)
+nr = sg.estimate(sg.nr_problem(counts, model), tol=1e-10)
+ex = sg.estimate(sg.exact_problem(scored, model), tol=1e-10)
 print(f"FR    gamma={fr.gamma[0]:.6f}  iters={fr.n_iters}  converged={fr.converged}")
 print(f"NR    gamma={nr.gamma[0]:.6f}  iters={nr.n_iters}  converged={nr.converged}")
 print(f"exact gamma={ex.gamma[0]:.6f}  (10 agents is near the cap)")
@@ -39,7 +38,7 @@ print(f"exact gamma={ex.gamma[0]:.6f}  (10 agents is near the cap)")
 phi2 = 0.54
 phi = np.array([1 - phi2, phi2])
 problem = sg.fr_problem(phi, model)
-res = sg.estimate(problem, SolverConfig(tol=1e-12))
+res = sg.estimate(problem, tol=1e-12)
 lo, hi = (3 - 0.6) / 4, (3 + 0.6) / 4
 print(f"\nphi2={phi2}: cost at {lo}: "
       f"{sg.fr_objective(phi, model, (), (lo,)):.9f}, at {hi}: "
@@ -53,14 +52,13 @@ mr = sg.social_ranking_model(3, 3)
 rng2 = np.random.default_rng(21)
 gr = sg.sample_score_graph(25, 240, "cyclic-plus-random-edges", rng2)
 sr, _ = sg.generate_scores(gr, mr, (0.5,), (0.7,), rng2)
-res = sg.estimate(sg.nr_problem(sg.aggregate_counts(sr), mr),
-                  SolverConfig(tol=1e-10))
+res = sg.estimate(sg.nr_problem(sg.aggregate_counts(sr), mr), tol=1e-10)
 print(f"\nranking data from theta=0.5, gamma=0.7: estimate "
       f"theta={res.theta[0]:.4f}, gamma={res.gamma[0]:.4f} "
       f"(mirror 1 - gamma = {1 - res.gamma[0]:.4f})")
 
 # solver traces record iterates for convergence plots
-res = sg.estimate(problem, SolverConfig(record_trace=True))
+res = sg.estimate(problem, record_trace=True)
 trace = res.trace
 print(f"\ntrace: {len(trace)} rows, objective "
       f"{trace[0, 1]:.6f} -> {trace[-1, 1]:.6f}")

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import click
 
-from .experiments import (SOCIAL_RANKING_THETA, ExperimentConfig, build_model,
-                          emit_outputs, emit_single_outputs, parse_config_file,
+from .experiments import (ExperimentConfig, build_model, emit_outputs,
+                          emit_single_outputs, parse_config_file,
                           run_invariant_checks, run_single, run_sweep)
 
 
@@ -88,8 +88,6 @@ def sweep(config_path, **flags) -> None:
 def social(config_path, **flags) -> None:
     """Run the graded-state ranking sweep (three states, three scores)."""
     cfg = _load_config(config_path, model="social-ranking", **flags)
-    if not cfg.theta:
-        cfg = replace(cfg, theta=SOCIAL_RANKING_THETA)
     model = build_model(cfg)
     if (model.n_states, model.n_scores) != (3, 3):
         raise ValueError("the social ranking sweep is defined for C = 3, R = 3")
@@ -104,9 +102,8 @@ def single(config_path, **flags) -> None:
     cfg = _load_config(config_path, **flags)
     result = run_single(cfg)
     paths = emit_single_outputs(result, cfg.out_dir or "out")
-    for name, (theta_hat, gamma_hat) in result.estimates.items():
-        values = list(theta_hat) + list(gamma_hat)
-        pairs = ", ".join(f"{k}={v:.6g}" for k, v in zip(result.param_names, values))
+    for name, z in result.estimates.items():
+        pairs = ", ".join(f"{k}={v:.6g}" for k, v in zip(result.param_names, z))
         click.echo(f"{name}: {pairs}")
     for path in paths.values():
         click.echo(f"wrote {path}")

@@ -55,7 +55,6 @@ from .models import ModelSpec
 
 __all__ = [
     "EstimatorProblem",
-    "SolverConfig",
     "SolveResult",
     "exact_problem",
     "nr_problem",
@@ -87,8 +86,10 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
     if graph.n_agents > MAX_EXACT_AGENTS:
         raise ValueError(
             f"exact likelihood enumerates C^N assignments; N <= {MAX_EXACT_AGENTS}")
-    if not graph.has_scores:
+    if graph.scores is None:
         raise ValueError("graph has no scores")
+    if graph.n_scores != model.n_scores:
+        raise ValueError("counts and model disagree on the score alphabet")
     if validate:
         model.require_feasible(theta, gamma)
     tensor = model.tensor(theta, validate=False)
@@ -130,6 +131,8 @@ def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
     receiving score h in state l, and row_lse the per-agent logsumexp of s
     whose sum is the value.  Broadcasts over leading axes of theta/gamma.
     """
+    if counts.n_scores != model.n_scores:
+        raise ValueError("counts and model disagree on the score alphabet")
     tensor = model.tensor(theta, validate=False)
     prior = model.prior(gamma, validate=False)
     m_in = np.einsum("...hml,...m->...hl", tensor, prior)
@@ -322,7 +325,7 @@ class EstimatorProblem:
         """Gradient at z; `state` is what evaluate(z) kept, or None."""
         split = self.model.feasible.split
         if self.kind == "exact":
-            lo, hi = self.model.feasible.bounds()
+            lo, hi = self.model.feasible.bounds
             return _rowwise(lambda v: _fd_gradient(
                 lambda w: self.objective(w, validate=False), v, lo, hi), z)
         if self.kind == "nr":
@@ -478,6 +481,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
         raise InfeasibleError("start point is outside the feasible set")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
 
     def cost(v):
@@ -534,33 +539,12 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for estimate(): initial trial step, stopping, start grid.
-
-    `alpha` is the first Armijo trial step; `tol` scales the residual stop
-    (see projected_gradient_solve); `grid_points` is the number of mesh
-    points per box dimension of the grid start, which estimate always runs.
-    """
-
-    alpha: float = 1.0
-    max_iters: int = 100000
-    tol: float = 1e-9
-    grid_points: int = 21
-    record_trace: bool = False
-
-
-def _swap_symmetric(model: ModelSpec) -> bool:
-    """Whether the model has the gamma -> 1 - gamma label-swap symmetry."""
-    return model.label_swap_symmetric and model.gamma_dim == 1
-
-
 def _canonical_swap(z: np.ndarray, model: ModelSpec):
     """Label-swap pair of z: (the member with gamma <= 1/2, the gamma -> 1 - gamma mirror).
 
     For models without the symmetry there is no mirror: returns (z, None).
     """
-    if not _swap_symmetric(model):
+    if not model.label_swap_symmetric:
         return z, None
     k = model.theta_dim
     mirror = z.copy()
@@ -584,8 +568,8 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     box_idx = feas.box_dims()
     if box_idx.size == 0 or box_idx.size > 3:
         return center
-    lo, hi = feas.bounds()
-    swap_gamma = model.theta_dim if _swap_symmetric(model) else None
+    lo, hi = feas.bounds
+    swap_gamma = model.theta_dim if model.label_swap_symmetric else None
     axes = []
     for k, k_lo, k_hi in zip(box_idx, lo[box_idx], hi[box_idx]):
         axis = np.linspace(k_lo, k_hi, grid_points)
@@ -606,29 +590,25 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     return best_z
 
 
-def estimate(problem: EstimatorProblem, config: SolverConfig | None = None) -> SolveResult:
-    """Convenience wrapper: pick a start, solve, canonicalize if symmetric.
+def estimate(problem: EstimatorProblem, grid_points: int = 21, alpha: float = 1.0,
+             max_iters: int = 100000, tol: float = 1e-9,
+             record_trace: bool = False) -> SolveResult:
+    """Pick a start, solve, canonicalize if symmetric.
 
-    The start is the best point of a coarse mesh over the box-constrained
-    dimensions (see _grid_start; the centroid above 3 such dimensions and
-    for simplex-only models).  The solver is Armijo-backtracking
-    projected gradient from the trial step config.alpha, stopped when the
-    projected-gradient residual is at most config.tol * max(1, |objective|);
-    `converged` says whether that stop was reached.  Models that declare
-    the label-swap symmetry get the representative with gamma <= 1/2: the
-    solve's result with z, theta and gamma moved to the mirror when the
-    solve ended above 1/2 (its trace keeps the raw iterates).  The symmetry
-    is verified on the objective values of every such solve.
+    The start is the best point of a mesh of `grid_points` points per
+    box-constrained dimension (see _grid_start; the centroid above 3 such
+    dimensions and for simplex-only models).  projected_gradient_solve
+    takes the other keywords: its first trial step `alpha`, the residual
+    stop tol * max(1, |objective|), which `converged` reports, the cap
+    `max_iters` and `record_trace`.  Models that declare the label-swap
+    symmetry get the representative with gamma <= 1/2: the solve's result
+    with z, theta and gamma moved to the mirror when the solve ended above
+    1/2 (its trace keeps the raw iterates).  The symmetry is verified on the
+    objective values of every such solve.
     """
-    config = config or SolverConfig()
-    solve = projected_gradient_solve(
-        problem,
-        start=_grid_start(problem, config.grid_points),
-        alpha=config.alpha,
-        max_iters=config.max_iters,
-        tol=config.tol,
-        record_trace=config.record_trace,
-    )
+    solve = projected_gradient_solve(problem, start=_grid_start(problem, grid_points),
+                                     alpha=alpha, max_iters=max_iters, tol=tol,
+                                     record_trace=record_trace)
     z, mirror = _canonical_swap(solve.z, problem.model)
     if mirror is not None:
         value = solve.objective

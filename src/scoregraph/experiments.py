@@ -15,16 +15,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .classifier import misclassification_rate, soft_classify
 from .distributed import initial_state, push_sum_round, run_distributed
-from .estimators import (MAX_EXACT_AGENTS, SolverConfig, _canonical_swap, _swap_symmetric,
-                         estimate, exact_problem, fr_binary_closed_form, fr_objective,
-                         fr_problem, nr_objective, nr_problem)
+from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
+                         fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
+                         nr_problem)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -78,11 +78,13 @@ class ExperimentConfig:
     full_scale: bool = False
 
     def resolved(self) -> "ExperimentConfig":
-        """Apply the full-scale switch and the automatic sweep rule."""
+        """Apply the full-scale switch, the sweep rule and the social-ranking default theta."""
         cfg = self
         if cfg.full_scale:
             cfg = replace(cfg, n_agents=FULL_SCALE_AGENTS, trials=FULL_SCALE_TRIALS,
                           full_scale=False)
+        if cfg.model == "social-ranking" and not cfg.theta:
+            cfg = replace(cfg, theta=SOCIAL_RANKING_THETA)
         if cfg.sweep is None:
             n = cfg.n_agents
             cfg = replace(cfg, sweep=(n, 10 * n, n * (n - 1)))
@@ -94,6 +96,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
             raise ValueError("solver_alpha must be positive")
+        if not cfg.solver_tol >= 0:
+            raise ValueError("solver_tol must be nonnegative")
+        if cfg.n_agents < 2:
+            raise ValueError("n_agents must be >= 2")
         n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
         for v in cfg.sweep:
             if not n <= v <= max_edges:
@@ -103,14 +109,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {est!r}")
         if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
             raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            alpha=1.0 if self.solver_alpha is None else self.solver_alpha,
-            max_iters=self.solver_max_iters,
-            tol=self.solver_tol,
-            grid_points=self.solver_grid_points,
-        )
 
 
 def build_model(config: ExperimentConfig) -> ModelSpec:
@@ -127,44 +125,34 @@ def build_model(config: ExperimentConfig) -> ModelSpec:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _true_params(config: ExperimentConfig, model: ModelSpec):
+def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
+    """The true z = [theta, gamma]; the centroid's part where the config sets none."""
     center_theta, center_gamma = model.feasible.split(model.feasible.centroid())
-    theta = np.asarray(config.theta, dtype=np.float64)
-    if theta.size == 0 and model.theta_dim:
-        theta = center_theta
-        if model.name == "social-ranking":
-            theta = np.array(SOCIAL_RANKING_THETA)
+    theta = np.asarray(config.theta or center_theta, dtype=np.float64)
     gamma = np.asarray(config.gamma, dtype=np.float64)
     if gamma.size == 0 or (model.gamma_dim > 1 and gamma.size == 1):
         gamma = center_gamma
     model.require_feasible(theta, gamma)
-    return theta, gamma
+    return np.concatenate([theta, gamma])
 
 
-def _param_names(model: ModelSpec) -> tuple:
-    names = []
-    if model.theta_dim == 1:
-        names.append("theta")
-    else:
-        names += [f"theta_{k + 1}" for k in range(model.theta_dim)]
-    if model.gamma_dim == 1:
-        names.append("gamma")
-    else:
-        names += [f"gamma_{k + 1}" for k in range(model.gamma_dim)]
-    return tuple(names)
+def _param_names(model: ModelSpec, indexed: bool = False) -> tuple:
+    """Names of the coordinates of z: theta_1, ..., gamma_1, ..., where a
+    scalar part is plain `theta` or `gamma` unless `indexed`."""
+    return tuple(part if dim == 1 and not indexed else f"{part}_{k + 1}"
+                 for part, dim in (("theta", model.theta_dim), ("gamma", model.gamma_dim))
+                 for k in range(dim))
 
 
-def _squared_errors(model: ModelSpec, theta_hat, gamma_hat, theta_true, gamma_true):
-    errs = []
-    for k in range(model.theta_dim):
-        errs.append((float(theta_hat[k]) - float(theta_true[k])) ** 2)
-    if _swap_symmetric(model):
-        g, gt = float(gamma_hat[0]), float(gamma_true[0])
-        errs.append(min(abs(g - gt), abs(g - (1.0 - gt))) ** 2)
-    else:
-        for k in range(model.gamma_dim):
-            errs.append((float(gamma_hat[k]) - float(gamma_true[k])) ** 2)
-    return errs
+def _squared_errors(model: ModelSpec, z_hat, z_true) -> np.ndarray:
+    """Per-coordinate squared error of z_hat; a label-swap-symmetric gamma
+    counts the distance to the nearer of gamma_true and 1 - gamma_true."""
+    err = np.abs(z_hat - z_true)
+    if model.label_swap_symmetric:     # then gamma is the last coordinate of z
+        err[-1] = min(err[-1], abs(z_hat[-1] - (1.0 - z_true[-1])))
+    # libm's pow, as Python's float ** uses; numpy's ** 2 is err * err, which
+    # differs from it in the last bit of about one square in a thousand
+    return np.float_power(err, 2)
 
 
 def _comm_schedule(cfg: ExperimentConfig):
@@ -188,7 +176,7 @@ _ESTIMATORS = {
 
 
 def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
-    """Fit one estimator on one trial: (theta_hat, gamma_hat, detail).
+    """Fit one estimator on one trial: (z_hat, detail).
 
     `detail` is the estimate's SolveResult of a centralized estimator and the
     DistributedRun of FR-distributed.  With `record_trace` the solve keeps
@@ -203,14 +191,14 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
             record_every=1 if record_trace else max(1, config.solver_rounds),
             rng=config.master_seed,
         )
-        z, _ = _canonical_swap(run.final_z[0], model)
-        theta, gamma = model.feasible.split(z)
-        return theta, gamma, run
+        return _canonical_swap(run.final_z[0], model)[0], run
     build, grid_points = _ESTIMATORS[name]
-    solver = replace(config.solver_config(), record_trace=record_trace,
-                     grid_points=grid_points or config.solver_grid_points)
-    res = estimate(build(graph, counts, model), solver)
-    return res.theta, res.gamma, res
+    res = estimate(build(graph, counts, model),
+                   grid_points=grid_points or config.solver_grid_points,
+                   alpha=1.0 if config.solver_alpha is None else config.solver_alpha,
+                   max_iters=config.solver_max_iters, tol=config.solver_tol,
+                   record_trace=record_trace)
+    return res.z, res
 
 
 def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,
@@ -221,22 +209,22 @@ def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges
     The draws come from the stream keyed by (master_seed, n_edges, trial).
     Returns (scored graph, true states, estimates, outputs, details):
     `estimates` and `outputs` map each classifier, "oracle" first, to its
-    (theta, gamma) and ClassifierOutput; `details` maps each fitted
+    z = [theta, gamma] and ClassifierOutput; `details` maps each fitted
     estimator to its SolveResult or DistributedRun.
     """
+    split = model.feasible.split
     rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
     graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
-    scored, states = generate_scores(graph, model, *truth, rng)
+    scored, states = generate_scores(graph, model, *split(truth), rng)
     counts = aggregate_counts(scored)
     estimates = {"oracle": truth}
-    outputs = {"oracle": soft_classify(counts, model, *truth)}
+    outputs = {"oracle": soft_classify(counts, model, *split(truth))}
     details = {}
     for est in cfg.estimators:
         if est != "oracle":
-            theta_hat, gamma_hat, details[est] = _run_estimator(
+            estimates[est], details[est] = _run_estimator(
                 est, model, scored, counts, cfg, schedule, record_trace)
-            estimates[est] = (theta_hat, gamma_hat)
-            outputs[est] = soft_classify(counts, model, theta_hat, gamma_hat)
+            outputs[est] = soft_classify(counts, model, *split(estimates[est]))
     return scored, states, estimates, outputs, details
 
 
@@ -286,7 +274,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             for cls in classifiers:
                 mis[cls].append(misclassification_rate(outputs[cls].labels, states))
             for est in fitted:
-                sq_errors[est].append(_squared_errors(model, *estimates[est], *truth))
+                sq_errors[est].append(_squared_errors(model, estimates[est], truth))
                 if est in spreads:
                     spreads[est].append(details[est].spread())
         rmse = {
@@ -388,7 +376,8 @@ def read_misclass_csv(path) -> dict:
 
 @dataclass(frozen=True)
 class SingleRunResult:
-    """One fully exported instance: data, estimates, classifier outputs, traces."""
+    """One fully exported instance: data, estimates (z), classifier outputs, and
+    each fitted estimator's SolveResult or DistributedRun (`details`)."""
 
     config: ExperimentConfig
     model_name: str
@@ -397,8 +386,7 @@ class SingleRunResult:
     states: np.ndarray
     estimates: dict
     outputs: dict
-    traces: dict
-    distributed_run: object | None
+    details: dict
 
 
 def run_single(config: ExperimentConfig) -> SingleRunResult:
@@ -419,8 +407,7 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
         states=states,
         estimates=estimates,
         outputs=outputs,
-        traces={est: d for est, d in details.items() if est != "FR-distributed"},
-        distributed_run=details.get("FR-distributed"),
+        details=details,
     )
 
 
@@ -432,8 +419,7 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(result.config)
-    z_cols = ([f"theta_{k + 1}" for k in range(model.theta_dim)]
-              + [f"gamma_{k + 1}" for k in range(model.gamma_dim)])
+    z_cols = _param_names(model, indexed=True)
     paths = {}
 
     def write(key, filename, writer, *args):
@@ -448,12 +434,13 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
         for i, (u, label) in enumerate(zip(output.posterior, output.labels), start=1):
             lines.append(",".join([str(i), *map(_fmt, u), str(int(label) + 1)]))
         write(f"soft_{name}", f"soft_{name}.csv", _write_lines, lines)
-    for name, solve in result.traces.items():
+    solves = dict(result.details)
+    run = solves.pop("FR-distributed", None)
+    for name, solve in solves.items():
         lines = [",".join(["iter", "objective", *z_cols])]
         for row in solve.trace:
             lines.append(",".join([str(int(row[0])), *map(_fmt, row[1:])]))
         write(f"trace_{name}", f"trace_{name}.csv", _write_lines, lines)
-    run = result.distributed_run
     if run is not None:
         lines = [",".join(["t", "agent", *(f"phi_{h + 1}" for h in range(model.n_scores)),
                            *z_cols])]
@@ -471,9 +458,8 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
             "snapshots": [int(t) for t in run.times],
         }, paths["trajectory"] + ".meta.json")
     lines = ["estimator,param,value"]
-    for name, (theta_hat, gamma_hat) in result.estimates.items():
-        values = list(theta_hat) + list(gamma_hat)
-        for pname, v in zip(result.param_names, values):
+    for name, z in result.estimates.items():
+        for pname, v in zip(result.param_names, z):
             lines.append(f"{name},{pname},{_fmt(v)}")
     write("estimates", "estimates.csv", _write_lines, lines)
     write("meta", "meta.json", _write_json, {

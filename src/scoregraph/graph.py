@@ -116,10 +116,6 @@ class ScoreGraph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def has_scores(self) -> bool:
-        return self.scores is not None
-
 
 @dataclass(frozen=True)
 class NeighborCounts:
@@ -288,7 +284,7 @@ def aggregate_counts(graph: ScoreGraph) -> NeighborCounts:
     indices; the reverse of each edge is found by binary search in the
     sorted edge keys, so the cost is O(n log n) with no N^2 table.
     """
-    if not graph.has_scores:
+    if graph.scores is None:
         raise ValueError("graph has no scores; generate or load them first")
     n, big = graph.n_agents, graph.n_scores
     i, j, h = graph.edges[:, 0], graph.edges[:, 1], graph.scores
@@ -359,6 +355,9 @@ class CommSchedule:
             raise ValueError("window must be >= 1")
         frames = tuple(
             _owned(np.asarray(f, dtype=np.int64).reshape(-1, 2), None) for f in self.frames)
+        for k, f in enumerate(frames):
+            if f.size and (f.min() < 0 or f.max() >= self.n_agents):
+                raise ValueError(f"frame {k} has an endpoint outside 0..{self.n_agents - 1}")
         object.__setattr__(self, "frames", frames)
         mats = tuple(_freeze(_pushsum_matrix(self.n_agents, f)) for f in frames)
         object.__setattr__(self, "matrices", mats)
@@ -428,7 +427,7 @@ def _text_rows(rows: np.ndarray) -> str:
 
 def save_score_graph(graph: ScoreGraph, path) -> None:
     """Write the 1-based edge-list format: header `scoregraph N R n`, lines `i j h`."""
-    if not graph.has_scores:
+    if graph.scores is None:
         raise ValueError("only scored graphs are serializable")
     rows = np.column_stack([graph.edges, graph.scores]) + 1
     with open(path, "w") as fh:

@@ -18,6 +18,9 @@ gradient of shape (..., gamma_dim, C).  A table that does not depend on its
 parameter may drop the leading axes, since the einsums and matmuls that
 consume it broadcast.  Feasible-set projections act row-wise on the last
 axis, and validation checks every row of a stack.
+
+A model that declares the gamma -> 1 - gamma label-swap symmetry has a
+scalar gamma; ModelSpec rejects any other.
 """
 
 from __future__ import annotations
@@ -79,9 +82,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def project(self, v):
-        return np.clip(v, self.lo, self.hi)
-
     def contains(self, v, tol=FEAS_TOL) -> bool:
         return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
 
@@ -102,9 +102,6 @@ class Simplex:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("simplex dimension must be >= 1")
-
-    def project(self, v):
-        return project_simplex(v)
 
     def contains(self, v, tol=FEAS_TOL) -> bool:
         return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= tol)
@@ -151,40 +148,26 @@ class FeasibleSet:
             start += b.dim
 
     @cached_property
-    def _runs(self) -> tuple:
-        """(slice, block, count): each run of consecutive equal-size simplex
-        blocks as one entry, every box block on its own."""
-        runs = []
+    def _simplices(self) -> tuple:
+        """One (k, d) index array per simplex size d: row j holds the
+        coordinates of the j-th simplex block of that size."""
+        by_size = {}
         for sl, b in self._slices():
-            if runs and isinstance(b, Simplex) and runs[-1][1] == b:
-                prev, _, count = runs[-1]
-                runs[-1] = (slice(prev.start, sl.stop), b, count + 1)
-            else:
-                runs.append((sl, b, 1))
-        return tuple(runs)
-
-    @cached_property
-    def _all_box(self) -> bool:
-        return all(isinstance(b, Box) for b in self.blocks)
+            if isinstance(b, Simplex):
+                by_size.setdefault(b.dim, []).append(np.arange(sl.start, sl.stop))
+        return tuple(np.array(rows) for rows in by_size.values())
 
     def project(self, z) -> np.ndarray:
         """Row-wise projection of z, or of a stack (..., dim), onto the set.
 
-        Without simplex blocks this is one clip against bounds(); otherwise a
-        run of k equal-size simplex blocks of size d is one project_simplex
-        call on its coordinates reshaped to (..., k, d).
+        One clip against `bounds` projects the box blocks; the k simplex
+        blocks of each size d are then one project_simplex call on their
+        coordinates of z gathered to (..., k, d).
         """
         z = np.asarray(z, dtype=np.float64)
-        if self._all_box:
-            return np.clip(z, *self.bounds())
-        out = np.empty_like(z)
-        lead = z.shape[:-1]
-        for sl, b, count in self._runs:
-            if count == 1:
-                out[..., sl] = b.project(z[..., sl])
-            else:
-                blocks = z[..., sl].reshape(lead + (count, b.dim))
-                out[..., sl] = project_simplex(blocks).reshape(lead + (count * b.dim,))
+        out = np.clip(z, *self.bounds)
+        for idx in self._simplices:
+            out[..., idx] = project_simplex(z[..., idx])
         return out
 
     def contains(self, v, tol=FEAS_TOL, part: str | None = None) -> bool:
@@ -203,21 +186,15 @@ class FeasibleSet:
 
     def box_dims(self) -> np.ndarray:
         """Indices of z that belong to box (not simplex) blocks."""
-        idx = []
-        for sl, b in self._slices():
-            if isinstance(b, Box):
-                idx.extend(range(sl.start, sl.stop))
-        return np.asarray(idx, dtype=np.int64)
+        return np.array([k for sl, b in self._slices() if isinstance(b, Box)
+                         for k in range(sl.start, sl.stop)], dtype=np.int64)
 
+    @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-coordinate lower and upper bounds of z; simplex coordinates lie in [0, 1].
 
         Computed once per set; the arrays are read-only.
         """
-        return self._bounds
-
-    @cached_property
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.concatenate([b.lo if isinstance(b, Box) else np.zeros(b.dim) for b in self.blocks])
         hi = np.concatenate([b.hi if isinstance(b, Box) else np.ones(b.dim) for b in self.blocks])
         lo.setflags(write=False)
@@ -233,8 +210,8 @@ class FeasibleSet:
         """
         if size is None:
             return np.concatenate([b.sample_interior(rng, margin) for b in self.blocks])
-        if self._all_box:
-            lo, hi = self.bounds()
+        if not self._simplices:
+            lo, hi = self.bounds
             w = hi - lo
             return rng.uniform(lo + margin * w, hi - margin * w, size=(size, self.dim))
         return np.array([self.sample_interior(rng, margin) for _ in range(size)])
@@ -253,6 +230,10 @@ class ModelSpec:
     prior_fn: callable = field(repr=False, compare=False)
     tensor_grad_fn: callable = field(repr=False, compare=False)
     prior_grad_fn: callable = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.label_swap_symmetric and self.gamma_dim != 1:
+            raise ValueError(f"{self.name}: the label-swap symmetry needs a scalar gamma")
 
     @property
     def theta_dim(self) -> int:
@@ -377,22 +358,19 @@ def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSp
     d(c_l, c_m)/c_C; theta > 0 is the dispersion (small theta = sharp).
     The prior on the state index is Binomial(C-1, gamma).
 
-    `distance` is a callable d(a, b) on state values or a precomputed C-by-C
-    matrix; default |a - b|.  It must be nonnegative with d(a, b) = 0 exactly
-    when a = b.
+    `distance` is the C-by-C matrix d(c_a, c_b) of state distances; default
+    |c_a - c_b|.  It must be nonnegative with d(c_a, c_b) = 0 exactly when
+    a = b.
     """
     if n_states < 2 or n_scores < 2:
         raise ValueError("social ranking model needs n_states, n_scores >= 2")
     c_vals = np.arange(1, n_states + 1, dtype=np.float64)
     r_vals = np.arange(1, n_scores + 1, dtype=np.float64)
     if distance is None:
-        distance = lambda a, b: abs(a - b)
-    if callable(distance):
-        dmat = np.array([[float(distance(a, b)) for b in c_vals] for a in c_vals])
-    else:
-        dmat = np.asarray(distance, dtype=np.float64)
-        if dmat.shape != (n_states, n_states):
-            raise ValueError("distance matrix must be C by C")
+        distance = np.abs(c_vals[:, None] - c_vals)
+    dmat = np.asarray(distance, dtype=np.float64)
+    if dmat.shape != (n_states, n_states):
+        raise ValueError("distance matrix must be C by C")
     if np.any(dmat < 0):
         raise ValueError("distance must be nonnegative")
     if np.any(np.diag(dmat) != 0) or np.any((dmat == 0) & ~np.eye(n_states, dtype=bool)):
@@ -447,11 +425,7 @@ def categorical_model(n_states: int, n_scores: int) -> ModelSpec:
         blocks = theta.reshape(theta.shape[:-1] + (big_c, big_c, big_r))
         return np.moveaxis(blocks, -1, -3)
 
-    d_tensor = np.zeros((tdim, big_r, big_c, big_c))
-    for l in range(big_c):
-        for m in range(big_c):
-            for h in range(big_r):
-                d_tensor[(l * big_c + m) * big_r + h, h, l, m] = 1.0
+    d_tensor = tensor(np.eye(tdim)).copy()
     d_tensor.setflags(write=False)
     d_prior = np.eye(big_c)
     d_prior.setflags(write=False)

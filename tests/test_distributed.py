@@ -304,7 +304,7 @@ def test_trajectory_csv_layout(tmp_path):
                            solver_alpha=0.01, solver_rounds=6)
     single = run_single(cfg)
     sg.emit_single_outputs(single, tmp_path)
-    run = single.distributed_run
+    run = single.details["FR-distributed"]
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,agent,phi_1,phi_2,phi_3,theta_1,gamma_1"
     assert len(lines) == 1 + 4 * len(run.times)
@@ -325,7 +325,7 @@ def test_categorical_three_states_on_a_sparse_graph_runs_clean(seed):
     cfg = ExperimentConfig(model="categorical", n_states=3, n_scores=3, n_agents=20,
                            sweep=(20,), trials=1, estimators=("FR-distributed",),
                            comm_family="static-complete", master_seed=seed)
-    run = run_single(cfg).distributed_run
+    run = run_single(cfg).details["FR-distributed"]
     assert run.n_rounds == cfg.solver_rounds
     feas = sg.categorical_model(3, 3).feasible
     assert all(np.all(np.isfinite(z)) and feas.contains(z) for z in run.final_z)

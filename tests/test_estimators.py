@@ -10,7 +10,6 @@ import scoregraph as sg
 from scoregraph import estimators
 from scoregraph._logdomain import logsumexp
 from scoregraph.errors import InfeasibleError, NonFiniteError
-from scoregraph.estimators import SolverConfig
 from scoregraph.experiments import ExperimentConfig, build_model, run_single
 from scoregraph.models import THETA_BOX
 
@@ -58,6 +57,21 @@ class TestExactLoglikelihood:
         scored, _ = sg.generate_scores(g, sg.preparata_model(), (), (0.3,), rng)
         with pytest.raises(ValueError):
             sg.exact_loglikelihood(scored, sg.preparata_model(), (), (0.3,))
+
+
+def test_nr_and_exact_reject_a_different_score_alphabet():
+    # four scores against a two- and a five-score model: the tables would
+    # broadcast or index silently, so each entry point refuses up front
+    rng = np.random.default_rng(19)
+    scored, _, _ = _instance(sg.reliability_model(4), rng)
+    counts = sg.aggregate_counts(scored)
+    for model in (sg.reliability_model(2), sg.reliability_model(5)):
+        for call in (lambda: sg.nr_objective(counts, model, (), (0.3,)),
+                     lambda: sg.nr_gradient(counts, model, (), (0.3,)),
+                     lambda: sg.estimate(sg.nr_problem(counts, model)),
+                     lambda: sg.exact_loglikelihood(scored, model, (), (0.3,))):
+            with pytest.raises(ValueError, match="disagree on the score alphabet"):
+                call()
 
 
 class TestNodeRelaxedObjective:
@@ -342,6 +356,17 @@ class TestProjectedGradient:
         assert res.converged and res.n_iters == 1
         np.testing.assert_allclose(res.z, start, atol=1e-15)
 
+    def test_negative_tol_rejected(self):
+        # a residual is never below a negative tol, so such a solve could
+        # only end unconverged at the roundoff floor
+        problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                sg.projected_gradient_solve(problem, tol=tol)
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                sg.estimate(problem, tol=tol)
+        assert sg.projected_gradient_solve(problem, tol=0.0).n_iters >= 1
+
     def test_converges_to_closed_form(self):
         q = 0.4
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
@@ -457,7 +482,7 @@ class TestProjectedGradient:
         for model in ALL_MODELS:
             scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
             problem = sg.nr_problem(sg.aggregate_counts(scored), model)
-            sg.estimate(problem, SolverConfig(tol=1e-8, max_iters=5000, grid_points=9))
+            sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
             assert value == problem.objective(z, validate=False)
@@ -507,7 +532,7 @@ class TestProjectedGradient:
         for model in ALL_MODELS:
             scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
             problem = sg.fr_problem(sg.aggregate_counts(scored), model)
-            sg.estimate(problem, SolverConfig(tol=1e-8, max_iters=5000, grid_points=9))
+            sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
             assert value == problem.objective(z, validate=False)
@@ -563,7 +588,7 @@ class TestEstimateWrapper:
         # two tied global minimizers: the solver must land on one of them
         q = 0.54
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
-        res = sg.estimate(problem, SolverConfig(tol=1e-12, grid_points=33))
+        res = sg.estimate(problem, tol=1e-12, grid_points=33)
         maxi = binary_fr_maximizers(q)
         assert min(abs(res.gamma[0] - x) for x in maxi) < 1e-6
 
@@ -572,7 +597,7 @@ class TestEstimateWrapper:
         model = sg.social_ranking_model(3, 3)
         scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
         counts = sg.aggregate_counts(scored)
-        res = sg.estimate(sg.fr_problem(counts, model), SolverConfig(tol=1e-10))
+        res = sg.estimate(sg.fr_problem(counts, model), tol=1e-10)
         assert res.gamma[0] <= 0.5 + 1e-12
         a = sg.fr_objective(counts.phi, model, res.theta, res.gamma)
         b = sg.fr_objective(counts.phi, model, res.theta, 1.0 - res.gamma)
@@ -584,7 +609,7 @@ class TestEstimateWrapper:
         g = sg.sample_score_graph(5, 12, "cyclic-plus-random-edges", rng)
         scored, _ = sg.generate_scores(g, model, (), (0.25,), rng)
         problem = sg.exact_problem(scored, model)
-        res = sg.estimate(problem, SolverConfig(tol=1e-10, grid_points=21))
+        res = sg.estimate(problem, tol=1e-10, grid_points=21)
         # the exact likelihood at the estimate beats a coarse scan
         best_grid = max(sg.exact_loglikelihood(scored, model, (), (gv,))
                         for gv in np.linspace(0, 1, 41))
@@ -596,10 +621,9 @@ class TestEstimateWrapper:
         result = run_single(ExperimentConfig(model="reliability", n_agents=8, sweep=(20,),
                                              trials=1, estimators=("exact",)))
         model = build_model(result.config)
-        theta, gamma = result.estimates["exact"]
-        z = np.concatenate([theta, gamma])
+        z = result.estimates["exact"]
         assert np.all(np.isfinite(z)) and model.feasible.contains(z)
-        assert np.isfinite(result.traces["exact"].objective)
+        assert np.isfinite(result.details["exact"].objective)
         problem = sg.exact_problem(result.graph, model)
         f = lambda g: problem.objective(np.array([g]), validate=False)
         step = 1e-6
@@ -649,7 +673,7 @@ class TestEstimateWrapper:
         scored, _ = sg.generate_scores(g, model, (0.5,), (0.3,), rng)
         counts = sg.aggregate_counts(scored)
         res = sg.estimate(sg.fr_problem(counts, model),
-                          SolverConfig(tol=1e-8, max_iters=5000, grid_points=33))
+                          tol=1e-8, max_iters=5000, grid_points=33)
         assert abs(res.gamma[0] - 0.5) > 1e-6
         grid = [sg.fr_objective(counts.phi, model, (th,), (ga,))
                 for th in np.linspace(*THETA_BOX, 33) for ga in np.linspace(0, 1, 33)]
@@ -661,17 +685,16 @@ class TestEstimateWrapper:
         g = sg.sample_score_graph(20, 120, "cyclic-plus-random-edges", rng)
         scored, _ = sg.generate_scores(g, model, (0.5,), (0.3,), rng)
         problem = sg.nr_problem(sg.aggregate_counts(scored), model)
-        config = SolverConfig(tol=1e-10, record_trace=True)
-        grid_start = estimators._grid_start(problem, config.grid_points)
-        res = sg.estimate(problem, config)
-        raw = sg.projected_gradient_solve(problem, start=grid_start, tol=config.tol)
+        grid_start = estimators._grid_start(problem, 21)
+        res = sg.estimate(problem, tol=1e-10, record_trace=True)
+        raw = sg.projected_gradient_solve(problem, start=grid_start, tol=1e-10)
         assert raw.gamma[0] < 0.5
         np.testing.assert_array_equal(res.z, raw.z)
         # started from the mirror of the grid start, the solve ends above 1/2
         mirror_start = np.array([grid_start[0], 1.0 - grid_start[1]])
         monkeypatch.setattr(estimators, "_grid_start", lambda problem, points: mirror_start)
-        res = sg.estimate(problem, config)
-        raw = sg.projected_gradient_solve(problem, start=mirror_start, tol=config.tol)
+        res = sg.estimate(problem, tol=1e-10, record_trace=True)
+        raw = sg.projected_gradient_solve(problem, start=mirror_start, tol=1e-10)
         assert raw.gamma[0] > 0.5
         for name in ("n_iters", "converged", "residual", "objective", "alpha"):
             assert getattr(res, name) == getattr(raw, name)
@@ -696,7 +719,7 @@ def test_trace_csv_round_trip(tmp_path):
                            estimators=("FR",), master_seed=67, solver_max_iters=200)
     single = run_single(cfg)
     sg.emit_single_outputs(single, tmp_path)
-    trace = single.traces["FR"].trace
+    trace = single.details["FR"].trace
     path = tmp_path / "trace_FR.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,objective,theta_1,gamma_1"

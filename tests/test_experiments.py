@@ -49,6 +49,12 @@ class TestConfig:
         for alpha in (0.0, -0.05):
             with pytest.raises(ValueError, match="solver_alpha"):
                 ExperimentConfig(solver_alpha=alpha).validate()
+        with pytest.raises(ValueError, match="solver_tol must be nonnegative"):
+            ExperimentConfig(solver_tol=-1.0).validate()
+        for n_agents in (1, 0):
+            with pytest.raises(ValueError, match="n_agents must be >= 2"):
+                ExperimentConfig(n_agents=n_agents).validate()
+        ExperimentConfig(solver_tol=0.0).validate()
         ExperimentConfig(estimators=("exact",), n_agents=12,
                          sweep=(12,)).validate()
 
@@ -270,7 +276,8 @@ class TestRunSingle:
 
     def test_oracle_estimate_is_the_truth(self):
         result = run_single(self.CFG)
-        theta_hat, gamma_hat = result.estimates["oracle"]
+        theta_hat, gamma_hat = build_model(result.config).feasible.split(
+            result.estimates["oracle"])
         assert tuple(gamma_hat) == (0.3,)
         assert theta_hat.size == 0
 
@@ -285,11 +292,11 @@ class TestRunSingle:
         single = run_single(cfg)
         emit_single_outputs(single, tmp_path / "single")
         single_mis = json.loads((tmp_path / "single" / "meta.json").read_text())
-        truth = single.estimates["oracle"][1][0]
+        truth = single.estimates["oracle"][-1]     # z = [gamma]
         fitted = ("NR", "FR", "FR-distributed", "exact")
         assert set(rmse) == {(12, est, "gamma") for est in fitted}
         for est in fitted:
-            assert rmse[(12, est, "gamma")] == abs(single.estimates[est][1][0] - truth)
+            assert rmse[(12, est, "gamma")] == abs(single.estimates[est][-1] - truth)
         assert set(mis) == {(12, cls) for cls in ("oracle", *fitted)}
         for cls in ("oracle", *fitted):
             assert mis[(12, cls)] == single_mis["misclassification"][cls]

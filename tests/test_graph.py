@@ -357,6 +357,13 @@ class TestCommSchedules:
         np.testing.assert_array_equal(s.matrix(0), cycle.matrix(0))
         assert not s.frames[0].flags.writeable
 
+    def test_frame_endpoints_must_be_agent_ids(self):
+        cycle = [(0, 1), (1, 2), (2, 0)]
+        for bad in ([[0, -1], [1, 2], [2, 0]], [[0, 1], [1, 3], [2, 0]]):
+            with pytest.raises(ValueError, match="frame 1 has an endpoint outside 0..2"):
+                sg.CommSchedule(3, (cycle, bad), 1)
+        assert sg.CommSchedule(3, (cycle, []), 2).satisfies_window_connectivity()
+
     def test_impossible_window_rejected(self):
         # splitting a 3-cycle into 5 frames leaves empty frames; the 5-window
         # union is still the full cycle, so this must succeed instead

@@ -1,5 +1,7 @@
 """Model tensors, priors, gradients, and feasible-set geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,17 +290,19 @@ def test_projection_equals_the_blockwise_projection(model):
         out = feas.project(v)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, _blockwise_loop(feas, v))
-    lo, hi = feas.bounds()
-    assert lo is feas.bounds()[0] and not (lo.flags.writeable or hi.flags.writeable)
+    lo, hi = feas.bounds
+    assert lo is feas.bounds[0] and not (lo.flags.writeable or hi.flags.writeable)
 
 
 def _blockwise_loop(feas, v):
-    """The per-block projection: one `project` call per block of `feas`."""
+    """The per-block projection: a clip per box block, project_simplex per simplex block."""
     v = np.asarray(v, dtype=np.float64)
     out = np.empty_like(v)
     start = 0
     for b in feas.blocks:
-        out[..., start:start + b.dim] = b.project(v[..., start:start + b.dim])
+        sl = slice(start, start + b.dim)
+        out[..., sl] = (np.clip(v[..., sl], b.lo, b.hi) if isinstance(b, Box)
+                        else project_simplex(v[..., sl]))
         start += b.dim
     return out
 
@@ -307,24 +311,33 @@ def _blockwise_loop(feas, v):
 def test_stacked_simplex_projection_equals_the_block_loop(shape):
     n_states, n_scores = shape
     feas = sg.categorical_model(n_states, n_scores).feasible
-    # the C^2 equal-size theta simplices form one run, projected in one call;
-    # the gamma simplex joins the run when it has the same size
-    runs = [count for _, _, count in feas._runs]
-    assert runs == ([n_states ** 2 + 1] if n_states == n_scores else [n_states ** 2, 1])
+    # the C^2 equal-size theta simplices are projected in one call; the gamma
+    # simplex joins that call when it has the same size
+    shapes = [idx.shape for idx in feas._simplices]
+    assert shapes == ([(n_states ** 2 + 1, n_scores)] if n_states == n_scores
+                      else [(n_states ** 2, n_scores), (1, n_states)])
     rng = np.random.default_rng(14)
     z = rng.uniform(-2.0, 3.0, size=(4, 6, feas.dim))
     for v in (z, z.reshape(-1, feas.dim), z[1, 2], z[:0, 0]):
         np.testing.assert_array_equal(feas.project(v), _blockwise_loop(feas, v))
 
 
+def _mixed_set():
+    return FeasibleSet((Simplex(3), Simplex(3), Box(np.zeros(2), np.ones(2)),
+                        Simplex(2), Simplex(2), Simplex(3)), theta_dim=8)
+
+
 def test_simplex_runs_break_at_boxes_and_size_changes():
-    blocks = FeasibleSet((Simplex(3), Simplex(3), Box(np.zeros(2), np.ones(2)),
-                          Simplex(2), Simplex(2), Simplex(3)), theta_dim=8)
-    runs = [(sl.start, sl.stop, count) for sl, _, count in blocks._runs]
-    assert runs == [(0, 6, 2), (6, 8, 1), (8, 12, 2), (12, 15, 1)]
+    blocks = _mixed_set()
     v = np.random.default_rng(15).uniform(-2.0, 3.0, size=(5, blocks.dim))
     for w in (v, v[0]):
         np.testing.assert_array_equal(blocks.project(w), _blockwise_loop(blocks, w))
+
+
+def test_simplices_group_blocks_by_size():
+    # the size-3 blocks on either side of the box and the size-2 pair
+    groups = [idx.tolist() for idx in _mixed_set()._simplices]
+    assert groups == [[[0, 1, 2], [3, 4, 5], [12, 13, 14]], [[8, 9], [10, 11]]]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -348,6 +361,12 @@ def test_split_parts_concatenate_to_z():
     theta, gamma = m.feasible.split(z)
     assert theta.shape == (m.theta_dim,) and gamma.shape == (m.gamma_dim,)
     np.testing.assert_array_equal(np.concatenate([theta, gamma]), z)
+
+
+def test_label_swap_symmetry_needs_a_scalar_gamma():
+    with pytest.raises(ValueError, match="label-swap symmetry needs a scalar gamma"):
+        replace(sg.categorical_model(2, 2), label_swap_symmetric=True)
+    assert replace(sg.preparata_model(), label_swap_symmetric=True).label_swap_symmetric
 
 
 def test_tensor_and_prior_validate():
