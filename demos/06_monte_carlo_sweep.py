@@ -13,7 +13,7 @@ from scoregraph.experiments import (ExperimentConfig, emit_outputs,
                                     run_sweep)
 
 # a small configuration that finishes in seconds; the full desk-scale
-# defaults are N=50 with 100 trials, and full_scale=True switches to
+# defaults are N=50 with 100 trials, and the CLI's --full-scale preset sets
 # N=300 with 1000 trials
 cfg = ExperimentConfig(
     model="reliability",

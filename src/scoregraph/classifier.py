@@ -46,8 +46,7 @@ class ClassifierOutput:
     log_unnormalized: np.ndarray
 
 
-def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
-                  validate: bool = True) -> ClassifierOutput:
+def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> ClassifierOutput:
     """Compute every agent's exact single-hop posterior and MAP label.
 
     Parameters
@@ -61,15 +60,15 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma,
 
     Raises
     ------
+    InfeasibleError
+        If (theta, gamma) lies outside the model's feasible set.
     DegenerateModelError
         If some agent's unnormalized posterior vanishes for every state.
     """
-    if validate:
-        model.require_feasible(theta, gamma)
     if counts.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
-    tensor = model.tensor(theta, validate=False)
-    prior = model.prior(gamma, validate=False)
+    tensor = model.tensor(theta)
+    prior = model.prior(gamma)
 
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)

@@ -18,13 +18,15 @@ from .experiments import (ExperimentConfig, build_model, emit_outputs,
                           run_invariant_checks, run_single, run_sweep)
 
 
-def _load_config(config_path, **overrides) -> ExperimentConfig:
-    """The config file (or the defaults) with every option that was given applied."""
+def _load_config(config_path, full_scale=False, **overrides) -> ExperimentConfig:
+    """The config file (or the defaults) with every option that was given
+    applied, then the --full-scale preset (the paper's N=300 and 1000 trials),
+    which wins over both."""
     cfg = parse_config_file(config_path) if config_path else ExperimentConfig()
     for key, value in overrides.items():
-        if value is not None and value is not False:    # an unset option or flag
+        if value is not None:     # None: not given on the command line
             cfg = replace(cfg, **{key: value})
-    return cfg
+    return replace(cfg, n_agents=300, trials=1000) if full_scale else cfg
 
 
 def _shared_options(fn):
@@ -37,7 +39,7 @@ def _shared_options(fn):
     fn = click.option("--trials", type=int, default=None,
                       help="Monte Carlo trials per sweep point.")(fn)
     fn = click.option("--full-scale", is_flag=True, default=False,
-                      help="Use the large network size (slow).")(fn)
+                      help="Preset N=300 and 1000 trials (slow); overrides --trials.")(fn)
     return fn
 
 

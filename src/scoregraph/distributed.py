@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleError, NonFiniteError
 from .estimators import fr_gradient, fr_problem, lipschitz_stepsize
-from .graph import CommSchedule, NeighborCounts, ScoreGraph, aggregate_counts
+from .graph import CommSchedule, NeighborCounts
 from .models import ModelSpec
 
 __all__ = [
@@ -121,8 +121,8 @@ class DistributedRun:
         return float(diff.max())
 
 
-def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
-                    n_rounds: int = 1000, start=None,
+def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSchedule,
+                    alpha=None, n_rounds: int = 1000, start=None,
                     record_every: int = 1, rng=0) -> DistributedRun:
     """Simulate n_rounds synchronous rounds of local gradient steps + consensus.
 
@@ -131,8 +131,8 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
 
     Parameters
     ----------
-    data : ScoreGraph or NeighborCounts
-        Scored graph (aggregated internally) or precomputed counts.
+    counts : NeighborCounts
+        The aggregated counts of a scored graph (see aggregate_counts).
     schedule : CommSchedule
         Window-connected communication schedule; frame t drives round t.
     alpha : float, optional
@@ -144,7 +144,6 @@ def run_distributed(data, model: ModelSpec, schedule: CommSchedule, alpha=None,
     """
     if n_rounds < 0 or record_every < 1:
         raise ValueError("n_rounds must be >= 0 and record_every >= 1")
-    counts = aggregate_counts(data) if isinstance(data, ScoreGraph) else data
     if schedule.n_agents != counts.n_agents:
         raise ValueError("schedule and counts disagree on the number of agents")
     if counts.n_scores != model.n_scores:

@@ -17,7 +17,8 @@ Broadcast contract.  The NR and FR objectives and gradients broadcast over
 leading axes of theta/gamma, like the model callables: one point gives a
 Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
 (gradients (..., dim)) whose entries equal the per-point values bit for bit;
-with `validate`, every row is checked.  FR takes one phi for the whole
+the objectives check every row, but not EstimatorProblem.evaluate, which
+the solver calls on projected points.  FR takes one phi for the whole
 stack, except `fr_gradient`, which also takes one phi row per point.
 `EstimatorProblem.objective`/`gradient` accept the same stacks; only the
 exact objective (its C^N table does not stack) and its finite-difference
@@ -76,13 +77,18 @@ PHI_TOL = 1e-9
 GRID_BLOCK = 64
 
 
-def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
-                        validate: bool = True) -> float:
+def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> float:
     """Log-probability of the observed scores with states fully marginalized.
 
     Enumerates all C^N joint state assignments, so the graph is capped at
     12 agents.  May return -inf when the data is impossible at (theta, gamma).
     """
+    model.require_feasible(theta, gamma)
+    return _exact_loglikelihood(graph, model, theta, gamma)
+
+
+def _exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> float:
+    """exact_loglikelihood without the feasibility check."""
     if graph.n_agents > MAX_EXACT_AGENTS:
         raise ValueError(
             f"exact likelihood enumerates C^N assignments; N <= {MAX_EXACT_AGENTS}")
@@ -90,8 +96,6 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma,
         raise ValueError("graph has no scores")
     if graph.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
-    if validate:
-        model.require_feasible(theta, gamma)
     tensor = model.tensor(theta, validate=False)
     prior = model.prior(gamma, validate=False)
     with np.errstate(divide="ignore"):
@@ -110,16 +114,14 @@ def _point_or_rows(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma,
-                 validate: bool = True) -> float | np.ndarray:
+def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> float | np.ndarray:
     """Node-relaxed log-likelihood (to maximize).
 
     Sum over agents of log sum_l prior(l) * prod_h P(score h | state l)^count,
     where each received score is marginalized over the unknown evaluator
     state independently.
     """
-    if validate:
-        model.require_feasible(theta, gamma)
+    model.require_feasible(theta, gamma)
     return _nr_kept_table(counts, model, theta, gamma)[0]
 
 
@@ -205,14 +207,12 @@ def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
     return phi
 
 
-def fr_objective(phi, model: ModelSpec, theta, gamma,
-                 validate: bool = True) -> float | np.ndarray:
+def fr_objective(phi, model: ModelSpec, theta, gamma) -> float | np.ndarray:
     """Fully-relaxed cost (to minimize): cross-entropy of phi against the
     single-edge score distribution.  May be +inf at boundary parameters.
     """
     phi = _check_phi(phi, model.n_scores)
-    if validate:
-        model.require_feasible(theta, gamma)
+    model.require_feasible(theta, gamma)
     return _fr_kept_table(phi, model, theta, gamma)[0]
 
 
@@ -290,13 +290,13 @@ class EstimatorProblem:
 
     kind "exact" and "nr" are maximized, "fr" is minimized; the solver
     handles the sign internally and traces report the natural value.
+    `data` is what the kind reads: the scored ScoreGraph for "exact", the
+    NeighborCounts for "nr", the checked phi array for "fr".
     """
 
     kind: str
     model: ModelSpec
-    graph: ScoreGraph | None = None
-    counts: NeighborCounts | None = None
-    phi: np.ndarray | None = None
+    data: ScoreGraph | NeighborCounts | np.ndarray
 
     @property
     def maximize(self) -> bool:
@@ -310,15 +310,15 @@ class EstimatorProblem:
         """
         split = self.model.feasible.split
         if self.kind == "nr":
-            return _nr_kept_table(self.counts, self.model, *split(z))
+            return _nr_kept_table(self.data, self.model, *split(z))
         if self.kind == "fr":
-            return _fr_kept_table(self.phi, self.model, *split(z))
-        return _rowwise(lambda v: exact_loglikelihood(
-            self.graph, self.model, *split(v), validate=False), z), None
+            return _fr_kept_table(self.data, self.model, *split(z))
+        return _rowwise(lambda v: _exact_loglikelihood(
+            self.data, self.model, *split(v)), z), None
 
-    def objective(self, z, validate: bool = True) -> float | np.ndarray:
-        if validate:
-            self.model.require_feasible(*self.model.feasible.split(z))
+    def objective(self, z) -> float | np.ndarray:
+        """evaluate(z)'s objective, after an InfeasibleError check of every row."""
+        self.model.require_feasible(*self.model.feasible.split(z))
         return self.evaluate(z)[0]
 
     def gradient(self, z, state=None) -> np.ndarray:
@@ -327,10 +327,10 @@ class EstimatorProblem:
         if self.kind == "exact":
             lo, hi = self.model.feasible.bounds
             return _rowwise(lambda v: _fd_gradient(
-                lambda w: self.objective(w, validate=False), v, lo, hi), z)
+                lambda w: self.evaluate(w)[0], v, lo, hi), z)
         if self.kind == "nr":
-            return nr_gradient(self.counts, self.model, *split(z), table=state)
-        return fr_gradient(self.phi, self.model, *split(z), table=state)
+            return nr_gradient(self.data, self.model, *split(z), table=state)
+        return fr_gradient(self.data, self.model, *split(z), table=state)
 
 
 def _rowwise(fn, z):
@@ -345,17 +345,17 @@ def _rowwise(fn, z):
 def exact_problem(graph: ScoreGraph, model: ModelSpec) -> EstimatorProblem:
     if graph.n_agents > MAX_EXACT_AGENTS:
         raise ValueError(f"exact objective is limited to {MAX_EXACT_AGENTS} agents")
-    return EstimatorProblem("exact", model, graph=graph)
+    return EstimatorProblem("exact", model, graph)
 
 
 def nr_problem(counts: NeighborCounts, model: ModelSpec) -> EstimatorProblem:
-    return EstimatorProblem("nr", model, counts=counts)
+    return EstimatorProblem("nr", model, counts)
 
 
 def fr_problem(data, model: ModelSpec) -> EstimatorProblem:
     """Build the fully-relaxed problem from NeighborCounts or a phi vector."""
     phi = data.phi if isinstance(data, NeighborCounts) else np.asarray(data, float)
-    return EstimatorProblem("fr", model, phi=_check_phi(phi, model.n_scores))
+    return EstimatorProblem("fr", model, _check_phi(phi, model.n_scores))
 
 
 def _fd_gradient(fun, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -483,6 +483,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
         raise ValueError("alpha must be positive")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
 
     def cost(v):
@@ -556,7 +558,7 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     """Best point of a coarse mesh over the box-constrained dimensions.
 
     The mesh is evaluated in C order, GRID_BLOCK points per
-    `problem.objective` call (the last block may be shorter).  The start is
+    `problem.evaluate` call (the last block may be shorter).  The start is
     the first mesh point, in C order, with the best finite value, or the
     centroid when no value is finite.  For label-swap-symmetric models the
     mesh keeps only gamma < 1/2: the gamma gradient vanishes on the symmetry
@@ -580,7 +582,7 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     best_score, best_z = -np.inf, center
     for start in range(0, len(points), GRID_BLOCK):
         block = points[start:start + GRID_BLOCK]
-        values = problem.objective(block, validate=False)
+        values = problem.evaluate(block)[0]
         scores = values if problem.maximize else -values
         finite = np.flatnonzero(np.isfinite(scores))
         if finite.size:
@@ -590,29 +592,30 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     return best_z
 
 
-def estimate(problem: EstimatorProblem, grid_points: int = 21, alpha: float = 1.0,
-             max_iters: int = 100000, tol: float = 1e-9,
-             record_trace: bool = False) -> SolveResult:
+def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 100000,
+             tol: float = 1e-9, record_trace: bool = False) -> SolveResult:
     """Pick a start, solve, canonicalize if symmetric.
 
     The start is the best point of a mesh of `grid_points` points per
     box-constrained dimension (see _grid_start; the centroid above 3 such
-    dimensions and for simplex-only models).  projected_gradient_solve
-    takes the other keywords: its first trial step `alpha`, the residual
-    stop tol * max(1, |objective|), which `converged` reports, the cap
-    `max_iters` and `record_trace`.  Models that declare the label-swap
+    dimensions and for simplex-only models); `grid_points` must be >= 1.
+    projected_gradient_solve takes the other keywords: the residual stop
+    tol * max(1, |objective|), which `converged` reports, the cap
+    `max_iters` and `record_trace`; its first trial step is 1.  Models that declare the label-swap
     symmetry get the representative with gamma <= 1/2: the solve's result
     with z, theta and gamma moved to the mirror when the solve ended above
     1/2 (its trace keeps the raw iterates).  The symmetry is verified on the
     objective values of every such solve.
     """
+    if grid_points < 1:
+        raise ValueError("grid_points must be >= 1")
     solve = projected_gradient_solve(problem, start=_grid_start(problem, grid_points),
-                                     alpha=alpha, max_iters=max_iters, tol=tol,
+                                     max_iters=max_iters, tol=tol,
                                      record_trace=record_trace)
     z, mirror = _canonical_swap(solve.z, problem.model)
     if mirror is not None:
         value = solve.objective
-        mirror_value = problem.objective(mirror, validate=False)
+        mirror_value = problem.evaluate(mirror)[0]
         if abs(mirror_value - value) > 1e-9 + 1e-9 * abs(value):
             raise AssertionError(
                 f"label-swap symmetry violated: {value} vs {mirror_value}")

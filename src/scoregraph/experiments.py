@@ -47,10 +47,10 @@ __all__ = [
     "run_invariant_checks",
 ]
 
-FULL_SCALE_AGENTS = 300
-FULL_SCALE_TRIALS = 1000
 # true dispersion theta of the social-ranking sweep when the config sets none
 SOCIAL_RANKING_THETA = (0.5,)
+# true gamma when the config sets none; categorical takes its simplex centroid
+SCALAR_GAMMA = (0.3,)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ExperimentConfig:
     n_states: int | None = None
     n_scores: int | None = None
     theta: tuple = ()
-    gamma: tuple = (0.3,)
+    gamma: tuple = ()
     n_agents: int = 50
     sweep: tuple | None = None
     trials: int = 100
@@ -75,16 +75,16 @@ class ExperimentConfig:
     solver_grid_points: int = 33
     master_seed: int = 0
     out_dir: str | None = None
-    full_scale: bool = False
 
     def resolved(self) -> "ExperimentConfig":
-        """Apply the full-scale switch, the sweep rule and the social-ranking default theta."""
+        """Apply the sweep rule and the per-model default theta and gamma."""
         cfg = self
-        if cfg.full_scale:
-            cfg = replace(cfg, n_agents=FULL_SCALE_AGENTS, trials=FULL_SCALE_TRIALS,
-                          full_scale=False)
         if cfg.model == "social-ranking" and not cfg.theta:
             cfg = replace(cfg, theta=SOCIAL_RANKING_THETA)
+        if not cfg.gamma and cfg.model == "categorical":
+            feas = build_model(cfg).feasible
+            cfg = replace(cfg, gamma=tuple(feas.split(feas.centroid())[1].tolist()))
+        cfg = replace(cfg, gamma=cfg.gamma or SCALAR_GAMMA)
         if cfg.sweep is None:
             n = cfg.n_agents
             cfg = replace(cfg, sweep=(n, 10 * n, n * (n - 1)))
@@ -92,14 +92,14 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         cfg = self.resolved()
-        if cfg.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
+                         ("solver_max_iters", 0), ("solver_rounds", 0)):
+            if getattr(cfg, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
             raise ValueError("solver_alpha must be positive")
         if not cfg.solver_tol >= 0:
             raise ValueError("solver_tol must be nonnegative")
-        if cfg.n_agents < 2:
-            raise ValueError("n_agents must be >= 2")
         n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
         for v in cfg.sweep:
             if not n <= v <= max_edges:
@@ -126,14 +126,11 @@ def build_model(config: ExperimentConfig) -> ModelSpec:
 
 
 def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
-    """The true z = [theta, gamma]; the centroid's part where the config sets none."""
-    center_theta, center_gamma = model.feasible.split(model.feasible.centroid())
-    theta = np.asarray(config.theta or center_theta, dtype=np.float64)
-    gamma = np.asarray(config.gamma, dtype=np.float64)
-    if gamma.size == 0 or (model.gamma_dim > 1 and gamma.size == 1):
-        gamma = center_gamma
-    model.require_feasible(theta, gamma)
-    return np.concatenate([theta, gamma])
+    """The true z = [theta, gamma] of a resolved config, the centroid's theta where
+    it sets none; InfeasibleError if a part is infeasible or of the wrong length."""
+    theta = config.theta or model.feasible.split(model.feasible.centroid())[0]
+    model.require_feasible(theta, config.gamma)
+    return np.concatenate([np.asarray(theta, dtype=np.float64), config.gamma])
 
 
 def _param_names(model: ModelSpec, indexed: bool = False) -> tuple:
@@ -179,9 +176,10 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
     """Fit one estimator on one trial: (z_hat, detail).
 
     `detail` is the estimate's SolveResult of a centralized estimator and the
-    DistributedRun of FR-distributed.  With `record_trace` the solve keeps
-    its iterate trace and the distributed run records every round;
-    otherwise only the first and last rounds are kept.
+    DistributedRun of FR-distributed.  `solver_alpha` is the fixed step of
+    FR-distributed only.  With `record_trace` the solve keeps its iterate
+    trace and the distributed run records every round; otherwise only the
+    first and last rounds are kept.
     """
     if name == "FR-distributed":
         run = run_distributed(
@@ -195,7 +193,6 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
     build, grid_points = _ESTIMATORS[name]
     res = estimate(build(graph, counts, model),
                    grid_points=grid_points or config.solver_grid_points,
-                   alpha=1.0 if config.solver_alpha is None else config.solver_alpha,
                    max_iters=config.solver_max_iters, tol=config.solver_tol,
                    record_trace=record_trace)
     return res.z, res

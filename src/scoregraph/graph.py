@@ -260,9 +260,8 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
         and the length-N array of true state indices.
     """
     rng = as_rng(rng)
-    model.require_feasible(theta, gamma)
-    prior = model.prior(gamma, validate=False)
-    tensor = model.tensor(theta, validate=False)
+    tensor = model.tensor(theta)
+    prior = model.prior(gamma)
     n_states = model.n_states
     states = rng.choice(n_states, size=graph.n_agents, p=prior)
     # cdf[h, l*C + m]: P(score <= h) for an evaluator in state l and a target in state m

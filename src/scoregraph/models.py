@@ -82,8 +82,8 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, v, tol=FEAS_TOL) -> bool:
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+    def contains(self, v) -> bool:
+        return bool(np.all(v >= self.lo - FEAS_TOL) and np.all(v <= self.hi + FEAS_TOL))
 
     def centroid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -103,8 +103,8 @@ class Simplex:
         if self.dim < 1:
             raise ValueError("simplex dimension must be >= 1")
 
-    def contains(self, v, tol=FEAS_TOL) -> bool:
-        return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= tol)
+    def contains(self, v) -> bool:
+        return bool(np.all(v >= -FEAS_TOL) and abs(float(np.sum(v)) - 1.0) <= FEAS_TOL)
 
     def centroid(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -170,7 +170,7 @@ class FeasibleSet:
             out[..., idx] = project_simplex(z[..., idx])
         return out
 
-    def contains(self, v, tol=FEAS_TOL, part: str | None = None) -> bool:
+    def contains(self, v, part: str | None = None) -> bool:
         """Whether the point v lies in the set: v is all of z, or with `part`
         "theta" or "gamma" only that part of it."""
         v = np.asarray(v, dtype=np.float64)
@@ -178,7 +178,7 @@ class FeasibleSet:
         stop = self.theta_dim if part == "theta" else self.dim
         if v.shape != (stop - start,):
             return False
-        return all(b.contains(v[sl.start - start:sl.stop - start], tol)
+        return all(b.contains(v[sl.start - start:sl.stop - start])
                    for sl, b in self._slices() if start <= sl.start and sl.stop <= stop)
 
     def centroid(self) -> np.ndarray:
@@ -243,7 +243,7 @@ class ModelSpec:
     def gamma_dim(self) -> int:
         return self.feasible.gamma_dim
 
-    def _part(self, part: str, v, validate: bool = False, tol=FEAS_TOL) -> np.ndarray:
+    def _part(self, part: str, v, validate: bool = False) -> np.ndarray:
         """theta or gamma (`part`) as an array, a point or a stack (..., dim);
         with `validate`, InfeasibleError names the first row outside the set."""
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -252,15 +252,15 @@ class ModelSpec:
             raise InfeasibleError(f"{self.name}: {part} must have {dim} components")
         if validate:
             for idx in np.ndindex(v.shape[:-1]):
-                if not self.feasible.contains(v[idx], tol, part):
+                if not self.feasible.contains(v[idx], part):
                     at = f" (row {', '.join(map(str, idx))})" if idx else ""
                     raise InfeasibleError(f"{self.name}: {part} {v[idx]}{at} is infeasible")
         return v
 
-    def require_feasible(self, theta, gamma, tol=FEAS_TOL) -> None:
+    def require_feasible(self, theta, gamma) -> None:
         """Raise InfeasibleError unless every row of a stack (or the one point) is feasible."""
-        self._part("theta", theta, True, tol)
-        self._part("gamma", gamma, True, tol)
+        self._part("theta", theta, True)
+        self._part("gamma", gamma, True)
 
     def tensor(self, theta, validate: bool = True) -> np.ndarray:
         return self.tensor_fn(self._part("theta", theta, validate))

@@ -129,9 +129,8 @@ def test_criterion_4_gradients_match_finite_differences():
                 for _ in range(25):
                     z = model.feasible.sample_interior(rng, margin=0.05)
                     got = problem.gradient(z)
-                    want = fd_gradient(
-                        lambda v: problem.objective(v, validate=False), z,
-                        step=1e-5)
+                    want = fd_gradient(lambda v: problem.evaluate(v)[0], z,
+                                       step=1e-5)
                     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
         info["detail"] = "tensor/prior and NR/FR objective gradients"
 

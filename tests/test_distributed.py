@@ -225,13 +225,6 @@ class TestRunDistributed:
             phis.append(state.phi)
         np.testing.assert_array_equal(run.phi_traj, np.asarray(phis))
 
-    def test_scored_graph_and_counts_agree(self):
-        scored, counts, model = _fixture()
-        sched = sg.CommSchedule(10, (scored.edges,), 1)
-        a = sg.run_distributed(scored, model, sched, alpha=0.02, n_rounds=40)
-        b = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=40)
-        np.testing.assert_array_equal(a.final_z, b.final_z)
-
     def test_agents_agree_with_the_centralized_solution(self):
         scored, counts, model = _fixture()
         sched = sg.CommSchedule(10, (scored.edges,), 1)

@@ -120,8 +120,7 @@ class TestNodeRelaxedObjective:
         for _ in range(10):
             z = model.feasible.sample_interior(rng)
             got = problem.gradient(z)
-            want = fd_gradient(lambda v: problem.objective(v, validate=False),
-                               z, step=1e-5)
+            want = fd_gradient(lambda v: problem.evaluate(v)[0], z, step=1e-5)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
     def test_all_negative_infinite_rows_raise(self):
@@ -242,8 +241,7 @@ class TestFullyRelaxedObjective:
         for _ in range(10):
             z = model.feasible.sample_interior(rng)
             got = problem.gradient(z)
-            want = fd_gradient(lambda v: problem.objective(v, validate=False),
-                               z, step=1e-5)
+            want = fd_gradient(lambda v: problem.evaluate(v)[0], z, step=1e-5)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
     def test_plus_infinity_at_impossible_support(self):
@@ -367,6 +365,21 @@ class TestProjectedGradient:
                 sg.estimate(problem, tol=tol)
         assert sg.projected_gradient_solve(problem, tol=0.0).n_iters >= 1
 
+    def test_degenerate_grid_and_iteration_counts_rejected(self):
+        # an empty mesh would start every solve at the centroid, which for
+        # social-ranking is the label-swap point gamma = 1/2
+        problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
+        for grid_points in (0, -3):
+            with pytest.raises(ValueError, match="grid_points must be >= 1"):
+                sg.estimate(problem, grid_points=grid_points)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            sg.projected_gradient_solve(problem, max_iters=-1)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            sg.estimate(problem, max_iters=-1)
+        assert sg.estimate(problem, grid_points=1).converged
+        res = sg.projected_gradient_solve(problem, max_iters=0)
+        assert res.n_iters == 0 and not res.converged
+
     def test_converges_to_closed_form(self):
         q = 0.4
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
@@ -400,7 +413,7 @@ class TestProjectedGradient:
         problem = sg.fr_problem(counts, model)
         res = sg.projected_gradient_solve(problem, alpha=0.1, max_iters=500)
         for row in res.trace:
-            assert model.feasible.contains(row[2:], tol=1e-9)
+            assert model.feasible.contains(row[2:])
 
     def test_converged_solves_meet_the_residual_stop(self):
         rng = np.random.default_rng(71)
@@ -485,7 +498,7 @@ class TestProjectedGradient:
             sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
-            assert value == problem.objective(z, validate=False)
+            assert value == problem.objective(z)
         assert len(seen) > len(ALL_MODELS)
         for from_table, got, want in seen:
             assert from_table
@@ -535,7 +548,7 @@ class TestProjectedGradient:
             sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
-            assert value == problem.objective(z, validate=False)
+            assert value == problem.objective(z)
         assert len(seen) > len(ALL_MODELS)
         for from_table, got, want in seen:
             assert from_table
@@ -625,7 +638,7 @@ class TestEstimateWrapper:
         assert np.all(np.isfinite(z)) and model.feasible.contains(z)
         assert np.isfinite(result.details["exact"].objective)
         problem = sg.exact_problem(result.graph, model)
-        f = lambda g: problem.objective(np.array([g]), validate=False)
+        f = lambda g: problem.objective(np.array([g]))
         step = 1e-6
         assert problem.gradient(np.array([0.0]))[0] == (f(step) - f(0.0)) / step
         assert problem.gradient(np.array([1.0]))[0] == (f(1.0) - f(1.0 - step)) / step
@@ -764,7 +777,7 @@ def _grid_start_reference(problem, grid_points):
     for combo in itertools.product(*axes):
         z = center.copy()
         z[box_idx] = combo
-        value = problem.objective(z, validate=False)
+        value = problem.evaluate(z)[0]
         if not np.isfinite(value):
             continue
         score = value if problem.maximize else -value
@@ -789,9 +802,9 @@ class _Remapped:
     def maximize(self):
         return self.inner.maximize
 
-    def objective(self, z, validate=True):
+    def evaluate(self, z):
         self.calls.append(np.shape(z))
-        return self.remap(np.asarray(self.inner.objective(z, validate)))
+        return self.remap(np.asarray(self.inner.evaluate(z)[0])), None
 
 
 class TestStackedEvaluation:
@@ -803,17 +816,15 @@ class TestStackedEvaluation:
         points = _stack_points(model, rng).reshape(4, 6, -1)
         theta, gamma = model.feasible.split(points)
         stacked = {
-            "nr": sg.nr_objective(counts, model, theta, gamma, validate=False),
-            "fr": sg.fr_objective(counts.phi, model, theta, gamma, validate=False),
+            "nr": sg.nr_objective(counts, model, theta, gamma),
+            "fr": sg.fr_objective(counts.phi, model, theta, gamma),
         }
         for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
-            per_point = np.array([[problem.objective(z, validate=False) for z in row]
-                                  for row in points])
+            per_point = np.array([[problem.objective(z) for z in row] for row in points])
             assert all(isinstance(v, float) for v in per_point.ravel().tolist())
             assert stacked[problem.kind].shape == (4, 6)
             np.testing.assert_array_equal(stacked[problem.kind], per_point)
-            np.testing.assert_array_equal(problem.objective(points, validate=False),
-                                          per_point)
+            np.testing.assert_array_equal(problem.objective(points), per_point)
             if model.name == "preparata":
                 # gamma = 0 makes the mixed scores impossible: -inf (NR), +inf (FR)
                 assert np.isinf(per_point).any() and np.isfinite(per_point).any()
@@ -830,23 +841,35 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_validate_checks_every_row_of_a_stack(self, model):
+        # every public entry point checks theta and gamma, row by row
         rng = np.random.default_rng(97)
         scored, _, _ = _instance(model, rng)
         counts = sg.aggregate_counts(scored)
-        points = _stack_points(model, rng, n_points=5)
+        good = _stack_points(model, rng, n_points=5)
         problems = [sg.nr_problem(counts, model), sg.fr_problem(counts, model),
                     sg.exact_problem(scored, model)]
         for problem in problems:
-            problem.objective(points)
-        points[3, -1] = 1.2
-        theta, gamma = model.feasible.split(points)
-        with pytest.raises(InfeasibleError):
-            sg.nr_objective(counts, model, theta, gamma)
-        with pytest.raises(InfeasibleError):
-            sg.fr_objective(counts.phi, model, theta, gamma)
-        for problem in problems:
-            with pytest.raises(InfeasibleError):
-                problem.objective(points)
+            problem.objective(good)
+        entry_points = [
+            lambda th, ga: sg.nr_objective(counts, model, th, ga),
+            lambda th, ga: sg.fr_objective(counts.phi, model, th, ga),
+            lambda th, ga: sg.exact_loglikelihood(scored, model, th, ga),
+            lambda th, ga: sg.soft_classify(counts, model, th, ga),
+            lambda th, ga: sg.generate_scores(scored, model, th, ga, rng),
+        ] + [lambda th, ga, p=p: p.objective(np.concatenate([th, ga], axis=-1))
+             for p in problems]
+        # one bad row: a theta coordinate below its box or simplex, or a
+        # gamma above its box or off its simplex
+        for part, k, bad in (("theta", 0, -1.0), ("gamma", -1, 1.2)):
+            if part == "theta" and not model.theta_dim:
+                continue
+            points = good.copy()
+            points[3, k] = bad
+            for z in (points, points[3]):     # the stack, and the bad row alone
+                theta, gamma = model.feasible.split(z)
+                for call in entry_points:
+                    with pytest.raises(InfeasibleError, match=part):
+                        call(theta, gamma)
 
     def _problems(self):
         rng = np.random.default_rng(101)
@@ -918,7 +941,7 @@ class TestStackedEvaluation:
             assert per_point.shape == (3, 4, model.feasible.dim)
             np.testing.assert_array_equal(problem.gradient(points), per_point)
             values, state = problem.evaluate(points)
-            np.testing.assert_array_equal(values, problem.objective(points, validate=False))
+            np.testing.assert_array_equal(values, problem.objective(points))
             np.testing.assert_array_equal(problem.gradient(points, state), per_point)
             if problem.kind == "nr":
                 np.testing.assert_array_equal(sg.nr_gradient(counts, model, theta, gamma),

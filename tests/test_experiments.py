@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import scoregraph as sg
-from scoregraph.cli import main
+from scoregraph.cli import _load_config, main
+from scoregraph.errors import InfeasibleError
 from scoregraph.experiments import (ExperimentConfig, build_model, emit_outputs,
                                     emit_single_outputs, parse_config_file,
                                     read_misclass_csv, read_rmse_csv,
@@ -26,10 +27,27 @@ class TestConfig:
         assert cfg.n_agents == 50 and cfg.trials == 100
         assert cfg.sweep == (50, 500, 2450)
 
-    def test_full_scale_switch(self):
-        cfg = ExperimentConfig(full_scale=True).resolved()
-        assert cfg.n_agents == 300 and cfg.trials == 1000
-        assert cfg.sweep == (300, 3000, 89700)
+    def test_gamma_default_follows_the_model(self):
+        for model in ("preparata", "reliability", "social-ranking"):
+            assert ExperimentConfig(model=model).resolved().gamma == (0.3,)
+        cfg = ExperimentConfig(model="categorical", n_states=4, n_scores=2)
+        assert cfg.resolved().gamma == (0.25,) * 4
+        given = replace(cfg, gamma=(0.1, 0.2, 0.3, 0.4))
+        assert given.resolved().gamma == given.gamma
+
+    def test_gamma_of_the_wrong_length_raises_before_any_trial(self, monkeypatch):
+        # a scalar gamma must not fall back to the centroid on the
+        # vector-gamma categorical model
+        calls = []
+        monkeypatch.setattr("scoregraph.experiments._run_trial",
+                            lambda *args, **kwargs: calls.append(args))
+        for gamma in ((0.9,), (0.2, 0.3, 0.5)):
+            cfg = ExperimentConfig(model="categorical", n_states=2, n_scores=2,
+                                   gamma=gamma, n_agents=6, sweep=(6,), trials=1)
+            for run in (run_sweep, run_single):
+                with pytest.raises(InfeasibleError, match="gamma must have 2 components"):
+                    run(cfg)
+        assert calls == []
 
     def test_explicit_sweep_kept(self):
         cfg = ExperimentConfig(sweep=(50, 100)).resolved()
@@ -54,7 +72,13 @@ class TestConfig:
         for n_agents in (1, 0):
             with pytest.raises(ValueError, match="n_agents must be >= 2"):
                 ExperimentConfig(n_agents=n_agents).validate()
+        for key, bad in (("solver_grid_points", 0), ("solver_grid_points", -3),
+                         ("solver_max_iters", -1), ("solver_rounds", -1)):
+            with pytest.raises(ValueError, match=f"{key} must be >= "):
+                ExperimentConfig(**{key: bad}).validate()
         ExperimentConfig(solver_tol=0.0).validate()
+        ExperimentConfig(solver_grid_points=1, solver_max_iters=0,
+                         solver_rounds=0).validate()
         ExperimentConfig(estimators=("exact",), n_agents=12,
                          sweep=(12,)).validate()
 
@@ -388,6 +412,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 7
         assert "all 7 checks passed" in result.output
+
+    def test_full_scale_preset_overrides_the_config_and_trials(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("N = 6\ntrials = 2\nseed = 4\n")
+        cfg = _load_config(str(path), full_scale=True, trials=5, master_seed=None).resolved()
+        assert cfg.n_agents == 300 and cfg.trials == 1000 and cfg.master_seed == 4
+        assert cfg.sweep == (300, 3000, 89700)
+        cfg = _load_config(str(path), full_scale=False, trials=5, master_seed=None)
+        assert cfg.n_agents == 6 and cfg.trials == 5
 
     def test_help_lists_subcommands(self):
         runner = CliRunner()
