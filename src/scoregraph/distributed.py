@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NonFiniteError
-from .estimators import fr_gradient, fr_problem, lipschitz_stepsize
+from .estimators import _check_phi, _fr_gradient, fr_problem, lipschitz_stepsize
 from .graph import CommSchedule, NeighborCounts
 from .models import ModelSpec
 
@@ -89,8 +89,13 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     z (dim,) and phi (R,) work the same way.  NonFiniteError names the
     first agent whose cost is +inf.
     """
+    return _local_step(z, _check_phi(phi, model.n_scores, stacked=True), model, alpha)
+
+
+def _local_step(z, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
+    """local_gradient_step of a phi already checked."""
     theta, gamma = model.feasible.split(z)
-    grad = fr_gradient(phi, model, theta, gamma)
+    grad = _fr_gradient(phi, model, theta, gamma)
     return model.feasible.project(np.asarray(z, dtype=np.float64) - alpha * grad)
 
 
@@ -156,13 +161,14 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
     phi_traj = np.empty((times.size,) + state.xi.shape)
     z_traj = np.empty((times.size,) + state.z.shape)
-    phi = np.divide(state.xi, state.eta[:, None], out=phi_traj[0])
+    phi = _check_phi(np.divide(state.xi, state.eta[:, None], out=phi_traj[0]),
+                     model.n_scores, stacked=True)
     z_traj[0] = state.z
     recorded = times.tolist()
     k = 1
     for t in range(n_rounds):
         try:
-            state.z = local_gradient_step(state.z, phi, model, alpha)
+            state.z = _local_step(state.z, phi, model, alpha)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
         state = push_sum_round(state, schedule, t)

@@ -32,14 +32,17 @@ and no per-agent (k, N, C) array (see nr_gradient).  FR, what each round of
 the distributed estimator runs: with r = phi / t_h and q[l, m] = sum_h r_h
 T[h, l, m], the gamma gradient is -dprior (q + q^T) p (see fr_gradient).
 
-The solver is projected gradient with Armijo backtracking and a spectral
-(Barzilai-Borwein) trial step.  The NR and FR gradients at an accepted point
-reuse the table that the cost evaluation there built (the NR state table,
-the FR edge score distribution), so a solve builds one table per point.
-It reports convergence only where the projected-gradient residual
-certifies stationarity; `estimate` adds a grid start, evaluated in blocks
-of at most GRID_BLOCK mesh points per objective call (which keeps the
-allocation of a call small), and the label-swap canonicalization.
+The solver takes projected Newton steps (Bertsekas 1982) on the box-only
+NR and FR problems and spectral (Barzilai-Borwein) projected-gradient steps
+elsewhere and as the fallback, each with Armijo backtracking.  A Newton cost
+evaluation takes the point and its dim forward-difference neighbours in one
+stacked call, and the gradients at an accepted point reuse the table that
+call built (the NR state table, the FR edge score distribution): one
+stacked gradient call gives g and the Hessian, and a solve builds one table
+per point.  It reports convergence only where the projected-gradient
+residual certifies stationarity; `estimate` adds a grid start, evaluated in
+blocks of at most GRID_BLOCK mesh points per objective call (which keeps
+the allocation of a call small), and the label-swap canonicalization.
 """
 
 from __future__ import annotations
@@ -245,7 +248,12 @@ def fr_gradient(phi, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
     cost is +inf at some agent's point, NonFiniteError names the first such
     agent by its row index.
     """
-    phi = _check_phi(phi, model.n_scores, stacked=True)
+    return _fr_gradient(_check_phi(phi, model.n_scores, stacked=True), model, theta, gamma,
+                        table)
+
+
+def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
+    """fr_gradient of a phi already checked (one row, or one row per point)."""
     if table is None:
         table = _edge_score_distribution(model, theta, gamma)
     t_h, tensor, prior = table
@@ -330,7 +338,7 @@ class EstimatorProblem:
                 lambda w: self.evaluate(w)[0], v, lo, hi), z)
         if self.kind == "nr":
             return nr_gradient(self.data, self.model, *split(z), table=state)
-        return fr_gradient(self.data, self.model, *split(z), table=state)
+        return _fr_gradient(self.data, self.model, *split(z), table=state)
 
 
 def _rowwise(fn, z):
@@ -407,14 +415,15 @@ def lipschitz_stepsize(problem: EstimatorProblem, rng=0) -> float:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one projected-gradient run (natural objective sign).
+    """Outcome of one projected_gradient_solve run (natural objective sign).
 
     `residual` is the projected-gradient residual ||z - P(z - g)||_inf at
     the returned `z`; `converged` is True only when it met the stopping
     test, residual <= tol * max(1, |objective|).  `alpha` is the last
-    accepted step (the initial trial step if none was taken).  `estimate`
-    returns it with z, theta and gamma moved to the label-swap mirror when
-    it takes that mirror; the other fields are the solve's.
+    accepted arc step: the fraction s of a Newton step, or the spectral step
+    length (1 if no step was taken).  `estimate` returns it with z, theta
+    and gamma moved to the label-swap mirror when it takes that mirror; the
+    other fields are the solve's.
     """
 
     z: np.ndarray
@@ -429,46 +438,88 @@ class SolveResult:
 
 
 ARMIJO_DECREASE = 1e-4
+# relative step of the forward-difference stencil behind the Newton Hessian
+HESSIAN_STEP = 1e-6
 
 
-def _backtrack(cost, project, z, f, grad, step):
-    """Halve `step` until P(z - step grad) is finite and decreases the cost enough.
+def _first_point(state):
+    """The kept table of the first point of a stack: row 0 of every array,
+    except a tensor (item 1) that does not depend on theta and so has no
+    stack axis."""
+    return tuple(a if k == 1 and a.ndim == 3 else a[0] for k, a in enumerate(state))
 
-    `cost` returns (value, kept state).  Returns (point, cost, step, state),
-    or None once no smaller step moves z.
+
+def _newton_direction(z, grad, hess, lo, hi):
+    """Projected Newton direction (Bertsekas 1982), or None where H_FF is not
+    positive definite.
+
+    A coordinate is active when it sits at a bound and the gradient pushes
+    outward; it takes -g.  The free coordinates F take d_F with
+    H_FF d_F = -g_F.
+    """
+    free = ~(((z <= lo) & (grad > 0)) | ((z >= hi) & (grad < 0)))
+    direction = -grad
+    block = hess[np.ix_(free, free)]
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return None
+    direction[free] = np.linalg.solve(block, direction[free])
+    return direction
+
+
+def _backtrack(cost, project, z, f, grad, direction, step):
+    """Halve `step` until P(z + step direction) is finite and decreases the cost enough.
+
+    `cost` returns (value, kept state).  A trial point whose first-order
+    change g.(z+ - z) is positive is not evaluated.  Returns (point, cost,
+    step, state), or None once no smaller step moves z.
     """
     while True:
-        trial = z - step * grad
+        trial = z + step * direction
         z_new = project(trial)
         if np.array_equal(trial, z) or np.array_equal(z_new, z):
             return None
-        f_new, state = cost(z_new)
-        if np.isfinite(f_new) and f_new <= f + ARMIJO_DECREASE * float(grad @ (z_new - z)):
-            return z_new, f_new, step, state
+        decrease = float(grad @ (z_new - z))
+        if decrease <= 0:
+            f_new, state = cost(z_new)
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_DECREASE * decrease:
+                return z_new, f_new, step, state
         step *= 0.5
 
 
-def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float = 1.0,
+def projected_gradient_solve(problem: EstimatorProblem, start=None,
                              max_iters: int = 100000, tol: float = 1e-9,
                              record_trace: bool = True) -> SolveResult:
-    """Projected gradient with Armijo backtracking, stopped on the residual.
+    """Projected Newton, or projected gradient, with Armijo backtracking,
+    stopped on the residual.
 
     Works on the cost f to minimize (the objective, negated when the problem
     is maximized).  Each iteration evaluates the gradient g at z, from the
     state that the cost evaluation at z kept (problem.evaluate), and stops
     with converged=True once the projected-gradient residual
     ||z - P(z - g)||_inf is at most tol * max(1, |f(z)|); the scale follows
-    the objective, which for NR is a sum over agents.  Otherwise it tries a
-    step s and halves it until the trial point z+ = P(z - s g) has a finite
-    cost and meets the sufficient decrease f(z+) <= f(z) + 1e-4 g.(z+ - z),
-    so trial points on an infinite-cost boundary are rejected.  The first
-    trial step is alpha; later ones are the Barzilai-Borwein step
+    the objective, which for NR is a sum over agents.  Otherwise it picks a
+    direction d and a first step s, and halves s until the trial point
+    z+ = P(z + s d) has a finite cost and meets the sufficient decrease
+    f(z+) <= f(z) + 1e-4 g.(z+ - z), so trial points on an infinite-cost
+    boundary are rejected.
+
+    On box-only sets with an analytic gradient (NR and FR) the direction is
+    projected Newton (Bertsekas 1982; see _newton_direction) with s = 1.
+    Each cost evaluation there takes z and its dim neighbours z + h_k e_k,
+    h_k = 1e-6 max(1, |z_k|) negated where z_k + h_k would pass the upper
+    bound, in one problem.evaluate call; row 0 is the same bits as z alone.
+    At an accepted point one stacked problem.gradient call gives g and the
+    Hessian columns (g_k - g) / h_k, symmetrized.  Where H_FF is not positive
+    definite, a stencil row is not finite, or the Newton arc finds no
+    decrease, the step is the spectral one below.
+
+    Simplex sets and the exact objective always take d = -g.  The first
+    such trial step is 1; later ones are the Barzilai-Borwein step
     dz.dz / dz.dg over the last accepted move (spectral projected gradient,
-    Birgin, Martinez & Raydan 2000), or twice the last accepted step where
-    that curvature is not positive.  The spectral step reaches the residual
-    stop before the roundoff floor of f, below which sufficient decrease
-    cannot be seen; with doubled steps alone about half of small FR and NR
-    solves at tol 1e-9 stall at that floor.  The solve stops with
+    Birgin, Martinez & Raydan 2000), or twice the last accepted spectral
+    step where that curvature is not positive.  The solve stops with
     converged=False after max_iters iterations, or when no smaller step
     moves z; it does not raise for that.  The residual at the returned z is
     reported either way; after max_iters steps it takes one more gradient.
@@ -479,31 +530,49 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
     z = feas.centroid() if start is None else np.asarray(start, dtype=np.float64).copy()
     if not feas.contains(z):
         raise InfeasibleError("start point is outside the feasible set")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
+    lo, hi = feas.bounds
+    newton = problem.kind != "exact" and feas.box_dims().size == feas.dim
 
     def cost(v):
-        value, state = problem.evaluate(v)
-        return sign * value, state
+        if not newton:
+            value, state = problem.evaluate(v)
+            return sign * value, state
+        h = HESSIAN_STEP * np.maximum(1.0, np.abs(v))
+        points = np.vstack([v, v + np.diag(np.where(v + h > hi, -h, h))])
+        values, state = problem.evaluate(points)
+        return sign * float(values[0]), (points, values, state)
+
+    def derivatives(v, kept):
+        """g at v, from what cost(v) kept, and the stencil Hessian or None."""
+        if not newton:
+            return sign * problem.gradient(v, kept), None
+        points, values, state = kept
+        if not np.all(np.isfinite(values)):
+            return sign * problem.gradient(v, _first_point(state)), None
+        grads = sign * problem.gradient(points, state)
+        if not np.all(np.isfinite(grads[1:])):
+            return grads[0], None
+        hess = (grads[1:] - grads[0]) / (np.diagonal(points[1:]) - v)[:, None]
+        return grads[0], 0.5 * (hess + hess.T)
 
     def residual_at(v, grad):
         return float(np.max(np.abs(v - feas.project(v - grad))))
 
-    f, state = cost(z)
+    f, kept = cost(z)
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {sign * f} at the start point")
     trace = [(0, sign * f, *z)] if record_trace else None
-    step = accepted = float(alpha)
+    step = accepted = 1.0
     previous = None   # (z, gradient) before the last accepted step
     converged = False
     n_iters = 0
     for it in range(max_iters):
-        grad = sign * problem.gradient(z, state)
+        grad, hess = derivatives(z, kept)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
         n_iters = it + 1
@@ -516,17 +585,21 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None, alpha: float
             curvature = float(dz @ dg)
             if curvature > 0:
                 step = float(dz @ dz) / curvature
-        found = _backtrack(cost, feas.project, z, f, grad, step)
+        direction = None if hess is None else _newton_direction(z, grad, hess, lo, hi)
+        found = None if direction is None else _backtrack(cost, feas.project, z, f, grad,
+                                                          direction, 1.0)
         if found is None:
-            break
+            found = _backtrack(cost, feas.project, z, f, grad, -grad, step)
+            if found is None:
+                break
+            step = 2.0 * found[2]
         previous = (z, grad)
-        z, f, accepted, state = found
+        z, f, accepted, kept = found
         if record_trace:
             trace.append((it + 1, sign * f, *z))
-        step = 2.0 * accepted
     else:
         # max_iters steps taken (or none allowed): measure the residual at z
-        residual = residual_at(z, sign * problem.gradient(z, state))
+        residual = residual_at(z, derivatives(z, kept)[0])
     theta, gamma = feas.split(z)
     return SolveResult(
         z=z,
@@ -601,7 +674,7 @@ def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 
     dimensions and for simplex-only models); `grid_points` must be >= 1.
     projected_gradient_solve takes the other keywords: the residual stop
     tol * max(1, |objective|), which `converged` reports, the cap
-    `max_iters` and `record_trace`; its first trial step is 1.  Models that declare the label-swap
+    `max_iters` and `record_trace`.  Models that declare the label-swap
     symmetry get the representative with gamma <= 1/2: the solve's result
     with z, theta and gamma moved to the mirror when the solve ended above
     1/2 (its trace keeps the raw iterates).  The symmetry is verified on the

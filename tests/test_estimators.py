@@ -350,7 +350,7 @@ class TestProjectedGradient:
         q = 0.4
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
         start = np.array([sg.fr_binary_closed_form(q)])
-        res = sg.projected_gradient_solve(problem, start=start, alpha=0.05)
+        res = sg.projected_gradient_solve(problem, start=start)
         assert res.converged and res.n_iters == 1
         np.testing.assert_allclose(res.z, start, atol=1e-15)
 
@@ -383,7 +383,7 @@ class TestProjectedGradient:
     def test_converges_to_closed_form(self):
         q = 0.4
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
-        res = sg.projected_gradient_solve(problem, alpha=0.05, tol=1e-12)
+        res = sg.projected_gradient_solve(problem, tol=1e-12)
         assert res.converged
         assert res.z[0] == pytest.approx(sg.fr_binary_closed_form(q), abs=1e-6)
 
@@ -393,10 +393,8 @@ class TestProjectedGradient:
         for _ in range(10):
             q = rng.uniform(0.05, 0.95)
             problem = sg.fr_problem(np.array([1 - q, q]), model)
-            alpha = estimators.lipschitz_stepsize(problem, rng=rng)
             start = np.array([rng.uniform(0.05, 0.95)])
-            res = sg.projected_gradient_solve(problem, start=start, alpha=alpha,
-                                              max_iters=2000)
+            res = sg.projected_gradient_solve(problem, start=start, max_iters=2000)
             values = res.trace[:, 1]
             assert np.all(np.diff(values) <= 1e-12)
 
@@ -411,7 +409,7 @@ class TestProjectedGradient:
         scored, theta, gamma = _instance(model, rng, n_agents=8, n_edges=26)
         counts = sg.aggregate_counts(scored)
         problem = sg.fr_problem(counts, model)
-        res = sg.projected_gradient_solve(problem, alpha=0.1, max_iters=500)
+        res = sg.projected_gradient_solve(problem, max_iters=500)
         for row in res.trace:
             assert model.feasible.contains(row[2:])
 
@@ -527,20 +525,28 @@ class TestProjectedGradient:
                                               tol=1e-8, max_iters=5000, record_trace=False)
             assert res.converged
             n_iters += res.n_iters
+        # the cost is concave at gamma = 1/2, so the first step is the spectral one;
+        # it lands on the infinite-cost bound gamma = 0 and is rejected, so this
+        # solve also evaluates rejected points
+        problem = sg.fr_problem(np.array([0.99, 0.01]), sg.preparata_model())
+        res = sg.projected_gradient_solve(problem, start=np.array([0.5]), record_trace=False)
+        assert res.converged
+        n_iters += res.n_iters
         assert counted["gradient"] == n_iters
         assert counted["evaluate"] > n_iters
         assert counted["table"] == counted["evaluate"]
 
     def test_solver_gradients_from_kept_tables_equal_fr_gradient(self, monkeypatch):
+        # the solver calls the kernel behind fr_gradient, on the phi fr_problem checked
         seen = []
-        fr_gradient = estimators.fr_gradient
+        kernel = estimators._fr_gradient
 
         def spy(phi, model, theta, gamma, table=None):
-            grad = fr_gradient(phi, model, theta, gamma, table=table)
-            seen.append((table is not None, grad, fr_gradient(phi, model, theta, gamma)))
+            grad = kernel(phi, model, theta, gamma, table=table)
+            seen.append((table is not None, grad, (phi, model, theta, gamma)))
             return grad
 
-        monkeypatch.setattr(estimators, "fr_gradient", spy)
+        monkeypatch.setattr(estimators, "_fr_gradient", spy)
         rng = np.random.default_rng(149)
         for model in ALL_MODELS:
             scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
@@ -549,14 +555,17 @@ class TestProjectedGradient:
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
             assert value == problem.objective(z)
+        monkeypatch.undo()
         assert len(seen) > len(ALL_MODELS)
-        for from_table, got, want in seen:
+        for from_table, got, args in seen:
             assert from_table
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, sg.fr_gradient(*args))
 
     def test_armijo_trace_monotone_for_both_senses(self):
+        # the box-only models take Newton steps, the simplex model spectral ones
         rng = np.random.default_rng(73)
-        for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3)):
+        for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3),
+                      sg.categorical_model(2, 3)):
             scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
             counts = sg.aggregate_counts(scored)
             for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
@@ -576,7 +585,7 @@ class TestProjectedGradient:
         start = np.array([0.5])
         assert model.feasible.project(start - problem.gradient(start))[0] == 0.0
         assert sg.fr_objective(phi, model, (), (0.0,)) == np.inf
-        res = sg.projected_gradient_solve(problem, start=start, alpha=1.0)
+        res = sg.projected_gradient_solve(problem, start=start)
         assert res.converged
         assert res.z[0] == pytest.approx(sg.fr_binary_closed_form(q), abs=1e-9)
 
@@ -585,6 +594,117 @@ class TestProjectedGradient:
         a1 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
         a2 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
         assert a1 == a2 and 0 < a1 < np.inf
+
+
+def _sweep_counts(model, theta, gamma, n_edges, trial, master_seed=0, n_agents=50):
+    """The counts of one sweep trial, drawn from its (master_seed, n_edges, trial) stream."""
+    rng = np.random.default_rng([master_seed, n_edges, trial])
+    g = sg.sample_score_graph(n_agents, n_edges, "cyclic-plus-random-edges", rng)
+    scored, _ = sg.generate_scores(g, model, theta, gamma, rng)
+    return sg.aggregate_counts(scored)
+
+
+def _ranking_counts(n_edges, trial):
+    """A trial of the criterion 8 sweep: social-ranking C = R = 3, theta 0.5, gamma 0.3."""
+    return _sweep_counts(sg.social_ranking_model(3, 3), (0.5,), (0.3,), n_edges, trial)
+
+
+def _cost_hessian(problem, z, h=1e-6):
+    """Symmetrized forward-difference Hessian of the cost (the negated objective
+    when maximized) at an interior z."""
+    sign = -1.0 if problem.maximize else 1.0
+    grads = sign * problem.gradient(np.vstack([z, z + h * np.eye(z.size)]))
+    hess = (grads[1:] - grads[0]) / h
+    return 0.5 * (hess + hess.T)
+
+
+class TestProjectedNewton:
+    @pytest.mark.parametrize("model_name, n_edges, trial, kind", [
+        ("social-ranking", 50, 4, "fr"),
+        ("social-ranking", 50, 58, "nr"),
+        ("social-ranking", 50, 65, "fr"),
+        ("reliability", 500, 34, "fr"),
+    ])
+    def test_sweep_solves_that_stalled_at_the_roundoff_floor_converge(
+            self, model_name, n_edges, trial, kind):
+        # criteria 7 and 8: spectral steps alone ended these solves with the
+        # residual just above tol, where the Armijo test cannot see a decrease
+        if model_name == "reliability":
+            model = sg.reliability_model(5)
+            counts = _sweep_counts(model, (), (0.3,), n_edges, trial)
+        else:
+            model = sg.social_ranking_model(3, 3)
+            counts = _ranking_counts(n_edges, trial)
+        problem = sg.nr_problem(counts, model) if kind == "nr" else sg.fr_problem(counts, model)
+        res = sg.estimate(problem, grid_points=33, tol=1e-8, max_iters=5000)
+        assert res.converged
+        assert res.residual <= 1e-8 * max(1.0, abs(res.objective))
+
+    def test_two_parameter_ranking_solves_take_few_iterations(self):
+        counts = _ranking_counts(500, 0)
+        model = sg.social_ranking_model(3, 3)
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            res = sg.estimate(problem, grid_points=33, tol=1e-8, max_iters=5000)
+            assert res.converged and res.n_iters <= 15, (problem.kind, res.n_iters)
+
+    def test_a_start_with_an_indefinite_hessian_gives_a_monotone_trace(self):
+        model = sg.social_ranking_model(3, 3)
+        counts = _ranking_counts(500, 0)
+        start = np.array([1.5, 0.25])
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            assert np.linalg.eigvalsh(_cost_hessian(problem, start)).max() < 0
+            res = sg.projected_gradient_solve(problem, start=start, tol=1e-8)
+            assert res.converged
+            change = np.diff(res.trace[:, 1])
+            assert np.all(change >= 0) if problem.maximize else np.all(change <= 0)
+
+    def test_a_non_finite_stencil_row_falls_back_without_another_evaluation(self, monkeypatch):
+        # every stencil gets a non-finite neighbour row, so each step is the
+        # spectral one, from the gradient of row 0's slice of the kept table;
+        # the reliability tensor has no stack axis, the ranking tensor has one
+        evaluate, gradient = estimators.EstimatorProblem.evaluate, estimators.EstimatorProblem.gradient
+        shapes, evaluated = [], []
+
+        def spoiled(self, z):
+            evaluated.append(np.ndim(z))
+            values, state = evaluate(self, z)
+            if np.ndim(z) == 2:
+                values = values.copy()
+                values[1] = np.inf
+            return values, state
+
+        def recorded(self, z, state=None):
+            shapes.append(np.shape(z))
+            return gradient(self, z, state)
+
+        monkeypatch.setattr(estimators.EstimatorProblem, "evaluate", spoiled)
+        monkeypatch.setattr(estimators.EstimatorProblem, "gradient", recorded)
+        rng = np.random.default_rng(173)
+        for model in (sg.reliability_model(5), sg.social_ranking_model(3, 3)):
+            scored, _, _ = _instance(model, rng, n_agents=10, n_edges=40)
+            problem = sg.fr_problem(sg.aggregate_counts(scored), model)
+            shapes.clear()
+            evaluated.clear()
+            res = sg.projected_gradient_solve(problem, start=model.feasible.sample_interior(rng),
+                                              tol=1e-8, max_iters=2000)
+            assert res.converged and res.n_iters > 2
+            assert shapes == [(model.feasible.dim,)] * res.n_iters
+            assert set(evaluated) == {2}     # no point is evaluated again on its own
+            grad = gradient(problem, res.z)
+            assert res.residual == np.max(np.abs(res.z - model.feasible.project(res.z - grad)))
+
+    def test_a_coordinate_on_a_bound_with_an_outward_gradient_stays_there(self):
+        # with gamma = 0 in the data the NR optimum lies on the bound gamma = 0
+        model = sg.social_ranking_model(3, 3)
+        rng = np.random.default_rng(5)
+        g = sg.sample_score_graph(50, 500, "cyclic-plus-random-edges", rng)
+        scored, _ = sg.generate_scores(g, model, (0.5,), (0.0,), rng)
+        problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+        start = np.array([2.0, 0.0])
+        assert -problem.gradient(start)[1] > 0      # the cost pushes gamma below 0
+        res = sg.projected_gradient_solve(problem, start=start, tol=1e-8)
+        assert res.converged and res.z[0] != start[0]
+        assert np.all(res.trace[:, 3] == 0.0)
 
 
 class TestEstimateWrapper:
