@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NonFiniteError
+from .errors import NonFiniteError
 from .estimators import _check_phi, _fr_gradient, fr_problem, lipschitz_stepsize
 from .graph import CommSchedule, NeighborCounts
 from .models import ModelSpec
@@ -49,24 +49,12 @@ class DistributedState:
         return self.xi / self.eta[:, None]
 
 
-def initial_state(counts: NeighborCounts, model: ModelSpec, start=None) -> DistributedState:
-    """Build the round-0 state: local histograms and a feasible iterate per agent."""
-    n = counts.n_agents
-    feas = model.feasible
-    if start is None:
-        z = np.tile(feas.centroid(), (n, 1))
-    else:
-        start = np.asarray(start, dtype=np.float64)
-        z = np.tile(start, (n, 1)) if start.ndim == 1 else start.copy()
-        if z.shape != (n, feas.dim):
-            raise ValueError(f"start must have shape ({n}, {feas.dim})")
-        for i in range(n):
-            if not feas.contains(z[i]):
-                raise InfeasibleError(f"start for agent {i} is outside the feasible set")
+def initial_state(counts: NeighborCounts, model: ModelSpec) -> DistributedState:
+    """Build the round-0 state: local histograms, and every agent at the centroid."""
     return DistributedState(
         xi=counts.received.astype(np.float64),
         eta=counts.in_degree.astype(np.float64),
-        z=z,
+        z=np.tile(model.feasible.centroid(), (counts.n_agents, 1)),
     )
 
 
@@ -127,10 +115,11 @@ class DistributedRun:
 
 
 def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSchedule,
-                    alpha=None, n_rounds: int = 1000, start=None,
+                    alpha=None, n_rounds: int = 1000,
                     record_every: int = 1, rng=0) -> DistributedRun:
     """Simulate n_rounds synchronous rounds of local gradient steps + consensus.
 
+    Every agent starts at the centroid of the feasible set (initial_state).
     In round t every agent steps with its pre-round ratio phi_i(t), then
     push_sum_round mixes the accumulators into phi_i(t+1).
 
@@ -157,7 +146,7 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
     elif not alpha > 0:
         raise ValueError("alpha must be positive")
-    state = initial_state(counts, model, start)
+    state = initial_state(counts, model)
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
     phi_traj = np.empty((times.size,) + state.xi.shape)
     z_traj = np.empty((times.size,) + state.z.shape)

@@ -20,7 +20,7 @@ Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
 the objectives check every row, but not EstimatorProblem.evaluate, which
 the solver calls on projected points.  FR takes one phi for the whole
 stack, except `fr_gradient`, which also takes one phi row per point.
-`EstimatorProblem.objective`/`gradient` accept the same stacks; only the
+`EstimatorProblem.evaluate`/`gradient` accept the same stacks; only the
 exact objective (its C^N table does not stack) and its finite-difference
 gradient loop over the rows.
 
@@ -228,7 +228,7 @@ def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta, gamma):
     return _point_or_rows(terms.sum(axis=-1)), table
 
 
-def fr_gradient(phi, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
+def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
     """Analytic gradient of fr_objective in the stacked vector z = [theta, gamma].
 
     With t_h = sum_lm T[h, l, m] p_l p_m the edge score distribution, the
@@ -241,19 +241,16 @@ def fr_gradient(phi, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
     where dprior[k, l] = d p_l / d gamma_k and dT is the tensor gradient.
     A score with t_h = 0 and phi_h = 0 contributes nothing.
 
-    `table` is the table (t_h, tensor, prior) kept by the FR cost evaluation
-    at this same point (see EstimatorProblem.evaluate); without it the table
-    is built here.  Either way the gradient is the same, bit for bit.
     With one phi row per agent, phi (..., R), the rows are agents: if the
     cost is +inf at some agent's point, NonFiniteError names the first such
     agent by its row index.
     """
-    return _fr_gradient(_check_phi(phi, model.n_scores, stacked=True), model, theta, gamma,
-                        table)
+    return _fr_gradient(_check_phi(phi, model.n_scores, stacked=True), model, theta, gamma)
 
 
 def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
-    """fr_gradient of a phi already checked (one row, or one row per point)."""
+    """fr_gradient of a checked phi (one row, or one row per point), from the table
+    (t_h, tensor, prior) kept by the FR cost evaluation at this point, if given."""
     if table is None:
         table = _edge_score_distribution(model, theta, gamma)
     t_h, tensor, prior = table
@@ -323,11 +320,6 @@ class EstimatorProblem:
             return _fr_kept_table(self.data, self.model, *split(z))
         return _rowwise(lambda v: _exact_loglikelihood(
             self.data, self.model, *split(v)), z), None
-
-    def objective(self, z) -> float | np.ndarray:
-        """evaluate(z)'s objective, after an InfeasibleError check of every row."""
-        self.model.require_feasible(*self.model.feasible.split(z))
-        return self.evaluate(z)[0]
 
     def gradient(self, z, state=None) -> np.ndarray:
         """Gradient at z; `state` is what evaluate(z) kept, or None."""
@@ -419,11 +411,9 @@ class SolveResult:
 
     `residual` is the projected-gradient residual ||z - P(z - g)||_inf at
     the returned `z`; `converged` is True only when it met the stopping
-    test, residual <= tol * max(1, |objective|).  `alpha` is the last
-    accepted arc step: the fraction s of a Newton step, or the spectral step
-    length (1 if no step was taken).  `estimate` returns it with z, theta
-    and gamma moved to the label-swap mirror when it takes that mirror; the
-    other fields are the solve's.
+    test, residual <= tol * max(1, |objective|).  `estimate` returns it with
+    z, theta and gamma moved to the label-swap mirror when it takes that
+    mirror; the other fields are the solve's.
     """
 
     z: np.ndarray
@@ -433,7 +423,6 @@ class SolveResult:
     n_iters: int
     converged: bool
     residual: float
-    alpha: float
     trace: np.ndarray | None
 
 
@@ -488,22 +477,22 @@ def _backtrack(cost, project, z, f, grad, direction, step):
         step *= 0.5
 
 
-def projected_gradient_solve(problem: EstimatorProblem, start=None,
+def projected_gradient_solve(problem: EstimatorProblem, start,
                              max_iters: int = 100000, tol: float = 1e-9,
                              record_trace: bool = True) -> SolveResult:
     """Projected Newton, or projected gradient, with Armijo backtracking,
     stopped on the residual.
 
     Works on the cost f to minimize (the objective, negated when the problem
-    is maximized).  Each iteration evaluates the gradient g at z, from the
-    state that the cost evaluation at z kept (problem.evaluate), and stops
-    with converged=True once the projected-gradient residual
-    ||z - P(z - g)||_inf is at most tol * max(1, |f(z)|); the scale follows
-    the objective, which for NR is a sum over agents.  Otherwise it picks a
-    direction d and a first step s, and halves s until the trial point
-    z+ = P(z + s d) has a finite cost and meets the sufficient decrease
-    f(z+) <= f(z) + 1e-4 g.(z+ - z), so trial points on an infinite-cost
-    boundary are rejected.
+    is maximized) from z = `start`.  Each iteration evaluates the gradient g
+    at z, from the state that the cost evaluation at z kept
+    (problem.evaluate), and stops with converged=True once the
+    projected-gradient residual ||z - P(z - g)||_inf is at most
+    tol * max(1, |f(z)|); the scale follows the objective, which for NR is a
+    sum over agents.  Otherwise it picks a direction d and a first step s,
+    and halves s until the trial point z+ = P(z + s d) has a finite cost and
+    meets the sufficient decrease f(z+) <= f(z) + 1e-4 g.(z+ - z), so trial
+    points on an infinite-cost boundary are rejected.
 
     On box-only sets with an analytic gradient (NR and FR) the direction is
     projected Newton (Bertsekas 1982; see _newton_direction) with s = 1.
@@ -523,11 +512,12 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None,
     converged=False after max_iters iterations, or when no smaller step
     moves z; it does not raise for that.  The residual at the returned z is
     reported either way; after max_iters steps it takes one more gradient.
-    Raises NonFiniteError if the cost at the start or the gradient at an
-    iterate is not finite.
+    Raises InfeasibleError if `start` is outside the feasible set, and
+    NonFiniteError if the cost there or the gradient at an iterate is not
+    finite.
     """
     feas = problem.model.feasible
-    z = feas.centroid() if start is None else np.asarray(start, dtype=np.float64).copy()
+    z = np.asarray(start, dtype=np.float64).copy()
     if not feas.contains(z):
         raise InfeasibleError("start point is outside the feasible set")
     if not tol >= 0:
@@ -567,7 +557,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None,
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {sign * f} at the start point")
     trace = [(0, sign * f, *z)] if record_trace else None
-    step = accepted = 1.0
+    step = 1.0
     previous = None   # (z, gradient) before the last accepted step
     converged = False
     n_iters = 0
@@ -594,7 +584,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None,
                 break
             step = 2.0 * found[2]
         previous = (z, grad)
-        z, f, accepted, kept = found
+        z, f, _, kept = found
         if record_trace:
             trace.append((it + 1, sign * f, *z))
     else:
@@ -609,7 +599,6 @@ def projected_gradient_solve(problem: EstimatorProblem, start=None,
         n_iters=n_iters,
         converged=converged,
         residual=residual,
-        alpha=accepted,
         trace=np.asarray(trace, dtype=np.float64) if record_trace else None,
     )
 

@@ -100,13 +100,22 @@ class ExperimentConfig:
             raise ValueError("solver_alpha must be positive")
         if not cfg.solver_tol >= 0:
             raise ValueError("solver_tol must be nonnegative")
+        model = build_model(cfg)
+        for key, name in (("n_states", "C"), ("n_scores", "R")):
+            given, fixed = getattr(cfg, key), getattr(model, key)
+            if given is not None and given != fixed:
+                raise ValueError(f"{name} = {given}: the {model.name} model has {name} = {fixed}")
+        if not cfg.sweep:
+            raise ValueError("sweep needs at least one edge count")
         n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
         for v in cfg.sweep:
             if not n <= v <= max_edges:
                 raise ValueError(f"sweep value {v} outside [{n}, {max_edges}]")
-        for est in cfg.estimators:
+        for k, est in enumerate(cfg.estimators):
             if est not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
+            if est in cfg.estimators[:k]:
+                raise ValueError(f"estimator {est!r} is listed twice")
         if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
             raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
 
@@ -390,8 +399,6 @@ def run_single(config: ExperimentConfig) -> SingleRunResult:
     """Run trial 0 of the first sweep point, with solver traces and every round recorded."""
     config.validate()
     cfg = config.resolved()
-    if not cfg.sweep:
-        raise ValueError("a single run needs at least one sweep value")
     model = build_model(cfg)
     scored, states, estimates, outputs, details = _run_trial(
         cfg, model, _true_params(cfg, model), _comm_schedule(cfg), cfg.sweep[0], 0,

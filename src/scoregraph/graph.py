@@ -350,10 +350,10 @@ class CommSchedule:
     matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         frames = tuple(
             _owned(np.asarray(f, dtype=np.int64).reshape(-1, 2), None) for f in self.frames)
+        if self.window < 1 or not frames:
+            raise ValueError("a schedule needs window >= 1 and at least one frame")
         for k, f in enumerate(frames):
             if f.size and (f.min() < 0 or f.max() >= self.n_agents):
                 raise ValueError(f"frame {k} has an endpoint outside 0..{self.n_agents - 1}")

@@ -350,37 +350,23 @@ def _binomial_prior(n_states: int):
 THETA_BOX = (0.05, 10.0)
 
 
-def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSpec:
+def social_ranking_model(n_states: int, n_scores: int) -> ModelSpec:
     """Graded states 1..C and scores 1..R with a dispersion-controlled kernel.
 
     The score likelihood concentrates around scores whose normalized
     shortfall (r_C - r_h)/r_R matches the normalized state distance
-    d(c_l, c_m)/c_C; theta > 0 is the dispersion (small theta = sharp).
-    The prior on the state index is Binomial(C-1, gamma).
-
-    `distance` is the C-by-C matrix d(c_a, c_b) of state distances; default
-    |c_a - c_b|.  It must be nonnegative with d(c_a, c_b) = 0 exactly when
-    a = b.
+    |c_l - c_m|/c_C (symmetric and reversal-invariant, hence the label-swap
+    symmetry); theta > 0 is the dispersion (small theta = sharp).  The prior
+    on the state index is Binomial(C-1, gamma).
     """
     if n_states < 2 or n_scores < 2:
         raise ValueError("social ranking model needs n_states, n_scores >= 2")
     c_vals = np.arange(1, n_states + 1, dtype=np.float64)
     r_vals = np.arange(1, n_scores + 1, dtype=np.float64)
-    if distance is None:
-        distance = np.abs(c_vals[:, None] - c_vals)
-    dmat = np.asarray(distance, dtype=np.float64)
-    if dmat.shape != (n_states, n_states):
-        raise ValueError("distance matrix must be C by C")
-    if np.any(dmat < 0):
-        raise ValueError("distance must be nonnegative")
-    if np.any(np.diag(dmat) != 0) or np.any((dmat == 0) & ~np.eye(n_states, dtype=bool)):
-        raise ValueError("distance must vanish exactly on equal states")
     # offsets[h, l, m]: how far score h sits from the score suggested by the
-    # state distance of the pair (l, m)
+    # state distance |c_l - c_m| of the pair (l, m)
     shortfall = (r_vals[-1] - r_vals) / r_vals[-1]
-    offsets = shortfall[:, None, None] - (dmat / c_vals[-1])[None, :, :]
-    # the gamma -> 1 - gamma relabeling symmetry needs a reversal-invariant distance
-    swap_ok = bool(np.allclose(dmat, dmat[::-1, ::-1].T) and np.allclose(dmat, dmat.T))
+    offsets = shortfall[:, None, None] - np.abs(c_vals[:, None] - c_vals) / c_vals[-1]
 
     a2 = offsets ** 2
 
@@ -401,7 +387,7 @@ def social_ranking_model(n_states: int, n_scores: int, distance=None) -> ModelSp
         n_scores=n_scores,
         feasible=FeasibleSet((Box(np.array([THETA_BOX[0]]), np.array([THETA_BOX[1]])),
                               Box(np.array([0.0]), np.array([1.0]))), theta_dim=1),
-        label_swap_symmetric=swap_ok,
+        label_swap_symmetric=True,
         tensor_fn=tensor,
         prior_fn=prior,
         tensor_grad_fn=tensor_grad,

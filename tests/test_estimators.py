@@ -358,32 +358,34 @@ class TestProjectedGradient:
         # a residual is never below a negative tol, so such a solve could
         # only end unconverged at the roundoff floor
         problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
+        start = problem.model.feasible.centroid()
         for tol in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="tol must be nonnegative"):
-                sg.projected_gradient_solve(problem, tol=tol)
+                sg.projected_gradient_solve(problem, start, tol=tol)
             with pytest.raises(ValueError, match="tol must be nonnegative"):
                 sg.estimate(problem, tol=tol)
-        assert sg.projected_gradient_solve(problem, tol=0.0).n_iters >= 1
+        assert sg.projected_gradient_solve(problem, start, tol=0.0).n_iters >= 1
 
     def test_degenerate_grid_and_iteration_counts_rejected(self):
         # an empty mesh would start every solve at the centroid, which for
         # social-ranking is the label-swap point gamma = 1/2
         problem = sg.fr_problem(np.array([0.6, 0.4]), sg.preparata_model())
+        start = problem.model.feasible.centroid()
         for grid_points in (0, -3):
             with pytest.raises(ValueError, match="grid_points must be >= 1"):
                 sg.estimate(problem, grid_points=grid_points)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
-            sg.projected_gradient_solve(problem, max_iters=-1)
+            sg.projected_gradient_solve(problem, start, max_iters=-1)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             sg.estimate(problem, max_iters=-1)
         assert sg.estimate(problem, grid_points=1).converged
-        res = sg.projected_gradient_solve(problem, max_iters=0)
+        res = sg.projected_gradient_solve(problem, start, max_iters=0)
         assert res.n_iters == 0 and not res.converged
 
     def test_converges_to_closed_form(self):
         q = 0.4
         problem = sg.fr_problem(np.array([1 - q, q]), sg.preparata_model())
-        res = sg.projected_gradient_solve(problem, tol=1e-12)
+        res = sg.projected_gradient_solve(problem, problem.model.feasible.centroid(), tol=1e-12)
         assert res.converged
         assert res.z[0] == pytest.approx(sg.fr_binary_closed_form(q), abs=1e-6)
 
@@ -409,7 +411,7 @@ class TestProjectedGradient:
         scored, theta, gamma = _instance(model, rng, n_agents=8, n_edges=26)
         counts = sg.aggregate_counts(scored)
         problem = sg.fr_problem(counts, model)
-        res = sg.projected_gradient_solve(problem, max_iters=500)
+        res = sg.projected_gradient_solve(problem, model.feasible.centroid(), max_iters=500)
         for row in res.trace:
             assert model.feasible.contains(row[2:])
 
@@ -422,7 +424,8 @@ class TestProjectedGradient:
                 scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
                 counts = sg.aggregate_counts(scored)
                 for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
-                    res = sg.projected_gradient_solve(problem, tol=tol, max_iters=5000,
+                    res = sg.projected_gradient_solve(problem, model.feasible.centroid(),
+                                                      tol=tol, max_iters=5000,
                                                       record_trace=False)
                     if not res.converged:
                         continue
@@ -445,7 +448,8 @@ class TestProjectedGradient:
                 problems.append(sg.exact_problem(scored, model))
             for problem in problems:
                 for max_iters in (0, 1, 2):
-                    res = sg.projected_gradient_solve(problem, tol=1e-8, max_iters=max_iters)
+                    res = sg.projected_gradient_solve(problem, model.feasible.centroid(),
+                                                      tol=1e-8, max_iters=max_iters)
                     sign = -1.0 if problem.maximize else 1.0
                     step = model.feasible.project(res.z - sign * problem.gradient(res.z))
                     assert res.residual == float(np.max(np.abs(res.z - step)))
@@ -496,7 +500,7 @@ class TestProjectedGradient:
             sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
-            assert value == problem.objective(z)
+            assert value == sg.nr_objective(problem.data, model, *model.feasible.split(z))
         assert len(seen) > len(ALL_MODELS)
         for from_table, got, want in seen:
             assert from_table
@@ -554,7 +558,7 @@ class TestProjectedGradient:
             sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
-            assert value == problem.objective(z)
+            assert value == sg.fr_objective(problem.data, model, *model.feasible.split(z))
         monkeypatch.undo()
         assert len(seen) > len(ALL_MODELS)
         for from_table, got, args in seen:
@@ -758,7 +762,7 @@ class TestEstimateWrapper:
         assert np.all(np.isfinite(z)) and model.feasible.contains(z)
         assert np.isfinite(result.details["exact"].objective)
         problem = sg.exact_problem(result.graph, model)
-        f = lambda g: problem.objective(np.array([g]))
+        f = lambda g: problem.evaluate(np.array([g]))[0]
         step = 1e-6
         assert problem.gradient(np.array([0.0]))[0] == (f(step) - f(0.0)) / step
         assert problem.gradient(np.array([1.0]))[0] == (f(1.0) - f(1.0 - step)) / step
@@ -829,7 +833,7 @@ class TestEstimateWrapper:
         res = sg.estimate(problem, tol=1e-10, record_trace=True)
         raw = sg.projected_gradient_solve(problem, start=mirror_start, tol=1e-10)
         assert raw.gamma[0] > 0.5
-        for name in ("n_iters", "converged", "residual", "objective", "alpha"):
+        for name in ("n_iters", "converged", "residual", "objective"):
             assert getattr(res, name) == getattr(raw, name)
         np.testing.assert_array_equal(res.trace, raw.trace)
         np.testing.assert_array_equal(res.z, [raw.z[0], 1.0 - raw.z[1]])
@@ -837,9 +841,14 @@ class TestEstimateWrapper:
         np.testing.assert_array_equal(res.gamma, 1.0 - raw.gamma)
 
     def test_label_swap_symmetry_is_checked_on_the_objective(self):
-        skew = np.array([[0.0, 1, 2], [3, 0, 1], [2, 3, 0]])
-        model = replace(sg.social_ranking_model(3, 3, distance=skew),
-                        label_swap_symmetric=True)
+        # relabeling the evaluator's states 0 and 1 breaks the reversal
+        # symmetry of the tensor, while the model still declares it
+        base = sg.social_ranking_model(3, 3)
+        swap = [1, 0, 2]
+        model = replace(base,
+                        tensor_fn=lambda theta: base.tensor_fn(theta)[..., swap, :],
+                        tensor_grad_fn=lambda theta: base.tensor_grad_fn(theta)[..., swap, :])
+        assert model.label_swap_symmetric
         rng = np.random.default_rng(138)
         g = sg.sample_score_graph(20, 120, "cyclic-plus-random-edges", rng)
         scored, _ = sg.generate_scores(g, model, (0.5,), (0.2,), rng)
@@ -934,17 +943,18 @@ class TestStackedEvaluation:
         scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
         counts = sg.aggregate_counts(scored)
         points = _stack_points(model, rng).reshape(4, 6, -1)
-        theta, gamma = model.feasible.split(points)
-        stacked = {
-            "nr": sg.nr_objective(counts, model, theta, gamma),
-            "fr": sg.fr_objective(counts.phi, model, theta, gamma),
+        objectives = {
+            "nr": lambda z: sg.nr_objective(counts, model, *model.feasible.split(z)),
+            "fr": lambda z: sg.fr_objective(counts.phi, model, *model.feasible.split(z)),
         }
         for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
-            per_point = np.array([[problem.objective(z) for z in row] for row in points])
+            objective = objectives[problem.kind]
+            per_point = np.array([[objective(z) for z in row] for row in points])
             assert all(isinstance(v, float) for v in per_point.ravel().tolist())
-            assert stacked[problem.kind].shape == (4, 6)
-            np.testing.assert_array_equal(stacked[problem.kind], per_point)
-            np.testing.assert_array_equal(problem.objective(points), per_point)
+            stacked = objective(points)
+            assert stacked.shape == (4, 6)
+            np.testing.assert_array_equal(stacked, per_point)
+            np.testing.assert_array_equal(problem.evaluate(points)[0], per_point)
             if model.name == "preparata":
                 # gamma = 0 makes the mixed scores impossible: -inf (NR), +inf (FR)
                 assert np.isinf(per_point).any() and np.isfinite(per_point).any()
@@ -955,9 +965,10 @@ class TestStackedEvaluation:
         scored, _, _ = _instance(model, rng, n_agents=5, n_edges=12)
         problem = sg.exact_problem(scored, model)
         points = _stack_points(model, rng, n_points=12).reshape(3, 4, 1)
-        per_point = np.array([[problem.objective(z) for z in row] for row in points])
+        per_point = np.array([[sg.exact_loglikelihood(scored, model, *model.feasible.split(z))
+                               for z in row] for row in points])
         assert np.isinf(per_point).any() and np.isfinite(per_point).any()
-        np.testing.assert_array_equal(problem.objective(points), per_point)
+        np.testing.assert_array_equal(problem.evaluate(points)[0], per_point)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_validate_checks_every_row_of_a_stack(self, model):
@@ -966,18 +977,13 @@ class TestStackedEvaluation:
         scored, _, _ = _instance(model, rng)
         counts = sg.aggregate_counts(scored)
         good = _stack_points(model, rng, n_points=5)
-        problems = [sg.nr_problem(counts, model), sg.fr_problem(counts, model),
-                    sg.exact_problem(scored, model)]
-        for problem in problems:
-            problem.objective(good)
         entry_points = [
             lambda th, ga: sg.nr_objective(counts, model, th, ga),
             lambda th, ga: sg.fr_objective(counts.phi, model, th, ga),
             lambda th, ga: sg.exact_loglikelihood(scored, model, th, ga),
             lambda th, ga: sg.soft_classify(counts, model, th, ga),
             lambda th, ga: sg.generate_scores(scored, model, th, ga, rng),
-        ] + [lambda th, ga, p=p: p.objective(np.concatenate([th, ga], axis=-1))
-             for p in problems]
+        ]
         # one bad row: a theta coordinate below its box or simplex, or a
         # gamma above its box or off its simplex
         for part, k, bad in (("theta", 0, -1.0), ("gamma", -1, 1.2)):
@@ -1061,7 +1067,9 @@ class TestStackedEvaluation:
             assert per_point.shape == (3, 4, model.feasible.dim)
             np.testing.assert_array_equal(problem.gradient(points), per_point)
             values, state = problem.evaluate(points)
-            np.testing.assert_array_equal(values, problem.objective(points))
+            free = (sg.nr_objective(counts, model, theta, gamma) if problem.kind == "nr"
+                    else sg.fr_objective(counts.phi, model, theta, gamma))
+            np.testing.assert_array_equal(values, free)
             np.testing.assert_array_equal(problem.gradient(points, state), per_point)
             if problem.kind == "nr":
                 np.testing.assert_array_equal(sg.nr_gradient(counts, model, theta, gamma),

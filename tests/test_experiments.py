@@ -76,6 +76,19 @@ class TestConfig:
                          ("solver_max_iters", -1), ("solver_rounds", -1)):
             with pytest.raises(ValueError, match=f"{key} must be >= "):
                 ExperimentConfig(**{key: bad}).validate()
+        # a C or R that the fixed-size model does not have is an error, not ignored
+        for kwargs, message in (
+                (dict(model="reliability", n_states=3), "C = 3: the reliability model has C = 2"),
+                (dict(model="preparata", n_scores=5), "R = 5: the preparata model has R = 2"),
+                (dict(model="preparata", n_states=4), "C = 4: the preparata model has C = 2")):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**kwargs).validate()
+        ExperimentConfig(model="reliability", n_states=2, n_scores=3).validate()
+        ExperimentConfig(model="preparata", n_states=2, n_scores=2).validate()
+        with pytest.raises(ValueError, match="sweep needs at least one edge count"):
+            ExperimentConfig(sweep=()).validate()
+        with pytest.raises(ValueError, match="estimator 'FR' is listed twice"):
+            ExperimentConfig(estimators=("FR", "NR", "FR")).validate()
         ExperimentConfig(solver_tol=0.0).validate()
         ExperimentConfig(solver_grid_points=1, solver_max_iters=0,
                          solver_rounds=0).validate()
@@ -218,13 +231,13 @@ class TestRunSweep:
         assert read_misclass_csv(forward["misclass"]) == read_misclass_csv(backward["misclass"])
         assert len(read_rmse_csv(forward["rmse"])) == 2 * 2 * 2   # points x estimators x params
 
-    def test_empty_sweep_writes_headers_only(self, tmp_path):
+    def test_empty_sweep_rejected(self):
+        # no edge count means no rows: the sweep refuses to run, rather than
+        # write CSVs that hold only a header
         cfg = ExperimentConfig(model="preparata", sweep=(), trials=1,
                                estimators=("FR",))
-        paths = emit_outputs(run_sweep(cfg), tmp_path)
-        assert (tmp_path / "rmse.csv").read_text() == "n,estimator,param,rmse\n"
-        assert (tmp_path / "misclass.csv").read_text() == "n,classifier,rate\n"
-        assert read_rmse_csv(paths["rmse"]) == {}
+        with pytest.raises(ValueError, match="sweep needs at least one edge count"):
+            run_sweep(cfg)
 
     def test_oracle_in_estimator_list_is_not_fitted(self):
         cfg = ExperimentConfig(model="preparata", n_agents=6, sweep=(6,),

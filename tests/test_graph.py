@@ -364,6 +364,11 @@ class TestCommSchedules:
                 sg.CommSchedule(3, (cycle, bad), 1)
         assert sg.CommSchedule(3, (cycle, []), 2).satisfies_window_connectivity()
 
+    def test_schedule_without_frames_rejected(self):
+        # no frame to take round t from: matrix(t) would divide by zero
+        with pytest.raises(ValueError, match="at least one frame"):
+            sg.CommSchedule(5, (), 1)
+
     def test_impossible_window_rejected(self):
         # splitting a 3-cycle into 5 frames leaves empty frames; the 5-window
         # union is still the full cycle, so this must succeed instead

@@ -82,18 +82,15 @@ class TestRankingModel:
         m.tensor((lo,))
         m.tensor((hi,))
 
-    def test_invalid_distance_rejected(self):
-        bad_diag = np.array([[1.0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        with pytest.raises(ValueError):
-            sg.social_ranking_model(3, 3, distance=bad_diag)
-        negative = np.array([[0.0, -1, 2], [1, 0, 1], [2, 1, 0]])
-        with pytest.raises(ValueError):
-            sg.social_ranking_model(3, 3, distance=negative)
-
     def test_symmetric_distance_marks_label_swap(self):
-        assert sg.social_ranking_model(3, 3).label_swap_symmetric
-        skew = np.array([[0.0, 1, 2], [3, 0, 1], [2, 3, 0]])
-        assert not sg.social_ranking_model(3, 3, distance=skew).label_swap_symmetric
+        # |c_l - c_m| is symmetric and invariant under the reversal l -> C-1-l,
+        # so the tensor is too, which is what label_swap_symmetric promises
+        for c, r in ((2, 2), (3, 3), (4, 5)):
+            m = sg.social_ranking_model(c, r)
+            assert m.label_swap_symmetric
+            t = m.tensor((0.7,))
+            np.testing.assert_array_equal(t, np.swapaxes(t, 1, 2))
+            np.testing.assert_array_equal(t, t[:, ::-1, ::-1])
 
     def test_prior_gradient_at_zero(self):
         # d/dgamma of (1-gamma)^(C-1) at 0 is -(C-1)
