@@ -2,12 +2,15 @@
 
 Each agent keeps push-sum accumulators (xi, eta) whose ratio phi_i tracks the
 network-wide score distribution, plus a local parameter iterate z_i.  A round
-applies one ratio-consensus exchange over the active communication frame and
-one projected-gradient step of the phi-weighted fully-relaxed cost on every
-agent; the step is one batched gradient and projection over all agents.
-With a window-connected schedule the phi_i converge geometrically to the
-true empirical distribution and the iterates approach stationary points of
-the fully-relaxed problem.
+applies one projected-gradient step of the phi-weighted fully-relaxed cost on
+every agent and one ratio-consensus exchange over the active communication
+frame.  The step is one batched call of the fully-relaxed gradient kernel
+(the one the centralized solver uses) and one projection over all agents; the
+exchange is one product of the frame's mixing matrix with the (N, R + 1)
+accumulator [xi | eta].  run_distributed checks phi once, before the first
+round, and builds no state object inside the loop.  With a window-connected
+schedule the phi_i converge geometrically to the true empirical distribution
+and the iterates approach stationary points of the fully-relaxed problem.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ def push_sum_round(state: DistributedState, schedule: CommSchedule, t: int) -> D
     Every agent splits its xi and eta mass equally over its frame
     out-neighbors plus itself, through the schedule's cached mixing matrix;
     column totals are conserved exactly up to floating error, and eta stays
-    positive.
+    positive.  xi and eta are mixed as the columns of one (N, R + 1)
+    accumulator [xi | eta], the product run_distributed takes each round.
     """
-    mat = schedule.matrix(t)
-    return DistributedState(xi=mat @ state.xi, eta=mat @ state.eta, z=state.z)
+    acc = schedule.matrix(t) @ np.column_stack([state.xi, state.eta])
+    return DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=state.z)
 
 
 def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
@@ -77,14 +81,16 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     z (dim,) and phi (R,) work the same way.  NonFiniteError names the
     first agent whose cost is +inf.
     """
-    return _local_step(z, _check_phi(phi, model.n_scores, stacked=True), model, alpha)
+    phi = _check_phi(phi, model.n_scores, stacked=True)
+    z = np.asarray(z, dtype=np.float64)
+    model.as_arrays(*model.feasible.split(z))      # InfeasibleError on a wrong dimension
+    return _local_step(z, phi, model, alpha)
 
 
-def _local_step(z, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
-    """local_gradient_step of a phi already checked."""
-    theta, gamma = model.feasible.split(z)
-    grad = _fr_gradient(phi, model, theta, gamma)
-    return model.feasible.project(np.asarray(z, dtype=np.float64) - alpha * grad)
+def _local_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
+    """local_gradient_step of a float array z and a phi already checked."""
+    grad = _fr_gradient(phi, model, *model.feasible.split(z))
+    return model.feasible.project(z - alpha * grad)
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,9 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     """Simulate n_rounds synchronous rounds of local gradient steps + consensus.
 
     Every agent starts at the centroid of the feasible set (initial_state).
-    In round t every agent steps with its pre-round ratio phi_i(t), then
-    push_sum_round mixes the accumulators into phi_i(t+1).
+    In round t every agent steps with its pre-round ratio phi_i(t), then the
+    push-sum product of push_sum_round mixes the accumulators into
+    phi_i(t+1).
 
     Parameters
     ----------
@@ -150,23 +157,25 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
     phi_traj = np.empty((times.size,) + state.xi.shape)
     z_traj = np.empty((times.size,) + state.z.shape)
+    acc = np.column_stack([state.xi, state.eta])
     phi = _check_phi(np.divide(state.xi, state.eta[:, None], out=phi_traj[0]),
                      model.n_scores, stacked=True)
-    z_traj[0] = state.z
+    z = z_traj[0] = state.z
     recorded = times.tolist()
     k = 1
     for t in range(n_rounds):
         try:
-            state.z = _local_step(state.z, phi, model, alpha)
+            z = _local_step(z, phi, model, alpha)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
-        state = push_sum_round(state, schedule, t)
+        acc = schedule.matrix(t) @ acc      # the product of push_sum_round
         if t + 1 == recorded[k]:
-            phi = np.divide(state.xi, state.eta[:, None], out=phi_traj[k])
-            z_traj[k] = state.z
+            phi = np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[k])
+            z_traj[k] = z
             k += 1
         else:
-            phi = state.phi
+            phi = acc[:, :-1] / acc[:, -1:]
+    state = DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=z)
     return DistributedRun(
         times=times,
         phi_traj=phi_traj,

@@ -31,6 +31,16 @@ with the tensor or prior derivative, O(N R C + k R C^2) for k parameters
 and no per-agent (k, N, C) array (see nr_gradient).  FR, what each round of
 the distributed estimator runs: with r = phi / t_h and q[l, m] = sum_h r_h
 T[h, l, m], the gamma gradient is -dprior (q + q^T) p (see fr_gradient).
+The edge score distribution t = flat(T) vec(p p^T) and q = r^T flat(T) are
+matmuls shaped per point, never one 2-D product over a stack: that keeps
+stacked rows equal to per-point calls bit for bit.
+
+The public entry points convert theta and gamma to float arrays once: the
+objectives through ModelSpec.require_feasible, which also checks them, the
+gradients through ModelSpec.as_arrays.  From there on the NR gradient and
+the kernels (_nr_kept_table, _edge_score_distribution, _fr_gradient) call
+the model's unchecked callables tensor_fn, prior_fn, tensor_grad_fn and
+prior_grad_fn.
 
 The solver takes projected Newton steps (Bertsekas 1982) on the box-only
 NR and FR problems and spectral (Barzilai-Borwein) projected-gradient steps
@@ -86,12 +96,12 @@ def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> fl
     Enumerates all C^N joint state assignments, so the graph is capped at
     12 agents.  May return -inf when the data is impossible at (theta, gamma).
     """
-    model.require_feasible(theta, gamma)
-    return _exact_loglikelihood(graph, model, theta, gamma)
+    return _exact_loglikelihood(graph, model, *model.require_feasible(theta, gamma))
 
 
-def _exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> float:
-    """exact_loglikelihood without the feasibility check."""
+def _exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta: np.ndarray,
+                         gamma: np.ndarray) -> float:
+    """exact_loglikelihood of float arrays theta, gamma, without the feasibility check."""
     if graph.n_agents > MAX_EXACT_AGENTS:
         raise ValueError(
             f"exact likelihood enumerates C^N assignments; N <= {MAX_EXACT_AGENTS}")
@@ -99,8 +109,8 @@ def _exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> f
         raise ValueError("graph has no scores")
     if graph.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
-    tensor = model.tensor(theta, validate=False)
-    prior = model.prior(gamma, validate=False)
+    tensor = model.tensor_fn(theta)
+    prior = model.prior_fn(gamma)
     with np.errstate(divide="ignore"):
         log_t = np.log(tensor)
         log_p = np.log(prior)
@@ -124,12 +134,13 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> floa
     where each received score is marginalized over the unknown evaluator
     state independently.
     """
-    model.require_feasible(theta, gamma)
-    return _nr_kept_table(counts, model, theta, gamma)[0]
+    return _nr_kept_table(counts, model, *model.require_feasible(theta, gamma))[0]
 
 
-def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
-    """The NR objective and the table its gradient reuses at the same point.
+def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
+                   gamma: np.ndarray):
+    """The NR objective at float arrays theta, gamma and the table its gradient
+    reuses at the same point.
 
     Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., i, l] is agent
     i's log block probability in state l, m_in[..., h, l] the probability of
@@ -138,8 +149,8 @@ def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta, gamma):
     """
     if counts.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
-    tensor = model.tensor(theta, validate=False)
-    prior = model.prior(gamma, validate=False)
+    tensor = model.tensor_fn(theta)
+    prior = model.prior_fn(gamma)
     m_in = np.einsum("...hml,...m->...hl", tensor, prior)
     with np.errstate(divide="ignore"):
         log_m = np.log(m_in)
@@ -172,6 +183,7 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
     point kept (see EstimatorProblem.evaluate), else it is built here; the
     gradient is the same bits either way.
     """
+    theta, gamma = model.as_arrays(theta, gamma)
     if table is None:
         _, table = _nr_kept_table(counts, model, theta, gamma)
     s, tensor, prior, m_in, row_lse = table
@@ -185,19 +197,30 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
     total = sums[..., -1, :]
     v = (_contract(np.swapaxes(tensor, -3, -2), g, 2)
          + np.divide(total, prior, out=np.zeros_like(total), where=prior > 0))
-    grad_gamma = _contract(model.prior_grad(gamma), v, 1)
+    grad_gamma = _contract(model.prior_grad_fn(gamma), v, 1)
     if not model.theta_dim:
         return grad_gamma
     outer = prior[..., None, :, None] * g[..., :, None, :]    # p_m G[h, l]
-    grad_theta = _contract(model.tensor_grad(theta), outer, 3)
+    grad_theta = _contract(model.tensor_grad_fn(theta), outer, 3)
     return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
-def _edge_score_distribution(model: ModelSpec, theta, gamma):
-    """Marginal score distribution of a single edge with i.i.d. endpoint states."""
-    tensor = model.tensor(theta, validate=False)
-    prior = model.prior(gamma, validate=False)
-    return np.einsum("...hlm,...l,...m->...h", tensor, prior, prior), tensor, prior
+def _edge_score_distribution(model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
+    """Marginal score distribution t_h = sum_lm T[h, l, m] p_l p_m of a single edge
+    with i.i.d. endpoint states, at float arrays theta, gamma, with the tensor
+    and prior it was built from.
+
+    t is flat(T) vec(p p^T), one matmul of (R, C^2) by (C^2, 1) per point
+    (see _contract), so a stack gets the bits of its per-point calls.
+    """
+    tensor = model.tensor_fn(theta)
+    prior = model.prior_fn(gamma)
+    return _contract(tensor, _outer(prior), 2), tensor, prior
+
+
+def _outer(prior: np.ndarray) -> np.ndarray:
+    """p_l p_m, per point."""
+    return prior[..., :, None] * prior[..., None, :]
 
 
 def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
@@ -215,13 +238,12 @@ def fr_objective(phi, model: ModelSpec, theta, gamma) -> float | np.ndarray:
     single-edge score distribution.  May be +inf at boundary parameters.
     """
     phi = _check_phi(phi, model.n_scores)
-    model.require_feasible(theta, gamma)
-    return _fr_kept_table(phi, model, theta, gamma)[0]
+    return _fr_kept_table(phi, model, *model.require_feasible(theta, gamma))[0]
 
 
-def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta, gamma):
-    """The FR cost of a checked phi and the table (t_h, tensor, prior) its
-    gradient reuses at the same point."""
+def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
+    """The FR cost of a checked phi at float arrays theta, gamma, and the table
+    (t_h, tensor, prior) its gradient reuses at the same point."""
     table = _edge_score_distribution(model, theta, gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(phi > 0, -phi * np.log(table[0]), 0.0)
@@ -245,12 +267,20 @@ def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
     cost is +inf at some agent's point, NonFiniteError names the first such
     agent by its row index.
     """
-    return _fr_gradient(_check_phi(phi, model.n_scores, stacked=True), model, theta, gamma)
+    phi = _check_phi(phi, model.n_scores, stacked=True)
+    return _fr_gradient(phi, model, *model.as_arrays(theta, gamma))
 
 
-def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta, gamma, table=None) -> np.ndarray:
-    """fr_gradient of a checked phi (one row, or one row per point), from the table
-    (t_h, tensor, prior) kept by the FR cost evaluation at this point, if given."""
+def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np.ndarray,
+                 table=None) -> np.ndarray:
+    """fr_gradient of a checked phi (one row, or one row per point) at float
+    arrays theta, gamma, from the table (t_h, tensor, prior) kept by the FR cost
+    evaluation at this point, if given.
+
+    q is r^T flat(T), one (1, R) by (R, C^2) matmul per point, and the theta
+    part one (k, R C^2) by (R C^2, 1) matmul per point (see _contract), so a
+    stack gets the bits of its per-point calls.
+    """
     if table is None:
         table = _edge_score_distribution(model, theta, gamma)
     t_h, tensor, prior = table
@@ -263,15 +293,15 @@ def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta, gamma, table=None) ->
                      if infinite.ndim > 1 else "at this point")
             raise NonFiniteError(f"fully-relaxed cost is +inf {where}")
         ratio = phi / np.where(t_h > 0, t_h, np.inf)
-    q = np.einsum("...h,...hlm->...lm", ratio, tensor)
+    flat = tensor.reshape(tensor.shape[:-2] + (-1,))
+    q = (ratio[..., None, :] @ flat).reshape(ratio.shape[:-1] + tensor.shape[-2:])
     # column vectors, so that matmul contracts each point's rows with its own vector
-    qp = (q + np.swapaxes(q, -1, -2)) @ prior[..., None]
-    grad_gamma = -(model.prior_grad(gamma) @ qp)[..., 0]
+    qp = (q + q.swapaxes(-1, -2)) @ prior[..., None]
+    grad_gamma = -(model.prior_grad_fn(gamma) @ qp)[..., 0]
     if not model.theta_dim:
         return grad_gamma
-    outer = prior[..., :, None] * prior[..., None, :]
-    dt_theta = np.einsum("...khlm,...lm->...kh", model.tensor_grad(theta), outer)
-    grad_theta = -(dt_theta @ ratio[..., None])[..., 0]
+    weights = ratio[..., :, None, None] * _outer(prior)[..., None, :, :]    # r_h p_l p_m
+    grad_theta = -_contract(model.tensor_grad_fn(theta), weights, 3)
     return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
@@ -457,12 +487,16 @@ def _newton_direction(z, grad, hess, lo, hi):
     return direction
 
 
-def _backtrack(cost, project, z, f, grad, direction, step):
+def _backtrack(cost, project, z, f, grad, direction, step, floor):
     """Halve `step` until P(z + step direction) is finite and decreases the cost enough.
 
     `cost` returns (value, kept state).  A trial point whose first-order
-    change g.(z+ - z) is positive is not evaluated.  Returns (point, cost,
-    step, state), or None once no smaller step moves z.
+    change g.(z+ - z) is positive is not evaluated.  If the first trial's
+    predicted decrease |g.(z+ - z)| is below `floor` and its cost is finite,
+    it is taken without the decrease test, which rounding decides there;
+    later trials follow a rejection the cost could resolve, and keep the
+    test.  Returns (point, cost, step, state), or None once no smaller step
+    moves z.
     """
     while True:
         trial = z + step * direction
@@ -472,9 +506,11 @@ def _backtrack(cost, project, z, f, grad, direction, step):
         decrease = float(grad @ (z_new - z))
         if decrease <= 0:
             f_new, state = cost(z_new)
-            if np.isfinite(f_new) and f_new <= f + ARMIJO_DECREASE * decrease:
+            if np.isfinite(f_new) and (f_new <= f + ARMIJO_DECREASE * decrease
+                                       or -decrease < floor):
                 return z_new, f_new, step, state
         step *= 0.5
+        floor = 0.0
 
 
 def projected_gradient_solve(problem: EstimatorProblem, start,
@@ -502,7 +538,13 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     At an accepted point one stacked problem.gradient call gives g and the
     Hessian columns (g_k - g) / h_k, symmetrized.  Where H_FF is not positive
     definite, a stencil row is not finite, or the Newton arc finds no
-    decrease, the step is the spectral one below.
+    decrease, the step is the spectral one below.  A full Newton step whose
+    predicted decrease |g.(z+ - z)| is below one ulp of |f(z)| is taken if
+    its cost is finite: f cannot hold that change, so the quadratic model
+    decides, and f may rise there by rounding (halving such a step used to
+    spend a dozen evaluations until z stopped moving).  Spectral steps keep
+    the plain test: their first-order prediction carries no curvature and
+    can miss the change in f by far more (seen on a simplex face).
 
     Simplex sets and the exact objective always take d = -g.  The first
     such trial step is 1; later ones are the Barzilai-Borwein step
@@ -576,10 +618,11 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
             if curvature > 0:
                 step = float(dz @ dz) / curvature
         direction = None if hess is None else _newton_direction(z, grad, hess, lo, hi)
-        found = None if direction is None else _backtrack(cost, feas.project, z, f, grad,
-                                                          direction, 1.0)
+        found = None if direction is None else _backtrack(
+            cost, feas.project, z, f, grad, direction, 1.0,
+            floor=np.spacing(abs(f)))
         if found is None:
-            found = _backtrack(cost, feas.project, z, f, grad, -grad, step)
+            found = _backtrack(cost, feas.project, z, f, grad, -grad, step, floor=0.0)
             if found is None:
                 break
             step = 2.0 * found[2]

@@ -160,12 +160,15 @@ class FeasibleSet:
     def project(self, z) -> np.ndarray:
         """Row-wise projection of z, or of a stack (..., dim), onto the set.
 
-        One clip against `bounds` projects the box blocks; the k simplex
-        blocks of each size d are then one project_simplex call on their
-        coordinates of z gathered to (..., k, d).
+        A clip against `bounds` (np.maximum, then np.minimum in place)
+        projects the box blocks; the k simplex blocks of each size d are then
+        one project_simplex call on their coordinates of z gathered to
+        (..., k, d).
         """
         z = np.asarray(z, dtype=np.float64)
-        out = np.clip(z, *self.bounds)
+        lo, hi = self.bounds
+        out = np.maximum(z, lo)
+        np.minimum(out, hi, out=out)
         for idx in self._simplices:
             out[..., idx] = project_simplex(z[..., idx])
         return out
@@ -257,16 +260,24 @@ class ModelSpec:
                     raise InfeasibleError(f"{self.name}: {part} {v[idx]}{at} is infeasible")
         return v
 
-    def require_feasible(self, theta, gamma) -> None:
-        """Raise InfeasibleError unless every row of a stack (or the one point) is feasible."""
-        self._part("theta", theta, True)
-        self._part("gamma", gamma, True)
+    def as_arrays(self, theta, gamma) -> tuple[np.ndarray, np.ndarray]:
+        """theta and gamma as float arrays, each a point or a stack (..., dim);
+        InfeasibleError where the last dimension is wrong.  The rows are not
+        checked against the feasible set."""
+        return self._part("theta", theta), self._part("gamma", gamma)
 
-    def tensor(self, theta, validate: bool = True) -> np.ndarray:
-        return self.tensor_fn(self._part("theta", theta, validate))
+    def require_feasible(self, theta, gamma) -> tuple[np.ndarray, np.ndarray]:
+        """as_arrays(theta, gamma), after checking every row of a stack (or the
+        one point): InfeasibleError names the first row outside the set."""
+        return self._part("theta", theta, True), self._part("gamma", gamma, True)
 
-    def prior(self, gamma, validate: bool = True) -> np.ndarray:
-        return self.prior_fn(self._part("gamma", gamma, validate))
+    def tensor(self, theta) -> np.ndarray:
+        """tensor[..., h, l, m] at a feasible theta; tensor_fn is the unchecked callable."""
+        return self.tensor_fn(self._part("theta", theta, True))
+
+    def prior(self, gamma) -> np.ndarray:
+        """prior[..., l] at a feasible gamma; prior_fn is the unchecked callable."""
+        return self.prior_fn(self._part("gamma", gamma, True))
 
     def tensor_grad(self, theta) -> np.ndarray:
         """d_tensor[..., k, h, l, m] = d tensor[..., h, l, m] / d theta_k."""
@@ -281,8 +292,12 @@ def _bernoulli_prior(gamma):
     return np.concatenate([1.0 - gamma, gamma], axis=-1)
 
 
+_BERNOULLI_PRIOR_GRAD = np.array([[-1.0, 1.0]])
+_BERNOULLI_PRIOR_GRAD.setflags(write=False)
+
+
 def _bernoulli_prior_grad(gamma):
-    return np.array([[-1.0, 1.0]])
+    return _BERNOULLI_PRIOR_GRAD
 
 
 def preparata_model() -> ModelSpec:

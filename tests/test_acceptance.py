@@ -109,16 +109,14 @@ def test_criterion_4_gradients_match_finite_differences():
                 theta, gamma = model.feasible.split(z)
                 d_tensor = model.tensor_grad(theta)
                 for k in range(model.theta_dim):
-                    fd = (model.tensor(_bump(theta, k, step), validate=False)
-                          - model.tensor(_bump(theta, k, -step),
-                                         validate=False)) / (2 * step)
+                    fd = (model.tensor_fn(_bump(theta, k, step))
+                          - model.tensor_fn(_bump(theta, k, -step))) / (2 * step)
                     np.testing.assert_allclose(d_tensor[k], fd,
                                                rtol=1e-6, atol=1e-8)
                 d_prior = model.prior_grad(gamma)
                 for k in range(model.gamma_dim):
-                    fd = (model.prior(_bump(gamma, k, step), validate=False)
-                          - model.prior(_bump(gamma, k, -step),
-                                        validate=False)) / (2 * step)
+                    fd = (model.prior_fn(_bump(gamma, k, step))
+                          - model.prior_fn(_bump(gamma, k, -step))) / (2 * step)
                     np.testing.assert_allclose(d_prior[k], fd,
                                                rtol=1e-6, atol=1e-8)
         for model in ALL_MODELS:

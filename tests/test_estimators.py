@@ -697,6 +697,24 @@ class TestProjectedNewton:
             grad = gradient(problem, res.z)
             assert res.residual == np.max(np.abs(res.z - model.feasible.project(res.z - grad)))
 
+    def test_a_newton_step_below_the_roundoff_floor_is_taken_at_once(self, monkeypatch):
+        # near the minimizer gamma = 0.0066966 the Newton step predicts a decrease
+        # of about 1e-20, below ulp(f) = 7e-18, so rounding decides the Armijo
+        # test there; halving that step until z stopped moving took 27 evaluations
+        evaluate = estimators.EstimatorProblem.evaluate
+        evaluated = []
+
+        def counted(self, z):
+            evaluated.append(np.shape(z))
+            return evaluate(self, z)
+
+        monkeypatch.setattr(estimators.EstimatorProblem, "evaluate", counted)
+        problem = sg.fr_problem(np.array([0.99, 0.01]), sg.preparata_model())
+        res = sg.projected_gradient_solve(problem, start=np.array([0.5]), tol=1e-9)
+        assert res.converged
+        assert len(evaluated) <= 2 * res.n_iters
+        assert abs(res.z[0] - sg.fr_binary_closed_form(0.01)) <= 1e-9
+
     def test_a_coordinate_on_a_bound_with_an_outward_gradient_stays_there(self):
         # with gamma = 0 in the data the NR optimum lies on the bound gamma = 0
         model = sg.social_ranking_model(3, 3)
@@ -1074,6 +1092,32 @@ class TestStackedEvaluation:
             if problem.kind == "nr":
                 np.testing.assert_array_equal(sg.nr_gradient(counts, model, theta, gamma),
                                               per_point)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_fr_gradient_with_a_phi_row_per_point_equals_per_point_calls(self, model):
+        # the distributed round: one phi row and one point per agent
+        rng = np.random.default_rng(151)
+        points = np.array([model.feasible.sample_interior(rng, 0.02) for _ in range(12)])
+        phi = rng.dirichlet(np.ones(model.n_scores), size=12)
+        theta, gamma = model.feasible.split(points)
+        stacked = sg.fr_gradient(phi, model, theta, gamma)
+        assert stacked.shape == (12, model.feasible.dim)
+        for i in range(12):
+            np.testing.assert_array_equal(stacked[i],
+                                          sg.fr_gradient(phi[i], model, theta[i], gamma[i]))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_edge_score_distribution_equals_the_einsum_formula(self, model):
+        # t_h = sum_lm T[h, l, m] p_l p_m, one matmul per point; the einsum it
+        # replaced sums in another order, so the two may differ in the last bits
+        rng = np.random.default_rng(157)
+        points = np.array([model.feasible.sample_interior(rng, 0.02)
+                           for _ in range(12)]).reshape(3, 4, -1)
+        theta, gamma = model.feasible.split(points)
+        t_h, tensor, prior = estimators._edge_score_distribution(model, theta, gamma)
+        reference = np.einsum("...hlm,...l,...m->...h", tensor, prior, prior)
+        assert t_h.shape == (3, 4, model.n_scores)
+        np.testing.assert_allclose(t_h, reference, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_lipschitz_stepsize_equals_the_per_point_computation(self, model):

@@ -184,7 +184,7 @@ def test_callables_broadcast_over_leading_axes(model):
     rng = np.random.default_rng(8)
     z = np.array([model.feasible.sample_interior(rng) for _ in range(6)]).reshape(2, 3, -1)
     theta, gamma = model.feasible.split(z)
-    tensor, prior = model.tensor(theta, validate=False), model.prior(gamma, validate=False)
+    tensor, prior = model.tensor_fn(theta), model.prior_fn(gamma)
     d_tensor, d_prior = model.tensor_grad(theta), model.prior_grad(gamma)
     for idx in np.ndindex(2, 3):
         np.testing.assert_array_equal(np.broadcast_to(tensor, (2, 3) + tensor.shape[-3:])[idx],
@@ -225,8 +225,7 @@ def test_gradients_match_finite_differences(model):
         normalized_by_formula = model.name != "categorical"
         if model.theta_dim:
             fd_t = np.stack([
-                (model.tensor(theta + dz, validate=False)
-                 - model.tensor(theta - dz, validate=False)) / (2e-6)
+                (model.tensor_fn(theta + dz) - model.tensor_fn(theta - dz)) / (2e-6)
                 for dz in np.eye(model.theta_dim) * 1e-6
             ])
             np.testing.assert_allclose(d_tensor, fd_t, rtol=1e-6, atol=1e-8)
@@ -234,8 +233,7 @@ def test_gradients_match_finite_differences(model):
                 np.testing.assert_allclose(d_tensor.sum(axis=1), 0.0,
                                            atol=1e-9)
         fd_p = np.stack([
-            (model.prior(gamma + dz, validate=False)
-             - model.prior(gamma - dz, validate=False)) / (2e-6)
+            (model.prior_fn(gamma + dz) - model.prior_fn(gamma - dz)) / (2e-6)
             for dz in np.eye(model.gamma_dim) * 1e-6
         ])
         np.testing.assert_allclose(d_prior, fd_p, rtol=1e-6, atol=1e-8)
@@ -381,7 +379,11 @@ def test_validation_checks_every_row_of_a_stack():
     theta, gamma = np.array([[0.5], [0.6], [2.0]]), np.array([[0.1], [0.5], [0.9]])
     np.testing.assert_array_equal(m.tensor(theta), np.stack([m.tensor(t) for t in theta]))
     np.testing.assert_array_equal(m.prior(gamma), np.stack([m.prior(g) for g in gamma]))
-    m.require_feasible(theta, gamma)
+    checked = m.require_feasible(theta, gamma)
+    assert all(a.dtype == np.float64 for a in checked)
+    np.testing.assert_array_equal(checked[0], theta)
+    np.testing.assert_array_equal(checked[1], gamma)
+    assert [a.shape for a in m.require_feasible(0.5, [0.3])] == [(1,), (1,)]
     m.require_feasible(theta[0], gamma)
     bad_theta, bad_gamma = theta.copy(), gamma.copy()
     bad_theta[1, 0], bad_gamma[2, 0] = 20.0, 1.2
@@ -393,7 +395,7 @@ def test_validation_checks_every_row_of_a_stack():
         m.require_feasible(bad_theta.reshape(3, 1, 1), gamma[0])
     with pytest.raises(InfeasibleError, match=r"\(row 2\)"):
         m.require_feasible(theta, bad_gamma)
-    m.tensor(bad_theta, validate=False)
+    m.tensor_fn(bad_theta)
 
 
 def test_wrong_parameter_shape_is_infeasible():
