@@ -70,10 +70,12 @@ class ScoreGraph:
         Score index in {0..R-1} for each edge, aligned with `edges`.
         None for a graph whose scores have not been generated yet.
 
-    Edges whose keys already strictly increase cost O(n) to check (the
-    check also rules out duplicates) and are stored as given, shared when
-    the array is read-only and copied otherwise; any other order is sorted
-    by one stable argsort of the keys that permutes the scores alongside.
+    Keys that already strictly increase (so no duplicates) cost O(n) to
+    check and are stored as given, shared when read-only and copied
+    otherwise; any other order is sorted by one stable argsort of the keys
+    that permutes the scores alongside.  `sample_score_graph` (edges read off
+    an N^2 mask in key order, with the N-cycle or every pair) and
+    `generate_scores` (checked edges, clipped scores) skip the checks via `_trusted_graph`.
     """
 
     n_agents: int
@@ -115,6 +117,13 @@ class ScoreGraph:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+
+def _trusted_graph(n_agents, n_scores, edges, scores=None) -> ScoreGraph:
+    """A ScoreGraph of read-only arrays that already meet its rules, built unchecked."""
+    graph = object.__new__(ScoreGraph)
+    graph.__dict__.update(n_agents=n_agents, n_scores=n_scores, edges=edges, scores=scores)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,10 @@ def _off_diagonal(n_agents: int) -> np.ndarray:
 
 def _mask_edges(mask: np.ndarray, n_agents: int) -> np.ndarray:
     """Read-only (n, 2) edges (i, j) of the True flat keys of an N^2 mask, in key order."""
-    return _freeze(np.column_stack(np.divmod(np.flatnonzero(mask), n_agents)))
+    keys = np.flatnonzero(mask)
+    edges = np.empty((2, keys.size), dtype=np.int64)  # rows i and j: contiguous columns
+    np.divmod(keys, n_agents, out=(edges[0], edges[1]))
+    return _freeze(edges.T)
 
 
 def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-plus-random-edges",
@@ -238,7 +250,7 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
         raise ValueError(f"unknown topology family: {topology!r}")
     # R is unknown until scores exist; use the minimum legal alphabet as a
     # placeholder that generate_scores replaces with the model's R.
-    return ScoreGraph(n_agents, 2, edges)
+    return _trusted_graph(n_agents, 2, edges)
 
 
 def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
@@ -268,11 +280,11 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
     cdf = np.cumsum(tensor, axis=0).reshape(model.n_scores, n_states * n_states)
     pair = states[graph.edges[:, 0]] * n_states + states[graph.edges[:, 1]]
     u = rng.random(graph.n_edges)
-    scores = np.zeros(graph.n_edges, dtype=np.int64)
+    scores = np.zeros(graph.n_edges, dtype=np.min_scalar_type(model.n_scores))
     for level in cdf:                     # one pass per score: count the CDF levels u reaches
         scores += u >= level[pair]
-    scores = np.minimum(scores, model.n_scores - 1)  # guard cdf rounding
-    scored = ScoreGraph(graph.n_agents, model.n_scores, graph.edges, _freeze(scores))
+    scores = np.minimum(scores, model.n_scores - 1).astype(np.int64)  # guard cdf rounding
+    scored = _trusted_graph(graph.n_agents, model.n_scores, graph.edges, _freeze(scores))
     return scored, states
 
 
@@ -280,32 +292,27 @@ def aggregate_counts(graph: ScoreGraph) -> NeighborCounts:
     """Aggregate the per-agent histograms every estimator and the classifier use.
 
     Each histogram is one `np.bincount` over flat (agent, score[, score])
-    indices; the reverse of each edge is found by binary search in the
-    sorted edge keys, so the cost is O(n log n) with no N^2 table.
+    indices; the reverse edge's score comes from an N^2-entry table (R marks
+    an absent edge, in the smallest type that holds R), so the cost is O(n + N^2).
     """
     if graph.scores is None:
         raise ValueError("graph has no scores; generate or load them first")
     n, big = graph.n_agents, graph.n_scores
     i, j, h = graph.edges[:, 0], graph.edges[:, 1], graph.scores
-    keys = i * n + j                      # sorted by construction
-    rkeys = j * n + i
-    pos = np.minimum(np.searchsorted(keys, rkeys), len(keys) - 1)
-    m = keys[pos] == rkeys                # the edge (j, i) exists, at pos
+    back = np.full(n * n, big, dtype=np.min_scalar_type(big))
+    back[i * n + j] = h
+    back = back[j * n + i]                # score of the edge (j, i), or R if it is absent
+    m = back < big                        # the edge (j, i) exists
     given = i * big + h                   # flat (evaluator, score)
     got = j * big + h                     # flat (target, score)
 
     received = np.bincount(got, minlength=n * big).reshape(n, big)
-    mutual = np.bincount(given[m] * big + h[pos[m]], minlength=n * big * big).reshape(n, big, big)
+    mutual = np.bincount(given[m] * big + back[m], minlength=n * big * big).reshape(n, big, big)
     received_only = np.bincount(got[~m], minlength=n * big).reshape(n, big)
     given_only = np.bincount(given[~m], minlength=n * big).reshape(n, big)
 
-    return NeighborCounts(
-        received=_freeze(received),
-        mutual=_freeze(mutual),
-        received_only=_freeze(received_only),
-        given_only=_freeze(given_only),
-        in_degree=_freeze(received.sum(axis=1)),
-    )
+    return NeighborCounts(*map(_freeze, (received, mutual, received_only, given_only,
+                                         received.sum(axis=1))))
 
 
 def _pushsum_matrix(n_agents: int, frame: np.ndarray) -> np.ndarray:

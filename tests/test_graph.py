@@ -138,14 +138,12 @@ def test_every_edge_counted_once_at_its_head():
                           np.bincount(scored.scores, minlength=4))
 
 
-def test_counts_match_naive_recount():
-    rng = np.random.default_rng(7)
-    g = sg.sample_score_graph(8, 20, "cyclic-plus-random-edges", rng)
-    scored, _ = sg.generate_scores(g, sg.reliability_model(3), (), (0.35,), rng)
-    c = sg.aggregate_counts(scored)
-    n, r = 8, 3
-    edges = [tuple(e) for e in scored.edges]
-    scores = {e: int(h) for e, h in zip(edges, scored.scores)}
+def _assert_naive_recount(graph):
+    """aggregate_counts(graph) equals a per-edge recount through a dict of scores."""
+    c = sg.aggregate_counts(graph)
+    n, r = graph.n_agents, graph.n_scores
+    edges = [tuple(e) for e in graph.edges]
+    scores = {e: int(h) for e, h in zip(edges, graph.scores)}
     received = np.zeros((n, r), dtype=int)
     mutual = np.zeros((n, r, r), dtype=int)
     received_only = np.zeros((n, r), dtype=int)
@@ -162,6 +160,49 @@ def test_counts_match_naive_recount():
     assert np.array_equal(c.received_only, received_only)
     assert np.array_equal(c.given_only, given_only)
     c.validate()
+
+
+def test_counts_match_naive_recount():
+    rng = np.random.default_rng(7)
+    g = sg.sample_score_graph(8, 20, "cyclic-plus-random-edges", rng)
+    scored, _ = sg.generate_scores(g, sg.reliability_model(3), (), (0.35,), rng)
+    _assert_naive_recount(scored)
+
+
+def test_counts_with_more_than_256_scores_match_naive_recount(tmp_path):
+    """R = 300 widens the reverse-score table past uint8.  The scores 255, 256
+    and R - 1, next to the absent marker R, sit on mutual and one-way edges."""
+    n, big = 12, 300
+    rng = np.random.default_rng(21)
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    others = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in cycle]
+    edges = cycle + [others[k] for k in rng.choice(len(others), size=40, replace=False)]
+    mutual = [e for e in edges if e[::-1] in edges]
+    one_way = [e for e in edges if e[::-1] not in edges]
+    assert len(mutual) >= 4 and len(one_way) >= 2
+    other_pair = next(e for e in mutual if e not in (mutual[0], mutual[0][::-1]))
+    scores = dict(zip(edges, rng.integers(0, big, size=len(edges)).tolist()))
+    scores.update({mutual[0]: 255, mutual[0][::-1]: 256, other_pair: big - 1,
+                   one_way[0]: big - 1, one_way[1]: 0})
+    order = rng.permutation(len(edges))
+    g = sg.ScoreGraph(n, big, np.array(edges)[order],
+                      np.array([scores[e] for e in edges])[order])
+    sg.save_score_graph(g, tmp_path / "g.txt")
+    back = sg.load_score_graph(tmp_path / "g.txt")
+    assert back.n_scores == big and np.array_equal(back.scores, g.scores)
+    _assert_naive_recount(back)
+
+
+def test_scores_past_256_levels_match_the_reference():
+    model = sg.categorical_model(2, 300)
+    theta, gamma = model.feasible.split(model.feasible.sample_interior(np.random.default_rng(3)))
+    g = sg.sample_score_graph(30, 600, "cyclic-plus-random-edges", np.random.default_rng(4))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    scored, states = sg.generate_scores(g, model, theta, gamma, rng)
+    ref_scores, ref_states = _reference_scores(g.edges, 30, model, theta, gamma, ref_rng)
+    assert np.array_equal(states, ref_states)
+    assert scored.scores.dtype == np.int64 and np.array_equal(scored.scores, ref_scores)
+    assert scored.scores.max() > 255
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,6 +317,28 @@ def test_all_pair_topologies_match_the_pair_list():
         assert np.array_equal(sg.sample_score_graph(n, n * n - n, "complete").edges, pairs)
         frame, = sg.make_comm_schedule(n, "static-complete").frames
         assert np.array_equal(frame, pairs)
+
+
+@pytest.mark.parametrize("topology", ["complete", "cyclic-plus-random-edges"])
+def test_unchecked_producers_meet_the_public_rules(topology):
+    """sample_score_graph and generate_scores skip ScoreGraph's checks; the
+    public constructor accepts what they build and stores the same arrays."""
+    n_agents, model = 9, sg.reliability_model(4)
+    max_edges = n_agents * n_agents - n_agents
+    targets = ([max_edges] if topology == "complete"
+               else [n_agents, (n_agents + max_edges) // 2, max_edges])
+    rng = np.random.default_rng(19)
+    for target in targets:
+        g = sg.sample_score_graph(n_agents, target, topology, rng)
+        scored, _ = sg.generate_scores(g, model, (), (0.3,), rng)
+        assert scored.n_scores == model.n_scores
+        rebuilt = sg.ScoreGraph(n_agents, 2, np.array(g.edges))
+        assert np.array_equal(rebuilt.edges, g.edges) and not g.edges.flags.writeable
+        rebuilt = sg.ScoreGraph(n_agents, model.n_scores, np.array(scored.edges),
+                                np.array(scored.scores))
+        for ours, theirs in ((rebuilt.edges, scored.edges), (rebuilt.scores, scored.scores)):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert not theirs.flags.writeable
 
 
 def test_shuffled_edges_build_the_sorted_graph():
