@@ -46,7 +46,7 @@ def logsumexp(a, axis=None) -> np.ndarray:
         shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=below)
         np.exp(shifted, out=shifted)
     rest = reduce(np.add, _slices(shifted)) if fold else np.sum(shifted, axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)
+    return (np.log1p(rest / m) + np.log(m) + a_max).squeeze(axis=axis)
 
 
 def _slices(a: np.ndarray) -> list:
@@ -70,7 +70,8 @@ def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     lead = log_table.shape[:n_lead]
     counts = counts.reshape(len(counts), -1)
     if n_lead:   # (..., *S, C) -> (*S, ..., C)
-        log_table = np.moveaxis(log_table, range(n_lead), range(n_score, n_score + n_lead))
+        log_table = log_table.transpose(
+            *range(n_lead, n_lead + n_score), *range(n_lead), n_lead + n_score)
     table = log_table.reshape(counts.shape[1], -1)
     finite = np.isfinite(table)
     if finite.all():
@@ -79,5 +80,6 @@ def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
         out = counts @ np.where(finite, table, 0.0)
         out[(counts > 0).astype(np.float64) @ (~finite).astype(np.float64) > 0] = -np.inf
     if n_lead:   # (N, L * C) -> (..., N, C)
-        out = np.moveaxis(out.reshape((len(out),) + lead + (-1,)), 0, n_lead)
+        out = out.reshape((len(out),) + lead + (-1,)).transpose(
+            *range(1, n_lead + 1), 0, n_lead + 1)
     return out

@@ -67,8 +67,15 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> Cla
     """
     if counts.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
-    tensor = model.tensor(theta)
-    prior = model.prior(gamma)
+    return _soft_classify(counts, model, *model.require_feasible(theta, gamma))
+
+
+def _soft_classify(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
+                   gamma: np.ndarray) -> ClassifierOutput:
+    """soft_classify of counts on the model's score alphabet at float arrays
+    theta, gamma already known to be feasible, without checking them."""
+    tensor = model.tensor_fn(theta)
+    prior = model.prior_fn(gamma)
 
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)

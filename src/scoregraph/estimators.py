@@ -37,10 +37,13 @@ stacked rows equal to per-point calls bit for bit.
 
 The public entry points convert theta and gamma to float arrays once: the
 objectives through ModelSpec.require_feasible, which also checks them, the
-gradients through ModelSpec.as_arrays.  From there on the NR gradient and
-the kernels (_nr_kept_table, _edge_score_distribution, _fr_gradient) call
+gradients through ModelSpec.as_arrays.  From there on the kernels
+(_nr_kept_table, _nr_gradient, _edge_score_distribution, _fr_gradient) call
 the model's unchecked callables tensor_fn, prior_fn, tensor_grad_fn and
-prior_grad_fn.
+prior_grad_fn, and hand tensor_grad_fn the tensor they already hold.
+EstimatorProblem calls the kernels directly, on points the solver has
+projected, with what fr_problem checked (phi) or built once per problem
+(the NR gradient's rows [received^T; 1]).
 
 The solver takes projected Newton steps (Bertsekas 1982) on the box-only
 NR and FR problems and spectral (Barzilai-Borwein) projected-gradient steps
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +141,7 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> floa
     return _nr_kept_table(counts, model, *model.require_feasible(theta, gamma))[0]
 
 
+@np.errstate(divide="ignore")
 def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
                    gamma: np.ndarray):
     """The NR objective at float arrays theta, gamma and the table its gradient
@@ -145,17 +150,16 @@ def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
     Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., i, l] is agent
     i's log block probability in state l, m_in[..., h, l] the probability of
     receiving score h in state l, and row_lse the per-agent logsumexp of s
-    whose sum is the value.  Broadcasts over leading axes of theta/gamma.
+    whose sum is the value.  Broadcasts over leading axes of theta/gamma.  The
+    logs of m_in and the prior take log(0) = -inf without a warning; the
+    errstate is a decorator, which costs less per call than a with-block.
     """
     if counts.n_scores != model.n_scores:
         raise ValueError("counts and model disagree on the score alphabet")
     tensor = model.tensor_fn(theta)
     prior = model.prior_fn(gamma)
     m_in = np.einsum("...hml,...m->...hl", tensor, prior)
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m_in)
-        log_prior = np.log(prior)
-    s = counted_log_factor(counts.received, log_m) + log_prior[..., None, :]
+    s = counted_log_factor(counts.received, np.log(m_in)) + np.log(prior)[..., None, :]
     row_lse = logsumexp(s, axis=-1)
     return _point_or_rows(row_lse.sum(axis=-1)), (s, tensor, prior, m_in, row_lse)
 
@@ -167,8 +171,7 @@ def _contract(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (a.reshape(a.shape[:a.ndim - n] + (-1,)) @ flat_b)[..., 0]
 
 
-def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
-                table=None) -> np.ndarray:
+def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.ndarray:
     """Analytic gradient of nr_objective in the stacked vector z = [theta, gamma].
 
     With w[i, l] = exp(s[i, l] - logsumexp_l s) the posterior state weights
@@ -179,20 +182,28 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
         d/d gamma_k = sum_m dprior[k, m] (u_m + W_m / p_m),
 
     with u_m = sum_hl T[h, m, l] G[h, l], W_m = sum_i w[i, m] and W_m / p_m
-    = 0 where p_m = 0.  `table` is what the NR cost evaluation at this same
-    point kept (see EstimatorProblem.evaluate), else it is built here; the
-    gradient is the same bits either way.
+    = 0 where p_m = 0.  The rows of G and W are one product of the constant
+    (R + 1, N) rows [received^T; 1] (see _gradient_rows) with w.
     """
     theta, gamma = model.as_arrays(theta, gamma)
-    if table is None:
-        _, table = _nr_kept_table(counts, model, theta, gamma)
+    _, table = _nr_kept_table(counts, model, theta, gamma)
+    return _nr_gradient(_gradient_rows(counts), model, theta, gamma, table)
+
+
+def _gradient_rows(counts: NeighborCounts) -> np.ndarray:
+    """[received^T; 1]: the received histogram of each score h, then all ones (for W)."""
+    return np.concatenate([counts.received.T, np.ones((1, counts.n_agents))])
+
+
+def _nr_gradient(rows: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np.ndarray,
+                 table) -> np.ndarray:
+    """nr_gradient at float arrays theta, gamma, from the rows [received^T; 1]
+    of the counts and the table the NR cost evaluation at this point kept."""
     s, tensor, prior, m_in, row_lse = table
-    if not np.all(np.isfinite(row_lse)):
+    if not np.isfinite(row_lse).all():
         raise NonFiniteError("node-relaxed objective is -inf at this point")
     w = np.exp(s - row_lse[..., None])        # posterior state weights, 0 at -inf
-    received = counts.received
-    # rows: the received histogram of each score h, then all ones (for W)
-    sums = np.concatenate([received.T, np.ones((1, len(received)))]) @ w
+    sums = rows @ w
     g = np.divide(sums[..., :-1, :], m_in, out=np.zeros_like(m_in), where=m_in > 0)
     total = sums[..., -1, :]
     v = (_contract(np.swapaxes(tensor, -3, -2), g, 2)
@@ -201,7 +212,7 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma,
     if not model.theta_dim:
         return grad_gamma
     outer = prior[..., None, :, None] * g[..., :, None, :]    # p_m G[h, l]
-    grad_theta = _contract(model.tensor_grad_fn(theta), outer, 3)
+    grad_theta = _contract(model.tensor_grad_fn(theta, tensor), outer, 3)
     return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
@@ -228,7 +239,8 @@ def _check_phi(phi, n_scores: int, stacked: bool = False) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim == 0 or (phi.ndim > 1 and not stacked) or phi.shape[-1] != n_scores:
         raise ValueError(f"phi must have length {n_scores}")
-    if phi.min() < -PHI_TOL or abs(phi.sum(axis=-1) - 1.0).max() > PHI_TOL:
+    # written so that a NaN fails the comparisons and is rejected
+    if not (phi.min() >= -PHI_TOL and abs(phi.sum(axis=-1) - 1.0).max() <= PHI_TOL):
         raise ValueError("phi must lie on the probability simplex (tol 1e-9)")
     return phi
 
@@ -301,7 +313,7 @@ def _fr_gradient(phi: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np
     if not model.theta_dim:
         return grad_gamma
     weights = ratio[..., :, None, None] * _outer(prior)[..., None, :, :]    # r_h p_l p_m
-    grad_theta = -_contract(model.tensor_grad_fn(theta), weights, 3)
+    grad_theta = -_contract(model.tensor_grad_fn(theta, tensor), weights, 3)
     return np.concatenate([grad_theta, grad_gamma], axis=-1)
 
 
@@ -353,14 +365,21 @@ class EstimatorProblem:
 
     def gradient(self, z, state=None) -> np.ndarray:
         """Gradient at z; `state` is what evaluate(z) kept, or None."""
-        split = self.model.feasible.split
         if self.kind == "exact":
             lo, hi = self.model.feasible.bounds
             return _rowwise(lambda v: _fd_gradient(
                 lambda w: self.evaluate(w)[0], v, lo, hi), z)
-        if self.kind == "nr":
-            return nr_gradient(self.data, self.model, *split(z), table=state)
-        return _fr_gradient(self.data, self.model, *split(z), table=state)
+        theta, gamma = self.model.feasible.split(z)
+        if self.kind == "fr":
+            return _fr_gradient(self.data, self.model, theta, gamma, table=state)
+        if state is None:
+            state = _nr_kept_table(self.data, self.model, theta, gamma)[1]
+        return _nr_gradient(self._nr_rows, self.model, theta, gamma, state)
+
+    @cached_property
+    def _nr_rows(self) -> np.ndarray:
+        """The constant rows [received^T; 1] of the NR gradient, built on first use."""
+        return _gradient_rows(self.data)
 
 
 def _rowwise(fn, z):
@@ -474,17 +493,28 @@ def _newton_direction(z, grad, hess, lo, hi):
 
     A coordinate is active when it sits at a bound and the gradient pushes
     outward; it takes -g.  The free coordinates F take d_F with
-    H_FF d_F = -g_F.
+    H_FF d_F = -g_F.  When every coordinate is free, H and -g go to LAPACK
+    as they are, without the masked copies, which hold the same values.
     """
     free = ~(((z <= lo) & (grad > 0)) | ((z >= hi) & (grad < 0)))
+    if free.all():
+        return _spd_solve(hess, -grad)
+    d_free = _spd_solve(hess[np.ix_(free, free)], -grad[free])
+    if d_free is None:
+        return None
     direction = -grad
-    block = hess[np.ix_(free, free)]
+    direction[free] = d_free
+    return direction
+
+
+def _spd_solve(a, b):
+    """a^-1 b, or None where the Cholesky factorization of a fails (a not
+    positive definite)."""
     try:
-        np.linalg.cholesky(block)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    direction[free] = np.linalg.solve(block, direction[free])
-    return direction
+    return np.linalg.solve(a, b)
 
 
 def _backtrack(cost, project, z, f, grad, direction, step, floor):
@@ -501,13 +531,13 @@ def _backtrack(cost, project, z, f, grad, direction, step, floor):
     while True:
         trial = z + step * direction
         z_new = project(trial)
-        if np.array_equal(trial, z) or np.array_equal(z_new, z):
+        if (trial == z).all() or (z_new == z).all():
             return None
         decrease = float(grad @ (z_new - z))
         if decrease <= 0:
             f_new, state = cost(z_new)
-            if np.isfinite(f_new) and (f_new <= f + ARMIJO_DECREASE * decrease
-                                       or -decrease < floor):
+            if math.isfinite(f_new) and (f_new <= f + ARMIJO_DECREASE * decrease
+                                         or -decrease < floor):
                 return z_new, f_new, step, state
         step *= 0.5
         floor = 0.0
@@ -568,14 +598,19 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
         raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
     lo, hi = feas.bounds
-    newton = problem.kind != "exact" and feas.box_dims().size == feas.dim
+    dim = feas.dim
+    newton = problem.kind != "exact" and feas.box_dims().size == dim
 
     def cost(v):
         if not newton:
             value, state = problem.evaluate(v)
             return sign * value, state
         h = HESSIAN_STEP * np.maximum(1.0, np.abs(v))
-        points = np.vstack([v, v + np.diag(np.where(v + h > hi, -h, h))])
+        points = np.empty((dim + 1, dim))
+        points[0] = v
+        # v + diag(steps) below row 0: v_j + 0.0 off the diagonal, v_k + step_k on it
+        stencil = np.add(v, 0.0, out=points[1:])
+        stencil.reshape(-1)[::dim + 1] += np.where(v + h > hi, -h, h)
         values, state = problem.evaluate(points)
         return sign * float(values[0]), (points, values, state)
 
@@ -584,19 +619,19 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
         if not newton:
             return sign * problem.gradient(v, kept), None
         points, values, state = kept
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             return sign * problem.gradient(v, _first_point(state)), None
         grads = sign * problem.gradient(points, state)
-        if not np.all(np.isfinite(grads[1:])):
+        if not np.isfinite(grads[1:]).all():
             return grads[0], None
-        hess = (grads[1:] - grads[0]) / (np.diagonal(points[1:]) - v)[:, None]
+        hess = (grads[1:] - grads[0]) / (points[1:].diagonal() - v)[:, None]
         return grads[0], 0.5 * (hess + hess.T)
 
     def residual_at(v, grad):
-        return float(np.max(np.abs(v - feas.project(v - grad))))
+        return float(abs(v - feas.project(v - grad)).max())
 
     f, kept = cost(z)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteError(f"objective is {sign * f} at the start point")
     trace = [(0, sign * f, *z)] if record_trace else None
     step = 1.0
@@ -605,7 +640,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     n_iters = 0
     for it in range(max_iters):
         grad, hess = derivatives(z, kept)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
         n_iters = it + 1
         residual = residual_at(z, grad)
@@ -689,11 +724,11 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
         block = points[start:start + GRID_BLOCK]
         values = problem.evaluate(block)[0]
         scores = values if problem.maximize else -values
-        finite = np.flatnonzero(np.isfinite(scores))
-        if finite.size:
-            k = finite[np.argmax(scores[finite])]
-            if scores[k] > best_score:
-                best_score, best_z = scores[k], block[k]
+        # the first best finite value; a block without one scores -inf
+        finite = np.where(np.isfinite(scores), scores, -np.inf)
+        k = finite.argmax()
+        if finite[k] > best_score:
+            best_score, best_z = finite[k], block[k]
     return best_z
 
 

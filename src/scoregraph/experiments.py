@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .classifier import misclassification_rate, soft_classify
+from .classifier import _soft_classify, misclassification_rate, soft_classify
 from .distributed import initial_state, push_sum_round, run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
                          fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
@@ -230,7 +230,8 @@ def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges
         if est != "oracle":
             estimates[est], details[est] = _run_estimator(
                 est, model, scored, counts, cfg, schedule, record_trace)
-            outputs[est] = soft_classify(counts, model, *split(estimates[est]))
+            # every estimator returns a projected, hence feasible, z
+            outputs[est] = _soft_classify(counts, model, *split(estimates[est]))
     return scored, states, estimates, outputs, details
 
 

@@ -16,8 +16,11 @@ stack of points: theta of shape (..., theta_dim) gives a tensor of shape
 gamma of shape (..., gamma_dim) gives a prior of shape (..., C) and a prior
 gradient of shape (..., gamma_dim, C).  A table that does not depend on its
 parameter may drop the leading axes, since the einsums and matmuls that
-consume it broadcast.  Feasible-set projections act row-wise on the last
-axis, and validation checks every row of a stack.
+consume it broadcast.  The tensor gradient callable tensor_grad_fn(theta,
+tensor) also takes the tensor at the same theta, which its callers already
+hold, so that a derivative written through the tensor does not rebuild it.
+Feasible-set projections act row-wise on the last axis, and validation
+checks every row of a stack.
 
 A model that declares the gamma -> 1 - gamma label-swap symmetry has a
 scalar gamma; ModelSpec rejects any other.
@@ -83,7 +86,7 @@ class Box:
         return self.lo.size
 
     def contains(self, v) -> bool:
-        return bool(np.all(v >= self.lo - FEAS_TOL) and np.all(v <= self.hi + FEAS_TOL))
+        return bool((v >= self.lo - FEAS_TOL).all() and (v <= self.hi + FEAS_TOL).all())
 
     def centroid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -281,7 +284,8 @@ class ModelSpec:
 
     def tensor_grad(self, theta) -> np.ndarray:
         """d_tensor[..., k, h, l, m] = d tensor[..., h, l, m] / d theta_k."""
-        return self.tensor_grad_fn(self._part("theta", theta))
+        theta = self._part("theta", theta)
+        return self.tensor_grad_fn(theta, self.tensor_fn(theta))
 
     def prior_grad(self, gamma) -> np.ndarray:
         """d_prior[..., k, l] = d prior[..., l] / d gamma_k."""
@@ -338,7 +342,7 @@ def reliability_model(n_scores: int) -> ModelSpec:
         label_swap_symmetric=False,
         tensor_fn=lambda theta: tensor,
         prior_fn=_bernoulli_prior,
-        tensor_grad_fn=lambda theta: empty_grad,
+        tensor_grad_fn=lambda theta, tensor: empty_grad,
         prior_grad_fn=_bernoulli_prior_grad,
     )
 
@@ -389,8 +393,7 @@ def social_ranking_model(n_states: int, n_scores: int) -> ModelSpec:
         w = np.exp(-((offsets / theta[..., None, None]) ** 2))
         return w / w.sum(axis=-3, keepdims=True)
 
-    def tensor_grad(theta):
-        p = tensor(theta)
+    def tensor_grad(theta, p):
         mean_a2 = (p * a2).sum(axis=-3, keepdims=True)
         scale = 2.0 / theta[..., None, None] ** 3
         return (scale * p * (a2 - mean_a2))[..., None, :, :, :]
@@ -439,6 +442,6 @@ def categorical_model(n_states: int, n_scores: int) -> ModelSpec:
         label_swap_symmetric=False,
         tensor_fn=tensor,
         prior_fn=lambda gamma: np.array(gamma, dtype=np.float64),
-        tensor_grad_fn=lambda theta: d_tensor,
+        tensor_grad_fn=lambda theta, tensor: d_tensor,
         prior_grad_fn=lambda gamma: d_prior,
     )

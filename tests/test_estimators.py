@@ -233,6 +233,26 @@ class TestFullyRelaxedObjective:
         with pytest.raises(ValueError):
             sg.fr_problem(rows[:1], model)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # a NaN fails every comparison, so the simplex check must require its
+        # conditions; fr_objective would drop a NaN term through its phi > 0 mask
+        model = sg.reliability_model(5)
+        phi = np.array([bad, 0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError, match="simplex"):
+            sg.fr_problem(phi, model)
+        with pytest.raises(ValueError, match="simplex"):
+            sg.fr_objective(phi, model, (), (0.3,))
+        with pytest.raises(ValueError, match="simplex"):
+            sg.fr_gradient(phi, model, (), (0.3,))
+        with pytest.raises(ValueError, match="simplex"):
+            sg.local_gradient_step(np.array([0.3]), phi, model, 0.01)
+        # one bad row of a phi stack, one row per agent
+        rows = np.tile(np.full(5, 0.2), (3, 1))
+        rows[1] = phi
+        with pytest.raises(ValueError, match="simplex"):
+            sg.local_gradient_step(np.full((3, 1), 0.3), rows, model, 0.01)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)
         model = sg.categorical_model(2, 3)
@@ -484,27 +504,30 @@ class TestProjectedGradient:
         assert counted["table"] == counted["evaluate"]
 
     def test_solver_gradients_from_kept_tables_equal_nr_gradient(self, monkeypatch):
-        seen = []
-        nr_gradient = estimators.nr_gradient
+        # the solver calls the kernel behind nr_gradient, with the problem's
+        # constant rows [received^T; 1] and the table its cost evaluation kept
+        seen, solving = [], {}
+        kernel = estimators._nr_gradient
 
-        def spy(counts, model, theta, gamma, table=None):
-            grad = nr_gradient(counts, model, theta, gamma, table=table)
-            seen.append((table is not None, grad, nr_gradient(counts, model, theta, gamma)))
+        def spy(rows, model, theta, gamma, table):
+            grad = kernel(rows, model, theta, gamma, table)
+            seen.append((grad, (solving["counts"], model, theta, gamma)))
             return grad
 
-        monkeypatch.setattr(estimators, "nr_gradient", spy)
+        monkeypatch.setattr(estimators, "_nr_gradient", spy)
         rng = np.random.default_rng(137)
         for model in ALL_MODELS:
             scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
             problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+            solving["counts"] = problem.data
             sg.estimate(problem, tol=1e-8, max_iters=5000, grid_points=9)
             z = model.feasible.sample_interior(rng)
             value, _ = problem.evaluate(z)
             assert value == sg.nr_objective(problem.data, model, *model.feasible.split(z))
+        monkeypatch.undo()
         assert len(seen) > len(ALL_MODELS)
-        for from_table, got, want in seen:
-            assert from_table
-            np.testing.assert_array_equal(got, want)
+        for got, args in seen:
+            np.testing.assert_array_equal(got, sg.nr_gradient(*args))
 
     def test_an_fr_solve_builds_one_edge_distribution_per_cost_evaluation(self, monkeypatch):
         counted = {"table": 0, "evaluate": 0, "gradient": 0}
@@ -598,6 +621,20 @@ class TestProjectedGradient:
         a1 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
         a2 = estimators.lipschitz_stepsize(problem, rng=np.random.default_rng(5))
         assert a1 == a2 and 0 < a1 < np.inf
+
+
+def _masked_newton_direction(z, grad, hess, lo, hi):
+    """The projected Newton direction through masked copies of H and g, for any
+    free set: the reference for the solver's all-free path."""
+    free = ~(((z <= lo) & (grad > 0)) | ((z >= hi) & (grad < 0)))
+    direction = -grad
+    block = hess[np.ix_(free, free)]
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return None
+    direction[free] = np.linalg.solve(block, direction[free])
+    return direction
 
 
 def _sweep_counts(model, theta, gamma, n_edges, trial, master_seed=0, n_agents=50):
@@ -714,6 +751,35 @@ class TestProjectedNewton:
         assert res.converged
         assert len(evaluated) <= 2 * res.n_iters
         assert abs(res.z[0] - sg.fr_binary_closed_form(0.01)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_the_all_free_newton_direction_equals_the_masked_one(self, dim):
+        # with every coordinate free, H and -g go to LAPACK without the masked
+        # copies: the same bits, or the same None, as the masked path
+        rng = np.random.default_rng(181 + dim)
+        lo, hi = np.zeros(dim), np.ones(dim)
+        seen = set()
+        for _ in range(300):
+            a = rng.normal(size=(dim, dim))
+            spd = rng.random() < 0.5
+            hess = a @ a.T + 0.1 * np.eye(dim) if spd else 0.5 * (a + a.T)
+            z, grad = rng.uniform(lo, hi), rng.normal(size=dim)
+            active = rng.random() < 0.3
+            if active:     # a coordinate on a bound whose gradient pushes outward
+                k = rng.integers(dim)
+                at_lo = rng.random() < 0.5
+                z[k], grad[k] = (lo[k], abs(grad[k])) if at_lo else (hi[k], -abs(grad[k]))
+            got = estimators._newton_direction(z, grad, hess, lo, hi)
+            want = _masked_newton_direction(z, grad, hess, lo, hi)
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+            seen.add((active, want is None))
+        # all-free and active cases, each solved and not positive definite; at
+        # dim 1 an active coordinate leaves an empty H_FF, which always solves
+        expected = {(False, False), (False, True), (True, False)}
+        assert seen == (expected | {(True, True)} if dim > 1 else expected)
 
     def test_a_coordinate_on_a_bound_with_an_outward_gradient_stays_there(self):
         # with gamma = 0 in the data the NR optimum lies on the bound gamma = 0
@@ -865,7 +931,8 @@ class TestEstimateWrapper:
         swap = [1, 0, 2]
         model = replace(base,
                         tensor_fn=lambda theta: base.tensor_fn(theta)[..., swap, :],
-                        tensor_grad_fn=lambda theta: base.tensor_grad_fn(theta)[..., swap, :])
+                        tensor_grad_fn=lambda theta, tensor: base.tensor_grad_fn(
+                            theta, tensor[..., swap, :])[..., swap, :])
         assert model.label_swap_symmetric
         rng = np.random.default_rng(138)
         g = sg.sample_score_graph(20, 120, "cyclic-plus-random-edges", rng)
@@ -1092,6 +1159,30 @@ class TestStackedEvaluation:
             if problem.kind == "nr":
                 np.testing.assert_array_equal(sg.nr_gradient(counts, model, theta, gamma),
                                               per_point)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_kernel_gradients_from_kept_tables_equal_the_public_gradients(self, model):
+        # the kernels hand the tensor of the kept table to tensor_grad_fn, where
+        # ModelSpec.tensor_grad and the public gradients rebuild it from theta
+        rng = np.random.default_rng(163)
+        scored, _, _ = _instance(model, rng, n_agents=8, n_edges=30)
+        counts = sg.aggregate_counts(scored)
+        points = np.array([model.feasible.sample_interior(rng, 0.02) for _ in range(5)])
+        theta, gamma = model.feasible.split(points)
+        public = {"nr": lambda th, ga: sg.nr_gradient(counts, model, th, ga),
+                  "fr": lambda th, ga: sg.fr_gradient(counts.phi, model, th, ga)}
+        for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+            _, state = problem.evaluate(points)
+            np.testing.assert_array_equal(model.tensor_grad_fn(theta, state[1]),
+                                          model.tensor_grad(theta))
+            stacked = problem.gradient(points, state)
+            for k in range(len(points)):
+                np.testing.assert_array_equal(stacked[k],
+                                              public[problem.kind](theta[k], gamma[k]))
+            # the solver's fallback: the gradient at row 0 from its slice of the table
+            np.testing.assert_array_equal(
+                problem.gradient(points[0], estimators._first_point(state)),
+                public[problem.kind](theta[0], gamma[0]))
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_fr_gradient_with_a_phi_row_per_point_equals_per_point_calls(self, model):
