@@ -53,9 +53,22 @@ stacked call, and the gradients at an accepted point reuse the table that
 call built (the NR state table, the FR edge score distribution): one
 stacked gradient call gives g and the Hessian, and a solve builds one table
 per point.  It reports convergence only where the projected-gradient
-residual certifies stationarity; `estimate` adds a grid start, evaluated in
-blocks of at most GRID_BLOCK mesh points per objective call (which keeps
-the allocation of a call small), and the label-swap canonicalization.
+residual certifies stationarity; `estimate` adds a grid start and the
+label-swap canonicalization.
+
+Each relaxed objective is a model half, which reads only the model at the
+points (NR: the tensor, prior, m_in and the logs of m_in and the prior;
+FR: the edge score distribution t and log t), then a data half, which
+combines those logs with the counts or phi.  The grid start runs the same
+data-half functions on a model half at the mesh that is built once per
+model object, grid size and kind and kept in a small module cache, so
+neither objective has a second formula and every mesh value has the bits
+of problem.evaluate at its point.  FR evaluates the whole mesh in one
+call.  NR runs on the U distinct received histograms when 2 <= U <= N/2
+(3 to 5 of 50 at n = N) and gathers the per-agent values in C order
+before the sum over agents, in calls of GRID_BLOCK * min(C, N // U) mesh
+points, which keeps both the stacked table of a call and that gather within
+the GRID_BLOCK * N * C floats of a call on all rows.
 """
 
 from __future__ import annotations
@@ -89,9 +102,15 @@ __all__ = [
 
 MAX_EXACT_AGENTS = 12
 PHI_TOL = 1e-9
-# mesh points per objective call of the grid start; bounds the stacked NR
-# table (GRID_BLOCK, N, C), about 460 KB at N = 300 and C = 3
+# mesh points per NR data-half call of the grid start on all N received
+# rows, which bounds its stacked table (GRID_BLOCK, N, C), about 460 KB at
+# N = 300 and C = 3.  On U distinct rows a call takes GRID_BLOCK * min(C, N // U)
+# points: the table (points, U, C) and the per-agent gather (points, N) then
+# stay within the same bound, and no call takes fewer than GRID_BLOCK points
 GRID_BLOCK = 64
+# models, grid sizes and kinds whose model half at the mesh is kept
+_MESH_CACHE_SIZE = 8
+_MESH_TABLES: dict = {}
 
 
 def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> float:
@@ -145,7 +164,7 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> floa
 def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
                    gamma: np.ndarray):
     """The NR objective at float arrays theta, gamma and the table its gradient
-    reuses at the same point.
+    reuses at the same point: the model half, then the data half.
 
     Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., i, l] is agent
     i's log block probability in state l, m_in[..., h, l] the probability of
@@ -154,14 +173,40 @@ def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
     logs of m_in and the prior take log(0) = -inf without a warning; the
     errstate is a decorator, which costs less per call than a with-block.
     """
-    if counts.n_scores != model.n_scores:
-        raise ValueError("counts and model disagree on the score alphabet")
+    tensor, prior, m_in, log_m_in, log_prior = _nr_model_half(model, theta, gamma)
+    value, s, row_lse = _nr_data_half(counts.received, log_m_in, log_prior)
+    return _point_or_rows(value), (s, tensor, prior, m_in, row_lse)
+
+
+def _nr_model_half(model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
+    """What the NR objective reads of the model at float arrays theta, gamma:
+    (tensor, prior, m_in, log m_in, log prior), m_in[..., h, l] = sum_m
+    T[..., h, m, l] p_m.  Callers ignore the divide warning of log(0)."""
     tensor = model.tensor_fn(theta)
     prior = model.prior_fn(gamma)
     m_in = np.einsum("...hml,...m->...hl", tensor, prior)
-    s = counted_log_factor(counts.received, np.log(m_in)) + np.log(prior)[..., None, :]
+    return tensor, prior, m_in, np.log(m_in), np.log(prior)
+
+
+def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndarray,
+                  inverse: np.ndarray | None = None):
+    """The NR value of received-score rows (U, R) from the model half's logs:
+    (value, s, row_lse), with s and row_lse per row and the value summed over
+    agents.
+
+    `inverse` maps each agent to its row when the rows are the distinct
+    received histograms (see _distinct_rows); the per-agent values are then
+    gathered in C order before the sum, since numpy sums a contiguous last
+    axis pairwise but folds the F-ordered result of a fancy-index gather, and
+    the two differ in the last bit.
+    """
+    if received.shape[-1] != log_m_in.shape[-2]:
+        raise ValueError("counts and model disagree on the score alphabet")
+    s = counted_log_factor(received, log_m_in) + log_prior[..., None, :]
     row_lse = logsumexp(s, axis=-1)
-    return _point_or_rows(row_lse.sum(axis=-1)), (s, tensor, prior, m_in, row_lse)
+    per_agent = (row_lse if inverse is None
+                 else np.ascontiguousarray(np.take(row_lse, inverse, axis=-1)))
+    return per_agent.sum(axis=-1), s, row_lse
 
 
 def _contract(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -253,13 +298,26 @@ def fr_objective(phi, model: ModelSpec, theta, gamma) -> float | np.ndarray:
     return _fr_kept_table(phi, model, *model.require_feasible(theta, gamma))[0]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _fr_kept_table(phi: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
     """The FR cost of a checked phi at float arrays theta, gamma, and the table
-    (t_h, tensor, prior) its gradient reuses at the same point."""
+    (t_h, tensor, prior) its gradient reuses at the same point: the model
+    half, then the data half."""
+    log_t, table = _fr_model_half(model, theta, gamma)
+    return _point_or_rows(_fr_data_half(phi, log_t)), table
+
+
+def _fr_model_half(model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
+    """(log t_h, (t_h, tensor, prior)) at float arrays theta, gamma (see
+    _edge_score_distribution).  Callers ignore the divide warning of log(0)."""
     table = _edge_score_distribution(model, theta, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(phi > 0, -phi * np.log(table[0]), 0.0)
-    return _point_or_rows(terms.sum(axis=-1)), table
+    return np.log(table[0]), table
+
+
+def _fr_data_half(phi: np.ndarray, log_t: np.ndarray):
+    """-sum_h phi_h log t_h, a score with phi_h = 0 adding 0, per row of log_t.
+    Callers ignore the invalid warning of 0 * -inf, which np.where drops."""
+    return np.where(phi > 0, -phi * log_t, 0.0).sum(axis=-1)
 
 
 def fr_gradient(phi, model: ModelSpec, theta, gamma) -> np.ndarray:
@@ -697,19 +755,82 @@ def _canonical_swap(z: np.ndarray, model: ModelSpec):
 def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     """Best point of a coarse mesh over the box-constrained dimensions.
 
-    The mesh is evaluated in C order, GRID_BLOCK points per
-    `problem.evaluate` call (the last block may be shorter).  The start is
-    the first mesh point, in C order, with the best finite value, or the
-    centroid when no value is finite.  For label-swap-symmetric models the
-    mesh keeps only gamma < 1/2: the gamma gradient vanishes on the symmetry
-    line gamma = 1/2, so a solve started there never leaves it.
+    The start is the first mesh point, in C order, with the best finite value
+    (see _grid_values), or the centroid when no value is finite or there is
+    no mesh.  For label-swap-symmetric models the mesh keeps only gamma < 1/2:
+    the gamma gradient vanishes on the symmetry line gamma = 1/2, so a solve
+    started there never leaves it.
     """
-    model = problem.model
+    mesh = _grid_values(problem, grid_points)
+    if mesh is not None:
+        points, values = mesh
+        scores = values if problem.maximize else -values
+        finite = np.where(np.isfinite(scores), scores, -np.inf)
+        k = finite.argmax()
+        if finite[k] > -np.inf:
+            return points[k].copy()
+    return problem.model.feasible.centroid()
+
+
+def _grid_values(problem: EstimatorProblem, grid_points: int):
+    """(mesh points, the objective at each) for the grid start, or None when
+    the model has no mesh (see _mesh_points).
+
+    NR and FR evaluate only their data half here, on the model half that
+    _mesh_tables keeps per model, with the same functions the objectives
+    use, so every value has the bits of problem.evaluate at that point.  FR
+    is one (P, R) call.  NR runs on the distinct received rows (see
+    _distinct_rows), GRID_BLOCK * min(C, N // U) mesh points per call for U
+    rows out of N (GRID_BLOCK on all rows).  The exact objective goes through
+    problem.evaluate, which loops over the points.
+    """
+    points, half = _mesh_tables(problem.model, grid_points, problem.kind)
+    if points is None:
+        return None
+    if problem.kind == "fr":
+        with np.errstate(invalid="ignore"):
+            return points, _fr_data_half(problem.data, *half)
+    if problem.kind != "nr":
+        return points, problem.evaluate(points)[0]
+    rows, inverse = _distinct_rows(problem.data.received)
+    block = GRID_BLOCK * min(problem.model.n_states, problem.data.n_agents // len(rows))
+    log_m_in, log_prior = half
+    return points, np.concatenate([
+        _nr_data_half(rows, log_m_in[k:k + block], log_prior[k:k + block], inverse)[0]
+        for k in range(0, len(points), block)])
+
+
+def _distinct_rows(received: np.ndarray):
+    """(rows, inverse): the U distinct rows of `received` and each agent's
+    row index, when 2 <= U <= N/2; else (received, None).
+
+    With one row the NR count product would be a (1, R) by (R, L C) matmul,
+    which numpy runs as a gemv whose bits differ from the gemm over N rows;
+    above N/2 rows the table shrinks too little to pay for the gather.
+    """
+    n_agents = len(received)
+    order = np.lexsort(received.T)
+    ranked = received[order]
+    first = np.ones(n_agents, dtype=bool)       # each agent that starts a new row
+    np.any(ranked[1:] != ranked[:-1], axis=-1, out=first[1:])
+    n_rows = int(np.count_nonzero(first))
+    if not 2 <= n_rows <= n_agents // 2:
+        return received, None
+    inverse = np.empty(n_agents, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
+def _mesh_points(model: ModelSpec, grid_points: int) -> np.ndarray | None:
+    """The grid start's mesh, (P, dim) points in C order: `grid_points` values
+    per box-constrained dimension (gamma < 1/2 only for label-swap-symmetric
+    models), the centroid elsewhere; read-only.  None without box dimensions
+    or above 3."""
     feas = model.feasible
-    center = feas.centroid()
     box_idx = feas.box_dims()
     if box_idx.size == 0 or box_idx.size > 3:
-        return center
+        return None
+    center = feas.centroid()
     lo, hi = feas.bounds
     swap_gamma = model.theta_dim if model.label_swap_symmetric else None
     axes = []
@@ -719,17 +840,35 @@ def _grid_start(problem: EstimatorProblem, grid_points: int) -> np.ndarray:
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     points = np.broadcast_to(center, (len(mesh),) + center.shape).copy()
     points[:, box_idx] = mesh
-    best_score, best_z = -np.inf, center
-    for start in range(0, len(points), GRID_BLOCK):
-        block = points[start:start + GRID_BLOCK]
-        values = problem.evaluate(block)[0]
-        scores = values if problem.maximize else -values
-        # the first best finite value; a block without one scores -inf
-        finite = np.where(np.isfinite(scores), scores, -np.inf)
-        k = finite.argmax()
-        if finite[k] > best_score:
-            best_score, best_z = finite[k], block[k]
-    return best_z
+    points.setflags(write=False)
+    return points
+
+
+def _mesh_tables(model: ModelSpec, grid_points: int, kind: str):
+    """(mesh points, the model half of the `kind` objective at them), built
+    once per model, grid_points and kind; (None, None) without a mesh.
+
+    The model half is (log m_in, log prior) for NR (see _nr_model_half),
+    (log t,) for FR and None for exact; the arrays are read-only.  Entries
+    are keyed by the model's id and each holds the model, so that no other
+    object can take that id while the entry lives; past _MESH_CACHE_SIZE
+    entries the oldest goes.
+    """
+    key = (id(model), grid_points, kind)
+    entry = _MESH_TABLES.get(key)
+    if entry is None:
+        points, half = _mesh_points(model, grid_points), None
+        if points is not None and kind != "exact":
+            theta, gamma = model.feasible.split(points)
+            with np.errstate(divide="ignore"):
+                half = (_nr_model_half(model, theta, gamma)[3:] if kind == "nr"
+                        else (_fr_model_half(model, theta, gamma)[0],))
+            for a in half:
+                a.setflags(write=False)
+        if len(_MESH_TABLES) >= _MESH_CACHE_SIZE:
+            del _MESH_TABLES[next(iter(_MESH_TABLES))]
+        entry = _MESH_TABLES[key] = (model, points, half)
+    return entry[1:]
 
 
 def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 100000,

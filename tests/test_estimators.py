@@ -1,7 +1,10 @@
 """Objectives, gradients, closed form, and the projected-gradient machinery."""
 
+import contextlib
+import gc
 import itertools
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -967,8 +970,9 @@ def _stack_points(model, rng, n_points=24):
     return points
 
 
-def _grid_start_reference(problem, grid_points):
-    """Per-point mesh scan in C order: the first best finite value, else the centroid."""
+def _grid_start_reference(problem, grid_points, remap=lambda v: v):
+    """Per-point mesh scan in C order: the first best finite value, else the
+    centroid; each objective value passes through `remap` first."""
     model = problem.model
     feas = model.feasible
     center = feas.centroid()
@@ -991,7 +995,7 @@ def _grid_start_reference(problem, grid_points):
     for combo in itertools.product(*axes):
         z = center.copy()
         z[box_idx] = combo
-        value = problem.evaluate(z)[0]
+        value = remap(np.asarray(problem.evaluate(z)[0]))
         if not np.isfinite(value):
             continue
         score = value if problem.maximize else -value
@@ -1000,25 +1004,26 @@ def _grid_start_reference(problem, grid_points):
     return best_z
 
 
-@dataclass(frozen=True)
-class _Remapped:
-    """A problem whose objective values pass through `remap`; records each call's z shape."""
+@contextlib.contextmanager
+def _remapped_grid_values(remap):
+    """The grid start's mesh values pass through `remap` inside the block."""
+    grid_values = estimators._grid_values
 
-    inner: estimators.EstimatorProblem
-    remap: object
-    calls: list = field(default_factory=list)
+    def remapped(problem, grid_points):
+        mesh = grid_values(problem, grid_points)
+        return None if mesh is None else (mesh[0], remap(mesh[1]))
 
-    @property
-    def model(self):
-        return self.inner.model
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_grid_values", remapped)
+        yield
 
-    @property
-    def maximize(self):
-        return self.inner.maximize
 
-    def evaluate(self, z):
-        self.calls.append(np.shape(z))
-        return self.remap(np.asarray(self.inner.evaluate(z)[0])), None
+def _recording(calls, fn):
+    """fn, recording the shape of its second argument (a mesh block) per call."""
+    def wrapper(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestStackedEvaluation:
@@ -1100,44 +1105,73 @@ class TestStackedEvaluation:
             start = estimators._grid_start(problem, grid_points)
             np.testing.assert_array_equal(start, _grid_start_reference(problem, grid_points))
 
-    def test_grid_start_evaluates_the_mesh_in_blocks(self):
+    def test_grid_start_evaluates_the_mesh_in_blocks(self, monkeypatch):
+        nr_calls, fr_calls = [], []
+        monkeypatch.setattr(estimators, "_nr_data_half",
+                            _recording(nr_calls, estimators._nr_data_half))
+        monkeypatch.setattr(estimators, "_fr_data_half",
+                            _recording(fr_calls, estimators._fr_data_half))
         model = sg.social_ranking_model(3, 3)
         scored, _, _ = _instance(model, np.random.default_rng(103), n_agents=10, n_edges=40)
-        problem = _Remapped(sg.nr_problem(sg.aggregate_counts(scored), model), lambda v: v)
+        counts = sg.aggregate_counts(scored)
+        assert len(np.unique(counts.received, axis=0)) == 10
+        problem = sg.nr_problem(counts, model)
         start = estimators._grid_start(problem, 33)
         # the label-swap half mesh, 33 theta values by the 16 gamma values below
-        # 1/2: 528 points in C order, 64 per call
+        # 1/2: 528 points in C order, 64 per call on all 10 received rows
         assert estimators.GRID_BLOCK == 64
-        assert problem.calls == [(64, 2)] * 8 + [(16, 2)]
+        assert nr_calls == [(64, 3, 3)] * 8 + [(16, 3, 3)]
         assert start[1] < 0.5
         np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
-        # a one-dimensional mesh of 33 points is one call
-        model = sg.reliability_model(5)
-        scored, _, _ = _instance(model, np.random.default_rng(109), n_agents=10, n_edges=40)
-        problem = _Remapped(sg.fr_problem(sg.aggregate_counts(scored), model), lambda v: v)
+        # on the cycle alone every agent receives one score: 3 distinct rows
+        # of 10, so a call takes 64 * min(C, 10 // 3) = 192 points, which
+        # bounds both the (192, 3, 3) table and the (192, 10) gather
+        scored, _, _ = _instance(model, np.random.default_rng(103), n_agents=10, n_edges=10)
+        problem = sg.nr_problem(sg.aggregate_counts(scored), model)
+        nr_calls.clear()
         start = estimators._grid_start(problem, 33)
-        assert problem.calls == [(33, 1)]
+        assert nr_calls == [(192, 3, 3)] * 2 + [(144, 3, 3)]
         np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
+        # 5 distinct rows of 10 (10 // 5 = 2 < C): 128 points per call
+        histograms = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
+        problem = sg.nr_problem(replace(sg.aggregate_counts(scored),
+                                        received=histograms[np.arange(10) % 5]), model)
+        nr_calls.clear()
+        start = estimators._grid_start(problem, 33)
+        assert nr_calls == [(128, 3, 3)] * 4 + [(16, 3, 3)]
+        np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
+        # FR evaluates the whole mesh in one call: 33 points on a
+        # one-dimensional mesh, 528 on the half mesh
+        for model, points in ((sg.reliability_model(5), 33), (model, 528)):
+            scored, _, _ = _instance(model, np.random.default_rng(109), n_agents=10,
+                                     n_edges=40)
+            problem = sg.fr_problem(sg.aggregate_counts(scored), model)
+            fr_calls.clear()
+            start = estimators._grid_start(problem, 33)
+            assert fr_calls == [(points, model.n_scores)]
+            np.testing.assert_array_equal(start, _grid_start_reference(problem, 33))
 
     def test_grid_start_ties_go_to_the_first_mesh_point(self):
         for problem in self._problems():
-            flat = _Remapped(problem, np.zeros_like)
-            coarse = _Remapped(problem, lambda v: np.floor(v / 5.0))
-            for tied in (flat, coarse):
-                np.testing.assert_array_equal(estimators._grid_start(tied, 9),
-                                              _grid_start_reference(tied, 9))
+            for remap in (np.zeros_like, lambda v: np.floor(v / 5.0)):
+                with _remapped_grid_values(remap):
+                    start = estimators._grid_start(problem, 9)
+                np.testing.assert_array_equal(start, _grid_start_reference(problem, 9, remap))
             feas = problem.model.feasible
             if feas.box_dims().size:
                 # every mesh point ties: the first one, not the centroid
-                assert not np.array_equal(estimators._grid_start(flat, 9), feas.centroid())
+                with _remapped_grid_values(np.zeros_like):
+                    assert not np.array_equal(estimators._grid_start(problem, 9),
+                                              feas.centroid())
 
     def test_grid_start_without_a_finite_value_is_the_centroid(self):
         for problem in self._problems():
             for fill in (np.nan, np.inf, -np.inf):
-                none_finite = _Remapped(problem, lambda v, f=fill: np.full_like(v, f))
-                start = estimators._grid_start(none_finite, 9)
+                remap = lambda v, f=fill: np.full_like(v, f)
+                with _remapped_grid_values(remap):
+                    start = estimators._grid_start(problem, 9)
                 np.testing.assert_array_equal(start, problem.model.feasible.centroid())
-                np.testing.assert_array_equal(start, _grid_start_reference(none_finite, 9))
+                np.testing.assert_array_equal(start, _grid_start_reference(problem, 9, remap))
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_stacked_gradients_equal_per_point_calls(self, model):
@@ -1239,3 +1273,146 @@ class TestStackedEvaluation:
             # one stacked gradient call at the same points, bit for bit
             assert len(sampled) == 1
             np.testing.assert_array_equal(sampled.pop(), points)
+
+
+CRITERION_MODELS = (sg.preparata_model(), sg.reliability_model(5),
+                    sg.social_ranking_model(3, 3))
+
+
+def _criterion_counts(model, n_edges):
+    """The trial-0 instance of the criterion 7 and 8 sweeps (N = 50, gamma =
+    0.3, theta = 0.5 where the model has one), scored by `model`."""
+    rng = np.random.default_rng([0, n_edges, 0])
+    graph = sg.sample_score_graph(50, n_edges, "cyclic-plus-random-edges", rng)
+    theta = (0.5,) if model.theta_dim else ()
+    scored, _ = sg.generate_scores(graph, model, theta, (0.3,), rng)
+    return sg.aggregate_counts(scored)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestGridMesh:
+    def _check(self, problem, grid_points=33):
+        """The mesh values have the bits of problem.evaluate on the whole mesh,
+        and the start is the per-point scan's."""
+        points, values = estimators._grid_values(problem, grid_points)
+        assert _same_bits(values, problem.evaluate(points)[0])
+        start = estimators._grid_start(problem, grid_points)
+        np.testing.assert_array_equal(start, _grid_start_reference(problem, grid_points))
+        assert start.flags.writeable      # a copy, never a view of the kept mesh
+        return values
+
+    @pytest.mark.parametrize("model", CRITERION_MODELS, ids=lambda m: m.name)
+    def test_mesh_values_have_the_bits_of_evaluate(self, model):
+        for n_edges in (50, 500, 2450):
+            counts = _criterion_counts(model, n_edges)
+            if n_edges == 50:
+                # the cycle alone: one received score per agent, so the NR
+                # mesh runs on at most R distinct rows
+                rows, inverse = estimators._distinct_rows(counts.received)
+                assert inverse is not None and len(rows) <= model.n_scores
+            for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                values = self._check(problem)
+                if model.name == "preparata":
+                    # gamma = 0 makes the mixed scores impossible
+                    assert np.isinf(values).any()
+        # the mesh holds the gamma = 0 line, where the log prior is -inf
+        _, (_, log_prior) = estimators._mesh_tables(model, 33, "nr")
+        assert np.isneginf(log_prior).any()
+
+    def test_distinct_rows_only_between_two_and_half_the_agents(self):
+        histograms = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0],
+                               [0, 2, 0]])
+        for n_rows, kept in ((1, False), (2, True), (5, True), (6, False)):
+            received = histograms[np.arange(10) % n_rows]
+            rows, inverse = estimators._distinct_rows(received)
+            if kept:
+                assert len(rows) == n_rows
+                np.testing.assert_array_equal(rows[inverse], received)
+            else:
+                assert rows is received and inverse is None
+
+    def test_one_distinct_row_and_all_rows_distinct_use_every_row(self):
+        # a single row would make the count product a gemv, whose bits differ
+        # from the gemm over all rows; with every row distinct there is nothing
+        # to share
+        model = sg.social_ranking_model(3, 3)
+        counts = _criterion_counts(model, 500)
+        n = counts.n_agents
+        same = replace(counts, received=np.tile(counts.received[:1], (n, 1)))
+        distinct = replace(counts, received=np.column_stack(
+            [np.arange(n), np.arange(n)[::-1], np.ones(n, dtype=int)]))
+        for counts in (same, distinct):
+            rows, inverse = estimators._distinct_rows(counts.received)
+            assert rows is counts.received and inverse is None
+            self._check(sg.nr_problem(counts, model))
+
+
+class TestMeshCache:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_MESH_TABLES", {})
+
+    @staticmethod
+    def _counts(model):
+        scored, _, _ = _instance(model, np.random.default_rng(149), n_agents=10, n_edges=30)
+        return sg.aggregate_counts(scored)
+
+    def test_each_model_object_and_grid_size_gets_its_own_tables(self):
+        base = sg.social_ranking_model(3, 3)
+        twin = sg.social_ranking_model(3, 3)
+        sharper = replace(base, tensor_fn=lambda theta: base.tensor_fn(0.5 * theta))
+        # the callables take no part in equality, so only identity tells them apart
+        assert twin == base and sharper == base
+        counts = self._counts(base)
+        for model in (base, twin, sharper):
+            for grid_points in (9, 33):
+                problem = sg.nr_problem(counts, model)
+                np.testing.assert_array_equal(estimators._grid_start(problem, grid_points),
+                                              _grid_start_reference(problem, grid_points))
+        entries = list(estimators._MESH_TABLES.values())
+        assert len(entries) == 6
+        for model in (base, twin, sharper):
+            assert sum(entry[0] is model for entry in entries) == 2
+        tables = {id(model): estimators._mesh_tables(model, 9, "nr")[1][0]
+                  for model in (base, twin, sharper)}
+        assert tables[id(twin)] is not tables[id(base)]
+        assert _same_bits(tables[id(twin)], tables[id(base)])
+        assert not np.array_equal(tables[id(sharper)], tables[id(base)])
+        assert len(estimators._mesh_tables(base, 33, "nr")[0]) == 33 * 16
+
+    def test_the_cache_stays_within_its_bound(self):
+        counts = self._counts(sg.reliability_model(5))
+        for _ in range(3 * estimators._MESH_CACHE_SIZE):
+            model = sg.reliability_model(5)
+            for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                estimators._grid_start(problem, 9)
+            assert len(estimators._MESH_TABLES) <= estimators._MESH_CACHE_SIZE
+        assert len(estimators._MESH_TABLES) == estimators._MESH_CACHE_SIZE
+
+    def test_a_dropped_model_cannot_hand_its_tables_to_a_new_object(self):
+        base = sg.reliability_model(5)
+        counts = self._counts(base)
+        model = replace(base)
+        alive = weakref.ref(model)
+        estimators._grid_start(sg.nr_problem(counts, model), 9)
+        del model
+        gc.collect()
+        # its entry holds it, so no other object can take its id
+        assert alive() is not None
+        for _ in range(estimators._MESH_CACHE_SIZE):
+            estimators._grid_start(sg.nr_problem(counts, replace(base)), 9)
+        gc.collect()
+        assert alive() is None        # dropped with its entry
+        # new objects, whatever ids they get, build tables from their own callables
+        for power in (2.0, 0.5):
+            model = replace(base, prior_fn=lambda gamma, k=power: base.prior_fn(gamma ** k))
+            problem = sg.nr_problem(counts, model)
+            np.testing.assert_array_equal(estimators._grid_start(problem, 9),
+                                          _grid_start_reference(problem, 9))
+            points, (_, log_prior) = estimators._mesh_tables(model, 9, "nr")
+            with np.errstate(divide="ignore"):
+                assert _same_bits(log_prior, np.log(model.prior_fn(points)))
