@@ -17,15 +17,19 @@ def logsumexp(a, axis=None) -> np.ndarray:
     The m maximal entries are summed apart as log(m) + log1p(rest / m), so
     the result matches scipy.special.logsumexp bit for bit on real input.  A
     slice of all -inf gives -inf, without a NaN or a warning.  The only
-    full-size temporaries are one float array (the shifted exponentials, in
-    C order) and one boolean mask; `a` itself is never written.
+    full-size temporaries are one float array (the shifted exponentials, one
+    dense buffer in the memory order of `a`) and one boolean mask; `a`
+    itself is never written.
 
-    Along a last axis shorter than SHORT_AXIS (the C states of an NR or
-    classifier table), the max, the tie count and the sum fold the slices
+    Along a last axis shorter than SHORT_AXIS (the C states of a classifier
+    table (N, C)), the max, the tie count and the sum fold the slices
     elementwise instead of reducing row by row.  The bits stay the same: max
     is exact, and np.sum over a contiguous axis shorter than 8 (where its
     pairwise summation starts) is the same left fold over the C-ordered
-    exponentials.
+    exponentials.  Any other axis goes to the ufunc reductions, called as
+    np.maximum.reduce and np.add.reduce, which skip the wrappers of np.max
+    and np.sum; on the states axis -2 of an NR table (..., C, N) numpy runs
+    them elementwise along the contiguous last axis already.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1] if a.ndim else 0
@@ -35,17 +39,18 @@ def logsumexp(a, axis=None) -> np.ndarray:
         below = a < a_max                     # every entry but the maximal ones
         m = np.subtract(n, reduce(np.add, _slices(below.view(np.uint8))), dtype=np.float64)
     else:
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
         below = a < a_max
-        m = a.size // a_max.size - np.count_nonzero(below, axis=axis, keepdims=True)
+        m = a.size // a_max.size - np.add.reduce(below, axis=axis, keepdims=True)
     if np.isfinite(a_max).all():
-        shifted = np.subtract(a, a_max, order="C")
+        shifted = np.subtract(a, a_max, order="K")
         np.exp(shifted, out=shifted)
         shifted *= below                      # exp(0) = 1 at the maximal entries
     else:                                     # inf - inf is NaN: keep those entries at -inf
-        shifted = np.subtract(a, a_max, out=np.full(a.shape, -np.inf), where=below)
+        shifted = np.subtract(a, a_max, out=np.full_like(a, -np.inf), where=below)
         np.exp(shifted, out=shifted)
-    rest = reduce(np.add, _slices(shifted)) if fold else np.sum(shifted, axis=axis, keepdims=True)
+    rest = (reduce(np.add, _slices(shifted)) if fold
+            else np.add.reduce(shifted, axis=axis, keepdims=True))
     return (np.log1p(rest / m) + np.log(m) + a_max).squeeze(axis=axis)
 
 

@@ -24,6 +24,13 @@ stack, except `fr_gradient`, which also takes one phi row per point.
 exact objective (its C^N table does not stack) and its finite-difference
 gradient loop over the rows.
 
+The NR state table is laid out states-first: s[..., l, i], shape (..., C,
+N), is agent i's log block probability in state l, stored as C contiguous
+(..., N) slices (the state axis outermost in memory).  The add of log prior
+and the logsumexp over the states then run elementwise over whole slices,
+and the per-agent logsumexp row_lse is a C-contiguous (..., N) array, which
+numpy sums over agents pairwise at one point and on a stack alike.
+
 Both gradients go through one small table and the chain rule.  NR: with
 w[i, l] the posterior state weights, G[h, l] = sum_i received[i, h] w[i, l]
 / m_in[h, l] is one (R, N) x (N, C) product, and each derivative contracts G
@@ -43,7 +50,8 @@ the model's unchecked callables tensor_fn, prior_fn, tensor_grad_fn and
 prior_grad_fn, and hand tensor_grad_fn the tensor they already hold.
 EstimatorProblem calls the kernels directly, on points the solver has
 projected, with what fr_problem checked (phi) or built once per problem
-(the NR gradient's rows [received^T; 1]).
+(the received histograms as float rows: (N, R) for the NR table and
+[received^T; 1] for its gradient), so no call casts or transposes them.
 
 The solver takes projected Newton steps (Bertsekas 1982) on the box-only
 NR and FR problems and spectral (Barzilai-Borwein) projected-gradient steps
@@ -103,9 +111,9 @@ __all__ = [
 MAX_EXACT_AGENTS = 12
 PHI_TOL = 1e-9
 # mesh points per NR data-half call of the grid start on all N received
-# rows, which bounds its stacked table (GRID_BLOCK, N, C), about 460 KB at
+# rows, which bounds its stacked table (GRID_BLOCK, C, N), about 460 KB at
 # N = 300 and C = 3.  On U distinct rows a call takes GRID_BLOCK * min(C, N // U)
-# points: the table (points, U, C) and the per-agent gather (points, N) then
+# points: the table (points, C, U) and the per-agent gather (points, N) then
 # stay within the same bound, and no call takes fewer than GRID_BLOCK points
 GRID_BLOCK = 64
 # models, grid sizes and kinds whose model half at the mesh is kept
@@ -157,24 +165,26 @@ def nr_objective(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> floa
     where each received score is marginalized over the unknown evaluator
     state independently.
     """
-    return _nr_kept_table(counts, model, *model.require_feasible(theta, gamma))[0]
+    return _nr_kept_table(counts.received, model, *model.require_feasible(theta, gamma))[0]
 
 
 @np.errstate(divide="ignore")
-def _nr_kept_table(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
+def _nr_kept_table(received: np.ndarray, model: ModelSpec, theta: np.ndarray,
                    gamma: np.ndarray):
-    """The NR objective at float arrays theta, gamma and the table its gradient
-    reuses at the same point: the model half, then the data half.
+    """The NR objective of the received histograms (N, R) at float arrays
+    theta, gamma and the table its gradient reuses at the same point: the
+    model half, then the data half.
 
-    Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., i, l] is agent
-    i's log block probability in state l, m_in[..., h, l] the probability of
+    Returns (value, (s, tensor, prior, m_in, row_lse)): s[..., l, i] is agent
+    i's log block probability in state l, laid out states-first (..., C, N)
+    as C contiguous (..., N) slices, m_in[..., h, l] the probability of
     receiving score h in state l, and row_lse the per-agent logsumexp of s
-    whose sum is the value.  Broadcasts over leading axes of theta/gamma.  The
-    logs of m_in and the prior take log(0) = -inf without a warning; the
-    errstate is a decorator, which costs less per call than a with-block.
+    whose sum is the value.  Broadcasts over leading axes of theta/gamma.  The logs of m_in and the prior take
+    log(0) = -inf without a warning; the errstate is a decorator, which costs
+    less per call than a with-block.
     """
     tensor, prior, m_in, log_m_in, log_prior = _nr_model_half(model, theta, gamma)
-    value, s, row_lse = _nr_data_half(counts.received, log_m_in, log_prior)
+    value, s, row_lse = _nr_data_half(received, log_m_in, log_prior)
     return _point_or_rows(value), (s, tensor, prior, m_in, row_lse)
 
 
@@ -191,8 +201,21 @@ def _nr_model_half(model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
 def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndarray,
                   inverse: np.ndarray | None = None):
     """The NR value of received-score rows (U, R) from the model half's logs:
-    (value, s, row_lse), with s and row_lse per row and the value summed over
-    agents.
+    (value, s, row_lse), with s (..., C, U) and row_lse (..., U) per row and
+    the value summed over agents.
+
+    The count product is the one matmul of counted_log_factor, rows (U, R) by
+    the L tables (R, L C), whose result is agents-first (U, L C); the add of
+    log prior writes it out states-first, as C contiguous (..., U) slices
+    (the state axis outermost in memory).  logsumexp then reduces the states
+    elementwise over those slices, with inner loops that run over whole
+    slices even when U is 3, and row_lse comes out C-contiguous, which numpy
+    sums pairwise like the row_lse of a single point.  The states-first
+    product (L C, R) @ (R, U) would skip the copy, but OpenBLAS gives its
+    entries other bits once it splits a large product across threads (seen
+    above about 1e6 multiply-adds, e.g. C = 4, R = 5, N = 300 and 200
+    points), where the stacked mesh values would leave the bits of evaluate
+    at their points.
 
     `inverse` maps each agent to its row when the rows are the distinct
     received histograms (see _distinct_rows); the per-agent values are then
@@ -202,8 +225,13 @@ def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndar
     """
     if received.shape[-1] != log_m_in.shape[-2]:
         raise ValueError("counts and model disagree on the score alphabet")
-    s = counted_log_factor(received, log_m_in) + log_prior[..., None, :]
-    row_lse = logsumexp(s, axis=-1)
+    # (..., C, U); m_in has every leading axis of the prior, so s has its shape
+    table = np.swapaxes(counted_log_factor(received, log_m_in), -1, -2)
+    n_lead = table.ndim - 2
+    s = np.empty(table.shape[-2:-1] + table.shape[:-2] + table.shape[-1:]).transpose(
+        *range(1, n_lead + 1), 0, n_lead + 1)
+    np.add(table, log_prior[..., :, None], out=s)
+    row_lse = logsumexp(s, axis=-2)
     per_agent = (row_lse if inverse is None
                  else np.ascontiguousarray(np.take(row_lse, inverse, axis=-1)))
     return per_agent.sum(axis=-1), s, row_lse
@@ -219,8 +247,10 @@ def _contract(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.ndarray:
     """Analytic gradient of nr_objective in the stacked vector z = [theta, gamma].
 
-    With w[i, l] = exp(s[i, l] - logsumexp_l s) the posterior state weights
-    and m_in[h, l] = sum_m T[h, m, l] p_m, the chain rule gives
+    With s[l, i] agent i's log block probability in state l (the states-first
+    table of _nr_kept_table), w[i, l] = exp(s[l, i] - logsumexp_l s[l, i])
+    the posterior state weights and m_in[h, l] = sum_m T[h, m, l] p_m, the
+    chain rule gives
 
         G[h, l] = sum_i received[i, h] w[i, l] / m_in[h, l]   (0 where m_in = 0),
         d/d theta_k = sum_hml dT[k, h, m, l] p_m G[h, l],
@@ -228,27 +258,38 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.nd
 
     with u_m = sum_hl T[h, m, l] G[h, l], W_m = sum_i w[i, m] and W_m / p_m
     = 0 where p_m = 0.  The rows of G and W are one product of the constant
-    (R + 1, N) rows [received^T; 1] (see _gradient_rows) with w.
+    (R + 1, N) rows [received^T; 1] (see _float_rows) with w.
     """
     theta, gamma = model.as_arrays(theta, gamma)
-    _, table = _nr_kept_table(counts, model, theta, gamma)
-    return _nr_gradient(_gradient_rows(counts), model, theta, gamma, table)
+    received, rows = _float_rows(counts)
+    _, table = _nr_kept_table(received, model, theta, gamma)
+    return _nr_gradient(rows, model, theta, gamma, table)
 
 
-def _gradient_rows(counts: NeighborCounts) -> np.ndarray:
-    """[received^T; 1]: the received histogram of each score h, then all ones (for W)."""
-    return np.concatenate([counts.received.T, np.ones((1, counts.n_agents))])
+def _float_rows(counts: NeighborCounts):
+    """The received histograms as float arrays: (N, R) for the NR table, and
+    the gradient's rows [received^T; 1] (R + 1, N), the histogram of each
+    score h, then all ones (for W)."""
+    received = counts.received.astype(np.float64)
+    return received, np.concatenate([received.T, np.ones((1, counts.n_agents))])
 
 
 def _nr_gradient(rows: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: np.ndarray,
                  table) -> np.ndarray:
     """nr_gradient at float arrays theta, gamma, from the rows [received^T; 1]
-    of the counts and the table the NR cost evaluation at this point kept."""
+    of the counts and the table the NR cost evaluation at this point kept.
+
+    The posterior weights w are written agents-first and C-contiguous,
+    (..., N, C), for the product rows @ w: on a transposed w numpy's matmul
+    can give other bits (seen at N = 16), and the states-first product
+    w @ rows^T does (seen at N = 50).
+    """
     s, tensor, prior, m_in, row_lse = table
     if not np.isfinite(row_lse).all():
         raise NonFiniteError("node-relaxed objective is -inf at this point")
-    w = np.exp(s - row_lse[..., None])        # posterior state weights, 0 at -inf
-    sums = rows @ w
+    # posterior state weights, 0 at -inf
+    w = np.subtract(np.swapaxes(s, -1, -2), row_lse[..., :, None], order="C")
+    sums = rows @ np.exp(w, out=w)
     g = np.divide(sums[..., :-1, :], m_in, out=np.zeros_like(m_in), where=m_in > 0)
     total = sums[..., -1, :]
     v = (_contract(np.swapaxes(tensor, -3, -2), g, 2)
@@ -415,7 +456,7 @@ class EstimatorProblem:
         """
         split = self.model.feasible.split
         if self.kind == "nr":
-            return _nr_kept_table(self.data, self.model, *split(z))
+            return _nr_kept_table(self._nr_rows[0], self.model, *split(z))
         if self.kind == "fr":
             return _fr_kept_table(self.data, self.model, *split(z))
         return _rowwise(lambda v: _exact_loglikelihood(
@@ -430,14 +471,16 @@ class EstimatorProblem:
         theta, gamma = self.model.feasible.split(z)
         if self.kind == "fr":
             return _fr_gradient(self.data, self.model, theta, gamma, table=state)
+        received, rows = self._nr_rows
         if state is None:
-            state = _nr_kept_table(self.data, self.model, theta, gamma)[1]
-        return _nr_gradient(self._nr_rows, self.model, theta, gamma, state)
+            state = _nr_kept_table(received, self.model, theta, gamma)[1]
+        return _nr_gradient(rows, self.model, theta, gamma, state)
 
     @cached_property
-    def _nr_rows(self) -> np.ndarray:
-        """The constant rows [received^T; 1] of the NR gradient, built on first use."""
-        return _gradient_rows(self.data)
+    def _nr_rows(self) -> tuple:
+        """The counts' float rows of the NR table and gradient (see
+        _float_rows), built on first use."""
+        return _float_rows(self.data)
 
 
 def _rowwise(fn, z):
@@ -792,7 +835,7 @@ def _grid_values(problem: EstimatorProblem, grid_points: int):
             return points, _fr_data_half(problem.data, *half)
     if problem.kind != "nr":
         return points, problem.evaluate(points)[0]
-    rows, inverse = _distinct_rows(problem.data.received)
+    rows, inverse = _distinct_rows(problem._nr_rows[0])
     block = GRID_BLOCK * min(problem.model.n_states, problem.data.n_agents // len(rows))
     log_m_in, log_prior = half
     return points, np.concatenate([

@@ -16,11 +16,12 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .classifier import _soft_classify, misclassification_rate, soft_classify
+from .classifier import _soft_classify, misclassification_rate
 from .distributed import initial_state, push_sum_round, run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
                          fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
@@ -121,17 +122,31 @@ class ExperimentConfig:
 
 
 def build_model(config: ExperimentConfig) -> ModelSpec:
-    """Instantiate the configured model with its conventional defaults."""
+    """The configured model with its conventional defaults.
+
+    Every call for the same model, C and R returns the same read-only
+    ModelSpec, so a sweep builds its model once however often it asks for it,
+    and the grid-start tables that the estimators keep per model object
+    serve every later sweep of it.  The last 8 models built are kept.
+    """
     name = config.model
     if name == "preparata":
-        return preparata_model()
+        return _shared_model(name)
     if name == "reliability":
-        return reliability_model(config.n_scores or 5)
+        return _shared_model(name, config.n_scores or 5)
     if name == "social-ranking":
-        return social_ranking_model(config.n_states or 3, config.n_scores or 3)
+        return _shared_model(name, config.n_states or 3, config.n_scores or 3)
     if name == "categorical":
-        return categorical_model(config.n_states or 2, config.n_scores or 2)
+        return _shared_model(name, config.n_states or 2, config.n_scores or 2)
     raise ValueError(f"unknown model {name!r}")
+
+
+@lru_cache(maxsize=8)
+def _shared_model(name: str, *sizes: int) -> ModelSpec:
+    """The model `name` at its sizes (C, R), built on the first call only."""
+    return {"preparata": preparata_model, "reliability": reliability_model,
+            "social-ranking": social_ranking_model,
+            "categorical": categorical_model}[name](*sizes)
 
 
 def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
@@ -213,6 +228,8 @@ def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges
     then fit and classify with each configured estimator.
 
     The draws come from the stream keyed by (master_seed, n_edges, trial).
+    `truth` is the checked z of _true_params, so the oracle classifies
+    without checking it again.
     Returns (scored graph, true states, estimates, outputs, details):
     `estimates` and `outputs` map each classifier, "oracle" first, to its
     z = [theta, gamma] and ClassifierOutput; `details` maps each fitted
@@ -224,7 +241,7 @@ def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges
     scored, states = generate_scores(graph, model, *split(truth), rng)
     counts = aggregate_counts(scored)
     estimates = {"oracle": truth}
-    outputs = {"oracle": soft_classify(counts, model, *split(truth))}
+    outputs = {"oracle": _soft_classify(counts, model, *split(truth))}
     details = {}
     for est in cfg.estimators:
         if est != "oracle":

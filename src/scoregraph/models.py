@@ -68,16 +68,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box constraint on a contiguous slice of parameters."""
+    """Axis-aligned box constraint on a contiguous slice of parameters.
+
+    The bounds are read-only copies of the arrays given, so that a model
+    shared between sweeps cannot be changed through them.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
+        lo = np.array(self.lo, dtype=np.float64, ndmin=1)
+        hi = np.array(self.hi, dtype=np.float64, ndmin=1)
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box bounds must satisfy lo < hi elementwise")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

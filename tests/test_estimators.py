@@ -11,7 +11,7 @@ import pytest
 
 import scoregraph as sg
 from scoregraph import estimators
-from scoregraph._logdomain import logsumexp
+from scoregraph._logdomain import counted_log_factor, logsumexp
 from scoregraph.errors import InfeasibleError, NonFiniteError
 from scoregraph.experiments import ExperimentConfig, build_model, run_single
 from scoregraph.models import THETA_BOX
@@ -139,7 +139,9 @@ def _nr_gradient_reference(counts, model, theta, gamma):
     R x C weight table replaced (three-operand einsums).  Also returns the
     same sums over the absolute values of the terms, which scale the
     rounding error of either formula."""
-    _, (s, tensor, prior, m_in, _) = estimators._nr_kept_table(counts, model, theta, gamma)
+    _, (s, tensor, prior, m_in, _) = estimators._nr_kept_table(counts.received, model,
+                                                                theta, gamma)
+    s = np.swapaxes(s, -1, -2)      # the table is states-first; this formula reads s[..., i, l]
     w = np.exp(s - logsumexp(s, axis=-1)[..., None])
     received = counts.received
     ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
@@ -1349,6 +1351,120 @@ class TestGridMesh:
             rows, inverse = estimators._distinct_rows(counts.received)
             assert rows is counts.received and inverse is None
             self._check(sg.nr_problem(counts, model))
+
+
+def _agents_first_reference(received, model, theta, gamma):
+    """The NR value, table, row_lse and gradient at one point through the
+    agents-first table s[i, l] (N, C) that the states-first one replaced:
+    counted_log_factor + logsumexp(axis=-1), and the gradient's rows @ w.
+    The gradient is None where some agent's row_lse is -inf."""
+    with np.errstate(divide="ignore"):
+        tensor, prior = model.tensor_fn(theta), model.prior_fn(gamma)
+        m_in = np.einsum("...hml,...m->...hl", tensor, prior)
+        s = counted_log_factor(received, np.log(m_in)) + np.log(prior)[..., None, :]
+    row_lse = logsumexp(s, axis=-1)
+    if not np.isfinite(row_lse).all():
+        return row_lse.sum(axis=-1), s, row_lse, None
+    w = np.exp(s - row_lse[..., None])
+    sums = np.concatenate([received.T, np.ones((1, len(received)))]) @ w
+    g = np.divide(sums[:-1], m_in, out=np.zeros_like(m_in), where=m_in > 0)
+    v = (estimators._contract(np.swapaxes(tensor, -3, -2), g, 2)
+         + np.divide(sums[-1], prior, out=np.zeros_like(prior), where=prior > 0))
+    grad = estimators._contract(model.prior_grad_fn(gamma), v, 1)
+    if model.theta_dim:
+        outer = prior[None, :, None] * g[:, None, :]
+        grad = np.concatenate(
+            [estimators._contract(model.tensor_grad_fn(theta, tensor), outer, 3), grad])
+    return row_lse.sum(axis=-1), s, row_lse, grad
+
+
+class TestStatesFirstTable:
+    """The states-first NR table (..., C, N) against the agents-first formula
+    it replaced, bit for bit: the value, the kept table and the gradient of
+    problem.evaluate/gradient and of the public functions, and the grid
+    start's mesh values."""
+
+    @staticmethod
+    def _received(model, n_distinct, n_agents=50):
+        """Histograms of `n_distinct` different rows (1, 3 or n_agents) over
+        the model's R scores, one per agent.  At N = 50 the product rows @ w
+        of the gradient changes bits with the layout of w."""
+        rows = np.ones((n_agents, model.n_scores), dtype=np.int64)
+        rows[:, 0] = np.arange(n_agents)
+        rows[:, 1] = np.arange(n_agents)[::-1]
+        received = rows[np.arange(n_agents) % n_distinct]
+        assert len(np.unique(received, axis=0)) == n_distinct
+        return received
+
+    @staticmethod
+    def _points(model, rng):
+        """Interior points, gamma = 0 and 1 rows (scalar gamma) and, for the
+        categorical model, score masses of 0 at the simplex vertices."""
+        points = _stack_points(model, rng, n_points=12)
+        if model.name == "categorical":
+            points[:4] = model.feasible.project(3.0 * points[:4] - 1.0)
+            assert (points[:4] == 0.0).any()
+        return points
+
+    def _compare(self, problem, z):
+        model, received = problem.model, problem.data.received
+        theta, gamma = model.feasible.split(z)
+        refs = [_agents_first_reference(received, model, *model.feasible.split(v))
+                for v in z.reshape(-1, z.shape[-1])]
+        lead = z.shape[:-1]
+        value, state = problem.evaluate(z)
+        s, row_lse = state[0], state[4]
+        # states-first, s[..., l, i], stored as C contiguous (..., N) slices
+        assert s.shape == lead + (model.n_states, len(received))
+        assert all(s[..., l, :].flags.c_contiguous for l in range(model.n_states))
+        assert row_lse.flags.c_contiguous
+        assert _same_bits(value, np.reshape([r[0] for r in refs], lead))
+        assert _same_bits(np.swapaxes(s, -1, -2), np.reshape([r[1] for r in refs], s.shape[:-2]
+                                                             + s.shape[:-3:-1]))
+        assert _same_bits(row_lse, np.reshape([r[2] for r in refs], row_lse.shape))
+        assert _same_bits(sg.nr_objective(problem.data, model, theta, gamma), value)
+        if any(r[3] is None for r in refs):
+            for call in (lambda: problem.gradient(z, state),
+                         lambda: sg.nr_gradient(problem.data, model, theta, gamma)):
+                with pytest.raises(NonFiniteError):
+                    call()
+            return
+        want = np.reshape([r[3] for r in refs], z.shape)
+        assert _same_bits(problem.gradient(z, state), want)
+        assert _same_bits(problem.gradient(z), want)
+        assert _same_bits(sg.nr_gradient(problem.data, model, theta, gamma), want)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("n_distinct", [1, 3, 50])
+    def test_evaluate_and_gradient_equal_the_agents_first_formula(self, model, n_distinct):
+        rng = np.random.default_rng(151)
+        scored, _, _ = _instance(model, rng, n_agents=50, n_edges=200)
+        counts = replace(sg.aggregate_counts(scored),
+                         received=self._received(model, n_distinct))
+        problem = sg.nr_problem(counts, model)
+        points = self._points(model, rng)
+        for z in (*points, points[:3], points[:8].reshape(2, 4, -1)):
+            self._compare(problem, z)
+
+    @pytest.mark.parametrize("model", ALL_MODELS[:3], ids=lambda m: m.name)
+    @pytest.mark.parametrize("n_distinct", [1, 3, 50])
+    def test_mesh_values_equal_the_agents_first_formula(self, model, n_distinct):
+        scored, _, _ = _instance(model, np.random.default_rng(157), n_agents=50, n_edges=200)
+        counts = replace(sg.aggregate_counts(scored),
+                         received=self._received(model, n_distinct))
+        problem = sg.nr_problem(counts, model)
+        rows, inverse = estimators._distinct_rows(counts.received)
+        assert (inverse is not None) == (n_distinct == 3)
+        for grid_points in (9, 33):
+            points, values = estimators._grid_values(problem, grid_points)
+            want = [_agents_first_reference(counts.received, model,
+                                            *model.feasible.split(z))[0] for z in points]
+            assert _same_bits(values, np.array(want))
+            # the gamma = 0 line: a log prior of -inf, and for the two-score
+            # models also tensor masses of 0
+            assert (points[:, -1] == 0.0).any()
+            if model.n_scores == 2:
+                assert np.isneginf(values).any()
 
 
 class TestMeshCache:

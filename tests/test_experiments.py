@@ -104,6 +104,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_model(ExperimentConfig(model="glm"))
 
+    def test_build_model_shares_one_read_only_model_per_configuration(self):
+        ranking = build_model(ExperimentConfig(model="social-ranking"))
+        assert build_model(ExperimentConfig(model="social-ranking", trials=3)) is ranking
+        # the defaults C = R = 3 are the same configuration
+        assert build_model(ExperimentConfig(model="social-ranking", n_states=3,
+                                            n_scores=3)) is ranking
+        four = build_model(ExperimentConfig(model="social-ranking", n_scores=4))
+        five = build_model(ExperimentConfig(model="social-ranking", n_scores=5))
+        assert four is not five and four is not ranking
+        assert (four.n_scores, five.n_scores) == (4, 5)
+        assert (build_model(ExperimentConfig(n_scores=4))
+                is not build_model(ExperimentConfig(n_scores=5)))
+        lo, hi = ranking.feasible.bounds
+        for bound in (ranking.feasible.blocks[0].lo, ranking.feasible.blocks[1].hi, lo, hi):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.25
+
 
 class TestConfigFile:
     def test_full_round_trip(self, tmp_path):
@@ -238,6 +255,50 @@ class TestRunSweep:
                                estimators=("FR",))
         with pytest.raises(ValueError, match="sweep needs at least one edge count"):
             run_sweep(cfg)
+
+    def test_a_second_sweep_of_a_model_reuses_its_mesh_tables(self, tmp_path, monkeypatch):
+        from scoregraph import estimators
+        calls = []
+        mesh_points = estimators._mesh_points
+        monkeypatch.setattr(estimators, "_MESH_TABLES", {})
+        monkeypatch.setattr(estimators, "_mesh_points",
+                            lambda *args: calls.append(args) or mesh_points(*args))
+        cfg = ExperimentConfig(model="social-ranking", n_agents=8, sweep=(8, 30),
+                               trials=2, solver_grid_points=9)
+        first = emit_outputs(run_sweep(cfg), tmp_path / "a")
+        assert len(calls) == 2      # the NR and FR tables of the first sweep
+        calls.clear()
+        second = emit_outputs(run_sweep(cfg), tmp_path / "b")
+        assert calls == []
+        for key in ("rmse", "misclass"):
+            assert Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
+
+    def test_oracle_outputs_equal_the_checked_classifier(self):
+        from scoregraph.experiments import _run_trial, _true_params
+        for cfg in (ExperimentConfig(model="reliability", n_agents=8, sweep=(30,)),
+                    ExperimentConfig(model="categorical", n_states=3, n_scores=2,
+                                     n_agents=8, sweep=(30,))):
+            cfg = cfg.resolved()
+            model = build_model(cfg)
+            truth = _true_params(cfg, model)
+            scored, _, _, outputs, _ = _run_trial(cfg, model, truth, None, 30, 0)
+            want = sg.soft_classify(sg.aggregate_counts(scored), model,
+                                    *model.feasible.split(truth))
+            got = outputs["oracle"]
+            for field in ("posterior", "labels", "log_unnormalized"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_an_infeasible_truth_raises_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("scoregraph.experiments._run_trial",
+                            lambda *args, **kwargs: calls.append(args))
+        for cfg in (ExperimentConfig(gamma=(1.5,), n_agents=6, sweep=(6,), trials=1),
+                    ExperimentConfig(model="social-ranking", theta=(20.0,), n_agents=6,
+                                     sweep=(6,), trials=1)):
+            for run in (run_sweep, run_single):
+                with pytest.raises(InfeasibleError, match="infeasible"):
+                    run(cfg)
+        assert calls == []
 
     def test_oracle_in_estimator_list_is_not_fitted(self):
         cfg = ExperimentConfig(model="preparata", n_agents=6, sweep=(6,),

@@ -26,6 +26,17 @@ def test_numpy_sum_over_a_short_contiguous_axis_is_a_left_fold(a):
     np.testing.assert_array_equal(np.sum(a, axis=-1), fold)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.sampled_from([(n, 5), (4, n, 6), (3, n, 1)]).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_ADDENDS))))
+def test_numpy_sum_over_the_short_state_axis_of_an_nr_table_is_a_left_fold(a):
+    # the states-first NR table (..., C, N) reduces axis -2; its mesh values
+    # keep the bits of a single point's only while numpy adds the C rows in
+    # order, also where N = 1 leaves axis -2 the contiguous one
+    fold = reduce(np.add, [a[..., j, :] for j in range(a.shape[-2])])
+    np.testing.assert_array_equal(np.add.reduce(a, axis=-2), fold)
+
+
 # near entries (exponentials of one magnitude, so the summation order shows),
 # far entries, ties and -inf
 _ENTRIES = st.one_of(st.floats(-4, 4, allow_nan=False), st.floats(-700, 700, allow_nan=False),

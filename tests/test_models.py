@@ -251,6 +251,21 @@ def test_feasible_set_dim_is_the_sum_of_block_dims():
     assert (feas.dim, feas.theta_dim, feas.gamma_dim) == (4 * 3 + 2, 4 * 3, 2)
 
 
+def test_box_bounds_are_read_only_copies():
+    lo, hi = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    box = Box(lo, hi)
+    assert box.lo is not lo and box.hi is not hi
+    lo[0], hi[0] = -5.0, 5.0          # the caller's arrays stay the caller's
+    np.testing.assert_array_equal(box.lo, [0.0, 1.0])
+    np.testing.assert_array_equal(box.hi, [2.0, 3.0])
+    for model in ALL_MODELS:
+        for block in model.feasible.blocks:
+            if isinstance(block, Box):
+                for bound in (block.lo, block.hi):
+                    with pytest.raises(ValueError, match="read-only"):
+                        bound[0] = 0.5
+
+
 def test_a_block_may_not_straddle_the_split():
     blocks = (Box(np.zeros(2), np.ones(2)), Simplex(3))
     for theta_dim in (0, 2, 5):
