@@ -23,12 +23,12 @@ from .estimators import (EstimatorProblem, SolveResult, estimate,
                          exact_loglikelihood, exact_problem, fr_binary_closed_form,
                          fr_gradient, fr_objective, fr_problem, nr_gradient,
                          nr_objective, nr_problem, projected_gradient_solve)
-from .distributed import (DistributedRun, DistributedState, initial_state,
-                          local_gradient_step, push_sum_round, run_distributed)
+from .distributed import (DistributedRun, DistributedState, local_gradient_step,
+                          run_distributed)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
                           build_model, emit_outputs, emit_single_outputs,
                           parse_config_file, read_misclass_csv, read_rmse_csv,
-                          run_invariant_checks, run_single, run_sweep)
+                          run_single, run_sweep)
 
 __all__ = [
     "__version__",
@@ -46,10 +46,8 @@ __all__ = [
     "fr_objective", "fr_gradient", "fr_binary_closed_form",
     "exact_problem", "nr_problem", "fr_problem",
     "projected_gradient_solve", "estimate",
-    "DistributedState", "DistributedRun", "initial_state", "push_sum_round",
-    "local_gradient_step", "run_distributed",
+    "DistributedState", "DistributedRun", "local_gradient_step", "run_distributed",
     "ExperimentConfig", "SweepPoint", "SweepResult", "build_model",
     "parse_config_file", "run_sweep", "run_single",
     "emit_outputs", "emit_single_outputs", "read_rmse_csv", "read_misclass_csv",
-    "run_invariant_checks",
 ]

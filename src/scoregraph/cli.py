@@ -3,7 +3,6 @@
     scoregraph sweep   edge-count sweep, RMSE + misclassification CSVs
     scoregraph social  same sweep pinned to the graded-state model, C = R = 3
     scoregraph single  one instance with full per-agent exports
-    scoregraph check   fast invariant self-test, nonzero exit on failure
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import replace
 import click
 
 from .experiments import (ExperimentConfig, build_model, emit_outputs,
-                          emit_single_outputs, parse_config_file,
-                          run_invariant_checks, run_single, run_sweep)
+                          emit_single_outputs, parse_config_file, run_single,
+                          run_sweep)
 
 
 def _load_config(config_path, full_scale=False, **overrides) -> ExperimentConfig:
@@ -109,26 +108,6 @@ def single(config_path, **flags) -> None:
         click.echo(f"{name}: {pairs}")
     for path in paths.values():
         click.echo(f"wrote {path}")
-
-
-@main.command()
-@click.option("--seed", type=int, default=0, help="Master seed.")
-@_exit_1_on_error
-def check(seed) -> None:
-    """Run fast internal consistency checks; exit 1 if any fail."""
-    results = run_invariant_checks(seed)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name}"
-        if res.detail:
-            line += f" ({res.detail})"
-        click.echo(line)
-        failed += 0 if res.passed else 1
-    if failed:
-        click.echo(f"{failed} of {len(results)} checks failed", err=True)
-        raise SystemExit(1)
-    click.echo(f"all {len(results)} checks passed")
 
 
 if __name__ == "__main__":

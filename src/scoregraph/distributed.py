@@ -27,8 +27,6 @@ from .models import ModelSpec
 __all__ = [
     "DistributedState",
     "DistributedRun",
-    "initial_state",
-    "push_sum_round",
     "local_gradient_step",
     "run_distributed",
 ]
@@ -50,28 +48,6 @@ class DistributedState:
     @property
     def phi(self) -> np.ndarray:
         return self.xi / self.eta[:, None]
-
-
-def initial_state(counts: NeighborCounts, model: ModelSpec) -> DistributedState:
-    """Build the round-0 state: local histograms, and every agent at the centroid."""
-    return DistributedState(
-        xi=counts.received.astype(np.float64),
-        eta=counts.in_degree.astype(np.float64),
-        z=np.tile(model.feasible.centroid(), (counts.n_agents, 1)),
-    )
-
-
-def push_sum_round(state: DistributedState, schedule: CommSchedule, t: int) -> DistributedState:
-    """One synchronous ratio-consensus exchange over the edges of round t's frame.
-
-    Every agent splits its xi and eta mass equally over its frame
-    out-neighbors plus itself, through the schedule's cached mixing matrix;
-    column totals are conserved exactly up to floating error, and eta stays
-    positive.  xi and eta are mixed as the columns of one (N, R + 1)
-    accumulator [xi | eta], the product run_distributed takes each round.
-    """
-    acc = schedule.matrix(t) @ np.column_stack([state.xi, state.eta])
-    return DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=state.z)
 
 
 def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
@@ -125,10 +101,13 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
                     record_every: int = 1, rng=0) -> DistributedRun:
     """Simulate n_rounds synchronous rounds of local gradient steps + consensus.
 
-    Every agent starts at the centroid of the feasible set (initial_state).
-    In round t every agent steps with its pre-round ratio phi_i(t), then the
-    push-sum product of push_sum_round mixes the accumulators into
-    phi_i(t+1).
+    Round 0 holds xi = counts.received and eta = counts.in_degree (each
+    agent's local histogram), with every agent at the centroid of the
+    feasible set.  In round t every agent steps with its pre-round ratio
+    phi_i(t), then every agent splits its xi and eta mass equally over its
+    frame out-neighbors plus itself: one product of the frame's mixing matrix
+    with [xi | eta], which conserves the column totals up to floating error
+    and keeps eta positive.
 
     Parameters
     ----------
@@ -153,14 +132,14 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
     elif not alpha > 0:
         raise ValueError("alpha must be positive")
-    state = initial_state(counts, model)
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
-    phi_traj = np.empty((times.size,) + state.xi.shape)
-    z_traj = np.empty((times.size,) + state.z.shape)
-    acc = np.column_stack([state.xi, state.eta])
-    phi = _check_phi(np.divide(state.xi, state.eta[:, None], out=phi_traj[0]),
+    phi_traj = np.empty((times.size,) + counts.received.shape)
+    z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
+    z_traj = np.empty((times.size,) + z.shape)
+    z_traj[0] = z
+    acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
+    phi = _check_phi(np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[0]),
                      model.n_scores, stacked=True)
-    z = z_traj[0] = state.z
     recorded = times.tolist()
     k = 1
     for t in range(n_rounds):
@@ -168,7 +147,7 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
             z = _local_step(z, phi, model, alpha)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
-        acc = schedule.matrix(t) @ acc      # the product of push_sum_round
+        acc = schedule.matrix(t) @ acc
         if t + 1 == recorded[k]:
             phi = np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[k])
             z_traj[k] = z

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from .classifier import _soft_classify, misclassification_rate
-from .distributed import initial_state, push_sum_round, run_distributed
+from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
-                         fr_binary_closed_form, fr_objective, fr_problem, nr_objective,
-                         nr_problem)
+                         fr_problem, nr_problem)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -36,7 +35,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SingleRunResult",
-    "CheckResult",
     "build_model",
     "parse_config_file",
     "run_sweep",
@@ -45,7 +43,6 @@ __all__ = [
     "emit_single_outputs",
     "read_rmse_csv",
     "read_misclass_csv",
-    "run_invariant_checks",
 ]
 
 # true dispersion theta of the social-ranking sweep when the config sets none
@@ -553,117 +550,3 @@ def parse_config_file(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             values[field_name] = value
     return ExperimentConfig(**values)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _check(name, fn) -> CheckResult:
-    try:
-        fn()
-        return CheckResult(name, True)
-    except Exception as exc:  # report, do not crash the suite
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-
-
-def run_invariant_checks(seed: int = 0) -> list:
-    """Fast self-contained invariant suite backing the `check` CLI command."""
-
-    def counts_identities():
-        rng = np.random.default_rng([seed, 1])
-        model = reliability_model(3)
-        graph = sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
-        scored, _ = generate_scores(graph, model, (), (0.4,), rng)
-        counts = aggregate_counts(scored)
-        counts.validate()
-        assert counts.n_edges == scored.n_edges
-        assert np.all(np.abs(counts.phi.sum() - 1.0) < 1e-12)
-
-    def schedule_connectivity():
-        for family, window in (("static-complete", 1), ("static-cycle", 1),
-                               ("periodic-edge-partition", 3)):
-            sched = make_comm_schedule(8, family, window,
-                                       rng=np.random.default_rng([seed, 2]))
-            assert sched.satisfies_window_connectivity()
-
-    def pushsum_conservation():
-        rng = np.random.default_rng([seed, 3])
-        model = reliability_model(4)
-        graph = sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
-        scored, _ = generate_scores(graph, model, (), (0.3,), rng)
-        counts = aggregate_counts(scored)
-        sched = make_comm_schedule(12, "periodic-edge-partition", 3,
-                                   rng=np.random.default_rng([seed, 4]))
-        state = initial_state(counts, model)
-        target_xi = state.xi.sum(axis=0)
-        target_eta = state.eta.sum()
-        for t in range(600):
-            state = push_sum_round(state, sched, t)
-            assert np.all(np.abs(state.xi.sum(axis=0) - target_xi) <= 1e-9 * target_xi)
-            assert abs(state.eta.sum() - target_eta) <= 1e-9 * target_eta
-        final_err = np.abs(state.phi - counts.phi[None, :]).max()
-        assert final_err < 1e-6, f"phi error {final_err}"
-
-    def model_normalization():
-        rng = np.random.default_rng([seed, 5])
-        for model in (preparata_model(), reliability_model(5),
-                      social_ranking_model(3, 3), categorical_model(2, 3)):
-            for _ in range(50):
-                z = model.feasible.sample_interior(rng)
-                theta, gamma = model.feasible.split(z)
-                tensor = model.tensor(theta)
-                prior = model.prior(gamma)
-                assert np.all(np.abs(tensor.sum(axis=0) - 1.0) < 1e-12)
-                assert abs(prior.sum() - 1.0) < 1e-12
-                assert tensor.min() >= 0 and prior.min() >= 0
-
-    def closed_form_matches_grid():
-        grid = np.linspace(0.0, 1.0, 4001)
-        for phi2 in (0.1, 0.3, 0.45, 0.52, 0.6, 0.9):
-            model = preparata_model()
-            phi = np.array([1.0 - phi2, phi2])
-            values = np.array([fr_objective(phi, model, (), (g,)) for g in grid])
-            best = values.min()
-            got = fr_objective(phi, model, (), (fr_binary_closed_form(phi2),))
-            assert got <= best + 1e-9, f"phi2={phi2}: {got} vs grid {best}"
-
-    def label_swap_objective():
-        rng = np.random.default_rng([seed, 6])
-        model = social_ranking_model(3, 3)
-        graph = sample_score_graph(15, 60, "cyclic-plus-random-edges", rng)
-        scored, _ = generate_scores(graph, model, (0.5,), (0.3,), rng)
-        counts = aggregate_counts(scored)
-        for th, g in ((0.5, 0.3), (1.1, 0.7), (0.2, 0.5)):
-            a = nr_objective(counts, model, (th,), (g,))
-            b = nr_objective(counts, model, (th,), (1.0 - g,))
-            assert abs(a - b) < 1e-9
-            a = fr_objective(counts.phi, model, (th,), (g,))
-            b = fr_objective(counts.phi, model, (th,), (1.0 - g,))
-            assert abs(a - b) < 1e-9
-
-    def determinism():
-        import tempfile
-        cfg = ExperimentConfig(model="reliability", n_scores=3, gamma=(0.3,),
-                               n_agents=10, sweep=(10, 40), trials=2,
-                               estimators=("FR",), master_seed=seed,
-                               solver_max_iters=500)
-        with tempfile.TemporaryDirectory() as tmp:
-            d1, d2 = os.path.join(tmp, "a"), os.path.join(tmp, "b")
-            p1 = emit_outputs(run_sweep(cfg), d1)
-            p2 = emit_outputs(run_sweep(cfg), d2)
-            for key in ("rmse", "misclass"):
-                with open(p1[key], "rb") as f1, open(p2[key], "rb") as f2:
-                    assert f1.read() == f2.read(), f"{key} differs between runs"
-
-    return [_check(name, fn) for name, fn in (
-        ("counts-identities", counts_identities),
-        ("schedule-window-connectivity", schedule_connectivity),
-        ("push-sum-conservation", pushsum_conservation),
-        ("model-normalization", model_normalization),
-        ("closed-form-matches-grid", closed_form_matches_grid),
-        ("label-swap-objective", label_swap_objective),
-        ("determinism", determinism))]

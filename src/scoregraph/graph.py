@@ -8,6 +8,7 @@ plain-text serialization format is 1-based.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -441,6 +442,16 @@ def save_score_graph(graph: ScoreGraph, path) -> None:
         fh.write(_text_rows(rows))
 
 
+def _int_rows(source, kind: str) -> np.ndarray:
+    """The integer rows of a text file (a path or an open file); ValueError when it has none."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(source, dtype=np.int64, ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"the {kind} file has no rows")
+    return rows
+
+
 def load_score_graph(path) -> ScoreGraph:
     """Read the edge-list format written by save_score_graph."""
     with open(path) as fh:
@@ -448,7 +459,7 @@ def load_score_graph(path) -> ScoreGraph:
         if len(header) != 4 or header[0] != "scoregraph":
             raise ValueError("not a score graph file")
         n_agents, n_scores, n_edges = (int(x) for x in header[1:])
-        rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        rows = _int_rows(fh, "score graph")
     if rows.shape != (n_edges, 3):
         raise ValueError("edge count does not match header")
     return ScoreGraph(n_agents, n_scores, rows[:, :2] - 1, rows[:, 2] - 1)
@@ -464,7 +475,7 @@ def save_states(states, path) -> None:
 
 def load_states(path) -> np.ndarray:
     """Read the `i x_index` lines of save_states: n lines hold each id 1..n once, states >= 1."""
-    rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    rows = _int_rows(path, "states")
     if rows.shape[1:] != (2,):
         raise ValueError("a states file has two columns: agent id and state")
     ids, values = rows[:, 0], rows[:, 1]

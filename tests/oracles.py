@@ -1,8 +1,9 @@
 """Slow, obviously-correct reference implementations used only by tests.
 
 Everything here trades efficiency for transparency: joint-assignment
-enumeration, plain per-definition loops, central finite differences, and an
-exact-rational maximizer for the binary single-score-fraction cost.
+enumeration, plain per-definition loops, central finite differences, a
+push-sum round agent by agent, and an exact-rational maximizer for the
+binary single-score-fraction cost.
 Production code must agree with these to tight tolerances.
 """
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from scoregraph.distributed import DistributedState
 from scoregraph.graph import ScoreGraph
 
 
@@ -110,6 +112,27 @@ def fd_gradient(fun, z, step=1e-6):
         zm[k] -= step
         g[k] = (fun(zp) - fun(zm)) / (2.0 * step)
     return g
+
+
+def push_sum_round_by_definition(state: DistributedState, schedule, t) -> DistributedState:
+    """One ratio-consensus exchange over round t's frame, agent by agent.
+
+    Each agent cuts its (xi, eta) into one share per distinct frame
+    out-neighbor plus one; it keeps one share and sends one to each of those
+    neighbors.  A self loop in the frame adds no share.
+    """
+    n = state.eta.shape[0]
+    out = [set() for _ in range(n)]
+    for i, j in schedule.frames[t % schedule.n_frames].tolist():
+        if i != j:
+            out[i].add(j)
+    xi, eta = np.zeros(state.xi.shape), np.zeros(n)
+    for i in range(n):
+        share = 1.0 / (1 + len(out[i]))
+        for j in [i, *sorted(out[i])]:
+            xi[j] += share * state.xi[i]
+            eta[j] += share * state.eta[i]
+    return DistributedState(xi=xi, eta=eta, z=state.z)
 
 
 # Exact-rational maximizer oracle for the two-score, two-state constant model.

@@ -16,7 +16,7 @@ from scoregraph.experiments import ExperimentConfig, emit_outputs, run_sweep
 
 from oracles import (binary_fr_maximizers, fd_gradient,
                      fr_product_loglik_brute_force, nr_loglik_brute_force,
-                     posterior_brute_force)
+                     posterior_brute_force, push_sum_round_by_definition)
 
 ALL_MODELS = (sg.preparata_model(), sg.reliability_model(5),
               sg.social_ranking_model(3, 3), sg.categorical_model(2, 3))
@@ -147,15 +147,17 @@ def test_criterion_5_push_sum_consensus():
         model = sg.reliability_model(4)
         scored, _ = sg.generate_scores(g, model, (), (0.3,), rng)
         counts = sg.aggregate_counts(scored)
-        from scoregraph.distributed import initial_state, push_sum_round
+
+        def round_0(schedule):     # the local histograms, as run_distributed starts
+            return sg.run_distributed(counts, model, schedule, alpha=1.0, n_rounds=0).state
 
         static = sg.CommSchedule(20, (scored.edges,), 1)
-        state = initial_state(counts, model)
+        state = round_0(static)
         xi_total = state.xi.sum(axis=0)
         eta_total = state.eta.sum()
         worst_mass = 0.0
         for t in range(200):
-            state = push_sum_round(state, static, t)
+            state = push_sum_round_by_definition(state, static, t)
             worst_mass = max(
                 worst_mass,
                 float(np.abs(state.xi.sum(axis=0) / xi_total - 1.0).max()),
@@ -166,10 +168,10 @@ def test_criterion_5_push_sum_consensus():
 
         sched = sg.make_comm_schedule(20, "periodic-edge-partition", 3,
                                       rng=np.random.default_rng([42, 6]))
-        state = initial_state(counts, model)
+        state = round_0(sched)
         errs = []
         for t in range(1200):
-            state = push_sum_round(state, sched, t)
+            state = push_sum_round_by_definition(state, sched, t)
             errs.append(float(np.abs(state.phi - counts.phi[None, :]).max()))
         errs = np.asarray(errs)
         keep = errs > 1e-12

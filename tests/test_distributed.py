@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
-from scoregraph.distributed import DistributedState, initial_state, push_sum_round
+from scoregraph.distributed import DistributedState
 from scoregraph.errors import NonFiniteError
 from scoregraph.experiments import ExperimentConfig, run_single
+
+from oracles import push_sum_round_by_definition
 
 
 def _fixture(seed=101):
@@ -19,6 +21,11 @@ def _fixture(seed=101):
     return scored, sg.aggregate_counts(scored), model
 
 
+def _round_0(counts, model, schedule):
+    """run_distributed's round-0 state: local histograms, every agent at the centroid."""
+    return sg.run_distributed(counts, model, schedule, alpha=1.0, n_rounds=0).state
+
+
 class TestPushSumRound:
     def test_hand_worked_exchange(self):
         # two agents, one score value, full swap frame: both end up at the
@@ -26,7 +33,8 @@ class TestPushSumRound:
         state = DistributedState(xi=np.array([[2.0], [0.0]]),
                                  eta=np.array([1.0, 1.0]),
                                  z=np.zeros((2, 1)))
-        nxt = push_sum_round(state, sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1), 0)
+        nxt = push_sum_round_by_definition(
+            state, sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1), 0)
         np.testing.assert_allclose(nxt.xi, [[1.0], [1.0]])
         np.testing.assert_allclose(nxt.eta, [1.0, 1.0])
         np.testing.assert_allclose(nxt.phi, [[1.0], [1.0]])
@@ -37,19 +45,34 @@ class TestPushSumRound:
         state = DistributedState(xi=np.tile([[0.3, 0.7]], (n, 1)),
                                  eta=np.full(n, 2.0),
                                  z=np.zeros((n, 1)))
-        nxt = push_sum_round(state, sg.CommSchedule(n, (frame,), 1), 0)
+        nxt = push_sum_round_by_definition(state, sg.CommSchedule(n, (frame,), 1), 0)
         np.testing.assert_allclose(nxt.xi, state.xi, atol=1e-15)
         np.testing.assert_allclose(nxt.eta, state.eta, atol=1e-15)
+
+    def test_mixing_matrix_is_the_round_by_definition(self):
+        # the cached matrix that run_distributed multiplies [xi | eta] by;
+        # the second schedule repeats an edge and has a self loop
+        scored, counts, model = _fixture()
+        part = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
+                                     rng=np.random.default_rng(102))
+        odd = sg.CommSchedule(10, (np.vstack([scored.edges, scored.edges[:3], [[4, 4]]]),), 1)
+        for sched in (part, odd):
+            state = _round_0(counts, model, sched)
+            for t in range(sched.n_frames):
+                want = push_sum_round_by_definition(state, sched, t)
+                got = sched.matrix(t) @ np.column_stack([state.xi, state.eta])
+                np.testing.assert_allclose(got[:, :-1], want.xi, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(got[:, -1], want.eta, rtol=1e-14, atol=0)
 
     def test_mass_conservation_over_many_rounds(self):
         scored, counts, model = _fixture()
         sched = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
                                       rng=np.random.default_rng(102))
-        state = initial_state(counts, model)
+        state = _round_0(counts, model, sched)
         xi_total = state.xi.sum(axis=0).copy()
         eta_total = state.eta.sum()
         for t in range(120):
-            state = push_sum_round(state, sched, t)
+            state = push_sum_round_by_definition(state, sched, t)
             np.testing.assert_allclose(state.xi.sum(axis=0), xi_total,
                                        rtol=1e-12)
             assert state.eta.sum() == pytest.approx(eta_total, rel=1e-12)
@@ -58,20 +81,20 @@ class TestPushSumRound:
     def test_ratios_reach_global_histogram(self):
         scored, counts, model = _fixture()
         sched = sg.CommSchedule(10, (scored.edges,), 1)
-        state = initial_state(counts, model)
+        state = _round_0(counts, model, sched)
         target = counts.phi
         for t in range(200):
-            state = push_sum_round(state, sched, t)
+            state = push_sum_round_by_definition(state, sched, t)
         assert np.abs(state.phi - target[None, :]).max() < 1e-10
 
     def test_partition_schedule_mixes_slower_but_still_converges(self):
         scored, counts, model = _fixture()
         sched = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
                                       rng=np.random.default_rng(102))
-        state = initial_state(counts, model)
+        state = _round_0(counts, model, sched)
         errs = []
         for t in range(900):
-            state = push_sum_round(state, sched, t)
+            state = push_sum_round_by_definition(state, sched, t)
             if t % 300 == 299:
                 errs.append(np.abs(state.phi - counts.phi[None, :]).max())
         assert errs[0] > errs[1] > errs[2]
@@ -80,12 +103,13 @@ class TestPushSumRound:
 
 class TestInitialState:
     def test_default_start_is_the_centroid(self):
-        _, counts, model = _fixture()
-        state = initial_state(counts, model)
-        np.testing.assert_allclose(state.z,
+        scored, counts, model = _fixture()
+        sched = sg.CommSchedule(10, (scored.edges,), 1)
+        run = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=0)
+        np.testing.assert_array_equal(run.state.xi, counts.received)
+        np.testing.assert_array_equal(run.state.eta, counts.in_degree)
+        np.testing.assert_allclose(run.final_z,
                                    np.tile(model.feasible.centroid(), (10, 1)))
-        np.testing.assert_allclose(state.xi, counts.received)
-        np.testing.assert_allclose(state.eta, counts.in_degree)
 
 
 class TestLocalGradientStep:
@@ -140,8 +164,9 @@ def _reference_run(counts, model, schedule, alpha, n_rounds):
         return np.array([sg.local_gradient_step(z[i], phi[i], model, alpha)
                          for i in range(z.shape[0])])
 
-    state = initial_state(counts, model)
-    xi, eta, z = state.xi, state.eta, state.z
+    xi = counts.received.astype(np.float64)
+    eta = counts.in_degree.astype(np.float64)
+    z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
     phi = xi / eta[:, None]
     phi_traj = [phi]
     for t in range(n_rounds):
@@ -211,12 +236,15 @@ class TestRunDistributed:
         sched = sg.make_comm_schedule(10, "periodic-edge-partition", 3,
                                       rng=np.random.default_rng(104))
         run = sg.run_distributed(counts, model, sched, n_rounds=60)
-        state = initial_state(counts, model)
+        slow = sg.run_distributed(counts, model, sched, alpha=run.alpha / 10, n_rounds=60)
+        assert not np.array_equal(run.z_traj, slow.z_traj)
+        np.testing.assert_array_equal(run.phi_traj, slow.phi_traj)
+        state = _round_0(counts, model, sched)
         phis = [state.phi]
         for t in range(60):
-            state = push_sum_round(state, sched, t)
+            state = push_sum_round_by_definition(state, sched, t)
             phis.append(state.phi)
-        np.testing.assert_array_equal(run.phi_traj, np.asarray(phis))
+        np.testing.assert_allclose(run.phi_traj, np.asarray(phis), rtol=0, atol=1e-12)
 
     def test_agents_agree_with_the_centralized_solution(self):
         scored, counts, model = _fixture()
@@ -270,7 +298,7 @@ class TestRunDistributed:
         # a unit step from the centroid clips the one agent that mostly
         # received low scores to gamma = 0, where the high score that mixing
         # brings it in round 1 has probability 0
-        state = initial_state(counts, model)
+        state = _round_0(counts, model, sched)
         stepped = sg.local_gradient_step(state.z, state.phi, model, 1.0)
         agent = int(np.flatnonzero(stepped[:, 0] == 0.0)[0])
         with pytest.raises(NonFiniteError,

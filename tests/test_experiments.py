@@ -13,8 +13,8 @@ from scoregraph.cli import _load_config, main
 from scoregraph.errors import InfeasibleError
 from scoregraph.experiments import (ExperimentConfig, build_model, emit_outputs,
                                     emit_single_outputs, parse_config_file,
-                                    read_misclass_csv, read_rmse_csv,
-                                    run_invariant_checks, run_single, run_sweep)
+                                    read_misclass_csv, read_rmse_csv, run_single,
+                                    run_sweep)
 
 TINY = ExperimentConfig(model="preparata", n_agents=6, sweep=(6, 12), trials=3,
                         estimators=("FR",), solver_max_iters=2000,
@@ -400,14 +400,6 @@ class TestRunSingle:
             assert mis[(12, cls)] == single_mis["misclassification"][cls]
 
 
-class TestInvariantChecks:
-    def test_all_pass_and_cover_the_suite(self):
-        results = run_invariant_checks(seed=0)
-        assert len(results) == 7
-        assert all(r.passed for r in results), [
-            (r.name, r.detail) for r in results if not r.passed]
-
-
 class TestCli:
     def test_sweep_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -480,13 +472,6 @@ class TestCli:
         assert result.exit_code == 1
         assert "error:" in result.stderr
 
-    def test_check_command_reports_every_check(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["check", "--seed", "0"])
-        assert result.exit_code == 0, result.output
-        assert result.output.count("PASS") == 7
-        assert "all 7 checks passed" in result.output
-
     def test_full_scale_preset_overrides_the_config_and_trials(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("N = 6\ntrials = 2\nseed = 4\n")
@@ -500,5 +485,9 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
-        for name in ("sweep", "social", "single", "check"):
+        for name in ("sweep", "social", "single"):
             assert name in result.output
+        assert "check" not in result.output
+        result = runner.invoke(main, ["check"])
+        assert result.exit_code == 2
+        assert "No such command" in result.output

@@ -136,6 +136,7 @@ def test_every_edge_counted_once_at_its_head():
     assert np.array_equal(c.received.sum(axis=1), c.in_degree)
     assert np.array_equal(c.received.sum(axis=0),
                           np.bincount(scored.scores, minlength=4))
+    assert abs(c.phi.sum() - 1.0) < 1e-12
 
 
 def _assert_naive_recount(graph):
@@ -510,10 +511,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=fault):
             sg.load_states(path)
 
+    def test_empty_states_file_rejected(self, tmp_path):
+        path = tmp_path / "states.txt"
+        path.write_text("")
+        with pytest.raises(ValueError, match="the states file has no rows"):
+            sg.load_states(path)
+
     def test_states_file_ids_in_any_order(self, tmp_path):
         path = tmp_path / "states.txt"
         path.write_text("2 3\n1 1\n3 2\n")
         np.testing.assert_array_equal(sg.load_states(path), [0, 2, 1])
+
+    def test_graph_file_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("scoregraph 2 2 0\n")
+        with pytest.raises(ValueError, match="the score graph file has no rows"):
+            sg.load_score_graph(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
