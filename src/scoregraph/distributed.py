@@ -4,23 +4,35 @@ Each agent keeps push-sum accumulators (xi, eta) whose ratio phi_i tracks the
 network-wide score distribution, plus a local parameter iterate z_i.  A round
 applies one projected-gradient step of the phi-weighted fully-relaxed cost on
 every agent and one ratio-consensus exchange over the active communication
-frame.  The step is one batched call of the fully-relaxed gradient kernel
-(the one the centralized solver uses) and one projection over all agents; the
-exchange is one product of the frame's mixing matrix with the (N, R + 1)
-accumulator [xi | eta].  run_distributed checks phi once, before the first
-round, and builds no state object inside the loop.  With a window-connected
-schedule the phi_i converge geometrically to the true empirical distribution
-and the iterates approach stationary points of the fully-relaxed problem.
+frame.  The step is one fully-relaxed gradient step and one projection over
+the whole agent stack; the exchange is one product of the frame's mixing
+matrix with the (N, R + 1) accumulator [xi | eta].  run_distributed checks
+phi once, before the first round, and builds no state object inside the loop.
+With a window-connected schedule the phi_i converge geometrically to the true
+empirical distribution and the iterates approach stationary points of the
+fully-relaxed problem.
+
+When the model has no theta and its tensor is one (R, C, C) table (the
+reliability family), the step takes 2-D products over the (N, .) stack, with
+two flat forms of T built once per run: t = vec(p p^T) flat(T)^T, r = phi / t,
+q = r flat(T + T^T) and the gradient -dprior (q p).  The solver's FR kernel
+shapes every matmul per point instead, so that mesh values and Newton stencil
+rows keep single-point bits, and numpy loops those over the N agents; the
+round needs no such bits.  The two agree up to rounding, so FR-distributed
+results on these models may differ from earlier releases in the last bits.
+A round where some t_h <= 0, and every round of a model whose tensor depends
+on theta, steps through the kernel (which names the first agent with +inf cost).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .estimators import _check_phi, _fr_gradient, fr_problem, lipschitz_stepsize
+from .estimators import _check_phi, _fr_gradient, _outer, fr_problem, lipschitz_stepsize
 from .graph import CommSchedule, NeighborCounts
 from .models import ModelSpec
 
@@ -59,13 +71,32 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     """
     phi = _check_phi(phi, model.n_scores, stacked=True)
     z = np.asarray(z, dtype=np.float64)
-    model.as_arrays(*model.feasible.split(z))      # InfeasibleError on a wrong dimension
-    return _local_step(z, phi, model, alpha)
+    theta, _ = model.as_arrays(*model.feasible.split(z))   # InfeasibleError on a wrong dimension
+    return _local_step(z, phi, model, alpha, _flat_tables(model, theta))
 
 
-def _local_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
-    """local_gradient_step of a float array z and a phi already checked."""
-    grad = _fr_gradient(phi, model, *model.feasible.split(z))
+def _flat_tables(model: ModelSpec, theta: np.ndarray):
+    """(flat(T)^T (C^2, R), flat(T + T^T) (R, C^2)) when the model has no theta
+    and tensor_fn gives one (R, C, C) table for the stack theta, else None."""
+    if model.theta_dim or (tensor := model.tensor_fn(theta)).ndim != 3:
+        return None
+    flat = tensor.reshape(len(tensor), -1)
+    return np.ascontiguousarray(flat.T), (tensor + tensor.swapaxes(1, 2)).reshape(flat.shape)
+
+
+def _local_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float,
+                tables) -> np.ndarray:
+    """local_gradient_step of a float array z and a phi already checked, with
+    the 2-D products of _flat_tables(model, theta) when they are not None."""
+    theta, gamma = model.feasible.split(z)
+    if tables is not None:
+        prior = model.prior_fn(gamma)
+        t = _outer(prior).reshape(prior.shape[:-1] + (-1,)) @ tables[0]
+        if t.min() > 0:
+            q = ((phi / t) @ tables[1]).reshape(t.shape[:-1] + prior.shape[-1:] * 2)
+            grad = -np.einsum("...lm,...kl,...m->...k", q, model.prior_grad_fn(gamma), prior)
+            return model.feasible.project(z - alpha * grad)
+    grad = _fr_gradient(phi, model, theta, gamma)
     return model.feasible.project(z - alpha * grad)
 
 
@@ -119,9 +150,13 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         Stepsize, > 0; None uses the sampled-curvature heuristic on the
         fully-relaxed problem at the true phi (deterministic under `rng`).
     record_every : int
-        Snapshot stride; round 0 and the final round are always recorded.
-        The snapshots are written into trajectories allocated up front.
+        Snapshot stride, an integer; round 0 and the final round are always
+        recorded, into trajectories allocated up front.
     """
+    try:
+        record_every = operator.index(record_every)
+    except TypeError:
+        raise ValueError("record_every must be an integer") from None
     if n_rounds < 0 or record_every < 1:
         raise ValueError("n_rounds must be >= 0 and record_every >= 1")
     if schedule.n_agents != counts.n_agents:
@@ -130,8 +165,8 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         raise ValueError("counts and model disagree on the score alphabet")
     if alpha is None:
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
-    elif not alpha > 0:
-        raise ValueError("alpha must be positive")
+    elif not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
     phi_traj = np.empty((times.size,) + counts.received.shape)
     z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
@@ -140,14 +175,16 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
     phi = _check_phi(np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[0]),
                      model.n_scores, stacked=True)
+    tables = _flat_tables(model, model.feasible.split(z)[0])
+    mats = schedule.matrices
     recorded = times.tolist()
     k = 1
     for t in range(n_rounds):
         try:
-            z = _local_step(z, phi, model, alpha)
+            z = _local_step(z, phi, model, alpha, tables)
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
-        acc = schedule.matrix(t) @ acc
+        acc = mats[t % len(mats)] @ acc
         if t + 1 == recorded[k]:
             phi = np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[k])
             z_traj[k] = z

@@ -35,12 +35,13 @@ Both gradients go through one small table and the chain rule.  NR: with
 w[i, l] the posterior state weights, G[h, l] = sum_i received[i, h] w[i, l]
 / m_in[h, l] is one (R, N) x (N, C) product, and each derivative contracts G
 with the tensor or prior derivative, O(N R C + k R C^2) for k parameters
-and no per-agent (k, N, C) array (see nr_gradient).  FR, what each round of
-the distributed estimator runs: with r = phi / t_h and q[l, m] = sum_h r_h
-T[h, l, m], the gamma gradient is -dprior (q + q^T) p (see fr_gradient).
-The edge score distribution t = flat(T) vec(p p^T) and q = r^T flat(T) are
-matmuls shaped per point, never one 2-D product over a stack: that keeps
-stacked rows equal to per-point calls bit for bit.
+and no per-agent (k, N, C) array (see nr_gradient).  FR: with r = phi / t_h
+and q[l, m] = sum_h r_h T[h, l, m], the gamma gradient is -dprior (q + q^T) p
+(see fr_gradient).  The edge score distribution t = flat(T) vec(p p^T) and
+q = r^T flat(T) are matmuls shaped per point, never one 2-D product over a
+stack: that keeps stacked rows equal to per-point calls bit for bit, which
+the solver needs and the distributed round does not (it has its own 2-D
+products for theta-free tensors, see distributed.py).
 
 The public entry points convert theta and gamma to float arrays once: the
 objectives through ModelSpec.require_feasible, which also checks them, the

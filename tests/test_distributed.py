@@ -178,12 +178,46 @@ def _reference_run(counts, model, schedule, alpha, n_rounds):
     return z, np.asarray(phi_traj)
 
 
-@pytest.mark.parametrize("model", [
-    sg.preparata_model(),
-    sg.reliability_model(5),
-    sg.social_ranking_model(3, 3),
-    sg.categorical_model(2, 3),
-], ids=lambda m: f"{m.name}-pre-phi")     # each step uses the pre-round phi
+ALL_MODELS = (sg.preparata_model(), sg.reliability_model(5),
+              sg.social_ranking_model(3, 3), sg.categorical_model(2, 3))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_round_step_equals_the_solver_gradient(model):
+    # theta-free tensors take the round's own 2-D products, equal to the
+    # solver's per-point kernel up to rounding; the rest take that kernel
+    rng = np.random.default_rng(37)
+    z = np.array([model.feasible.sample_interior(rng) for _ in range(12)])
+    phi = rng.dirichlet(np.ones(model.n_scores), size=12)
+    alpha = 0.02
+
+    def per_agent(z, phi):
+        theta, gamma = model.feasible.split(z)
+        return np.array([model.feasible.project(
+            z[i] - alpha * sg.fr_gradient(phi[i], model, theta[i], gamma[i]))
+            for i in range(len(z))])
+
+    got = sg.local_gradient_step(z, phi, model, alpha)
+    if model.theta_dim:
+        np.testing.assert_array_equal(got, per_agent(z, phi))
+    else:
+        np.testing.assert_allclose(got, per_agent(z, phi), rtol=1e-14, atol=0)
+        # one more agent at gamma = 0, where the top score has t = 0: the
+        # round steps through the kernel, finite while that agent's phi
+        # puts no mass there, +inf cost naming it once it does
+        edge_z = np.vstack([z, [0.0]])
+        low = model.n_scores - 1
+        edge_phi = np.vstack([phi, np.append(np.full(low, 1 / low), 0.0)])
+        got = sg.local_gradient_step(edge_z, edge_phi, model, alpha)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, per_agent(edge_z, edge_phi), rtol=1e-14, atol=0)
+        edge_phi[-1] = 1.0 / model.n_scores
+        with pytest.raises(NonFiniteError, match=r"agent 12\b"):
+            sg.local_gradient_step(edge_z, edge_phi, model, alpha)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS,
+                         ids=lambda m: f"{m.name}-pre-phi")     # each step uses the pre-round phi
 def test_batched_round_matches_the_per_agent_loop(model):
     rng = np.random.default_rng(31)
     g = sg.sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
@@ -285,10 +319,10 @@ class TestRunDistributed:
         with pytest.raises(ValueError):
             sg.run_distributed(counts, sg.reliability_model(5), sched,
                                alpha=0.02)
-        for bad in (dict(record_every=0), dict(n_rounds=-1)):
+        for bad in (dict(record_every=0), dict(n_rounds=-1), dict(record_every=2.5)):
             with pytest.raises(ValueError):
                 sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
-        for alpha in (0.0, -0.05, float("nan")):
+        for alpha in (0.0, -0.05, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be positive"):
                 sg.run_distributed(counts, model, sched, alpha=alpha)
 
