@@ -1,4 +1,8 @@
-"""Internal log-domain helpers shared by the classifier and the estimators."""
+"""Internal log-domain helpers shared by the classifier and the estimators.
+
+Both take stacks of points along leading axes and give every point the bits
+of its own call: counted_log_factor runs one gemm per point, and logsumexp
+along an axis reduces each slice on its own."""
 
 from __future__ import annotations
 
@@ -64,27 +68,20 @@ def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
 
     counts has shape (N, *S); log_table has shape (..., *S, C), one table per
     point of a stack along the leading axes.  Returns (..., N, C), with -inf
-    wherever a positive count meets a -inf log entry.  The sum is one matmul,
-    counts (N, prod S) @ table (prod S, L * C), with a stack's L tables moved
-    behind the score axes, so each point's block is the contraction a single
-    table would get.  -inf entries enter it as 0 and come back through a
-    second product of hit counts, run only when the table has one.
+    wherever a positive count meets a -inf log entry.  The sum is one gemm
+    per point, counts (N, prod S) @ table (..., prod S, C), so every point of
+    a stack gets the bits of a single table's call at any prod S (one product
+    over a stack's concatenated tables, (prod S, L C), leaves them once
+    prod S >= 16).  -inf entries enter it as 0 and come back through a second
+    product of hit counts, run only when the table has one.
     """
-    n_score = counts.ndim - 1
-    n_lead = log_table.ndim - n_score - 1
-    lead = log_table.shape[:n_lead]
+    lead = log_table.shape[:log_table.ndim - counts.ndim]
     counts = counts.reshape(len(counts), -1)
-    if n_lead:   # (..., *S, C) -> (*S, ..., C)
-        log_table = log_table.transpose(
-            *range(n_lead, n_lead + n_score), *range(n_lead), n_lead + n_score)
-    table = log_table.reshape(counts.shape[1], -1)
+    table = log_table.reshape(lead + counts.shape[1:] + log_table.shape[-1:])
     finite = np.isfinite(table)
     if finite.all():
-        out = counts @ table
-    else:   # 0/1 products, so the float sums are exact hit counts
-        out = counts @ np.where(finite, table, 0.0)
-        out[(counts > 0).astype(np.float64) @ (~finite).astype(np.float64) > 0] = -np.inf
-    if n_lead:   # (N, L * C) -> (..., N, C)
-        out = out.reshape((len(out),) + lead + (-1,)).transpose(
-            *range(1, n_lead + 1), 0, n_lead + 1)
+        return counts @ table
+    # 0/1 products, so the float sums are exact hit counts
+    out = counts @ np.where(finite, table, 0.0)
+    out[(counts > 0).astype(np.float64) @ (~finite).astype(np.float64) > 0] = -np.inf
     return out

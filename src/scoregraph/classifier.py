@@ -11,6 +11,11 @@ where each factor marginalizes the unknown neighbor state against the prior.
 A mutual neighbor couples the given and received scores through the shared
 neighbor state; one-directional neighbors contribute a single score each.
 All products are evaluated as sums of logarithms.
+
+The unchecked kernel _soft_classify also takes a stack of parameter points,
+so a sweep trial classifies with the true parameters and every estimate in
+one pass; each point's output has the bits of its own call at any score
+alphabet size.
 """
 
 from __future__ import annotations
@@ -73,35 +78,43 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> Cla
 def _soft_classify(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
                    gamma: np.ndarray) -> ClassifierOutput:
     """soft_classify of counts on the model's score alphabet at float arrays
-    theta, gamma already known to be feasible, without checking them."""
+    theta, gamma already known to be feasible, without checking them.
+
+    theta and gamma may be stacks (..., dim): the output arrays then carry
+    the same leading axes, and each point's slices have the bits of its own
+    call, since the einsums run per point and counted_log_factor takes one
+    gemm per point.  The points are checked in order, and the first
+    degenerate one raises what it raises alone.
+    """
     tensor = model.tensor_fn(theta)
     prior = model.prior_fn(gamma)
 
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
         # received score h from a neighbor of unknown state, self state l
-        m_in = np.einsum("hml,m->hl", tensor, prior)
+        m_in = np.einsum("...hml,...m->...hl", tensor, prior)
         # gave score h to a neighbor of unknown state, self state l
-        m_out = np.einsum("hlm,m->hl", tensor, prior)
+        m_out = np.einsum("...hlm,...m->...hl", tensor, prior)
         # mutual neighbor: gave h, received k, neighbor state marginalized
-        k_pair = np.einsum("hlm,kml,m->hkl", tensor, tensor, prior)
+        k_pair = np.einsum("...hlm,...kml,...m->...hkl", tensor, tensor, prior)
         log_m_in = np.log(m_in)
         log_m_out = np.log(m_out)
         log_k_pair = np.log(k_pair)
 
     log_v = (
-        log_prior[None, :]
+        log_prior[..., None, :]
         + counted_log_factor(counts.received_only, log_m_in)
         + counted_log_factor(counts.given_only, log_m_out)
         + counted_log_factor(counts.mutual, log_k_pair)
     )
-    log_z = logsumexp(log_v, axis=1)
-    if np.any(np.isneginf(log_z)):
-        bad = int(np.flatnonzero(np.isneginf(log_z))[0])
+    log_z = logsumexp(log_v, axis=-1)
+    degenerate = np.isneginf(log_z)
+    if degenerate.any():   # argwhere lists points, then agents, in C order
+        bad = int(np.argwhere(degenerate)[0, -1])
         raise DegenerateModelError(
             f"agent {bad}: every state has zero posterior probability")
-    posterior = np.exp(log_v - log_z[:, None])
-    labels = np.argmax(posterior, axis=1)
+    posterior = np.exp(log_v - log_z[..., None])
+    labels = np.argmax(posterior, axis=-1)
     return ClassifierOutput(posterior=posterior, labels=labels, log_unnormalized=log_v)
 
 

@@ -16,7 +16,8 @@ fr (fully-relaxed)
 Broadcast contract.  The NR and FR objectives and gradients broadcast over
 leading axes of theta/gamma, like the model callables: one point gives a
 Python float (a gradient (dim,)), a stack (..., dim) gives an array (...)
-(gradients (..., dim)) whose entries equal the per-point values bit for bit;
+(gradients (..., dim)) whose entries equal the per-point values bit for bit,
+at any score alphabet size (counted_log_factor takes one gemm per point);
 the objectives check every row, but not EstimatorProblem.evaluate, which
 the solver calls on projected points.  FR takes one phi for the whole
 stack, except `fr_gradient`, which also takes one phi row per point.
@@ -63,7 +64,9 @@ call built (the NR state table, the FR edge score distribution): one
 stacked gradient call gives g and the Hessian, and a solve builds one table
 per point.  It reports convergence only where the projected-gradient
 residual certifies stationarity; `estimate` adds a grid start and the
-label-swap canonicalization.
+label-swap canonicalization.  The driver does its per-coordinate
+arithmetic on Python floats and leaves the kernels, the dot products and
+np.linalg to numpy (see projected_gradient_solve).
 
 Each relaxed objective is a model half, which reads only the model at the
 points (NR: the tensor, prior, m_in and the logs of m_in and the prior;
@@ -205,18 +208,18 @@ def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndar
     (value, s, row_lse), with s (..., C, U) and row_lse (..., U) per row and
     the value summed over agents.
 
-    The count product is the one matmul of counted_log_factor, rows (U, R) by
-    the L tables (R, L C), whose result is agents-first (U, L C); the add of
+    The count product is counted_log_factor's gemm per point, rows (U, R) by
+    each table (R, C), whose result is agents-first (..., U, C); the add of
     log prior writes it out states-first, as C contiguous (..., U) slices
     (the state axis outermost in memory).  logsumexp then reduces the states
     elementwise over those slices, with inner loops that run over whole
     slices even when U is 3, and row_lse comes out C-contiguous, which numpy
-    sums pairwise like the row_lse of a single point.  The states-first
-    product (L C, R) @ (R, U) would skip the copy, but OpenBLAS gives its
-    entries other bits once it splits a large product across threads (seen
-    above about 1e6 multiply-adds, e.g. C = 4, R = 5, N = 300 and 200
-    points), where the stacked mesh values would leave the bits of evaluate
-    at their points.
+    sums pairwise like the row_lse of a single point.  A states-first
+    product (L C, R) @ (R, U) over the whole stack would skip the copy, but
+    OpenBLAS gives its entries other bits once it splits a large product
+    across threads (seen above about 1e6 multiply-adds, e.g. C = 4, R = 5,
+    N = 300 and 200 points), where the stacked mesh values would leave the
+    bits of evaluate at their points.
 
     `inverse` maps each agent to its row when the rows are the distinct
     received histograms (see _distinct_rows); the per-agent values are then
@@ -590,22 +593,25 @@ def _first_point(state):
 
 
 def _newton_direction(z, grad, hess, lo, hi):
-    """Projected Newton direction (Bertsekas 1982), or None where H_FF is not
-    positive definite.
+    """Projected Newton direction (Bertsekas 1982) as a list, or None where
+    H_FF is not positive definite.
 
     A coordinate is active when it sits at a bound and the gradient pushes
     outward; it takes -g.  The free coordinates F take d_F with
-    H_FF d_F = -g_F.  When every coordinate is free, H and -g go to LAPACK
-    as they are, without the masked copies, which hold the same values.
+    H_FF d_F = -g_F, which LAPACK solves.  The free set and the direction
+    are built per coordinate on Python floats (or on the entries of arrays
+    passed in), whose comparisons and negations are numpy's bits.
     """
-    free = ~(((z <= lo) & (grad > 0)) | ((z >= hi) & (grad < 0)))
-    if free.all():
-        return _spd_solve(hess, -grad)
-    d_free = _spd_solve(hess[np.ix_(free, free)], -grad[free])
+    direction = [-g for g in grad]
+    free = [k for k, (x, g, a, b) in enumerate(zip(z, grad, lo, hi))
+            if not ((x <= a and g > 0) or (x >= b and g < 0))]
+    d_free = _spd_solve(np.reshape([[hess[j][k] for k in free] for j in free],
+                                   (len(free), len(free))),
+                        np.array([direction[k] for k in free]))
     if d_free is None:
         return None
-    direction = -grad
-    direction[free] = d_free
+    for k, d in zip(free, d_free.tolist()):
+        direction[k] = d
     return direction
 
 
@@ -622,20 +628,20 @@ def _spd_solve(a, b):
 def _backtrack(cost, project, z, f, grad, direction, step, floor):
     """Halve `step` until P(z + step direction) is finite and decreases the cost enough.
 
-    `cost` returns (value, kept state).  A trial point whose first-order
-    change g.(z+ - z) is positive is not evaluated.  If the first trial's
-    predicted decrease |g.(z+ - z)| is below `floor` and its cost is finite,
-    it is taken without the decrease test, which rounding decides there;
-    later trials follow a rejection the cost could resolve, and keep the
-    test.  Returns (point, cost, step, state), or None once no smaller step
-    moves z.
+    z and direction are lists of floats, grad the gradient array.  `cost`
+    returns (value, kept state).  A trial point whose first-order change
+    g.(z+ - z) is positive is not evaluated.  If the first trial's predicted
+    decrease |g.(z+ - z)| is below `floor` and its cost is finite, it is
+    taken without the decrease test, which rounding decides there; later
+    trials follow a rejection the cost could resolve, and keep the test.
+    Returns (point, cost, step, state), or None once no smaller step moves z.
     """
     while True:
-        trial = z + step * direction
+        trial = [x + step * d for x, d in zip(z, direction)]
         z_new = project(trial)
-        if (trial == z).all() or (z_new == z).all():
+        if trial == z or z_new == z:
             return None
-        decrease = float(grad @ (z_new - z))
+        decrease = float(grad @ np.subtract(z_new, z))
         if decrease <= 0:
             f_new, state = cost(z_new)
             if math.isfinite(f_new) and (f_new <= f + ARMIJO_DECREASE * decrease
@@ -689,6 +695,16 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     Raises InfeasibleError if `start` is outside the feasible set, and
     NonFiniteError if the cost there or the gradient at an iterate is not
     finite.
+
+    The driver holds z as a list of Python floats and does its per-coordinate
+    arithmetic on them: the stencil points, the Hessian, the residual, the
+    active set, the trial points and the box clip (max, then min, as
+    FeasibleSet.project's np.maximum and np.minimum).  Each such operation
+    is one IEEE operation, as it is in numpy, so the iterates keep numpy's
+    bits without its per-call cost on arrays of one to three entries.  The
+    objective and gradient kernels, every dot product (numpy's ddot need not
+    round like a Python sum) and np.linalg run in numpy, as does the
+    projection onto simplex sets.
     """
     feas = problem.model.feasible
     z = np.asarray(start, dtype=np.float64).copy()
@@ -699,38 +715,48 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
-    lo, hi = feas.bounds
-    dim = feas.dim
-    newton = problem.kind != "exact" and feas.box_dims().size == dim
+    lo, hi = (bound.tolist() for bound in feas.bounds)
+    box = feas.box_dims().size == feas.dim
+    newton = problem.kind != "exact" and box
+    z = z.tolist()
+
+    def project(v):
+        if box:
+            return [min(max(x, a), b) for x, a, b in zip(v, lo, hi)]
+        return feas.project(v).tolist()
 
     def cost(v):
         if not newton:
-            value, state = problem.evaluate(v)
+            value, state = problem.evaluate(np.array(v))
             return sign * value, state
-        h = HESSIAN_STEP * np.maximum(1.0, np.abs(v))
-        points = np.empty((dim + 1, dim))
-        points[0] = v
-        # v + diag(steps) below row 0: v_j + 0.0 off the diagonal, v_k + step_k on it
-        stencil = np.add(v, 0.0, out=points[1:])
-        stencil.reshape(-1)[::dim + 1] += np.where(v + h > hi, -h, h)
+        # v, then v with v_k + step_k in coordinate k
+        points = [v]
+        for k, (x, b) in enumerate(zip(v, hi)):
+            h = HESSIAN_STEP * max(1.0, abs(x))
+            points.append(v[:k] + [x - h if x + h > b else x + h] + v[k + 1:])
+        points = np.array(points)
         values, state = problem.evaluate(points)
         return sign * float(values[0]), (points, values, state)
 
     def derivatives(v, kept):
-        """g at v, from what cost(v) kept, and the stencil Hessian or None."""
+        """g at v, from what cost(v) kept, and the stencil Hessian (a list
+        of rows) or None."""
         if not newton:
-            return sign * problem.gradient(v, kept), None
+            return sign * problem.gradient(np.array(v), kept), None
         points, values, state = kept
         if not np.isfinite(values).all():
-            return sign * problem.gradient(v, _first_point(state)), None
+            return sign * problem.gradient(points[0], _first_point(state)), None
         grads = sign * problem.gradient(points, state)
         if not np.isfinite(grads[1:]).all():
             return grads[0], None
-        hess = (grads[1:] - grads[0]) / (points[1:].diagonal() - v)[:, None]
-        return grads[0], 0.5 * (hess + hess.T)
+        g, *rows = grads.tolist()
+        hess = [[(r - q) / (p[k] - v[k]) for r, q in zip(row, g)]
+                for k, (row, p) in enumerate(zip(rows, points[1:].tolist()))]
+        return grads[0], [[0.5 * (a + b) for a, b in zip(row, col)]
+                          for row, col in zip(hess, zip(*hess))]
 
-    def residual_at(v, grad):
-        return float(abs(v - feas.project(v - grad)).max())
+    def residual_at(v, g):
+        return max(abs(x - p) for x, p in zip(v, project([x - y for x, y in zip(v, g)])))
 
     f, kept = cost(z)
     if not math.isfinite(f):
@@ -742,24 +768,24 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     n_iters = 0
     for it in range(max_iters):
         grad, hess = derivatives(z, kept)
-        if not np.isfinite(grad).all():
+        g = grad.tolist()
+        if not all(map(math.isfinite, g)):
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
         n_iters = it + 1
-        residual = residual_at(z, grad)
+        residual = residual_at(z, g)
         if residual <= tol * max(1.0, abs(f)):
             converged = True
             break
         if previous is not None:
-            dz, dg = z - previous[0], grad - previous[1]
+            dz, dg = np.subtract(z, previous[0]), grad - previous[1]
             curvature = float(dz @ dg)
             if curvature > 0:
                 step = float(dz @ dz) / curvature
-        direction = None if hess is None else _newton_direction(z, grad, hess, lo, hi)
+        direction = None if hess is None else _newton_direction(z, g, hess, lo, hi)
         found = None if direction is None else _backtrack(
-            cost, feas.project, z, f, grad, direction, 1.0,
-            floor=np.spacing(abs(f)))
+            cost, project, z, f, grad, direction, 1.0, floor=math.ulp(abs(f)))
         if found is None:
-            found = _backtrack(cost, feas.project, z, f, grad, -grad, step, floor=0.0)
+            found = _backtrack(cost, project, z, f, grad, [-x for x in g], step, floor=0.0)
             if found is None:
                 break
             step = 2.0 * found[2]
@@ -769,7 +795,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
             trace.append((it + 1, sign * f, *z))
     else:
         # max_iters steps taken (or none allowed): measure the residual at z
-        residual = residual_at(z, derivatives(z, kept)[0])
+        residual = residual_at(z, derivatives(z, kept)[0].tolist())
+    z = np.array(z)
     theta, gamma = feas.split(z)
     return SolveResult(
         z=z,

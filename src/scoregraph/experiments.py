@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .classifier import _soft_classify, misclassification_rate
+from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
                          fr_problem, nr_problem)
@@ -221,8 +221,9 @@ def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
 
 def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,
                trial: int, record_trace: bool = False):
-    """One trial: sample, score, aggregate, classify with the true parameters,
-    then fit and classify with each configured estimator.
+    """One trial: sample, score, aggregate, fit each configured estimator,
+    then classify with the true parameters and every estimate in one
+    stacked _soft_classify call.
 
     The draws come from the stream keyed by (master_seed, n_edges, trial).
     `truth` is the checked z of _true_params, so the oracle classifies
@@ -238,14 +239,16 @@ def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges
     scored, states = generate_scores(graph, model, *split(truth), rng)
     counts = aggregate_counts(scored)
     estimates = {"oracle": truth}
-    outputs = {"oracle": _soft_classify(counts, model, *split(truth))}
     details = {}
     for est in cfg.estimators:
         if est != "oracle":
             estimates[est], details[est] = _run_estimator(
                 est, model, scored, counts, cfg, schedule, record_trace)
-            # every estimator returns a projected, hence feasible, z
-            outputs[est] = _soft_classify(counts, model, *split(estimates[est]))
+    # one pass over every z, each a projected, hence feasible, point
+    stacked = _soft_classify(counts, model, *split(np.stack(list(estimates.values()))))
+    outputs = {cls: ClassifierOutput(stacked.posterior[k], stacked.labels[k],
+                                     stacked.log_unnormalized[k])
+               for k, cls in enumerate(estimates)}
     return scored, states, estimates, outputs, details
 
 
@@ -326,15 +329,22 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(lines, path) -> str:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _rewrite("\n".join(lines) + "\n", path)
 
 
 def _write_json(obj, path) -> str:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    return _rewrite(json.dumps(obj, indent=2) + "\n", path)
+
+
+def _rewrite(text: str, path) -> str:
+    """Write `text` as the whole file at path, in place: open without
+    truncating, write, then cut the file at the new end.  On ext4 a file
+    truncated to zero by open(path, "w") is flushed when it is closed
+    (auto_da_alloc), which made each rewrite of an existing file about eight
+    times slower."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
     return path
 
 

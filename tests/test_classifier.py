@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
+from scoregraph.classifier import _soft_classify
 from scoregraph.errors import DegenerateModelError, InfeasibleError
 from scoregraph.experiments import ExperimentConfig, run_single
 
@@ -196,3 +197,59 @@ def test_soft_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(
             np.array([float(c) for c in cells[1:4]]), out.posterior[i])
         assert int(cells[4]) == out.labels[i] + 1          # 1-based labels
+
+
+STACK_MODELS = MODELS + [sg.social_ranking_model(4, 5)]
+
+
+def _stack_points(model, rng, n_points=12):
+    """Interior points, gamma = 0 rows (scalar gamma) and, for the categorical
+    model, score and prior masses of 0 at the simplex vertices."""
+    points = np.array([model.feasible.sample_interior(rng, 0.0) for _ in range(n_points)])
+    if model.gamma_dim == 1:
+        points[:3, -1] = 0.0
+    if model.name == "categorical":
+        points[:4] = model.feasible.project(3.0 * points[:4] - 1.0)
+        assert (points[:4] == 0.0).any()
+    return points
+
+
+def _classify_alone(counts, model, z):
+    """soft_classify at one point: its output, or the message it raises."""
+    try:
+        return sg.soft_classify(counts, model, *model.feasible.split(z))
+    except DegenerateModelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=lambda m: f"{m.name}-{m.n_states}-{m.n_scores}")
+def test_a_stacked_pass_equals_per_point_calls(model):
+    # the sweep classifies the oracle and every estimate in one stacked call;
+    # at R = 5 the mutual product has K = 25 >= 16 score entries
+    rng = np.random.default_rng(197)
+    seen_degenerate = False
+    for n_edges in (50, 500, 2450):
+        g = sg.sample_score_graph(50, n_edges, "cyclic-plus-random-edges", rng)
+        theta, gamma = model.feasible.split(model.feasible.sample_interior(rng))
+        scored, _ = sg.generate_scores(g, model, theta, gamma, rng)
+        counts = sg.aggregate_counts(scored)
+        points = _stack_points(model, rng)
+        alone = [_classify_alone(counts, model, z) for z in points]
+        errors = [out for out in alone if isinstance(out, str)]
+        seen_degenerate |= bool(errors)
+        if errors:   # the first degenerate point raises what it raises alone
+            with pytest.raises(DegenerateModelError) as info:
+                _soft_classify(counts, model, *model.feasible.split(points))
+            assert str(info.value) == errors[0]
+        fine = np.array([z for z, out in zip(points, alone) if not isinstance(out, str)])
+        want = [out for out in alone if not isinstance(out, str)]
+        for stack in (fine, fine[:4].reshape(2, 2, -1)):
+            got = _soft_classify(counts, model, *model.feasible.split(stack))
+            for field in ("posterior", "labels", "log_unnormalized"):
+                rows = getattr(got, field).reshape((-1,) + getattr(want[0], field).shape)
+                for k, row in enumerate(rows):
+                    expected = getattr(want[k], field)
+                    assert row.dtype == expected.dtype
+                    assert row.tobytes() == expected.tobytes(), (n_edges, field, k)
+    # gamma = 0 leaves the preparata mixed scores impossible
+    assert seen_degenerate or model.name != "preparata"

@@ -642,6 +642,90 @@ def _masked_newton_direction(z, grad, hess, lo, hi):
     return direction
 
 
+
+def _numpy_driver_reference(problem, start, max_iters=100000, tol=1e-9):
+    """projected_gradient_solve as it ran on numpy arrays of z, with every
+    per-coordinate step an array operation: the reference for the driver on
+    Python floats.  Returns (z, objective, n_iters, converged, residual, trace)."""
+    feas = problem.model.feasible
+    z = np.asarray(start, dtype=np.float64).copy()
+    sign = -1.0 if problem.maximize else 1.0
+    lo, hi = feas.bounds
+    dim = feas.dim
+    newton = problem.kind != "exact" and feas.box_dims().size == dim
+
+    def cost(v):
+        if not newton:
+            value, state = problem.evaluate(v)
+            return sign * value, state
+        h = estimators.HESSIAN_STEP * np.maximum(1.0, np.abs(v))
+        points = np.empty((dim + 1, dim))
+        points[0] = v
+        stencil = np.add(v, 0.0, out=points[1:])
+        stencil.reshape(-1)[::dim + 1] += np.where(v + h > hi, -h, h)
+        values, state = problem.evaluate(points)
+        return sign * float(values[0]), (points, values, state)
+
+    def derivatives(v, kept):
+        if not newton:
+            return sign * problem.gradient(v, kept), None
+        points, values, state = kept
+        if not np.isfinite(values).all():
+            return sign * problem.gradient(v, estimators._first_point(state)), None
+        grads = sign * problem.gradient(points, state)
+        if not np.isfinite(grads[1:]).all():
+            return grads[0], None
+        hess = (grads[1:] - grads[0]) / (points[1:].diagonal() - v)[:, None]
+        return grads[0], 0.5 * (hess + hess.T)
+
+    def backtrack(z, f, grad, direction, step, floor):
+        while True:
+            trial = z + step * direction
+            z_new = feas.project(trial)
+            if (trial == z).all() or (z_new == z).all():
+                return None
+            decrease = float(grad @ (z_new - z))
+            if decrease <= 0:
+                f_new, state = cost(z_new)
+                if np.isfinite(f_new) and (f_new <= f + estimators.ARMIJO_DECREASE * decrease
+                                           or -decrease < floor):
+                    return z_new, f_new, step, state
+            step *= 0.5
+            floor = 0.0
+
+    def residual_at(v, grad):
+        return float(abs(v - feas.project(v - grad)).max())
+
+    f, kept = cost(z)
+    trace = [(0, sign * f, *z)]
+    step, previous, converged, n_iters = 1.0, None, False, 0
+    for it in range(max_iters):
+        grad, hess = derivatives(z, kept)
+        n_iters = it + 1
+        residual = residual_at(z, grad)
+        if residual <= tol * max(1.0, abs(f)):
+            converged = True
+            break
+        if previous is not None:
+            dz, dg = z - previous[0], grad - previous[1]
+            curvature = float(dz @ dg)
+            if curvature > 0:
+                step = float(dz @ dz) / curvature
+        direction = None if hess is None else _masked_newton_direction(z, grad, hess, lo, hi)
+        found = None if direction is None else backtrack(z, f, grad, direction, 1.0,
+                                                         floor=np.spacing(abs(f)))
+        if found is None:
+            found = backtrack(z, f, grad, -grad, step, floor=0.0)
+            if found is None:
+                break
+            step = 2.0 * found[2]
+        previous = (z, grad)
+        z, f, _, kept = found
+        trace.append((it + 1, sign * f, *z))
+    else:
+        residual = residual_at(z, derivatives(z, kept)[0])
+    return z, sign * f, n_iters, converged, residual, np.asarray(trace, dtype=np.float64)
+
 def _sweep_counts(model, theta, gamma, n_edges, trial, master_seed=0, n_agents=50):
     """The counts of one sweep trial, drawn from its (master_seed, n_edges, trial) stream."""
     rng = np.random.default_rng([master_seed, n_edges, trial])
@@ -799,6 +883,46 @@ class TestProjectedNewton:
         assert res.converged and res.z[0] != start[0]
         assert np.all(res.trace[:, 3] == 0.0)
 
+
+    def test_the_float_driver_has_the_bits_of_the_numpy_driver(self):
+        def check(problem, start, **kwargs):
+            res = sg.projected_gradient_solve(problem, start, **kwargs)
+            want = _numpy_driver_reference(problem, start, **kwargs)
+            got = (res.z, res.objective, res.n_iters, res.converged, res.residual, res.trace)
+            for name, a, b in zip(("z", "objective", "n_iters", "converged", "residual",
+                                   "trace"), got, want):
+                assert type(a) is type(b) and _same_bits(a, b), (problem.kind, name)
+            return res
+
+        # the trial-0 instances of criteria 7 and 8, from their grid starts
+        for model, theta in ((sg.reliability_model(5), ()), (sg.social_ranking_model(3, 3), (0.5,))):
+            for n_edges in (50, 500, 2450):
+                counts = _sweep_counts(model, theta, (0.3,), n_edges, 0)
+                for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                    start = estimators._grid_start(problem, 33)
+                    check(problem, start, tol=1e-8, max_iters=5000)
+                    # capped solves, which measure the residual after the last step
+                    for cap in (0, 2):
+                        assert not check(problem, start, tol=1e-8, max_iters=cap).converged
+        # starts on a bound: gamma = 0 with an outward gradient, and gamma = 1
+        ranking = sg.social_ranking_model(3, 3)
+        counts = _sweep_counts(ranking, (0.5,), (0.0,), 500, 5)
+        check(sg.nr_problem(counts, ranking), np.array([2.0, 0.0]), tol=1e-8)
+        reliability = sg.reliability_model(5)
+        counts = _sweep_counts(reliability, (), (0.3,), 500, 1)
+        for problem in (sg.nr_problem(counts, reliability), sg.fr_problem(counts, reliability)):
+            check(problem, np.array([1.0]), tol=1e-8)
+        # spectral steps: a categorical (simplex) model and the exact objective
+        rng = np.random.default_rng(73)
+        categorical = sg.categorical_model(2, 3)
+        scored, _, _ = _instance(categorical, rng, n_agents=10, n_edges=40)
+        counts = sg.aggregate_counts(scored)
+        for problem in (sg.nr_problem(counts, categorical), sg.fr_problem(counts, categorical)):
+            start = categorical.feasible.sample_interior(rng)
+            assert check(problem, start, max_iters=300).n_iters > 10
+        preparata = sg.preparata_model()
+        scored, _, _ = _instance(preparata, rng)
+        check(sg.exact_problem(scored, preparata), np.array([0.5]))
 
 class TestEstimateWrapper:
     def test_boundary_prior_recovered_exactly(self):
@@ -1532,3 +1656,35 @@ class TestMeshCache:
             points, (_, log_prior) = estimators._mesh_tables(model, 9, "nr")
             with np.errstate(divide="ignore"):
                 assert _same_bits(log_prior, np.log(model.prior_fn(points)))
+
+
+class TestLargeAlphabet:
+    """Per-point bits of stacked NR rows once the count product has K >= 16
+    score entries, where one product over a stack's concatenated tables gives
+    other bits than the per-point products."""
+
+    def test_reliability_r16_mesh_values_have_the_bits_of_evaluate(self):
+        model = sg.reliability_model(16)
+        for n_edges in (50, 500, 2450):
+            for trial in range(3):
+                counts = _sweep_counts(model, (), (0.3,), n_edges, trial)
+                problem = sg.nr_problem(counts, model)
+                points, values = estimators._grid_values(problem, 33)
+                want = np.array([problem.evaluate(z)[0] for z in points])
+                assert _same_bits(values, want), (n_edges, trial)
+
+    def test_ranking_r16_stencil_rows_and_gradients_equal_single_points(self):
+        model = sg.social_ranking_model(3, 16)
+        lo, hi = model.feasible.bounds
+        for n_edges in (50, 500, 2450):
+            for trial in range(3):
+                counts = _sweep_counts(model, (0.5,), (0.3,), n_edges, trial)
+                problem = sg.nr_problem(counts, model)
+                z = estimators._grid_start(problem, 33)
+                h = estimators.HESSIAN_STEP * np.maximum(1.0, np.abs(z))
+                points = np.vstack([z, z + np.diag(np.where(z + h > hi, -h, h))])
+                values, state = problem.evaluate(points)
+                grads = problem.gradient(points, state)
+                for k, v in enumerate(points):
+                    assert _same_bits(values[k], problem.evaluate(v)[0]), (n_edges, trial, k)
+                    assert _same_bits(grads[k], problem.gradient(v)), (n_edges, trial, k)

@@ -227,6 +227,28 @@ class TestRunSweep:
         for name in ("rmse.csv", "misclass.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        # the files are rewritten in place, then cut at the new end
+        from scoregraph.experiments import _write_json, _write_lines
+        path = tmp_path / "x.csv"
+        assert _write_lines(["a" * 100, "b"], path) == path
+        _write_lines(["c"], path)
+        assert path.read_bytes() == b"c\n"
+        _write_json({"key": list(range(50))}, path)
+        _write_json({"k": [1]}, path)
+        assert path.read_bytes() == b'{\n  "k": [\n    1\n  ]\n}\n'
+        # longer stale files in the output directory, then a fresh directory
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        stale.mkdir()
+        for name in ("rmse.csv", "misclass.csv", "meta.json"):
+            (stale / name).write_text("x" * 10000)
+        result = run_sweep(TINY)
+        emit_outputs(result, stale)
+        emit_outputs(result, fresh)
+        for name in ("rmse.csv", "misclass.csv"):
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+        assert json.loads((stale / "meta.json").read_text())["config"]["trials"] == 3
+
     def test_trial_draws_depend_only_on_seed_point_and_index(self):
         wide = run_sweep(ExperimentConfig(model="preparata", n_agents=6,
                                           sweep=(6, 12), trials=2,
