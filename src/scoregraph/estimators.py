@@ -698,8 +698,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
 
     The driver holds z as a list of Python floats and does its per-coordinate
     arithmetic on them: the stencil points, the Hessian, the residual, the
-    active set, the trial points and the box clip (max, then min, as
-    FeasibleSet.project's np.maximum and np.minimum).  Each such operation
+    active set and the trial points, and projects with
+    FeasibleSet.project_list (a box clip on the floats).  Each such operation
     is one IEEE operation, as it is in numpy, so the iterates keep numpy's
     bits without its per-call cost on arrays of one to three entries.  The
     objective and gradient kernels, every dot product (numpy's ddot need not
@@ -715,15 +715,10 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
-    lo, hi = (bound.tolist() for bound in feas.bounds)
-    box = feas.box_dims().size == feas.dim
-    newton = problem.kind != "exact" and box
+    lo, hi = feas._bound_lists
+    project = feas.project_list
+    newton = problem.kind != "exact" and feas.box_dims().size == feas.dim
     z = z.tolist()
-
-    def project(v):
-        if box:
-            return [min(max(x, a), b) for x, a, b in zip(v, lo, hi)]
-        return feas.project(v).tolist()
 
     def cost(v):
         if not newton:

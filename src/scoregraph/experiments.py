@@ -329,22 +329,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(lines, path) -> str:
-    return _rewrite("\n".join(lines) + "\n", path)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def _write_json(obj, path) -> str:
-    return _rewrite(json.dumps(obj, indent=2) + "\n", path)
-
-
-def _rewrite(text: str, path) -> str:
-    """Write `text` as the whole file at path, in place: open without
-    truncating, write, then cut the file at the new end.  On ext4 a file
-    truncated to zero by open(path, "w") is flushed when it is closed
-    (auto_da_alloc), which made each rewrite of an existing file about eight
-    times slower."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
-        fh.truncate()
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
     return path
 
 

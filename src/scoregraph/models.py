@@ -182,6 +182,23 @@ class FeasibleSet:
             out[..., idx] = project_simplex(z[..., idx])
         return out
 
+    def project_list(self, v: list) -> list:
+        """project for one point held as a list of Python floats, with its bits.
+
+        On all-box sets the clip runs per coordinate on the floats, without
+        numpy's per-call cost.  It takes the bound where np.maximum and
+        np.minimum do: on a tie too (so -0.0 against a bound of 0.0 gives
+        0.0; Python's max and min would keep -0.0), and never for NaN.  Sets
+        with simplex blocks go through project.
+        """
+        if self._simplices:
+            return self.project(v).tolist()
+        return [a if x <= a else b if x >= b else x for x, a, b in zip(v, *self._bound_lists)]
+
+    @cached_property
+    def _bound_lists(self) -> tuple[list, list]:
+        return tuple(bound.tolist() for bound in self.bounds)
+
     def contains(self, v, part: str | None = None) -> bool:
         """Whether the point v lies in the set: v is all of z, or with `part`
         "theta" or "gamma" only that part of it."""

@@ -228,7 +228,7 @@ class TestRunSweep:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_a_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
-        # the files are rewritten in place, then cut at the new end
+        # a shorter rewrite of an existing file leaves only the new bytes
         from scoregraph.experiments import _write_json, _write_lines
         path = tmp_path / "x.csv"
         assert _write_lines(["a" * 100, "b"], path) == path

@@ -337,6 +337,29 @@ def _mixed_set():
                         Simplex(2), Simplex(2), Simplex(3)), theta_dim=8)
 
 
+@pytest.mark.parametrize("feas", [m.feasible for m in ALL_MODELS] + [
+    FeasibleSet((Box(np.array([-0.0]), np.array([1.0])), Box(np.array([-1.0]), np.array([-0.0]))),
+                theta_dim=1),
+    _mixed_set()], ids=[m.name for m in ALL_MODELS] + ["signed-zero-box", "mixed"])
+def test_the_float_projection_has_the_bits_of_project(feas):
+    # the Newton driver projects lists of Python floats with project_list; on
+    # box sets its per-coordinate clip must give np.maximum-then-np.minimum's
+    # bits on bounds, ties, signed zeros, infinities and NaN
+    lo, hi = feas.bounds
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), -lo, (lo + hi) / 2,
+             np.full(feas.dim, -0.0), np.zeros(feas.dim)]
+    if not feas._simplices:   # a simplex projection has no use for them
+        edges += [np.full(feas.dim, x) for x in (np.nan, np.inf, -np.inf)]
+    points = [[float(edges[(j + k) % len(edges)][k]) for k in range(feas.dim)]
+              for j in range(len(edges))]
+    points += np.random.default_rng(16).uniform(-3.0, 12.0, size=(20, feas.dim)).tolist()
+    for v in points:
+        out = feas.project_list(v)
+        assert type(out) is list and all(type(x) is float for x in out)
+        np.testing.assert_array_equal(np.array(out).view(np.int64),
+                                      feas.project(v).view(np.int64))
+
+
 def test_simplex_runs_break_at_boxes_and_size_changes():
     blocks = _mixed_set()
     v = np.random.default_rng(15).uniform(-2.0, 3.0, size=(5, blocks.dim))
