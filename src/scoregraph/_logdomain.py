@@ -1,8 +1,9 @@
 """Internal log-domain helpers shared by the classifier and the estimators.
 
 Both take stacks of points along leading axes and give every point the bits
-of its own call: counted_log_factor runs one gemm per point, and logsumexp
-along an axis reduces each slice on its own."""
+of its own call: counted_log_factor runs one gemm per point (its counts may
+carry leading axes too, one per problem of a batch), and logsumexp along an
+axis reduces each slice on its own."""
 
 from __future__ import annotations
 
@@ -63,21 +64,29 @@ def _slices(a: np.ndarray) -> list:
     return [a[..., j:j + 1] for j in range(a.shape[-1])]
 
 
-def counted_log_factor(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
+def counted_log_factor(counts: np.ndarray, log_table: np.ndarray,
+                       score_axes: int | None = None) -> np.ndarray:
     """Sum counts * log_table over score axes, treating 0 * (-inf) as 0.
 
-    counts has shape (N, *S); log_table has shape (..., *S, C), one table per
-    point of a stack along the leading axes.  Returns (..., N, C), with -inf
-    wherever a positive count meets a -inf log entry.  The sum is one gemm
-    per point, counts (N, prod S) @ table (..., prod S, C), so every point of
-    a stack gets the bits of a single table's call at any prod S (one product
-    over a stack's concatenated tables, (prod S, L C), leaves them once
-    prod S >= 16).  -inf entries enter it as 0 and come back through a second
-    product of hit counts, run only when the table has one.
+    counts has shape (..., N, *S), its last `score_axes` axes the score axes
+    S (by default every axis after the first: no leading axes); log_table
+    has shape (..., *S, C), one table per point of a stack along the leading
+    axes.  The leading axes of the two broadcast as matmul's do, so the
+    counts of P problems, (P, 1, N, *S), meet their L points each, (P, L,
+    *S, C).  Returns (..., N, C), with -inf wherever a positive count meets
+    a -inf log entry.  The sum is one gemm per point, counts (N, prod S) @
+    table (prod S, C), so every point of a stack gets the bits of a single
+    table's call at any prod S (one product over a stack's concatenated
+    tables, (prod S, L C), leaves them once prod S >= 16).  -inf entries
+    enter it as 0 and come back through a second product of hit counts, run
+    only when the table has one.
     """
-    lead = log_table.shape[:log_table.ndim - counts.ndim]
-    counts = counts.reshape(len(counts), -1)
-    table = log_table.reshape(lead + counts.shape[1:] + log_table.shape[-1:])
+    if score_axes is None:
+        score_axes = counts.ndim - 1
+    rows = counts.ndim - score_axes
+    counts = counts.reshape(counts.shape[:rows] + (-1,))
+    table = log_table.reshape(log_table.shape[:log_table.ndim - score_axes - 1]
+                              + counts.shape[-1:] + log_table.shape[-1:])
     finite = np.isfinite(table)
     if finite.all():
         return counts @ table

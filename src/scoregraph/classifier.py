@@ -75,7 +75,7 @@ def soft_classify(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> Cla
     return _soft_classify(counts, model, *model.require_feasible(theta, gamma))
 
 
-def _soft_classify(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
+def _soft_classify(counts, model: ModelSpec, theta: np.ndarray,
                    gamma: np.ndarray) -> ClassifierOutput:
     """soft_classify of counts on the model's score alphabet at float arrays
     theta, gamma already known to be feasible, without checking them.
@@ -83,9 +83,20 @@ def _soft_classify(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
     theta and gamma may be stacks (..., dim): the output arrays then carry
     the same leading axes, and each point's slices have the bits of its own
     call, since the einsums run per point and counted_log_factor takes one
-    gemm per point.  The points are checked in order, and the first
+    gemm per point.  `counts` is one NeighborCounts for every point, or a
+    sequence of P of them (the trials of a sweep chunk), one for each row of
+    the leading axis of a stack (P, ..., dim), whose points are classified
+    on that row's counts.  The points are checked in order, and the first
     degenerate one raises what it raises alone.
     """
+    if isinstance(counts, NeighborCounts):
+        received_only, given_only, mutual = (
+            counts.received_only, counts.given_only, counts.mutual)
+    else:
+        lead = (len(counts),) + (1,) * (theta.ndim - 2)
+        received_only, given_only, mutual = (
+            np.stack(rows).reshape(lead + rows[0].shape) for rows in zip(*(
+                (c.received_only, c.given_only, c.mutual) for c in counts)))
     tensor = model.tensor_fn(theta)
     prior = model.prior_fn(gamma)
 
@@ -103,9 +114,9 @@ def _soft_classify(counts: NeighborCounts, model: ModelSpec, theta: np.ndarray,
 
     log_v = (
         log_prior[..., None, :]
-        + counted_log_factor(counts.received_only, log_m_in)
-        + counted_log_factor(counts.given_only, log_m_out)
-        + counted_log_factor(counts.mutual, log_k_pair)
+        + counted_log_factor(received_only, log_m_in, 1)
+        + counted_log_factor(given_only, log_m_out, 1)
+        + counted_log_factor(mutual, log_k_pair, 2)
     )
     log_z = logsumexp(log_v, axis=-1)
     degenerate = np.isneginf(log_z)

@@ -23,7 +23,12 @@ the solver calls on projected points.  FR takes one phi for the whole
 stack, except `fr_gradient`, which also takes one phi row per point.
 `EstimatorProblem.evaluate`/`gradient` accept the same stacks; only the
 exact objective (its C^N table does not stack) and its finite-difference
-gradient loop over the rows.
+gradient loop over the rows.  The kernels also take the data of P problems
+along a leading axis, received rows (P, 1, N, R), gradient rows
+(P, 1, R + 1, N) and phi (P, 1, R), against points (P, S, dim): each
+problem's slice then has the bits of its own call, which lets a sweep
+answer the solver requests of many problems with one call (see
+_solve_together).
 
 The NR state table is laid out states-first: s[..., l, i], shape (..., C,
 N), is agent i's log block probability in state l, stored as C contiguous
@@ -66,7 +71,10 @@ per point.  It reports convergence only where the projected-gradient
 residual certifies stationarity; `estimate` adds a grid start and the
 label-swap canonicalization.  The driver does its per-coordinate
 arithmetic on Python floats and leaves the kernels, the dot products and
-np.linalg to numpy (see projected_gradient_solve).
+np.linalg to numpy (see projected_gradient_solve).  It is a coroutine that
+asks for each cost and gradient evaluation: alone, each request is answered
+by a direct call; in a sweep, _solve_together answers the like requests of
+many problems with one stacked kernel call, with the same results.
 
 Each relaxed objective is a model half, which reads only the model at the
 points (NR: the tensor, prior, m_in and the logs of m_in and the prior;
@@ -206,7 +214,8 @@ def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndar
                   inverse: np.ndarray | None = None):
     """The NR value of received-score rows (U, R) from the model half's logs:
     (value, s, row_lse), with s (..., C, U) and row_lse (..., U) per row and
-    the value summed over agents.
+    the value summed over agents.  The rows may carry leading axes that
+    broadcast against the points', (P, 1, U, R) for P problems.
 
     The count product is counted_log_factor's gemm per point, rows (U, R) by
     each table (R, C), whose result is agents-first (..., U, C); the add of
@@ -230,7 +239,7 @@ def _nr_data_half(received: np.ndarray, log_m_in: np.ndarray, log_prior: np.ndar
     if received.shape[-1] != log_m_in.shape[-2]:
         raise ValueError("counts and model disagree on the score alphabet")
     # (..., C, U); m_in has every leading axis of the prior, so s has its shape
-    table = np.swapaxes(counted_log_factor(received, log_m_in), -1, -2)
+    table = np.swapaxes(counted_log_factor(received, log_m_in, 1), -1, -2)
     n_lead = table.ndim - 2
     s = np.empty(table.shape[-2:-1] + table.shape[:-2] + table.shape[-1:]).transpose(
         *range(1, n_lead + 1), 0, n_lead + 1)
@@ -585,11 +594,11 @@ ARMIJO_DECREASE = 1e-4
 HESSIAN_STEP = 1e-6
 
 
-def _first_point(state):
-    """The kept table of the first point of a stack: row 0 of every array,
-    except a tensor (item 1) that does not depend on theta and so has no
-    stack axis."""
-    return tuple(a if k == 1 and a.ndim == 3 else a[0] for k, a in enumerate(state))
+def _first_point(state, row: int = 0):
+    """The kept table of one point of a stack (the first by default): that
+    row of every array, except a tensor (item 1) that does not depend on
+    theta and so has no stack axis."""
+    return tuple(a if k == 1 and a.ndim == 3 else a[row] for k, a in enumerate(state))
 
 
 def _newton_direction(z, grad, hess, lo, hi):
@@ -598,57 +607,87 @@ def _newton_direction(z, grad, hess, lo, hi):
 
     A coordinate is active when it sits at a bound and the gradient pushes
     outward; it takes -g.  The free coordinates F take d_F with
-    H_FF d_F = -g_F, which LAPACK solves.  The free set and the direction
-    are built per coordinate on Python floats (or on the entries of arrays
-    passed in), whose comparisons and negations are numpy's bits.
+    H_FF d_F = -g_F: one free coordinate takes -g_k / h_kk, the bits LAPACK's
+    solve gives for a 1 x 1 system, positive definite where h_kk > 0; larger
+    systems take _positive_definite and LAPACK's solve.  The free set and the
+    direction are built per coordinate on Python floats (or on the entries
+    of arrays passed in), whose comparisons and negations are numpy's bits.
     """
     direction = [-g for g in grad]
     free = [k for k, (x, g, a, b) in enumerate(zip(z, grad, lo, hi))
             if not ((x <= a and g > 0) or (x >= b and g < 0))]
-    d_free = _spd_solve(np.reshape([[hess[j][k] for k in free] for j in free],
-                                   (len(free), len(free))),
-                        np.array([direction[k] for k in free]))
-    if d_free is None:
-        return None
-    for k, d in zip(free, d_free.tolist()):
-        direction[k] = d
+    if len(free) == 1:
+        (k,) = free
+        if not hess[k][k] > 0:
+            return None
+        direction[k] = direction[k] / hess[k][k]
+    elif free:
+        block = [[hess[j][k] for k in free] for j in free]
+        if not _positive_definite(block):
+            return None
+        d_free = np.linalg.solve(block, [direction[k] for k in free])
+        for k, d in zip(free, d_free.tolist()):
+            direction[k] = d
     return direction
 
 
-def _spd_solve(a, b):
-    """a^-1 b, or None where the Cholesky factorization of a fails (a not
-    positive definite)."""
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(a, b)
+def _positive_definite(a) -> bool:
+    """Whether the symmetric matrix a (rows of floats) is positive definite:
+    the pivot test of an unblocked Cholesky factorization, on floats.
+
+    Column j of the factor is scaled by the reciprocal of its pivot's root,
+    as OpenBLAS's potf2 does, so at 2 x 2 (a00 > 0, then
+    a11 - (a10 (1 / sqrt(a00)))^2 > 0) the decision is np.linalg.cholesky's,
+    also within rounding of singular; a quotient a10 / sqrt(a00) there
+    differs from it.  A NaN pivot is not positive here, where LAPACK lets it
+    through and its solve returns NaN.
+    """
+    low = [[0.0] * len(a) for _ in a]
+    for j, row in enumerate(a):
+        pivot = row[j] - sum(x * x for x in low[j][:j])
+        if not pivot > 0:
+            return False
+        scale = 1.0 / math.sqrt(pivot)
+        for i in range(j + 1, len(a)):
+            low[i][j] = (a[i][j] - sum(x * y for x, y in zip(low[i][:j], low[j][:j]))) * scale
+    return True
 
 
 def _backtrack(cost, project, z, f, grad, direction, step, floor):
     """Halve `step` until P(z + step direction) is finite and decreases the cost enough.
 
-    z and direction are lists of floats, grad the gradient array.  `cost`
-    returns (value, kept state).  A trial point whose first-order change
-    g.(z+ - z) is positive is not evaluated.  If the first trial's predicted
-    decrease |g.(z+ - z)| is below `floor` and its cost is finite, it is
-    taken without the decrease test, which rounding decides there; later
-    trials follow a rejection the cost could resolve, and keep the test.
+    A generator, like the solver that delegates to it.  z and direction are
+    lists of floats, grad the gradient array.  `cost` delegates to the
+    solver's cost evaluation and returns (value, kept state).  A trial point
+    whose first-order change g.(z+ - z) is positive is not evaluated, nor is
+    one that projects onto the point just rejected: its cost and decrease
+    are the same, so it fails again (a long arc into a corner projects there
+    for several halvings).  If the first trial's predicted decrease
+    |g.(z+ - z)| is below `floor` and its cost is finite, it is taken
+    without the decrease test, which rounding decides there; later trials
+    follow a rejection the cost could resolve, and keep the test.
     Returns (point, cost, step, state), or None once no smaller step moves z.
     """
+    rejected = None
     while True:
         trial = [x + step * d for x, d in zip(z, direction)]
         z_new = project(trial)
         if trial == z or z_new == z:
             return None
         decrease = float(grad @ np.subtract(z_new, z))
-        if decrease <= 0:
-            f_new, state = cost(z_new)
+        if decrease <= 0 and z_new != rejected:
+            f_new, state = yield from cost(z_new)
             if math.isfinite(f_new) and (f_new <= f + ARMIJO_DECREASE * decrease
                                          or -decrease < floor):
                 return z_new, f_new, step, state
+            rejected = z_new
         step *= 0.5
         floor = 0.0
+
+
+# the two kernel requests of a solver coroutine: (op, points, kept), answered
+# with problem.evaluate(points) or problem.gradient(points, kept)
+_EVALUATE, _GRADIENT = "evaluate", "gradient"
 
 
 def projected_gradient_solve(problem: EstimatorProblem, start,
@@ -666,7 +705,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     sum over agents.  Otherwise it picks a direction d and a first step s,
     and halves s until the trial point z+ = P(z + s d) has a finite cost and
     meets the sufficient decrease f(z+) <= f(z) + 1e-4 g.(z+ - z), so trial
-    points on an infinite-cost boundary are rejected.
+    points on an infinite-cost boundary are rejected.  A trial point equal
+    to the one just rejected is rejected without a second evaluation.
 
     On box-only sets with an analytic gradient (NR and FR) the direction is
     projected Newton (Bertsekas 1982; see _newton_direction) with s = 1.
@@ -698,14 +738,41 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
 
     The driver holds z as a list of Python floats and does its per-coordinate
     arithmetic on them: the stencil points, the Hessian, the residual, the
-    active set and the trial points, and projects with
-    FeasibleSet.project_list (a box clip on the floats).  Each such operation
-    is one IEEE operation, as it is in numpy, so the iterates keep numpy's
-    bits without its per-call cost on arrays of one to three entries.  The
-    objective and gradient kernels, every dot product (numpy's ddot need not
-    round like a Python sum) and np.linalg run in numpy, as does the
-    projection onto simplex sets.
+    active set, the trial points and a 1 x 1 Newton system, and projects
+    with FeasibleSet.project_list (a box clip on the floats).  Each such
+    operation is one IEEE operation, as it is in numpy, so the iterates keep
+    numpy's bits without its per-call cost on arrays of one to three
+    entries.  The objective and gradient kernels, every dot product (numpy's
+    ddot need not round like a Python sum), larger Newton systems and the
+    projection onto simplex sets run in numpy.
+
+    The driver is a coroutine (_solve_steps) that asks for each cost and
+    gradient evaluation; here it runs alone through _solve_together, which
+    answers each request, a group of one, by the direct call on `problem`
+    and raises what the coroutine raised.  A sweep runs many such coroutines side by side and
+    answers the requests of many problems with one stacked kernel call (see
+    _solve_together), which gives each problem the bits of its direct call,
+    so its results are this function's.
     """
+    (result,) = _solve_together([(problem, _solve_steps(problem, start, max_iters, tol,
+                                                         record_trace))])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _answer(problem: EstimatorProblem, request):
+    """The direct call that answers one solver request (op, points, kept)."""
+    op, points, kept = request
+    return problem.evaluate(points) if op == _EVALUATE else problem.gradient(points, kept)
+
+
+def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
+                 record_trace: bool):
+    """projected_gradient_solve as a coroutine: it yields each request
+    (op, points, kept) for problem.evaluate(points) or
+    problem.gradient(points, kept), takes the answer back, and returns the
+    SolveResult."""
     feas = problem.model.feasible
     z = np.asarray(start, dtype=np.float64).copy()
     if not feas.contains(z):
@@ -722,7 +789,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
 
     def cost(v):
         if not newton:
-            value, state = problem.evaluate(np.array(v))
+            value, state = yield _EVALUATE, np.array(v), None
             return sign * value, state
         # v, then v with v_k + step_k in coordinate k
         points = [v]
@@ -730,18 +797,18 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
             h = HESSIAN_STEP * max(1.0, abs(x))
             points.append(v[:k] + [x - h if x + h > b else x + h] + v[k + 1:])
         points = np.array(points)
-        values, state = problem.evaluate(points)
+        values, state = yield _EVALUATE, points, None
         return sign * float(values[0]), (points, values, state)
 
     def derivatives(v, kept):
         """g at v, from what cost(v) kept, and the stencil Hessian (a list
         of rows) or None."""
         if not newton:
-            return sign * problem.gradient(np.array(v), kept), None
+            return sign * (yield _GRADIENT, np.array(v), kept), None
         points, values, state = kept
         if not np.isfinite(values).all():
-            return sign * problem.gradient(points[0], _first_point(state)), None
-        grads = sign * problem.gradient(points, state)
+            return sign * (yield _GRADIENT, points[0], _first_point(state)), None
+        grads = sign * (yield _GRADIENT, points, state)
         if not np.isfinite(grads[1:]).all():
             return grads[0], None
         g, *rows = grads.tolist()
@@ -753,7 +820,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     def residual_at(v, g):
         return max(abs(x - p) for x, p in zip(v, project([x - y for x, y in zip(v, g)])))
 
-    f, kept = cost(z)
+    f, kept = yield from cost(z)
     if not math.isfinite(f):
         raise NonFiniteError(f"objective is {sign * f} at the start point")
     trace = [(0, sign * f, *z)] if record_trace else None
@@ -762,7 +829,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     converged = False
     n_iters = 0
     for it in range(max_iters):
-        grad, hess = derivatives(z, kept)
+        grad, hess = yield from derivatives(z, kept)
         g = grad.tolist()
         if not all(map(math.isfinite, g)):
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
@@ -777,10 +844,11 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
             if curvature > 0:
                 step = float(dz @ dz) / curvature
         direction = None if hess is None else _newton_direction(z, g, hess, lo, hi)
-        found = None if direction is None else _backtrack(
-            cost, project, z, f, grad, direction, 1.0, floor=math.ulp(abs(f)))
+        found = None if direction is None else (yield from _backtrack(
+            cost, project, z, f, grad, direction, 1.0, floor=math.ulp(abs(f))))
         if found is None:
-            found = _backtrack(cost, project, z, f, grad, [-x for x in g], step, floor=0.0)
+            found = yield from _backtrack(cost, project, z, f, grad, [-x for x in g], step,
+                                          floor=0.0)
             if found is None:
                 break
             step = 2.0 * found[2]
@@ -790,7 +858,7 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
             trace.append((it + 1, sign * f, *z))
     else:
         # max_iters steps taken (or none allowed): measure the residual at z
-        residual = residual_at(z, derivatives(z, kept)[0].tolist())
+        residual = residual_at(z, (yield from derivatives(z, kept))[0].tolist())
     z = np.array(z)
     theta, gamma = feas.split(z)
     return SolveResult(
@@ -803,6 +871,109 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
         residual=residual,
         trace=np.asarray(trace, dtype=np.float64) if record_trace else None,
     )
+
+
+def _solve_together(jobs: list) -> list:
+    """Run solver coroutines side by side: jobs [(problem, steps)] give, in
+    order, each one's return value or the exception it raised.
+
+    Each round groups the pending requests by operation, problem kind,
+    model, and the shapes of the points and data, and answers the largest
+    group: with one stacked kernel call for NR and FR (see _answer_stack),
+    or one direct call per request for the exact objective, whose C^N table
+    does not stack, and for a group of one.  Answering the largest group
+    first lets coroutines that fell out of step (a longer backtrack, an
+    extra spectral step) line up again: while they wait, the others move on
+    to the request they are waiting with.  Every answer has the bits of the
+    direct call, so each coroutine returns what it returns alone.  A stacked
+    call that raises is answered again one request at a time, so that each
+    coroutine gets its own answer or exception thrown in at its request.
+    """
+    results = [None] * len(jobs)
+    pending = {}
+
+    def resume(k, answer=None, error=None):
+        steps = jobs[k][1]
+        try:
+            pending[k] = steps.send(answer) if error is None else steps.throw(error)
+        except StopIteration as stop:
+            results[k] = stop.value
+        except Exception as exc:
+            results[k] = exc
+
+    for k in range(len(jobs)):
+        resume(k)
+    while pending:
+        groups = {}
+        for k, request in pending.items():
+            groups.setdefault(_group_key(jobs[k][0], request), []).append(k)
+        members = max(groups.values(), key=len)
+        requests = [pending.pop(k) for k in members]
+        for k, (answer, error) in zip(members, _answer_group(
+                [jobs[k][0] for k in members], requests)):
+            resume(k, answer, error)
+    return results
+
+
+def _group_key(problem: EstimatorProblem, request) -> tuple:
+    """What requests must share to be answered by one stacked call."""
+    op, points, _ = request
+    data = (problem._nr_rows[0] if problem.kind == "nr"
+            else problem.data if problem.kind == "fr" else None)
+    return op, problem.kind, id(problem.model), points.shape, getattr(data, "shape", None)
+
+
+def _answer_group(problems: list, requests: list) -> list:
+    """(answer, None) or (None, exception) for each request of one group."""
+    if len(problems) > 1 and problems[0].kind != "exact":
+        try:
+            return [(answer, None) for answer in _answer_stack(problems, requests)]
+        except Exception:
+            pass    # answered one at a time below, where each raises what it raises
+    out = []
+    for problem, request in zip(problems, requests):
+        try:
+            out.append((_answer(problem, request), None))
+        except Exception as exc:
+            out.append((None, exc))
+    return out
+
+
+def _answer_stack(problems: list, requests: list) -> list:
+    """The answers to P same-shaped requests of NR or FR problems of one
+    model, from one kernel call on their stacked data.
+
+    The points stack to (P, *shape), and each problem's data gets a problem
+    axis and a unit axis per stack axis of its points: received rows
+    (P, 1, N, R) for an NR stencil, gradient rows (P, 1, R + 1, N), phi
+    (P, 1, R).  The kernels take every product per point and reduce per row
+    (see the module docstring), so answer p has the bits of the direct call
+    on problem p.  Kept tables come back as each problem's slice (see
+    _first_point) and are stacked again for a gradient request.
+    """
+    op, points, _ = requests[0]
+    kind, model = problems[0].kind, problems[0].model
+    theta, gamma = model.feasible.split(np.stack([request[1] for request in requests]))
+    lead = (len(problems),) + (1,) * (points.ndim - 1)
+
+    def stacked(data):
+        return np.stack(data).reshape(lead + data[0].shape)
+
+    if op == _GRADIENT:
+        kept = tuple(parts[0] if all(a is parts[0] for a in parts) else np.stack(parts)
+                     for parts in zip(*(request[2] for request in requests)))
+        if kind == "nr":
+            rows = stacked([problem._nr_rows[1] for problem in problems])
+            return list(_nr_gradient(rows, model, theta, gamma, kept))
+        return list(_fr_gradient(stacked([problem.data for problem in problems]),
+                                 model, theta, gamma, kept))
+    if kind == "nr":
+        values, kept = _nr_kept_table(stacked([problem._nr_rows[0] for problem in problems]),
+                                      model, theta, gamma)
+    else:
+        values, kept = _fr_kept_table(stacked([problem.data for problem in problems]),
+                                      model, theta, gamma)
+    return [(_point_or_rows(values[p]), _first_point(kept, p)) for p in range(len(problems))]
 
 
 def _canonical_swap(z: np.ndarray, model: ModelSpec):
@@ -951,16 +1122,31 @@ def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 
     with z, theta and gamma moved to the mirror when the solve ended above
     1/2 (its trace keeps the raw iterates).  The symmetry is verified on the
     objective values of every such solve.
+
+    The work is the coroutine _estimate_steps, run here alone through
+    _solve_together (direct calls on `problem`); a sweep drives many of
+    them together with one stacked kernel call per request kind and round,
+    with the same results.
     """
+    (result,) = _solve_together([(problem, _estimate_steps(problem, grid_points, max_iters,
+                                                            tol, record_trace))])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _estimate_steps(problem: EstimatorProblem, grid_points: int, max_iters: int, tol: float,
+                    record_trace: bool):
+    """estimate as a solver coroutine (see _solve_steps): the grid start runs
+    in place, the solve and the mirror's evaluation go through requests."""
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    solve = projected_gradient_solve(problem, start=_grid_start(problem, grid_points),
-                                     max_iters=max_iters, tol=tol,
-                                     record_trace=record_trace)
+    solve = yield from _solve_steps(problem, _grid_start(problem, grid_points), max_iters,
+                                    tol, record_trace)
     z, mirror = _canonical_swap(solve.z, problem.model)
     if mirror is not None:
         value = solve.objective
-        mirror_value = problem.evaluate(mirror)[0]
+        mirror_value = (yield _EVALUATE, mirror, None)[0]
         if abs(mirror_value - value) > 1e-9 + 1e-9 * abs(value):
             raise AssertionError(
                 f"label-swap symmetry violated: {value} vs {mirror_value}")
@@ -968,4 +1154,3 @@ def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 
         return solve
     theta, gamma = problem.model.feasible.split(z)
     return replace(solve, z=z, theta=theta, gamma=gamma)
-

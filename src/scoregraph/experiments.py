@@ -7,15 +7,18 @@ benchmark), and aggregates per-parameter RMSE and per-classifier
 misclassification rates.  Everything is deterministic given the master seed:
 trial k at edge count n draws from an independent stream keyed by
 (master_seed, n, k), so the rows of an edge count do not depend on the other
-edge counts of the sweep or on their order.
+edge counts of the sweep or on their order.  The trials run in chunks whose
+estimates are solved together and classified in one pass (see run_sweep);
+every result is the one a trial-by-trial run gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,8 +26,8 @@ import numpy as np
 from . import __version__
 from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
-from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, estimate, exact_problem,
-                         fr_problem, nr_problem)
+from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, _estimate_steps, _solve_together,
+                         exact_problem, fr_problem, nr_problem)
 from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
@@ -191,70 +194,180 @@ _ESTIMATORS = {
     "FR-distributed": None,
     "oracle": None,
 }
+# (edge count, trial) instances per chunk of a sweep, whose centralized
+# problems are solved together and whose classifications take one pass; a
+# chunk holds at most this many problems of each estimator, and their
+# counts and states, never their graphs.  On the criterion 7 and 8 sweeps,
+# desk and full scale, smaller chunks solved slower and larger ones were no
+# faster while each instance added about 0.4 MB of peak memory at N = 300
+SWEEP_CHUNK = 64
 
 
-def _run_estimator(name, model, graph, counts, config, schedule, record_trace):
-    """Fit one estimator on one trial: (z_hat, detail).
+@dataclass
+class _Instance:
+    """One (edge count, trial) instance of a sweep chunk: its counts and
+    true states, each fitted estimator's (z_hat, detail), the classifier
+    outputs, its first failure (step, exception), and its seconds."""
 
-    `detail` is the estimate's SolveResult of a centralized estimator and the
-    DistributedRun of FR-distributed.  `solver_alpha` is the fixed step of
-    FR-distributed only.  With `record_trace` the solve keeps its iterate
-    trace and the distributed run records every round; otherwise only the
-    first and last rounds are kept.
+    n_edges: int
+    trial: int
+    graph: object = None
+    states: np.ndarray | None = None
+    counts: object = None
+    fits: dict = field(default_factory=dict)
+    outputs: dict | None = None
+    failure: tuple | None = None
+    seconds: float = 0.0
+
+    def fail(self, step: int, exc: Exception) -> None:
+        """Record that `step` raised: -1 the data, k the k-th fitted
+        estimator, and one past the estimators the classification."""
+        if self.failure is None or step < self.failure[0]:
+            self.failure = (step, exc)
+
+
+def _run_distributed_trial(counts, model, config, schedule, record_trace):
+    """FR-distributed on one trial: (z_hat, DistributedRun).
+
+    `solver_alpha` is its fixed step.  With `record_trace` the run records
+    every round; otherwise only the first and last rounds are kept.
     """
-    if name == "FR-distributed":
-        run = run_distributed(
-            counts, model, schedule,
-            alpha=config.solver_alpha,
-            n_rounds=config.solver_rounds,
-            record_every=1 if record_trace else max(1, config.solver_rounds),
-            rng=config.master_seed,
-        )
-        return _canonical_swap(run.final_z[0], model)[0], run
-    build, grid_points = _ESTIMATORS[name]
-    res = estimate(build(graph, counts, model),
-                   grid_points=grid_points or config.solver_grid_points,
-                   max_iters=config.solver_max_iters, tol=config.solver_tol,
-                   record_trace=record_trace)
-    return res.z, res
+    run = run_distributed(
+        counts, model, schedule,
+        alpha=config.solver_alpha,
+        n_rounds=config.solver_rounds,
+        record_every=1 if record_trace else max(1, config.solver_rounds),
+        rng=config.master_seed,
+    )
+    return _canonical_swap(run.final_z[0], model)[0], run
+
+
+def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, keys,
+               record_trace: bool = False, keep_graphs: bool = False) -> list:
+    """Sample, fit and classify the instances `keys`, (n_edges, trial) pairs
+    in sweep order: a list of _Instance.
+
+    Each instance draws from the stream keyed by (master_seed, n_edges,
+    trial): it samples, scores and aggregates, keeps its counts and states
+    (and its graph with `keep_graphs`) and runs FR-distributed.  Then every
+    centralized estimate of the chunk is solved at once, with one stacked
+    kernel call per request kind and round (estimators._solve_together),
+    and the true parameters and all estimates of all instances are
+    classified in one stacked _soft_classify pass.  `truth` is the checked z
+    of _true_params, so the oracle classifies without checking it again.
+    With `record_trace` each solve keeps its trace and FR-distributed
+    records every round.
+
+    A step that raises stops only its instance and the instances after it.
+    Once the chunk is done the first failure in sweep order is raised,
+    taking an instance's steps in the order a trial runs them (data, the
+    estimators as configured, classification), so a chunk raises what a
+    trial-by-trial sweep raises.  An instance's seconds are its own data
+    time plus its share of the chunk's solve time, by problem count, and of
+    its classification time, by instance count.
+    """
+    fitted = [est for est in cfg.estimators if est != "oracle"]
+    chunk, jobs = [], []
+    for n_edges, trial in keys:
+        item = _Instance(n_edges, trial)
+        chunk.append(item)
+        start = time.perf_counter()
+        step = -1
+        try:
+            rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
+            graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
+            scored, item.states = generate_scores(graph, model, *model.feasible.split(truth), rng)
+            item.counts = aggregate_counts(scored)
+            if keep_graphs:
+                item.graph = scored
+            for step, est in enumerate(fitted):
+                if est == "FR-distributed":
+                    item.fits[est] = _run_distributed_trial(item.counts, model, cfg, schedule,
+                                                            record_trace)
+                    continue
+                build, grid_points = _ESTIMATORS[est]
+                problem = build(scored, item.counts, model)
+                jobs.append((item, step, est, problem, _estimate_steps(
+                    problem, grid_points or cfg.solver_grid_points, cfg.solver_max_iters,
+                    cfg.solver_tol, record_trace)))
+        except Exception as exc:
+            item.fail(step, exc)
+        item.seconds = time.perf_counter() - start
+        if item.failure is not None:
+            break
+    start = time.perf_counter()
+    results = _solve_together([(problem, steps) for *_, problem, steps in jobs])
+    share = (time.perf_counter() - start) / max(1, len(jobs))
+    for (item, step, est, _, _), result in zip(jobs, results):
+        item.seconds += share
+        if isinstance(result, Exception):
+            item.fail(step, result)
+        else:
+            item.fits[est] = result.z, result
+    fit = list(itertools.takewhile(lambda item: item.failure is None, chunk))
+    if fit:
+        start = time.perf_counter()
+        _classify(fit, model, truth, fitted)
+        share = (time.perf_counter() - start) / len(fit)
+        for item in fit:
+            item.seconds += share
+    for item in chunk:
+        if item.failure is not None:
+            raise item.failure[1]
+    return chunk
+
+
+def _classify(chunk: list, model: ModelSpec, truth, fitted: list) -> None:
+    """Set each instance's outputs: its ClassifierOutput for the true
+    parameters ("oracle") and for each fitted estimate, all from one stacked
+    _soft_classify pass over the chunk's counts.  Where that pass raises,
+    the instances are classified one by one and the first that raises
+    records its failure."""
+    split = model.feasible.split
+    # each z a projected, hence feasible, point
+    points = np.array([[truth, *(item.fits[est][0] for est in fitted)] for item in chunk])
+    try:
+        stacked = _soft_classify([item.counts for item in chunk], model, *split(points))
+    except Exception:
+        for item, z in zip(chunk, points):
+            try:
+                _soft_classify(item.counts, model, *split(z))
+            except Exception as exc:
+                item.fail(len(fitted), exc)
+                return
+        raise
+    for k, item in enumerate(chunk):
+        item.outputs = {cls: ClassifierOutput(stacked.posterior[k, l], stacked.labels[k, l],
+                                              stacked.log_unnormalized[k, l])
+                        for l, cls in enumerate(("oracle", *fitted))}
 
 
 def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,
                trial: int, record_trace: bool = False):
-    """One trial: sample, score, aggregate, fit each configured estimator,
-    then classify with the true parameters and every estimate in one
-    stacked _soft_classify call.
+    """One trial, as a sweep chunk of one instance (see _run_chunk).
 
-    The draws come from the stream keyed by (master_seed, n_edges, trial).
-    `truth` is the checked z of _true_params, so the oracle classifies
-    without checking it again.
     Returns (scored graph, true states, estimates, outputs, details):
     `estimates` and `outputs` map each classifier, "oracle" first, to its
     z = [theta, gamma] and ClassifierOutput; `details` maps each fitted
     estimator to its SolveResult or DistributedRun.
     """
-    split = model.feasible.split
-    rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
-    graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
-    scored, states = generate_scores(graph, model, *split(truth), rng)
-    counts = aggregate_counts(scored)
+    (item,) = _run_chunk(cfg, model, truth, schedule, [(n_edges, trial)], record_trace,
+                         keep_graphs=True)
     estimates = {"oracle": truth}
     details = {}
     for est in cfg.estimators:
         if est != "oracle":
-            estimates[est], details[est] = _run_estimator(
-                est, model, scored, counts, cfg, schedule, record_trace)
-    # one pass over every z, each a projected, hence feasible, point
-    stacked = _soft_classify(counts, model, *split(np.stack(list(estimates.values()))))
-    outputs = {cls: ClassifierOutput(stacked.posterior[k], stacked.labels[k],
-                                     stacked.log_unnormalized[k])
-               for k, cls in enumerate(estimates)}
-    return scored, states, estimates, outputs, details
+            estimates[est], details[est] = item.fits[est]
+    return item.graph, item.states, estimates, item.outputs, details
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated results at one edge count."""
+    """Aggregated results at one edge count.
+
+    `wall_clock` is the point's own data and classification time plus its
+    share of each chunk's solve time, by problem count (see _run_chunk).
+    """
 
     n_edges: int
     trials: int
@@ -276,7 +389,17 @@ class SweepResult:
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the full Monte Carlo sweep described by the config."""
+    """Run the full Monte Carlo sweep described by the config.
+
+    The (edge count, trial) instances run in sweep order, in chunks of up to
+    SWEEP_CHUNK (see _run_chunk): each instance samples its data and keeps
+    only its counts and states, every centralized problem of the chunk is
+    solved together, with one stacked kernel call per request kind and
+    solver round, and the chunk classifies in one stacked pass.  Every
+    result has the bits of a trial-by-trial run, and the points aggregate
+    the trials in order, so the RMSE and misclassification means sum the
+    same floats in the same order.
+    """
     config.validate()
     cfg = config.resolved()
     model = build_model(cfg)
@@ -285,34 +408,22 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     schedule = _comm_schedule(cfg)
     fitted = tuple(est for est in cfg.estimators if est != "oracle")
     classifiers = ("oracle", *fitted)
-    points = []
+    keys = [(n_edges, trial) for n_edges in cfg.sweep for trial in range(cfg.trials)]
+    points, numbers = [], []
     t_start = time.perf_counter()
-    for n_edges in cfg.sweep:
-        p_start = time.perf_counter()
-        sq_errors = {est: [] for est in fitted}
-        mis = {cls: [] for cls in classifiers}
-        spreads = {est: [] for est in fitted if est == "FR-distributed"}
-        for trial in range(cfg.trials):
-            _, states, estimates, outputs, details = _run_trial(
-                cfg, model, truth, schedule, n_edges, trial)
-            for cls in classifiers:
-                mis[cls].append(misclassification_rate(outputs[cls].labels, states))
-            for est in fitted:
-                sq_errors[est].append(_squared_errors(model, estimates[est], truth))
-                if est in spreads:
-                    spreads[est].append(details[est].spread())
-        rmse = {
-            est: dict(zip(names, np.sqrt(np.mean(np.asarray(sq_errors[est]), axis=0))))
-            for est in fitted
-        }
-        points.append(SweepPoint(
-            n_edges=n_edges,
-            trials=cfg.trials,
-            rmse=rmse,
-            misclass={k: float(np.mean(v)) for k, v in mis.items()},
-            spread={k: float(np.max(v)) for k, v in spreads.items() if v},
-            wall_clock=time.perf_counter() - p_start,
-        ))
+    for first in range(0, len(keys), SWEEP_CHUNK):
+        for item in _run_chunk(cfg, model, truth, schedule, keys[first:first + SWEEP_CHUNK]):
+            start = time.perf_counter()
+            numbers.append((
+                [misclassification_rate(item.outputs[cls].labels, item.states)
+                 for cls in classifiers],
+                [_squared_errors(model, item.fits[est][0], truth) for est in fitted],
+                [item.fits[est][1].spread() for est in fitted if est == "FR-distributed"],
+                item.seconds + time.perf_counter() - start,
+            ))
+            if len(numbers) == cfg.trials:
+                points.append(_sweep_point(item.n_edges, names, fitted, classifiers, numbers))
+                numbers = []
     return SweepResult(
         config=cfg,
         model_name=model.name,
@@ -321,6 +432,23 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         classifier_names=classifiers,
         points=tuple(points),
         wall_clock=time.perf_counter() - t_start,
+    )
+
+
+def _sweep_point(n_edges: int, names: tuple, fitted: tuple, classifiers: tuple,
+                 numbers: list) -> SweepPoint:
+    """The SweepPoint of one edge count from its trials' (misclassification
+    rates, squared errors, spreads, seconds), in trial order."""
+    mis, errors, spreads, seconds = zip(*numbers)
+    return SweepPoint(
+        n_edges=n_edges,
+        trials=len(numbers),
+        rmse={est: dict(zip(names, np.sqrt(np.mean(np.asarray([e[k] for e in errors]),
+                                                   axis=0))))
+              for k, est in enumerate(fitted)},
+        misclass={cls: float(np.mean([m[k] for m in mis])) for k, cls in enumerate(classifiers)},
+        spread={"FR-distributed": float(np.max(spreads))} if spreads[0] else {},
+        wall_clock=sum(seconds),
     )
 
 
@@ -345,7 +473,8 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
     """Write rmse.csv, misclass.csv, and a meta.json sidecar; return the paths.
 
     CSV numerics round-trip exactly (shortest-repr floats); only the sidecar
-    carries timestamps, so identical runs produce byte-identical CSVs.
+    carries timestamps, so identical runs produce byte-identical CSVs.  A
+    point's wall_clock_seconds in the sidecar is SweepPoint.wall_clock.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["n,estimator,param,rmse"]

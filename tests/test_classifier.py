@@ -253,3 +253,35 @@ def test_a_stacked_pass_equals_per_point_calls(model):
                     assert row.tobytes() == expected.tobytes(), (n_edges, field, k)
     # gamma = 0 leaves the preparata mixed scores impossible
     assert seen_degenerate or model.name != "preparata"
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=lambda m: f"{m.name}-{m.n_states}-{m.n_scores}")
+def test_a_pass_over_several_trials_equals_each_trials_pass(model):
+    # a sweep chunk classifies the points (P, L, dim) of P trials, each on
+    # its own counts, in one call
+    rng = np.random.default_rng(199)
+    counts, points = [], []
+    for n_edges in (50, 500, 2450):
+        g = sg.sample_score_graph(50, n_edges, "cyclic-plus-random-edges", rng)
+        theta, gamma = model.feasible.split(model.feasible.sample_interior(rng))
+        scored, _ = sg.generate_scores(g, model, theta, gamma, rng)
+        counts.append(sg.aggregate_counts(scored))
+        points.append(np.array([model.feasible.sample_interior(rng) for _ in range(3)]))
+    points = np.array(points)
+    got = _soft_classify(counts, model, *model.feasible.split(points))
+    for p, (c, z) in enumerate(zip(counts, points)):
+        want = _soft_classify(c, model, *model.feasible.split(z))
+        for field in ("posterior", "labels", "log_unnormalized"):
+            a, b = getattr(got, field)[p], getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (p, field)
+    if model.name == "preparata":
+        # gamma = 0 leaves mixed scores impossible: the first degenerate trial
+        # raises what its own pass raises
+        bad = points.copy()
+        bad[1:, 2, -1] = 0.0
+        with pytest.raises(DegenerateModelError) as info:
+            _soft_classify(counts, model, *model.feasible.split(bad))
+        with pytest.raises(DegenerateModelError) as alone:
+            _soft_classify(counts[1], model, *model.feasible.split(bad[1]))
+        assert str(info.value) == str(alone.value)

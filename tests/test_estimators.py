@@ -3,11 +3,13 @@
 import contextlib
 import gc
 import itertools
+import math
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scoregraph as sg
 from scoregraph import estimators
@@ -726,6 +728,27 @@ def _numpy_driver_reference(problem, start, max_iters=100000, tol=1e-9):
         residual = residual_at(z, derivatives(z, kept)[0])
     return z, sign * f, n_iters, converged, residual, np.asarray(trace, dtype=np.float64)
 
+def _direction_1x1(g, h):
+    """The solver's Newton direction on one free coordinate, or None."""
+    return estimators._newton_direction([0.5], [g], [[h]], [0.0], [1.0])
+
+
+def _lapack_direction_1x1(g, h):
+    """The same through np.linalg, as the solver took it before: None where
+    the Cholesky factorization fails, else LAPACK's solve of h d = -g."""
+    if not _cholesky_succeeds([[h]]):
+        return None
+    return np.linalg.solve(np.array([[h]]), np.array([-g])).tolist()
+
+
+def _cholesky_succeeds(a) -> bool:
+    try:
+        np.linalg.cholesky(np.array(a, dtype=float))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _sweep_counts(model, theta, gamma, n_edges, trial, master_seed=0, n_agents=50):
     """The counts of one sweep trial, drawn from its (master_seed, n_edges, trial) stream."""
     rng = np.random.default_rng([master_seed, n_edges, trial])
@@ -869,6 +892,91 @@ class TestProjectedNewton:
         # dim 1 an active coordinate leaves an empty H_FF, which always solves
         expected = {(False, False), (False, True), (True, False)}
         assert seen == (expected | {(True, True)} if dim > 1 else expected)
+
+    def test_a_trial_point_equal_to_the_one_just_rejected_is_not_evaluated_again(
+            self, monkeypatch):
+        # criterion 8, trial 0, n = 2,450, NR: the first spectral arc projects
+        # onto the corner (0.05, 0) for seven halvings in a row, and each
+        # evaluation of that same stencil after the first was rejected again
+        problem = sg.nr_problem(_ranking_counts(2450, 0), sg.social_ranking_model(3, 3))
+        steps = estimators._estimate_steps(problem, 33, 5000, 1e-8, True)
+        requests, answer = [], None
+        try:
+            while True:
+                requests.append(steps.send(answer))
+                answer = estimators._answer(problem, requests[-1])
+        except StopIteration as stop:
+            res = stop.value
+        assert len(requests) == 28     # 34 with the six repeated evaluations
+        assert res.z[1] <= 0.5         # estimate kept the solve's z, after the mirror check
+        evaluate = estimators.EstimatorProblem.evaluate
+        evaluated = []
+
+        def counted(self, z):
+            evaluated.append(np.asarray(z).copy())
+            return evaluate(self, z)
+
+        monkeypatch.setattr(estimators.EstimatorProblem, "evaluate", counted)
+        want = _numpy_driver_reference(problem, res.trace[0, 2:], max_iters=5000, tol=1e-8)
+        # the driver without the skip evaluates the corner stencil seven times
+        solve_evaluations = sum(op == "evaluate" for op, _, _ in requests) - 1
+        assert len(evaluated) == solve_evaluations + 6
+        corner = [k for k, z in enumerate(evaluated) if np.array_equal(z[0], [0.05, 0.0])]
+        assert len(corner) == 7 and corner == list(range(corner[0], corner[0] + 7))
+        got = (res.z, res.objective, res.n_iters, res.converged, res.residual, res.trace)
+        for name, a, b in zip(("z", "objective", "n_iters", "converged", "residual", "trace"),
+                              got, want):
+            assert type(a) is type(b) and _same_bits(a, b), name
+
+    def test_a_one_by_one_newton_system_has_the_bits_of_lapack(self):
+        rng = np.random.default_rng(191)
+        size = 20000
+        grad = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        hess = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.7e308]
+        pairs = list(zip(grad.tolist(), hess.tolist()))
+        pairs += [(g, h) for g in (1.0, -3.5e300, 2e-300) for h in special]
+        for g, h in pairs:
+            assert _same_bits(np.array(_direction_1x1(g, h), dtype=float),
+                              np.array(_lapack_direction_1x1(g, h), dtype=float)), (g, h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False))
+    def test_a_one_by_one_newton_system_has_the_bits_of_lapack_everywhere(self, g, h):
+        assert _same_bits(np.array(_direction_1x1(g, h), dtype=float),
+                          np.array(_lapack_direction_1x1(g, h), dtype=float))
+
+    def test_the_positive_definite_test_decides_as_cholesky(self):
+        rng = np.random.default_rng(193)
+        seen = {True: 0, False: 0}
+        for k in range(20000):
+            a00, a10, a11 = rng.standard_normal(3) * 10.0 ** rng.uniform(-6, 6, 3)
+            if k % 3 == 0:
+                a00 = abs(a00)
+                # within rounding of singular: a11 at the square of the scaled
+                # column entry, moved by at most a few ulps
+                low = a10 * (1.0 / math.sqrt(a00))
+                a11 = low * low + int(rng.integers(-3, 4)) * math.ulp(low * low)
+            a = [[a00, a10], [a10, a11]]
+            want = _cholesky_succeeds(a)
+            assert estimators._positive_definite(a) == want, a
+            seen[want] += 1
+        assert min(seen.values()) > 3000
+        for k in range(2000):
+            m = rng.standard_normal((3, 3))
+            a = (m @ m.T if k % 2 else 0.5 * (m + m.T)).tolist()
+            assert estimators._positive_definite(a) == _cholesky_succeeds(a), a
+
+    def test_a_nan_hessian_is_not_positive_definite(self):
+        # np.linalg.cholesky lets a NaN pivot through and its solve returns a
+        # NaN direction; the solver takes the spectral step instead
+        for a in ([[np.nan]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+                  [[1.0, 0.0], [0.0, np.nan]]):
+            assert _cholesky_succeeds(a)
+            assert not estimators._positive_definite(a)
+            n = len(a)
+            assert estimators._newton_direction([0.5] * n, [1.0] * n, a, [0.0] * n,
+                                                [1.0] * n) is None
 
     def test_a_coordinate_on_a_bound_with_an_outward_gradient_stays_there(self):
         # with gamma = 0 in the data the NR optimum lies on the bound gamma = 0

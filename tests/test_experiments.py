@@ -39,7 +39,7 @@ class TestConfig:
         # a scalar gamma must not fall back to the centroid on the
         # vector-gamma categorical model
         calls = []
-        monkeypatch.setattr("scoregraph.experiments._run_trial",
+        monkeypatch.setattr("scoregraph.experiments._run_chunk",
                             lambda *args, **kwargs: calls.append(args))
         for gamma in ((0.9,), (0.2, 0.3, 0.5)):
             cfg = ExperimentConfig(model="categorical", n_states=2, n_scores=2,
@@ -312,7 +312,7 @@ class TestRunSweep:
 
     def test_an_infeasible_truth_raises_before_any_trial(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("scoregraph.experiments._run_trial",
+        monkeypatch.setattr("scoregraph.experiments._run_chunk",
                             lambda *args, **kwargs: calls.append(args))
         for cfg in (ExperimentConfig(gamma=(1.5,), n_agents=6, sweep=(6,), trials=1),
                     ExperimentConfig(model="social-ranking", theta=(20.0,), n_agents=6,
