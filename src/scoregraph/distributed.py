@@ -12,16 +12,19 @@ With a window-connected schedule the phi_i converge geometrically to the true
 empirical distribution and the iterates approach stationary points of the
 fully-relaxed problem.
 
-When the model has no theta and its tensor is one (R, C, C) table (the
-reliability family), the step takes 2-D products over the (N, .) stack, with
-two flat forms of T built once per run: t = vec(p p^T) flat(T)^T, r = phi / t,
-q = r flat(T + T^T) and the gradient -dprior (q p).  The solver's FR kernel
-shapes every matmul per point instead, so that mesh values and Newton stencil
-rows keep single-point bits, and numpy loops those over the N agents; the
-round needs no such bits.  The two agree up to rounding, so FR-distributed
-results on these models may differ from earlier releases in the last bits.
-A round where some t_h <= 0, and every round of a model whose tensor depends
-on theta, steps through the kernel (which names the first agent with +inf cost).
+When the model has no theta, its tensor is one (R, 2, 2) table T and its prior
+is the Bernoulli (1 - gamma, gamma) (the reliability family), the edge score
+distribution t_h = sum_lm p_l p_m T[h, l, m] is a quadratic in gamma, and
+run_distributed builds its coefficient rows once per run: t = [1, gamma,
+gamma^2] K and alpha t' = [1, gamma] D.  The round's step is then a few 2-D
+products over the (N, .) stack [1, gamma, gamma^2], with no prior, outer
+product or projection call.  The solver's FR kernel goes through p p^T per
+point instead, so that mesh values and Newton stencil rows keep single-point
+bits; the round needs no such bits.  The two agree up to rounding, so
+FR-distributed results on these models may differ from earlier releases in
+the last bits.  At gamma = 0, t is T[:, 0, 0] exactly, as in the kernel.  A
+round where some t_h <= 0, and every round of a model with theta, steps
+through the kernel (which names the first agent with +inf cost).
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .estimators import _check_phi, _fr_gradient, _outer, fr_problem, lipschitz_stepsize
+from .estimators import _check_phi, _fr_gradient, fr_problem, lipschitz_stepsize
 from .graph import CommSchedule, NeighborCounts
-from .models import ModelSpec
+from .models import ModelSpec, _bernoulli_prior
 
 __all__ = [
     "DistributedState",
@@ -72,32 +75,50 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     phi = _check_phi(phi, model.n_scores, stacked=True)
     z = np.asarray(z, dtype=np.float64)
     theta, _ = model.as_arrays(*model.feasible.split(z))   # InfeasibleError on a wrong dimension
-    return _local_step(z, phi, model, alpha, _flat_tables(model, theta))
+    if (rows := _quadratic_rows(model, theta, alpha)) is None:
+        return _kernel_step(z, phi, model, alpha)
+    return _quadratic_step(_powers(z), phi, model, alpha, rows).copy()
 
 
-def _flat_tables(model: ModelSpec, theta: np.ndarray):
-    """(flat(T)^T (C^2, R), flat(T + T^T) (R, C^2)) when the model has no theta
-    and tensor_fn gives one (R, C, C) table for the stack theta, else None."""
-    if model.theta_dim or (tensor := model.tensor_fn(theta)).ndim != 3:
+def _kernel_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
+    """local_gradient_step of a float array z and a phi already checked, through _fr_gradient."""
+    return model.feasible.project(z - alpha * _fr_gradient(phi, model, *model.feasible.split(z)))
+
+
+def _quadratic_rows(model: ModelSpec, theta: np.ndarray, alpha: float):
+    """(K (3, R), D (R, 2)) with t = [1, gamma, gamma^2] K and alpha t' =
+    [1, gamma] D, when the model has no theta, tensor_fn gives one (R, 2, 2)
+    table for the stack theta and the prior is the Bernoulli one, else None."""
+    if (model.theta_dim or model.prior_fn is not _bernoulli_prior
+            or (tensor := model.tensor_fn(theta)).ndim != 3):
         return None
-    flat = tensor.reshape(len(tensor), -1)
-    return np.ascontiguousarray(flat.T), (tensor + tensor.swapaxes(1, 2)).reshape(flat.shape)
+    base, cross = tensor[:, 0, 0], tensor[:, 0, 1] + tensor[:, 1, 0]
+    table = np.array([base, cross - 2 * base, base - cross + tensor[:, 1, 1]])
+    return table, alpha * np.column_stack([table[1], 2 * table[2]])
 
 
-def _local_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float,
-                tables) -> np.ndarray:
-    """local_gradient_step of a float array z and a phi already checked, with
-    the 2-D products of _flat_tables(model, theta) when they are not None."""
-    theta, gamma = model.feasible.split(z)
-    if tables is not None:
-        prior = model.prior_fn(gamma)
-        t = _outer(prior).reshape(prior.shape[:-1] + (-1,)) @ tables[0]
-        if t.min() > 0:
-            q = ((phi / t) @ tables[1]).reshape(t.shape[:-1] + prior.shape[-1:] * 2)
-            grad = -np.einsum("...lm,...kl,...m->...k", q, model.prior_grad_fn(gamma), prior)
-            return model.feasible.project(z - alpha * grad)
-    grad = _fr_gradient(phi, model, theta, gamma)
-    return model.feasible.project(z - alpha * grad)
+def _powers(z: np.ndarray) -> np.ndarray:
+    """The stack [1, gamma, gamma^2] (..., 3) of scalar-gamma iterates z (..., 1)."""
+    return np.concatenate([np.ones_like(z), z, np.square(z)], axis=-1)
+
+
+def _quadratic_step(powers: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float,
+                    rows) -> np.ndarray:
+    """local_gradient_step of the iterates held as powers (see _powers), in
+    place, with the rows of _quadratic_rows: gamma + (r D) . [1, gamma] with
+    r = phi / t, clipped to the box, then gamma^2.  Where some t_h <= 0 the
+    gradient comes from _fr_gradient, which names the first +inf agent.
+    Returns the view powers[..., 1:2] of the new iterates."""
+    t = powers @ rows[0]
+    gamma = powers[..., 1:2]
+    if t.min() > 0:
+        stepped = gamma + np.vecdot((phi / t) @ rows[1], powers[..., :2], keepdims=True)
+    else:
+        stepped = gamma - alpha * _fr_gradient(phi, model, *model.feasible.split(gamma))
+    np.maximum(stepped, model.feasible.bounds[0], out=gamma)
+    np.minimum(gamma, model.feasible.bounds[1], out=gamma)
+    np.square(gamma, out=powers[..., 2:])
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -123,8 +144,7 @@ class DistributedRun:
     def spread(self) -> float:
         """Largest max-norm disagreement between two agents' final iterates."""
         z = self.state.z
-        diff = np.abs(z[:, None, :] - z[None, :, :]).max(axis=2)
-        return float(diff.max())
+        return float((z.max(axis=0) - z.min(axis=0)).max())
 
 
 def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSchedule,
@@ -154,9 +174,9 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         recorded, into trajectories allocated up front.
     """
     try:
-        record_every = operator.index(record_every)
+        n_rounds, record_every = operator.index(n_rounds), operator.index(record_every)
     except TypeError:
-        raise ValueError("record_every must be an integer") from None
+        raise ValueError("n_rounds and record_every must be integers") from None
     if n_rounds < 0 or record_every < 1:
         raise ValueError("n_rounds must be >= 0 and record_every >= 1")
     if schedule.n_agents != counts.n_agents:
@@ -175,13 +195,15 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
     phi = _check_phi(np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[0]),
                      model.n_scores, stacked=True)
-    tables = _flat_tables(model, model.feasible.split(z)[0])
+    if (rows := _quadratic_rows(model, model.feasible.split(z)[0], alpha)) is not None:
+        powers = _powers(z)         # each step writes gamma and gamma^2 in place
     mats = schedule.matrices
     recorded = times.tolist()
     k = 1
     for t in range(n_rounds):
         try:
-            z = _local_step(z, phi, model, alpha, tables)
+            z = (_kernel_step(z, phi, model, alpha) if rows is None
+                 else _quadratic_step(powers, phi, model, alpha, rows))
         except NonFiniteError as exc:
             raise NonFiniteError(f"round {t}: {exc}") from exc
         acc = mats[t % len(mats)] @ acc
@@ -191,7 +213,7 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
             k += 1
         else:
             phi = acc[:, :-1] / acc[:, -1:]
-    state = DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=z)
+    state = DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=np.ascontiguousarray(z))
     return DistributedRun(
         times=times,
         phi_traj=phi_traj,

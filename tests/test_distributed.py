@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import scoregraph as sg
-from scoregraph.distributed import DistributedState
+from scoregraph.distributed import DistributedRun, DistributedState, _powers, _quadratic_rows
 from scoregraph.errors import NonFiniteError
+from scoregraph.estimators import _fr_gradient
 from scoregraph.experiments import ExperimentConfig, run_single
 
 from oracles import push_sum_round_by_definition
@@ -232,6 +233,85 @@ def test_batched_round_matches_the_per_agent_loop(model):
     np.testing.assert_allclose(run.phi_traj, ref_phi, rtol=0, atol=1e-12)
 
 
+def _flat_table_step(z, phi, model, alpha):
+    """The round's step before the closed form in gamma: p = prior(gamma),
+    t = vec(p p^T) flat(T)^T, r = phi / t, q = r flat(T + T^T) and the
+    gradient -dprior (q p), then the projection; the kernel where some t_h <= 0."""
+    theta, gamma = model.feasible.split(z)
+    tensor = model.tensor_fn(theta)
+    flat = tensor.reshape(len(tensor), -1)
+    prior = model.prior_fn(gamma)
+    t = (prior[:, :, None] * prior[:, None, :]).reshape(len(z), -1) @ np.ascontiguousarray(flat.T)
+    if t.min() > 0:
+        q = ((phi / t) @ (tensor + tensor.swapaxes(1, 2)).reshape(flat.shape)).reshape(-1, 2, 2)
+        grad = -np.einsum("...lm,...kl,...m->...k", q, model.prior_grad_fn(gamma), prior)
+    else:
+        grad = _fr_gradient(phi, model, theta, gamma)
+    return model.feasible.project(z - alpha * grad)
+
+
+def _flat_table_run(counts, model, schedule, alpha, n_rounds):
+    """run_distributed's loop around _flat_table_step: (phi_traj, z_traj)."""
+    z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
+    acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
+    phis, zs = [acc[:, :-1] / acc[:, -1:]], [z]
+    for t in range(n_rounds):
+        zs.append(_flat_table_step(zs[-1], phis[-1], model, alpha))
+        acc = schedule.matrices[t % len(schedule.matrices)] @ acc
+        phis.append(acc[:, :-1] / acc[:, -1:])
+    return np.asarray(phis), np.asarray(zs)
+
+
+QUADRATIC_MODELS = (sg.preparata_model(), sg.reliability_model(5), sg.reliability_model(16))
+
+
+@pytest.mark.parametrize("model", QUADRATIC_MODELS, ids=lambda m: f"{m.name}-{m.n_scores}")
+def test_quadratic_round_follows_the_flat_table_round(model):
+    # the distributed-n50 instance shape: N = 50, 500 edges, periodic Q = 3, 500 rounds
+    rng = np.random.default_rng(53)
+    graph = sg.sample_score_graph(50, 500, "cyclic-plus-random-edges", rng)
+    counts = sg.aggregate_counts(sg.generate_scores(graph, model, (), (0.3,), rng)[0])
+    sched = sg.make_comm_schedule(50, "periodic-edge-partition", 3, rng=rng)
+    run = sg.run_distributed(counts, model, sched, n_rounds=500, rng=53)
+    ref_phi, ref_z = _flat_table_run(counts, model, sched, run.alpha, 500)
+    np.testing.assert_array_equal(run.phi_traj, ref_phi)
+    np.testing.assert_allclose(run.z_traj, ref_z, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(run.final_z, run.z_traj[-1])
+    # at gamma = 0 t is T[:, 0, 0] exactly, so the +inf boundary (t_h = 0) is
+    # met where the flat-table round meets it
+    table, _ = _quadratic_rows(model, np.empty((1, 0)), run.alpha)
+    tensor = model.tensor_fn(())
+    np.testing.assert_array_equal(_powers(np.zeros((1, 1))) @ table, tensor[None, :, 0, 0])
+    edge = np.array([[0.0], [0.5]])
+    phi = np.vstack([np.append(np.full(model.n_scores - 1, 1 / (model.n_scores - 1)), 0.0),
+                     np.full(model.n_scores, 1 / model.n_scores)])
+    np.testing.assert_array_equal(sg.local_gradient_step(edge, phi, model, run.alpha),
+                                  _flat_table_step(edge, phi, model, run.alpha))
+    with pytest.raises(NonFiniteError, match=r"agent 0\b"):
+        sg.local_gradient_step(edge, phi[::-1], model, run.alpha)
+
+
+def test_only_theta_free_bernoulli_tables_take_the_closed_form():
+    for model in QUADRATIC_MODELS:
+        assert _quadratic_rows(model, np.empty((3, 0)), 0.1) is not None
+    for model in ALL_MODELS[2:]:
+        theta = model.feasible.split(model.feasible.centroid())[0]
+        assert _quadratic_rows(model, theta, 0.1) is None
+
+
+def test_spread_is_the_pairwise_max_norm_bit_for_bit():
+    rng = np.random.default_rng(59)
+    stacks = [rng.normal(size=shape) for shape in ((1, 1), (1, 3), (2, 1), (7, 2), (50, 1), (300, 3))]
+    stacks += [rng.choice([0.0, -0.0, 0.25, -0.25], size=(n, 2)) for n in (1, 2, 5, 16, 50)]
+    stacks += [np.full((4, 1), 0.7), np.array([[0.0], [-0.0]]), np.array([[-0.0], [0.0], [-0.0]])]
+    for z in stacks:
+        run = DistributedRun(times=np.zeros(1, dtype=np.int64), phi_traj=np.empty((1, len(z), 2)),
+                             z_traj=z[None], alpha=1.0, n_rounds=0,
+                             state=DistributedState(xi=np.ones((len(z), 2)), eta=np.ones(len(z)), z=z))
+        pairwise = np.abs(z[:, None, :] - z[None, :, :]).max(axis=2).max()
+        assert np.float64(run.spread()).tobytes() == pairwise.tobytes(), z
+
+
 class TestRunDistributed:
     def test_trajectory_shapes_and_times(self):
         scored, counts, model = _fixture()
@@ -319,7 +399,8 @@ class TestRunDistributed:
         with pytest.raises(ValueError):
             sg.run_distributed(counts, sg.reliability_model(5), sched,
                                alpha=0.02)
-        for bad in (dict(record_every=0), dict(n_rounds=-1), dict(record_every=2.5)):
+        for bad in (dict(record_every=0), dict(n_rounds=-1), dict(record_every=2.5),
+                    dict(n_rounds=2.5)):
             with pytest.raises(ValueError):
                 sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
         for alpha in (0.0, -0.05, float("nan"), float("inf")):
