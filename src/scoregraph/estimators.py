@@ -64,17 +64,19 @@ The solver takes projected Newton steps (Bertsekas 1982) on the box-only
 NR and FR problems and spectral (Barzilai-Borwein) projected-gradient steps
 elsewhere and as the fallback, each with Armijo backtracking.  A Newton cost
 evaluation takes the point and its dim forward-difference neighbours in one
-stacked call, and the gradients at an accepted point reuse the table that
-call built (the NR state table, the FR edge score distribution): one
-stacked gradient call gives g and the Hessian, and a solve builds one table
-per point.  It reports convergence only where the projected-gradient
-residual certifies stationarity; `estimate` adds a grid start and the
-label-swap canonicalization.  The driver does its per-coordinate
-arithmetic on Python floats and leaves the kernels, the dot products and
-np.linalg to numpy (see projected_gradient_solve).  It is a coroutine that
-asks for each cost and gradient evaluation: alone, each request is answered
-by a direct call; in a sweep, _solve_together answers the like requests of
-many problems with one stacked kernel call, with the same results.
+stacked call, and carries the gradients at those points, computed in the
+same request from the table that call built (the NR state table, the FR
+edge score distribution): they give g and the Hessian, a solve builds one
+table per point, and a Newton iteration makes one request.  It reports
+convergence only where the projected-gradient residual certifies
+stationarity; `estimate` adds a grid start and the label-swap
+canonicalization.  The driver does its per-coordinate arithmetic on Python
+floats and leaves the kernels, the dot products and np.linalg to numpy (see
+projected_gradient_solve).  It is a coroutine that asks for each cost
+evaluation and each gradient it does not carry: alone, each request is
+answered by direct calls; in a sweep, _solve_together answers the like
+requests of many problems with one stacked kernel call, with the same
+results.
 
 Each relaxed objective is a model half, which reads only the model at the
 points (NR: the tensor, prior, m_in and the logs of m_in and the prior;
@@ -685,9 +687,10 @@ def _backtrack(cost, project, z, f, grad, direction, step, floor):
         floor = 0.0
 
 
-# the two kernel requests of a solver coroutine: (op, points, kept), answered
-# with problem.evaluate(points) or problem.gradient(points, kept)
-_EVALUATE, _GRADIENT = "evaluate", "gradient"
+# the kernel requests of a solver coroutine: (op, points, kept), answered with
+# problem.evaluate(points), problem.gradient(points, kept), or, for a Newton
+# cost evaluation, both: (values, kept, the gradients there; see _carried_gradients)
+_EVALUATE, _GRADIENT, _EVALUATE_AND_GRADIENT = "evaluate", "gradient", "evaluate+gradient"
 
 
 def projected_gradient_solve(problem: EstimatorProblem, start,
@@ -713,8 +716,11 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     Each cost evaluation there takes z and its dim neighbours z + h_k e_k,
     h_k = 1e-6 max(1, |z_k|) negated where z_k + h_k would pass the upper
     bound, in one problem.evaluate call; row 0 is the same bits as z alone.
-    At an accepted point one stacked problem.gradient call gives g and the
-    Hessian columns (g_k - g) / h_k, symmetrized.  Where H_FF is not positive
+    That evaluation carries the gradients at its points: one stacked
+    problem.gradient call on the table it kept, in the same request, made
+    for a trial that is then rejected too (cheaper than a second request
+    per accepted point).  At an accepted point they give g and the Hessian
+    columns (g_k - g) / h_k, symmetrized.  Where H_FF is not positive
     definite, a stencil row is not finite, or the Newton arc finds no
     decrease, the step is the spectral one below.  A full Newton step whose
     predicted decrease |g.(z+ - z)| is below one ulp of |f(z)| is taken if
@@ -746,10 +752,12 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     ddot need not round like a Python sum), larger Newton systems and the
     projection onto simplex sets run in numpy.
 
-    The driver is a coroutine (_solve_steps) that asks for each cost and
-    gradient evaluation; here it runs alone through _solve_together, which
-    answers each request, a group of one, by the direct call on `problem`
-    and raises what the coroutine raised.  A sweep runs many such coroutines side by side and
+    The driver is a coroutine (_solve_steps) that asks for each cost
+    evaluation, with its gradients on the Newton path, and for each gradient
+    that no evaluation carried (spectral steps, a non-finite stencil row);
+    here it runs alone through _solve_together, which answers each request,
+    a group of one, by the direct calls on `problem` and raises what the
+    coroutine raised.  A sweep runs many such coroutines side by side and
     answers the requests of many problems with one stacked kernel call (see
     _solve_together), which gives each problem the bits of its direct call,
     so its results are this function's.
@@ -762,17 +770,36 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
 
 
 def _answer(problem: EstimatorProblem, request):
-    """The direct call that answers one solver request (op, points, kept)."""
+    """The direct calls that answer one solver request (op, points, kept)."""
     op, points, kept = request
-    return problem.evaluate(points) if op == _EVALUATE else problem.gradient(points, kept)
+    if op == _GRADIENT:
+        return problem.gradient(points, kept)
+    values, kept = problem.evaluate(points)
+    if op == _EVALUATE:
+        return values, kept
+    return values, kept, _carried_gradients(problem, points, values, kept)
+
+
+def _carried_gradients(problem: EstimatorProblem, points, values, kept):
+    """The gradients that a Newton cost evaluation carries: at its points,
+    from the table it kept; the exception that gradient call raised, which
+    the solver raises where it asks for the gradient; or None where a value
+    is not finite, since the solver then takes the gradient at the first
+    point alone."""
+    if not np.isfinite(values).all():
+        return None
+    try:
+        return problem.gradient(points, kept)
+    except Exception as exc:
+        return exc
 
 
 def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
                  record_trace: bool):
     """projected_gradient_solve as a coroutine: it yields each request
-    (op, points, kept) for problem.evaluate(points) or
-    problem.gradient(points, kept), takes the answer back, and returns the
-    SolveResult."""
+    (op, points, kept) for problem.evaluate(points), for
+    problem.gradient(points, kept), or for both (a Newton cost evaluation),
+    takes the answer back (see _answer), and returns the SolveResult."""
     feas = problem.model.feasible
     z = np.asarray(start, dtype=np.float64).copy()
     if not feas.contains(z):
@@ -797,18 +824,20 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
             h = HESSIAN_STEP * max(1.0, abs(x))
             points.append(v[:k] + [x - h if x + h > b else x + h] + v[k + 1:])
         points = np.array(points)
-        values, state = yield _EVALUATE, points, None
-        return sign * float(values[0]), (points, values, state)
+        values, state, grads = yield _EVALUATE_AND_GRADIENT, points, None
+        return sign * float(values[0]), (points, values, state, grads)
 
     def derivatives(v, kept):
         """g at v, from what cost(v) kept, and the stencil Hessian (a list
         of rows) or None."""
         if not newton:
             return sign * (yield _GRADIENT, np.array(v), kept), None
-        points, values, state = kept
+        points, values, state, grads = kept
         if not np.isfinite(values).all():
             return sign * (yield _GRADIENT, points[0], _first_point(state)), None
-        grads = sign * (yield _GRADIENT, points, state)
+        if isinstance(grads, Exception):
+            raise grads
+        grads = sign * grads
         if not np.isfinite(grads[1:]).all():
             return grads[0], None
         g, *rows = grads.tolist()
@@ -881,8 +910,9 @@ def _solve_together(jobs: list) -> list:
     model, and the shapes of the points and data, and answers the largest
     group: with one stacked kernel call for NR and FR (see _answer_stack),
     or one direct call per request for the exact objective, whose C^N table
-    does not stack, and for a group of one.  Answering the largest group
-    first lets coroutines that fell out of step (a longer backtrack, an
+    does not stack, and for a group of one.  A Newton cost evaluation
+    carries its gradients, so a Newton iteration takes one round.
+    Answering the largest group first lets coroutines that fell out of step (a longer backtrack, an
     extra spectral step) line up again: while they wait, the others move on
     to the request they are waiting with.  Every answer has the bits of the
     direct call, so each coroutine returns what it returns alone.  A stacked
@@ -949,7 +979,11 @@ def _answer_stack(problems: list, requests: list) -> list:
     (P, 1, R).  The kernels take every product per point and reduce per row
     (see the module docstring), so answer p has the bits of the direct call
     on problem p.  Kept tables come back as each problem's slice (see
-    _first_point) and are stacked again for a gradient request.
+    _first_point) and are stacked again for a gradient request.  An
+    evaluate+gradient request takes the gradients from the stacked table
+    the evaluation just built, in one more kernel call when every value is
+    finite; otherwise, or if that call raises, each problem's carried
+    gradients come from its direct call (see _carried_gradients).
     """
     op, points, _ = requests[0]
     kind, model = problems[0].kind, problems[0].model
@@ -959,21 +993,32 @@ def _answer_stack(problems: list, requests: list) -> list:
     def stacked(data):
         return np.stack(data).reshape(lead + data[0].shape)
 
-    if op == _GRADIENT:
-        kept = tuple(parts[0] if all(a is parts[0] for a in parts) else np.stack(parts)
-                     for parts in zip(*(request[2] for request in requests)))
+    def gradients(kept):
         if kind == "nr":
             rows = stacked([problem._nr_rows[1] for problem in problems])
             return list(_nr_gradient(rows, model, theta, gamma, kept))
         return list(_fr_gradient(stacked([problem.data for problem in problems]),
                                  model, theta, gamma, kept))
+
+    if op == _GRADIENT:
+        return gradients(tuple(parts[0] if all(a is parts[0] for a in parts) else np.stack(parts)
+                               for parts in zip(*(request[2] for request in requests))))
     if kind == "nr":
         values, kept = _nr_kept_table(stacked([problem._nr_rows[0] for problem in problems]),
                                       model, theta, gamma)
     else:
         values, kept = _fr_kept_table(stacked([problem.data for problem in problems]),
                                       model, theta, gamma)
-    return [(_point_or_rows(values[p]), _first_point(kept, p)) for p in range(len(problems))]
+    answers = [(_point_or_rows(values[p]), _first_point(kept, p)) for p in range(len(problems))]
+    if op == _EVALUATE:
+        return answers
+    if np.isfinite(values).all():
+        try:
+            return [(*answer, grad) for answer, grad in zip(answers, gradients(kept))]
+        except Exception:
+            pass    # each problem gets its own gradients or exception below
+    return [(values, kept, _carried_gradients(problem, request[1], values, kept))
+            for problem, request, (values, kept) in zip(problems, requests, answers)]
 
 
 def _canonical_swap(z: np.ndarray, model: ModelSpec):

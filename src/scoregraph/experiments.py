@@ -28,7 +28,7 @@ from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, _estimate_steps, _solve_together,
                          exact_problem, fr_problem, nr_problem)
-from .graph import (aggregate_counts, generate_scores, make_comm_schedule,
+from .graph import (_write_in_place, aggregate_counts, generate_scores, make_comm_schedule,
                     sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
                      reliability_model, social_ranking_model)
@@ -457,15 +457,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(lines, path) -> str:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_in_place("\n".join(lines) + "\n", path)
     return path
 
 
 def _write_json(obj, path) -> str:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _write_in_place(json.dumps(obj, indent=2) + "\n", path)
     return path
 
 
@@ -475,6 +472,8 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
     CSV numerics round-trip exactly (shortest-repr floats); only the sidecar
     carries timestamps, so identical runs produce byte-identical CSVs.  A
     point's wall_clock_seconds in the sidecar is SweepPoint.wall_clock.
+    Existing files are rewritten in place, with no fsync (see
+    graph._write_in_place).
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["n,estimator,param,rmse"]

@@ -8,6 +8,8 @@ plain-text serialization format is 1-based.
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -432,14 +434,30 @@ def _text_rows(rows: np.ndarray) -> str:
     return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
+def _write_in_place(text: str, path) -> None:
+    """Write `text` as the whole content of the file at `path`, rewriting a
+    regular file in place.
+
+    The file is opened without truncation (a new one gets mode 0o666 under
+    the umask, as with open(path, "w")), written, then truncated to the
+    written length.  A truncation to zero makes ext4 (auto_da_alloc) start
+    the file's writeback when it is closed, which costs far more than the
+    write itself.  There is no fsync.  Anything but a regular
+    file (/dev/null, a pipe) is written without the truncation.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def save_score_graph(graph: ScoreGraph, path) -> None:
     """Write the 1-based edge-list format: header `scoregraph N R n`, lines `i j h`."""
     if graph.scores is None:
         raise ValueError("only scored graphs are serializable")
     rows = np.column_stack([graph.edges, graph.scores]) + 1
-    with open(path, "w") as fh:
-        fh.write(f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}\n")
-        fh.write(_text_rows(rows))
+    _write_in_place(f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}\n"
+                    + _text_rows(rows), path)
 
 
 def _int_rows(source, kind: str) -> np.ndarray:
@@ -469,8 +487,7 @@ def save_states(states, path) -> None:
     """Write states as 1-based `i x_index` lines."""
     states = np.asarray(states, dtype=np.int64)
     rows = np.column_stack([np.arange(states.size), states]) + 1
-    with open(path, "w") as fh:
-        fh.write(_text_rows(rows))
+    _write_in_place(_text_rows(rows), path)
 
 
 def load_states(path) -> np.ndarray:

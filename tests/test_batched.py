@@ -45,6 +45,16 @@ def _assert_same_solve(got, want, where):
         assert _same(getattr(got, name), getattr(want, name)), (where, name)
 
 
+def _gamma_zero_problems():
+    """Two preparata NR problems; at gamma = 0 the first one's objective is -inf
+    (a mixed histogram is impossible there) and its gradient raises."""
+    return [sg.nr_problem(sg.NeighborCounts(
+        received=np.array(rows), mutual=np.zeros((2, 2, 2), dtype=np.int64),
+        received_only=np.array(rows), given_only=np.zeros((2, 2), dtype=np.int64),
+        in_degree=np.array(rows).sum(axis=1)), sg.preparata_model())
+        for rows in ([[1, 1], [2, 0]], [[2, 0], [2, 0]])]
+
+
 def _canonical_and_feasible(result, model):
     z = result.z
     assert np.all(np.isfinite(z)) and model.feasible.contains(z), z
@@ -74,36 +84,84 @@ class TestStackedKernels:
                     for kind, build in (("nr", sg.nr_problem), ("fr", sg.fr_problem))}
         dim = model.feasible.dim
         for kind, group in problems.items():
-            for shape in ((dim,), (dim + 1, dim)):
+            # a single point (a spectral trial) and a Newton stencil, whose
+            # evaluation carries its gradients: (values, kept, gradients)
+            for shape, op in (((dim,), "evaluate"), ((dim + 1, dim), "evaluate+gradient")):
                 rows = shape[0] if len(shape) == 2 else 1
                 points = [model.feasible.sample_interior(rng, size=rows).reshape(shape)
                           for _ in group]
-                requests = [("evaluate", z, None) for z in points]
+                requests = [(op, z, None) for z in points]
                 got = estimators._answer_stack(group, requests)
                 want = [estimators._answer(p, q) for p, q in zip(group, requests)]
                 for g, w in zip(got, want):
+                    assert len(w) == (2 if op == "evaluate" else 3), (kind, shape)
                     assert _same(g, w), (kind, shape)
-                requests = [("gradient", z, kept) for z, (_, kept) in zip(points, want)]
+                requests = [("gradient", z, w[1]) for z, w in zip(points, want)]
                 got = estimators._answer_stack(group, requests)
                 for p, g, q in zip(group, got, requests):
                     assert _same(g, estimators._answer(p, q)), (kind, shape)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}-{m.n_states}-{m.n_scores}")
+    def test_a_stacked_evaluation_carries_the_gradients_of_its_kept_tables(self, model):
+        rng = np.random.default_rng(233)
+        dim = model.feasible.dim
+        for build in (sg.nr_problem, sg.fr_problem):
+            group = [build(_counts(model, 12, 40, rng), model) for _ in range(4)]
+            requests = [("evaluate+gradient",
+                         model.feasible.sample_interior(rng, size=dim + 1), None)
+                        for _ in group]
+            for problem, (_, points, _), (values, kept, grads) in zip(
+                    group, requests, estimators._answer_stack(group, requests)):
+                assert np.isfinite(values).all()
+                assert _same(grads, problem.gradient(points, kept)), problem.kind
 
     def test_a_request_that_raises_gets_its_own_exception(self):
         # an NR gradient at a point where the objective is -inf raises; the
         # stacked call raises for the whole group, which is then answered
         # one request at a time
-        model = sg.preparata_model()
-        problems = [sg.nr_problem(sg.NeighborCounts(
-            received=np.array(rows), mutual=np.zeros((2, 2, 2), dtype=np.int64),
-            received_only=np.array(rows), given_only=np.zeros((2, 2), dtype=np.int64),
-            in_degree=np.array(rows).sum(axis=1)), model)
-            for rows in ([[1, 1], [2, 0]], [[2, 0], [2, 0]])]
+        problems = _gamma_zero_problems()
         point = np.array([0.0])    # gamma = 0: a mixed histogram is impossible
         requests = [("gradient", point, problem.evaluate(point)[1]) for problem in problems]
         answers = estimators._answer_group(problems, requests)
         assert answers[0][0] is None and isinstance(answers[0][1], NonFiniteError)
         assert answers[1][1] is None
         assert _same(answers[1][0], problems[1].gradient(point))
+
+    def test_a_gradient_error_surfaces_only_at_the_gradient_step(self, monkeypatch):
+        problems = _gamma_zero_problems()
+        # a stencil at gamma = 0: both evaluations are answered, and the one
+        # with a -inf value carries no gradients; the solver then asks for
+        # the gradient at row 0 alone, which raises for that problem only
+        stencil = np.array([[0.0], [1e-6]])
+        answers = estimators._answer_group(problems, [("evaluate+gradient", stencil, None)] * 2)
+        ((values, kept, grads), error), ((_, kept_1, grads_1), error_1) = answers
+        assert error is None and values[0] == -np.inf and np.isfinite(values[1])
+        assert grads is None
+        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil, kept_1))
+        with pytest.raises(NonFiniteError):
+            problems[0].gradient(stencil[0], estimators._first_point(kept))
+        # a gradient that raises where every value is finite is kept in the
+        # answer, and the solve raises it where it asks for the gradient: after
+        # its first cost evaluation, not at it
+        kernel = estimators._nr_gradient
+
+        def failing(rows, *args):
+            if rows[..., 1, :].any():      # the first problem's histograms of score 1
+                raise NonFiniteError("gradient of the first problem")
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(estimators, "_nr_gradient", failing)
+        stencil = np.array([[0.3], [0.300001]])
+        answers = estimators._answer_group(problems, [("evaluate+gradient", stencil, None)] * 2)
+        ((values, _, grads), error), ((_, kept_1, grads_1), error_1) = answers
+        assert error is None and np.isfinite(values).all()
+        assert isinstance(grads, NonFiniteError)
+        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil, kept_1))
+        steps = estimators._solve_steps(problems[0], np.array([0.3]), 5000, 1e-8, False)
+        request = steps.send(None)
+        assert request[0] == "evaluate+gradient"
+        with pytest.raises(NonFiniteError, match="^gradient of the first problem$"):
+            steps.send(estimators._answer(problems[0], request))
 
 
 def _solve_alone(problem, grid_points=33, record_trace=False):

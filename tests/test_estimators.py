@@ -506,7 +506,10 @@ class TestProjectedGradient:
                                               tol=1e-8, max_iters=5000, record_trace=False)
             assert res.converged
             n_iters += res.n_iters
-        assert counted["gradient"] == n_iters
+        # a Newton cost evaluation whose stencil values are all finite carries
+        # its gradients, accepted or not: one per iteration, plus the one
+        # rejected trial with a finite cost (in the reliability solve)
+        assert counted["gradient"] == n_iters + 1 == 42
         assert counted["evaluate"] > n_iters
         assert counted["table"] == counted["evaluate"]
 
@@ -907,7 +910,10 @@ class TestProjectedNewton:
                 answer = estimators._answer(problem, requests[-1])
         except StopIteration as stop:
             res = stop.value
-        assert len(requests) == 28     # 34 with the six repeated evaluations
+        # each cost evaluation carries its gradients, so the 11 iterations ask
+        # for no gradient: 16 evaluations, then the mirror's
+        assert len(requests) == 17
+        assert [op for op, _, _ in requests] == ["evaluate+gradient"] * 16 + ["evaluate"]
         assert res.z[1] <= 0.5         # estimate kept the solve's z, after the mirror check
         evaluate = estimators.EstimatorProblem.evaluate
         evaluated = []
@@ -919,10 +925,51 @@ class TestProjectedNewton:
         monkeypatch.setattr(estimators.EstimatorProblem, "evaluate", counted)
         want = _numpy_driver_reference(problem, res.trace[0, 2:], max_iters=5000, tol=1e-8)
         # the driver without the skip evaluates the corner stencil seven times
-        solve_evaluations = sum(op == "evaluate" for op, _, _ in requests) - 1
+        solve_evaluations = sum(op == "evaluate+gradient" for op, _, _ in requests)
         assert len(evaluated) == solve_evaluations + 6
         corner = [k for k, z in enumerate(evaluated) if np.array_equal(z[0], [0.05, 0.0])]
         assert len(corner) == 7 and corner == list(range(corner[0], corner[0] + 7))
+        got = (res.z, res.objective, res.n_iters, res.converged, res.residual, res.trace)
+        for name, a, b in zip(("z", "objective", "n_iters", "converged", "residual", "trace"),
+                              got, want):
+            assert type(a) is type(b) and _same_bits(a, b), name
+
+    @pytest.mark.parametrize("case", ["reliability solve", "ranking estimate"])
+    def test_one_request_per_newton_iteration_and_per_rejected_trial(self, case, monkeypatch):
+        # criterion 7, n = 2,450, trial 4, NR from its grid start; criterion 8,
+        # n = 500, trial 3, FR: both reject trial points on the way
+        if case == "reliability solve":
+            model = sg.reliability_model(5)
+            problem = sg.nr_problem(_sweep_counts(model, (), (0.3,), 2450, 4), model)
+            start = estimators._grid_start(problem, 33)
+            steps = estimators._solve_steps(problem, start, 5000, 1e-8, True)
+        else:
+            problem = sg.fr_problem(_ranking_counts(500, 3), sg.social_ranking_model(3, 3))
+            steps = estimators._estimate_steps(problem, 33, 5000, 1e-8, True)
+        requests, answer = [], None
+        try:
+            while True:
+                requests.append(steps.send(answer))
+                answer = estimators._answer(problem, requests[-1])
+        except StopIteration as stop:
+            res = stop.value
+        evaluate = estimators.EstimatorProblem.evaluate
+        evaluated = []
+
+        def counted(self, z):
+            evaluated.append(np.asarray(z).copy())
+            return evaluate(self, z)
+
+        monkeypatch.setattr(estimators.EstimatorProblem, "evaluate", counted)
+        want = _numpy_driver_reference(problem, res.trace[0, 2:], max_iters=5000, tol=1e-8)
+        # the reference evaluates the start, each accepted point (a trace row
+        # after the first) and each rejected trial, and asks for a gradient
+        # per iteration; the coroutine asks for the evaluations alone
+        rejected = len(evaluated) - len(res.trace)
+        assert rejected > 0
+        mirror = ["evaluate"] if case == "ranking estimate" else []
+        assert [op for op, _, _ in requests] == ["evaluate+gradient"] * (
+            1 + (len(res.trace) - 1) + rejected) + mirror
         got = (res.z, res.objective, res.n_iters, res.converged, res.residual, res.trace)
         for name, a, b in zip(("z", "objective", "n_iters", "converged", "residual", "trace"),
                               got, want):

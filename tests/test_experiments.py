@@ -1,6 +1,9 @@
 """Monte Carlo harness: configs, sweeps, file outputs, CLI."""
 
 import json
+import os
+import re
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,6 +423,69 @@ class TestRunSingle:
         assert set(mis) == {(12, cls) for cls in ("oracle", *fitted)}
         for cls in ("oracle", *fitted):
             assert mis[(12, cls)] == single_mis["misclassification"][cls]
+
+
+class TestWriteInPlace:
+    """Output files are rewritten in place (see graph._write_in_place)."""
+
+    @staticmethod
+    def _files(out_dir) -> dict:
+        """Each file's bytes, meta.json's timestamps masked."""
+        return {p.name: re.sub(rb'"created": "[^"]*"', b'"created"', p.read_bytes())
+                for p in sorted(Path(out_dir).iterdir())}
+
+    def test_a_rewrite_over_longer_and_shorter_files_leaves_exactly_the_new_bytes(
+            self, tmp_path):
+        sweep, single = run_sweep(TINY), run_single(TestRunSingle.CFG)
+        writers = {
+            "emit_outputs": lambda d: emit_outputs(sweep, d),
+            "emit_single_outputs": lambda d: emit_single_outputs(single, d),
+            "save_score_graph": lambda d: sg.save_score_graph(single.graph, d / "graph.txt"),
+            "save_states": lambda d: sg.save_states(single.states, d / "states.txt"),
+        }
+        for name, write in writers.items():
+            fresh = tmp_path / name / "fresh"
+            fresh.mkdir(parents=True)
+            write(fresh)
+            want = self._files(fresh)
+            assert want
+            for stale, filler in (("longer", lambda n: b"x" * (n + 4096)),
+                                  ("shorter", lambda n: b"y" * (n // 2))):
+                out = tmp_path / name / stale
+                out.mkdir()
+                for filename, data in want.items():
+                    (out / filename).write_bytes(filler(len(data)))
+                write(out)
+                assert self._files(out) == want, (name, stale)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_a_new_file_gets_the_mode_of_open_w_under_the_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            sg.save_states(np.array([0, 1]), tmp_path / "states.txt")
+            with open(tmp_path / "reference.txt", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "states.txt").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        # a rewrite keeps the mode of an existing file, as open(path, "w") does
+        os.chmod(tmp_path / "states.txt", 0o640)
+        sg.save_states(np.array([0]), tmp_path / "states.txt")
+        assert stat.S_IMODE((tmp_path / "states.txt").stat().st_mode) == 0o640
+        assert (tmp_path / "states.txt").read_text() == "1 1\n"
+
+    def test_writing_to_dev_null_neither_raises_nor_truncates(self):
+        from scoregraph.experiments import _write_json, _write_lines
+        # truncating /dev/null raises, so a write that does not raise did not truncate
+        with open(os.devnull, "w") as fh, pytest.raises(OSError):
+            fh.truncate()
+        single = run_single(TestRunSingle.CFG)
+        _write_lines(["n,classifier,rate"], os.devnull)
+        _write_json({"k": [1]}, os.devnull)
+        sg.save_score_graph(single.graph, os.devnull)
+        sg.save_states(single.states, os.devnull)
 
 
 class TestCli:
