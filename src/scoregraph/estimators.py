@@ -981,9 +981,9 @@ def _answer_stack(problems: list, requests: list) -> list:
     on problem p.  Kept tables come back as each problem's slice (see
     _first_point) and are stacked again for a gradient request.  An
     evaluate+gradient request takes the gradients from the stacked table
-    the evaluation just built, in one more kernel call when every value is
-    finite; otherwise, or if that call raises, each problem's carried
-    gradients come from its direct call (see _carried_gradients).
+    the evaluation just built, in one more kernel call; if that call raises
+    (a non-finite value raises there), _answer_group answers each request
+    by its direct calls instead (see _carried_gradients).
     """
     op, points, _ = requests[0]
     kind, model = problems[0].kind, problems[0].model
@@ -1012,13 +1012,7 @@ def _answer_stack(problems: list, requests: list) -> list:
     answers = [(_point_or_rows(values[p]), _first_point(kept, p)) for p in range(len(problems))]
     if op == _EVALUATE:
         return answers
-    if np.isfinite(values).all():
-        try:
-            return [(*answer, grad) for answer, grad in zip(answers, gradients(kept))]
-        except Exception:
-            pass    # each problem gets its own gradients or exception below
-    return [(values, kept, _carried_gradients(problem, request[1], values, kept))
-            for problem, request, (values, kept) in zip(problems, requests, answers)]
+    return [(*answer, grad) for answer, grad in zip(answers, gradients(kept))]
 
 
 def _canonical_swap(z: np.ndarray, model: ModelSpec):

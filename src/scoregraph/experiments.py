@@ -472,8 +472,8 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
     CSV numerics round-trip exactly (shortest-repr floats); only the sidecar
     carries timestamps, so identical runs produce byte-identical CSVs.  A
     point's wall_clock_seconds in the sidecar is SweepPoint.wall_clock.
-    Existing files are rewritten in place, with no fsync (see
-    graph._write_in_place).
+    Existing files are rewritten in place, with no fsync; a write that
+    fails leaves the file empty (see graph._write_in_place).
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["n,estimator,param,rmse"]

@@ -439,16 +439,34 @@ def _write_in_place(text: str, path) -> None:
     regular file in place.
 
     The file is opened without truncation (a new one gets mode 0o666 under
-    the umask, as with open(path, "w")), written, then truncated to the
-    written length.  A truncation to zero makes ext4 (auto_da_alloc) start
-    the file's writeback when it is closed, which costs far more than the
-    write itself.  There is no fsync.  Anything but a regular
-    file (/dev/null, a pipe) is written without the truncation.
+    the umask, as with open(path, "w")), written as UTF-8 (every caller
+    writes ASCII), then truncated to the written length.  A truncation to
+    zero makes ext4 (auto_da_alloc) start the file's writeback when it is
+    closed, which costs far more than the write itself; an in-place rewrite
+    goes without it.  There is no fsync, so after a system crash a
+    rewritten file can hold a mix of old and new blocks.  If the write or
+    the truncation raises, the file is truncated to zero and the exception
+    propagates: a failed rewrite leaves an empty file, never a new prefix
+    over a stale tail.  A process killed between the write and the
+    truncation leaves the stale tail of a longer old file.  Anything but a
+    regular file (/dev/null, a pipe) is written without the truncations.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if regular:
+                os.ftruncate(fd, written)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 def save_score_graph(graph: ScoreGraph, path) -> None:

@@ -1,5 +1,6 @@
 """Monte Carlo harness: configs, sweeps, file outputs, CLI."""
 
+import errno
 import json
 import os
 import re
@@ -475,6 +476,35 @@ class TestWriteInPlace:
         sg.save_states(np.array([0]), tmp_path / "states.txt")
         assert stat.S_IMODE((tmp_path / "states.txt").stat().st_mode) == 0o640
         assert (tmp_path / "states.txt").read_text() == "1 1\n"
+
+    @pytest.mark.parametrize("fails", ["write", "ftruncate"])
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()])
+    def test_a_failed_rewrite_leaves_an_empty_file_not_a_stale_tail(
+            self, tmp_path, monkeypatch, fails, error):
+        from scoregraph.experiments import _write_lines
+        path = tmp_path / "rmse.csv"
+        path.write_bytes(b"n,estimator,param,rmse\n" + b"50,NR,gamma,0.125\n" * 100)
+        real = {"write": os.write, "ftruncate": os.ftruncate}
+        calls = []
+
+        def failing(fd, arg):
+            # a write stores a 10-byte prefix of the new text, then fails
+            calls.append(fails)
+            if fails == "write" and len(calls) == 1:
+                return real["write"](fd, arg[:10])
+            if len(calls) == 1 + (fails == "write"):
+                raise error
+            return real[fails](fd, arg)
+
+        monkeypatch.setattr(os, fails, failing)
+        with pytest.raises(type(error)):
+            _write_lines(["n,classifier,rate", "50,oracle,0.25"], path)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == b""
+        _write_lines(["n,classifier,rate"], path)
+        assert path.read_bytes() == b"n,classifier,rate\n"
 
     def test_writing_to_dev_null_neither_raises_nor_truncates(self):
         from scoregraph.experiments import _write_json, _write_lines
