@@ -12,6 +12,7 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,11 +197,33 @@ def _off_diagonal(n_agents: int) -> np.ndarray:
 
 
 def _mask_edges(mask: np.ndarray, n_agents: int) -> np.ndarray:
-    """Read-only (n, 2) edges (i, j) of the True flat keys of an N^2 mask, in key order."""
+    """Read-only (n, 2) edges (i, j) of the True flat keys of an N^2 mask, in key order.
+
+    The (2, n) buffer itself is frozen, so no view of it can be made writable.
+    """
     keys = np.flatnonzero(mask)
     edges = np.empty((2, keys.size), dtype=np.int64)  # rows i and j: contiguous columns
     np.divmod(keys, n_agents, out=(edges[0], edges[1]))
-    return _freeze(edges.T)
+    return _freeze(edges).T
+
+
+# Per cached N: 8N cycle keys, 8(N^2 - 2N) candidate keys and 16(N^2 - N)
+# bytes of complete edges, about 24 N^2 bytes (2.2 MB at N = 300).
+@lru_cache(maxsize=4)
+def _key_sets(n_agents: int) -> tuple:
+    """Read-only flat keys i*N + j of the directed N-cycle, and of the non-loop,
+    non-cycle pairs in key order (the candidates of the extra edges)."""
+    idx = np.arange(n_agents)
+    cycle = idx * n_agents + (idx + 1) % n_agents
+    mask = _off_diagonal(n_agents)
+    mask[cycle] = False
+    return _freeze(cycle), _freeze(np.flatnonzero(mask))
+
+
+@lru_cache(maxsize=4)
+def _complete_edges(n_agents: int) -> np.ndarray:
+    """Read-only (N^2 - N, 2) edges of every ordered pair, in key order."""
+    return _mask_edges(_off_diagonal(n_agents), n_agents)
 
 
 def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-plus-random-edges",
@@ -226,7 +249,12 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
     i*N + j; that draw and its order are a contract pinned by tests, so a
     seed gives the same graph and leaves the rng in the same state across
     versions.  The edge set is read off an N^2 mask already in key order,
-    so building the graph costs no sort.
+    so building the graph costs no sort.  At edge_count_target = N^2 - N
+    every candidate is an edge: the draw is still made, only for the rng
+    state, and the result is the complete graph's edge set.  The key sets
+    and the complete edges depend only on N and are built once per N, for
+    the last 4 values of N (about 24 N^2 bytes each, 2.2 MB at N = 300);
+    graphs of one N share these read-only arrays.
     """
     if n_agents < 2:
         raise ValueError("n_agents must be >= 2")
@@ -237,18 +265,19 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
     if topology == "complete":
         if edge_count_target != max_edges:
             raise ValueError("complete topology fixes edge count at N^2 - N")
-        edges = _mask_edges(_off_diagonal(n_agents), n_agents)
+        edges = _complete_edges(n_agents)
     elif topology == "cyclic-plus-random-edges":
         rng = as_rng(rng)
-        idx = np.arange(n_agents)
-        chosen = np.zeros(n_agents * n_agents, dtype=bool)
-        chosen[idx * n_agents + (idx + 1) % n_agents] = True    # the directed N-cycle
+        cycle, candidates = _key_sets(n_agents)
         extra = edge_count_target - n_agents
-        if extra:
-            candidates = np.flatnonzero(_off_diagonal(n_agents) & ~chosen)
-            pick = rng.choice(len(candidates), size=extra, replace=False)
+        pick = rng.choice(len(candidates), size=extra, replace=False) if extra else []
+        if edge_count_target == max_edges:      # every candidate is picked, in whatever order
+            edges = _complete_edges(n_agents)
+        else:
+            chosen = np.zeros(n_agents * n_agents, dtype=bool)
+            chosen[cycle] = True
             chosen[candidates[pick]] = True
-        edges = _mask_edges(chosen, n_agents)
+            edges = _mask_edges(chosen, n_agents)
     else:
         raise ValueError(f"unknown topology family: {topology!r}")
     # R is unknown until scores exist; use the minimum legal alphabet as a
@@ -411,7 +440,7 @@ def make_comm_schedule(n_agents: int, family: str, window: int = 1, rng=0) -> Co
     idx = np.arange(n_agents)
     cycle = np.column_stack([idx, (idx + 1) % n_agents])
     if family == "static-complete":
-        frames = [_mask_edges(_off_diagonal(n_agents), n_agents)]
+        frames = [_complete_edges(n_agents)]
     elif family == "static-cycle":
         frames = [cycle]
     elif family == "periodic-edge-partition":

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoregraph as sg
 from scoregraph.errors import InfeasibleError
+from scoregraph.graph import _complete_edges, _key_sets
 
 
 def test_minimum_edge_count_forces_pure_cycle():
@@ -309,6 +310,54 @@ def test_data_path_matches_reference_implementations(n, name):
             got = (c.received, c.mutual, c.received_only, c.given_only, c.in_degree)
             for a, b in zip(got, ref):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 300])
+def test_cached_key_sets_keep_the_reference_graphs_and_rng_stream(n):
+    """Near and at N(N-1) edges the sampler, which builds each N's key sets
+    once and returns the complete graph's cached edges at N(N-1), equals the
+    reference bit for bit and leaves the rng where the reference does."""
+    model = PIN_MODELS["reliability"]
+    max_edges = n * n - n
+    for target in sorted({t for t in (n, max_edges - 1, max_edges) if t >= n}):
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = sg.sample_score_graph(n, target, "cyclic-plus-random-edges", rng)
+            ref_edges = _reference_sample(n, target, ref_rng)
+            assert np.array_equal(g.edges, ref_edges)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            scored, states = sg.generate_scores(g, model, (), (0.3,), rng)
+            ref_scores, ref_states = _reference_scores(ref_edges, n, model, (), (0.3,), ref_rng)
+            assert np.array_equal(states, ref_states)
+            assert np.array_equal(scored.scores, ref_scores)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if target == max_edges:
+                assert np.array_equal(g.edges, sg.sample_score_graph(n, target, "complete").edges)
+
+
+def test_cached_key_sets_are_keyed_by_the_number_of_agents():
+    """Calls that interleave two values of N give the graphs of calls in a fresh order."""
+    calls = [(n, target, seed) for seed in (0, 1) for n in (7, 9)
+             for target in (n, 2 * n, n * n - n - 1, n * n - n)]
+    interleaved = [sg.sample_score_graph(n, t, "cyclic-plus-random-edges", s).edges
+                   for n, t, s in calls]
+    _key_sets.cache_clear()
+    _complete_edges.cache_clear()
+    for k in reversed(range(len(calls))):
+        n, target, seed = calls[k]
+        fresh = sg.sample_score_graph(n, target, "cyclic-plus-random-edges", seed).edges
+        assert np.array_equal(interleaved[k], fresh)
+        assert np.array_equal(fresh, _reference_sample(n, target, np.random.default_rng(seed)))
+
+
+def test_shared_edge_arrays_cannot_be_made_writable():
+    """Graphs of one N share their edge buffers, so no view of one may become writable."""
+    frame, = sg.make_comm_schedule(6, "static-complete").frames
+    for edges in (sg.sample_score_graph(5, 12, "cyclic-plus-random-edges", 0).edges,
+                  sg.sample_score_graph(5, 20, "cyclic-plus-random-edges", 0).edges,
+                  frame):
+        with pytest.raises(ValueError):
+            edges.setflags(write=True)
 
 
 def test_all_pair_topologies_match_the_pair_list():
