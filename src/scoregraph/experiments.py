@@ -88,37 +88,15 @@ class ExperimentConfig:
         cfg = replace(cfg, gamma=cfg.gamma or SCALAR_GAMMA)
         if cfg.sweep is None:
             n = cfg.n_agents
-            cfg = replace(cfg, sweep=(n, 10 * n, n * (n - 1)))
+            # N, 10N, N(N-1), with 10N clipped to N(N-1) and repeats dropped
+            cfg = replace(cfg, sweep=tuple(dict.fromkeys(
+                (n, min(10 * n, n * (n - 1)), n * (n - 1)))))
         return cfg
 
     def validate(self) -> None:
-        cfg = self.resolved()
-        for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
-                         ("solver_max_iters", 0), ("solver_rounds", 0)):
-            if getattr(cfg, key) < low:
-                raise ValueError(f"{key} must be >= {low}")
-        if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
-            raise ValueError("solver_alpha must be positive")
-        if not cfg.solver_tol >= 0:
-            raise ValueError("solver_tol must be nonnegative")
-        model = build_model(cfg)
-        for key, name in (("n_states", "C"), ("n_scores", "R")):
-            given, fixed = getattr(cfg, key), getattr(model, key)
-            if given is not None and given != fixed:
-                raise ValueError(f"{name} = {given}: the {model.name} model has {name} = {fixed}")
-        if not cfg.sweep:
-            raise ValueError("sweep needs at least one edge count")
-        n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
-        for v in cfg.sweep:
-            if not n <= v <= max_edges:
-                raise ValueError(f"sweep value {v} outside [{n}, {max_edges}]")
-        for k, est in enumerate(cfg.estimators):
-            if est not in _ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
-            if est in cfg.estimators[:k]:
-                raise ValueError(f"estimator {est!r} is listed twice")
-        if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
-            raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
+        """Raise whatever a run of this config would raise before its first
+        trial, with the same type and message (see _prepare)."""
+        _prepare(self)
 
 
 def build_model(config: ExperimentConfig) -> ModelSpec:
@@ -155,6 +133,45 @@ def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
     theta = config.theta or model.feasible.split(model.feasible.centroid())[0]
     model.require_feasible(theta, config.gamma)
     return np.concatenate([np.asarray(theta, dtype=np.float64), config.gamma])
+
+
+def _prepare(config: ExperimentConfig) -> tuple:
+    """The resolved config, checked, and what every trial of its run shares:
+    (cfg, model, truth, schedule, fitted), with truth the checked z of
+    _true_params, schedule that of _comm_schedule and fitted the configured
+    estimators other than "oracle".  A run starts here, so this raises what
+    a run raises before its first trial."""
+    cfg = config.resolved()
+    for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
+                     ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
+        if getattr(cfg, key) < low:
+            raise ValueError(f"{key} must be >= {low}")
+    if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
+        raise ValueError("solver_alpha must be positive")
+    if not cfg.solver_tol >= 0:
+        raise ValueError("solver_tol must be nonnegative")
+    model = build_model(cfg)
+    for key, name in (("n_states", "C"), ("n_scores", "R")):
+        given, fixed = getattr(cfg, key), getattr(model, key)
+        if given is not None and given != fixed:
+            raise ValueError(f"{name} = {given}: the {model.name} model has {name} = {fixed}")
+    if not cfg.sweep:
+        raise ValueError("sweep needs at least one edge count")
+    n, max_edges = cfg.n_agents, cfg.n_agents * (cfg.n_agents - 1)
+    for k, v in enumerate(cfg.sweep):
+        if not n <= v <= max_edges:
+            raise ValueError(f"sweep value {v} outside [{n}, {max_edges}]")
+        if v in cfg.sweep[:k]:
+            raise ValueError(f"sweep value {v} is listed twice")
+    for k, est in enumerate(cfg.estimators):
+        if est not in _ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}")
+        if est in cfg.estimators[:k]:
+            raise ValueError(f"estimator {est!r} is listed twice")
+    if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
+        raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
+    fitted = tuple(est for est in cfg.estimators if est != "oracle")
+    return cfg, model, _true_params(cfg, model), _comm_schedule(cfg), fitted
 
 
 def _param_names(model: ModelSpec, indexed: bool = False) -> tuple:
@@ -342,25 +359,6 @@ def _classify(chunk: list, model: ModelSpec, truth, fitted: list) -> None:
                         for l, cls in enumerate(("oracle", *fitted))}
 
 
-def _run_trial(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, n_edges: int,
-               trial: int, record_trace: bool = False):
-    """One trial, as a sweep chunk of one instance (see _run_chunk).
-
-    Returns (scored graph, true states, estimates, outputs, details):
-    `estimates` and `outputs` map each classifier, "oracle" first, to its
-    z = [theta, gamma] and ClassifierOutput; `details` maps each fitted
-    estimator to its SolveResult or DistributedRun.
-    """
-    (item,) = _run_chunk(cfg, model, truth, schedule, [(n_edges, trial)], record_trace,
-                         keep_graphs=True)
-    estimates = {"oracle": truth}
-    details = {}
-    for est in cfg.estimators:
-        if est != "oracle":
-            estimates[est], details[est] = item.fits[est]
-    return item.graph, item.states, estimates, item.outputs, details
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """Aggregated results at one edge count.
@@ -400,13 +398,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     the trials in order, so the RMSE and misclassification means sum the
     same floats in the same order.
     """
-    config.validate()
-    cfg = config.resolved()
-    model = build_model(cfg)
-    truth = _true_params(cfg, model)
+    cfg, model, truth, schedule, fitted = _prepare(config)
     names = _param_names(model)
-    schedule = _comm_schedule(cfg)
-    fitted = tuple(est for est in cfg.estimators if est != "oracle")
     classifiers = ("oracle", *fitted)
     keys = [(n_edges, trial) for n_edges in cfg.sweep for trial in range(cfg.trials)]
     points, numbers = [], []
@@ -543,21 +536,18 @@ class SingleRunResult:
 
 def run_single(config: ExperimentConfig) -> SingleRunResult:
     """Run trial 0 of the first sweep point, with solver traces and every round recorded."""
-    config.validate()
-    cfg = config.resolved()
-    model = build_model(cfg)
-    scored, states, estimates, outputs, details = _run_trial(
-        cfg, model, _true_params(cfg, model), _comm_schedule(cfg), cfg.sweep[0], 0,
-        record_trace=True)
+    cfg, model, truth, schedule, fitted = _prepare(config)
+    (item,) = _run_chunk(cfg, model, truth, schedule, [(cfg.sweep[0], 0)], record_trace=True,
+                         keep_graphs=True)
     return SingleRunResult(
         config=cfg,
         model_name=model.name,
         param_names=_param_names(model),
-        graph=scored,
-        states=states,
-        estimates=estimates,
-        outputs=outputs,
-        details=details,
+        graph=item.graph,
+        states=item.states,
+        estimates={"oracle": truth, **{est: item.fits[est][0] for est in fitted}},
+        outputs=item.outputs,
+        details={est: item.fits[est][1] for est in fitted},
     )
 
 

@@ -41,17 +41,42 @@ class TestConfig:
 
     def test_gamma_of_the_wrong_length_raises_before_any_trial(self, monkeypatch):
         # a scalar gamma must not fall back to the centroid on the
-        # vector-gamma categorical model
+        # vector-gamma categorical model; validate() raises what both runs
+        # raise, with the same type and message, and no run reaches a trial
         calls = []
         monkeypatch.setattr("scoregraph.experiments._run_chunk",
                             lambda *args, **kwargs: calls.append(args))
-        for gamma in ((0.9,), (0.2, 0.3, 0.5)):
-            cfg = ExperimentConfig(model="categorical", n_states=2, n_scores=2,
-                                   gamma=gamma, n_agents=6, sweep=(6,), trials=1)
-            for run in (run_sweep, run_single):
-                with pytest.raises(InfeasibleError, match="gamma must have 2 components"):
+        categorical = dict(model="categorical", n_states=2, n_scores=2)
+        distributed = dict(estimators=("NR", "FR-distributed"))
+        for kwargs, error, message in (
+                (dict(categorical, gamma=(0.9,)), InfeasibleError,
+                 "categorical: gamma must have 2 components"),
+                (dict(categorical, gamma=(0.2, 0.3, 0.5)), InfeasibleError,
+                 "categorical: gamma must have 2 components"),
+                (dict(theta=(0.5,)), InfeasibleError,
+                 "reliability: theta must have 0 components"),
+                (dict(distributed, comm_family="ring"), ValueError,
+                 "unknown schedule family: 'ring'"),
+                (dict(distributed, comm_window=0), ValueError,
+                 "a schedule needs window >= 1 and at least one frame"),
+                (dict(master_seed=-1), ValueError, "master_seed must be >= 0")):
+            cfg = ExperimentConfig(n_agents=6, sweep=(6,), trials=1, **kwargs)
+            for run in (ExperimentConfig.validate, run_sweep, run_single):
+                with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
                     run(cfg)
+                assert type(caught.value) is error
         assert calls == []
+
+    @pytest.mark.parametrize("n_agents", range(2, 14))
+    def test_default_sweep_runs_at_every_n(self, n_agents):
+        cfg = ExperimentConfig(n_agents=n_agents, trials=1)
+        sweep = cfg.resolved().sweep
+        assert all(a < b for a, b in zip(sweep, sweep[1:]))
+        assert n_agents <= sweep[0] and sweep[-1] <= n_agents * (n_agents - 1)
+        if n_agents >= 12:
+            assert sweep == (n_agents, 10 * n_agents, n_agents * (n_agents - 1))
+        result = run_sweep(cfg)
+        assert tuple(point.n_edges for point in result.points) == sweep
 
     def test_explicit_sweep_kept(self):
         cfg = ExperimentConfig(sweep=(50, 100)).resolved()
@@ -93,6 +118,8 @@ class TestConfig:
             ExperimentConfig(sweep=()).validate()
         with pytest.raises(ValueError, match="estimator 'FR' is listed twice"):
             ExperimentConfig(estimators=("FR", "NR", "FR")).validate()
+        with pytest.raises(ValueError, match="sweep value 12 is listed twice"):
+            ExperimentConfig(n_agents=10, sweep=(12, 30, 12)).validate()
         ExperimentConfig(solver_tol=0.0).validate()
         ExperimentConfig(solver_grid_points=1, solver_max_iters=0,
                          solver_rounds=0).validate()
@@ -300,17 +327,17 @@ class TestRunSweep:
             assert Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
 
     def test_oracle_outputs_equal_the_checked_classifier(self):
-        from scoregraph.experiments import _run_trial, _true_params
+        from scoregraph.experiments import _true_params
         for cfg in (ExperimentConfig(model="reliability", n_agents=8, sweep=(30,)),
                     ExperimentConfig(model="categorical", n_states=3, n_scores=2,
                                      n_agents=8, sweep=(30,))):
-            cfg = cfg.resolved()
-            model = build_model(cfg)
-            truth = _true_params(cfg, model)
-            scored, _, _, outputs, _ = _run_trial(cfg, model, truth, None, 30, 0)
-            want = sg.soft_classify(sg.aggregate_counts(scored), model,
+            result = run_single(cfg)
+            model = build_model(result.config)
+            truth = _true_params(result.config, model)
+            np.testing.assert_array_equal(result.estimates["oracle"], truth)
+            want = sg.soft_classify(sg.aggregate_counts(result.graph), model,
                                     *model.feasible.split(truth))
-            got = outputs["oracle"]
+            got = result.outputs["oracle"]
             for field in ("posterior", "labels", "log_unnormalized"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
