@@ -20,7 +20,11 @@ def logsumexp(a, axis=None) -> np.ndarray:
     """log(sum(exp(a))) along `axis` (all axes when None), shifted by the max.
 
     The m maximal entries are summed apart as log(m) + log1p(rest / m), so
-    the result matches scipy.special.logsumexp bit for bit on real input.  A
+    the result matches scipy.special.logsumexp bit for bit on real input.
+    When no slice has a tied maximum (m = 1 everywhere, one count_nonzero of
+    the mask tells), the tie count, the divide and log(m) are skipped:
+    log1p(rest / 1) + log(1) is log1p(rest) bit for bit, because rest, a sum
+    of exponentials with the maximal entries zeroed, is at least +0.  A
     slice of all -inf gives -inf, without a NaN or a warning.  The only
     full-size temporaries are one float array (the shifted exponentials, one
     dense buffer in the memory order of `a`) and one boolean mask; `a`
@@ -39,14 +43,9 @@ def logsumexp(a, axis=None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1] if a.ndim else 0
     fold = axis is not None and axis in (-1, a.ndim - 1) and 1 < n < SHORT_AXIS
-    if fold:
-        a_max = reduce(np.maximum, _slices(a))
-        below = a < a_max                     # every entry but the maximal ones
-        m = np.subtract(n, reduce(np.add, _slices(below.view(np.uint8))), dtype=np.float64)
-    else:
-        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-        below = a < a_max
-        m = a.size // a_max.size - np.add.reduce(below, axis=axis, keepdims=True)
+    a_max = (reduce(np.maximum, _slices(a)) if fold
+             else np.maximum.reduce(a, axis=axis, keepdims=True))
+    below = a < a_max                         # every entry but the maximal ones
     if np.isfinite(a_max).all():
         shifted = np.subtract(a, a_max, order="K")
         np.exp(shifted, out=shifted)
@@ -56,6 +55,14 @@ def logsumexp(a, axis=None) -> np.ndarray:
         np.exp(shifted, out=shifted)
     rest = (reduce(np.add, _slices(shifted)) if fold
             else np.add.reduce(shifted, axis=axis, keepdims=True))
+    if np.count_nonzero(below) == a.size - a_max.size:
+        # one maximal entry per slice: log1p(rest / 1) + log(1) is log1p(rest)
+        # bit for bit, since rest is at least +0
+        return (np.log1p(rest) + a_max).squeeze(axis=axis)
+    if fold:
+        m = np.subtract(n, reduce(np.add, _slices(below.view(np.uint8))), dtype=np.float64)
+    else:
+        m = a.size // a_max.size - np.add.reduce(below, axis=axis, keepdims=True)
     return (np.log1p(rest / m) + np.log(m) + a_max).squeeze(axis=axis)
 
 

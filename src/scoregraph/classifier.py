@@ -130,10 +130,17 @@ def _soft_classify(counts, model: ModelSpec, theta: np.ndarray,
 
 
 def misclassification_rate(labels, true_states) -> float:
-    """Fraction of agents whose label disagrees with the true state."""
+    """Fraction of agents whose label disagrees with the true state.
+
+    The count of disagreements over the count of agents, one correctly
+    rounded division: the bits of np.mean over the boolean mask, whose
+    float sum of ones is exact.  Empty input raises ValueError.
+    """
     labels = np.asarray(labels)
     true_states = np.asarray(true_states)
     if labels.shape != true_states.shape:
         raise ValueError("labels and true_states must have equal length")
-    return float(np.mean(labels != true_states))
+    if labels.size == 0:
+        raise ValueError("labels and true_states must not be empty")
+    return np.count_nonzero(labels != true_states) / labels.size
 

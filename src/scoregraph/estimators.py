@@ -98,6 +98,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -773,11 +774,26 @@ def _answer(problem: EstimatorProblem, request):
     """The direct calls that answer one solver request (op, points, kept)."""
     op, points, kept = request
     if op == _GRADIENT:
-        return problem.gradient(points, kept)
+        return problem.gradient(points, _own_table(kept))
     values, kept = problem.evaluate(points)
     if op == _EVALUATE:
         return values, kept
     return values, kept, _carried_gradients(problem, points, values, kept)
+
+
+class _Row(NamedTuple):
+    """What a stacked evaluation kept for one problem: the stacked table and
+    the problem's row in it, sliced out (see _own_table) only where a
+    gradient request or a non-finite stencil needs that problem's table."""
+
+    table: tuple
+    row: int
+
+
+def _own_table(kept):
+    """The table an evaluation kept for its problem: `kept` itself, or its
+    row of a stacked table."""
+    return _first_point(*kept) if isinstance(kept, _Row) else kept
 
 
 def _carried_gradients(problem: EstimatorProblem, points, values, kept):
@@ -823,28 +839,32 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         for k, (x, b) in enumerate(zip(v, hi)):
             h = HESSIAN_STEP * max(1.0, abs(x))
             points.append(v[:k] + [x - h if x + h > b else x + h] + v[k + 1:])
-        points = np.array(points)
-        values, state, grads = yield _EVALUATE_AND_GRADIENT, points, None
-        return sign * float(values[0]), (points, values, state, grads)
+        values, state, grads = yield _EVALUATE_AND_GRADIENT, np.array(points), None
+        values = values.tolist()
+        return sign * values[0], (points, values, state, grads)
+
+    def signed(g):
+        """sign * g on the floats of g: a negation, numpy's bits for -1.0 * x."""
+        return [-x for x in g] if sign < 0 else g
 
     def derivatives(v, kept):
-        """g at v, from what cost(v) kept, and the stencil Hessian (a list
-        of rows) or None."""
+        """g at v as a list, from what cost(v) kept, and the stencil
+        Hessian (a list of rows) or None."""
         if not newton:
-            return sign * (yield _GRADIENT, np.array(v), kept), None
+            return signed((yield _GRADIENT, np.array(v), kept).tolist()), None
         points, values, state, grads = kept
-        if not np.isfinite(values).all():
-            return sign * (yield _GRADIENT, points[0], _first_point(state)), None
+        if not all(map(math.isfinite, values)):
+            grad = yield _GRADIENT, np.array(points[0]), _first_point(_own_table(state))
+            return signed(grad.tolist()), None
         if isinstance(grads, Exception):
             raise grads
-        grads = sign * grads
-        if not np.isfinite(grads[1:]).all():
-            return grads[0], None
-        g, *rows = grads.tolist()
+        g, *rows = map(signed, grads.tolist())
+        if not all(math.isfinite(x) for row in rows for x in row):
+            return g, None
         hess = [[(r - q) / (p[k] - v[k]) for r, q in zip(row, g)]
-                for k, (row, p) in enumerate(zip(rows, points[1:].tolist()))]
-        return grads[0], [[0.5 * (a + b) for a, b in zip(row, col)]
-                          for row, col in zip(hess, zip(*hess))]
+                for k, (row, p) in enumerate(zip(rows, points[1:]))]
+        return g, [[0.5 * (a + b) for a, b in zip(row, col)]
+                   for row, col in zip(hess, zip(*hess))]
 
     def residual_at(v, g):
         return max(abs(x - p) for x, p in zip(v, project([x - y for x, y in zip(v, g)])))
@@ -858,8 +878,7 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
     converged = False
     n_iters = 0
     for it in range(max_iters):
-        grad, hess = yield from derivatives(z, kept)
-        g = grad.tolist()
+        g, hess = yield from derivatives(z, kept)
         if not all(map(math.isfinite, g)):
             raise NonFiniteError(f"gradient is non-finite at iteration {it}")
         n_iters = it + 1
@@ -867,6 +886,7 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         if residual <= tol * max(1.0, abs(f)):
             converged = True
             break
+        grad = np.array(g)
         if previous is not None:
             dz, dg = np.subtract(z, previous[0]), grad - previous[1]
             curvature = float(dz @ dg)
@@ -887,7 +907,7 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
             trace.append((it + 1, sign * f, *z))
     else:
         # max_iters steps taken (or none allowed): measure the residual at z
-        residual = residual_at(z, (yield from derivatives(z, kept))[0].tolist())
+        residual = residual_at(z, (yield from derivatives(z, kept))[0])
     z = np.array(z)
     theta, gamma = feas.split(z)
     return SolveResult(
@@ -907,40 +927,54 @@ def _solve_together(jobs: list) -> list:
     order, each one's return value or the exception it raised.
 
     Each round groups the pending requests by operation, problem kind,
-    model, and the shapes of the points and data, and answers the largest
-    group: with one stacked kernel call for NR and FR (see _answer_stack),
-    or one direct call per request for the exact objective, whose C^N table
-    does not stack, and for a group of one.  A Newton cost evaluation
-    carries its gradients, so a Newton iteration takes one round.
-    Answering the largest group first lets coroutines that fell out of step (a longer backtrack, an
-    extra spectral step) line up again: while they wait, the others move on
-    to the request they are waiting with.  Every answer has the bits of the
-    direct call, so each coroutine returns what it returns alone.  A stacked
-    call that raises is answered again one request at a time, so that each
-    coroutine gets its own answer or exception thrown in at its request.
+    model, and the shapes of the points and data (a request's key is taken
+    once, when it is yielded), and answers the largest group: with one
+    stacked kernel call for NR and FR (see _answer_stack), or one direct
+    call per request for the exact objective, whose C^N table does not
+    stack, and for a group of one.  A Newton cost evaluation carries its
+    gradients, so a Newton iteration takes one round.  Answering the largest
+    group first lets coroutines that fell out of step (a longer backtrack,
+    an extra spectral step) line up again: while they wait, the others move
+    on to the request they are waiting with.  Every answer has the bits of
+    the direct call, so each coroutine returns what it returns alone.  A
+    stacked call that raises is answered again one request at a time, so
+    that each coroutine gets its own answer or exception thrown in at its
+    request.
+
+    The stacked data of a group (received rows, gradient rows, phi) is
+    built when the group first meets and reused while the same members meet
+    again under the same key; a change of members rebuilds it.  It is kept
+    per key for this call only, which bounds it to a few stacks of the
+    jobs' data.
     """
     results = [None] * len(jobs)
-    pending = {}
+    pending = {}     # job -> (group key, request)
+    stacks = {}      # group key -> (members, their stacked data by item)
 
     def resume(k, answer=None, error=None):
-        steps = jobs[k][1]
+        problem, steps = jobs[k]
         try:
-            pending[k] = steps.send(answer) if error is None else steps.throw(error)
+            request = steps.send(answer) if error is None else steps.throw(error)
         except StopIteration as stop:
             results[k] = stop.value
         except Exception as exc:
             results[k] = exc
+        else:
+            pending[k] = _group_key(problem, request), request
 
     for k in range(len(jobs)):
         resume(k)
     while pending:
         groups = {}
-        for k, request in pending.items():
-            groups.setdefault(_group_key(jobs[k][0], request), []).append(k)
-        members = max(groups.values(), key=len)
-        requests = [pending.pop(k) for k in members]
+        for k, (key, _) in pending.items():
+            groups.setdefault(key, []).append(k)
+        key, members = max(groups.items(), key=lambda group: len(group[1]))
+        members = tuple(members)
+        if key not in stacks or stacks[key][0] != members:
+            stacks[key] = members, {}
+        requests = [pending.pop(k)[1] for k in members]
         for k, (answer, error) in zip(members, _answer_group(
-                [jobs[k][0] for k in members], requests)):
+                [jobs[k][0] for k in members], requests, stacks[key][1])):
             resume(k, answer, error)
     return results
 
@@ -953,11 +987,12 @@ def _group_key(problem: EstimatorProblem, request) -> tuple:
     return op, problem.kind, id(problem.model), points.shape, getattr(data, "shape", None)
 
 
-def _answer_group(problems: list, requests: list) -> list:
-    """(answer, None) or (None, exception) for each request of one group."""
+def _answer_group(problems: list, requests: list, stacks: dict | None = None) -> list:
+    """(answer, None) or (None, exception) for each request of one group;
+    `stacks` is the group's stacked data, if kept (see _answer_stack)."""
     if len(problems) > 1 and problems[0].kind != "exact":
         try:
-            return [(answer, None) for answer in _answer_stack(problems, requests)]
+            return [(answer, None) for answer in _answer_stack(problems, requests, stacks)]
         except Exception:
             pass    # answered one at a time below, where each raises what it raises
     out = []
@@ -969,47 +1004,52 @@ def _answer_group(problems: list, requests: list) -> list:
     return out
 
 
-def _answer_stack(problems: list, requests: list) -> list:
+def _answer_stack(problems: list, requests: list, stacks: dict | None = None) -> list:
     """The answers to P same-shaped requests of NR or FR problems of one
     model, from one kernel call on their stacked data.
 
     The points stack to (P, *shape), and each problem's data gets a problem
     axis and a unit axis per stack axis of its points: received rows
     (P, 1, N, R) for an NR stencil, gradient rows (P, 1, R + 1, N), phi
-    (P, 1, R).  The kernels take every product per point and reduce per row
-    (see the module docstring), so answer p has the bits of the direct call
-    on problem p.  Kept tables come back as each problem's slice (see
-    _first_point) and are stacked again for a gradient request.  An
-    evaluate+gradient request takes the gradients from the stacked table
-    the evaluation just built, in one more kernel call; if that call raises
-    (a non-finite value raises there), _answer_group answers each request
-    by its direct calls instead (see _carried_gradients).
+    (P, 1, R).  Each is stacked on first use and kept in `stacks`, which
+    _solve_together holds for as long as the same problems meet again under
+    the same key.  The kernels take every product per point and reduce per
+    row (see the module docstring), so answer p has the bits of the direct
+    call on problem p.  Kept tables come back as the stacked table and the
+    problem's row in it (_Row), and a gradient request stacks each
+    problem's own table again.  An evaluate+gradient request takes the
+    gradients from the stacked table the evaluation just built, in one more
+    kernel call; if that call raises (a non-finite value raises there),
+    _answer_group answers each request by its direct calls instead (see
+    _carried_gradients).
     """
     op, points, _ = requests[0]
     kind, model = problems[0].kind, problems[0].model
     theta, gamma = model.feasible.split(np.stack([request[1] for request in requests]))
     lead = (len(problems),) + (1,) * (points.ndim - 1)
+    stacks = {} if stacks is None else stacks
 
-    def stacked(data):
-        return np.stack(data).reshape(lead + data[0].shape)
+    def stacked(item):
+        """Item `item` of each problem's data: NR (received rows, gradient
+        rows), FR (phi,)."""
+        if item not in stacks:
+            data = [problem._nr_rows[item] if kind == "nr" else problem.data
+                    for problem in problems]
+            stacks[item] = np.stack(data).reshape(lead + data[0].shape)
+        return stacks[item]
 
     def gradients(kept):
         if kind == "nr":
-            rows = stacked([problem._nr_rows[1] for problem in problems])
-            return list(_nr_gradient(rows, model, theta, gamma, kept))
-        return list(_fr_gradient(stacked([problem.data for problem in problems]),
-                                 model, theta, gamma, kept))
+            return list(_nr_gradient(stacked(1), model, theta, gamma, kept))
+        return list(_fr_gradient(stacked(0), model, theta, gamma, kept))
 
     if op == _GRADIENT:
         return gradients(tuple(parts[0] if all(a is parts[0] for a in parts) else np.stack(parts)
-                               for parts in zip(*(request[2] for request in requests))))
-    if kind == "nr":
-        values, kept = _nr_kept_table(stacked([problem._nr_rows[0] for problem in problems]),
-                                      model, theta, gamma)
-    else:
-        values, kept = _fr_kept_table(stacked([problem.data for problem in problems]),
-                                      model, theta, gamma)
-    answers = [(_point_or_rows(values[p]), _first_point(kept, p)) for p in range(len(problems))]
+                               for parts in zip(*(_own_table(request[2])
+                                                  for request in requests))))
+    values, kept = (_nr_kept_table if kind == "nr" else _fr_kept_table)(
+        stacked(0), model, theta, gamma)
+    answers = [(_point_or_rows(values[p]), _Row(kept, p)) for p in range(len(problems))]
     if op == _EVALUATE:
         return answers
     return [(*answer, grad) for answer, grad in zip(answers, gradients(kept))]

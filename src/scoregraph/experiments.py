@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,8 +28,8 @@ from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, _estimate_steps, _solve_together,
                          exact_problem, fr_problem, nr_problem)
-from .graph import (_write_in_place, aggregate_counts, generate_scores, make_comm_schedule,
-                    sample_score_graph, save_score_graph, save_states)
+from .graph import (_draw_scores, _scorer, _write_in_place, aggregate_counts,
+                    make_comm_schedule, sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
                      reliability_model, social_ranking_model)
 
@@ -137,10 +137,12 @@ def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
 
 def _prepare(config: ExperimentConfig) -> tuple:
     """The resolved config, checked, and what every trial of its run shares:
-    (cfg, model, truth, schedule, fitted), with truth the checked z of
-    _true_params, schedule that of _comm_schedule and fitted the configured
-    estimators other than "oracle".  A run starts here, so this raises what
-    a run raises before its first trial."""
+    (cfg, model, truth, scorer, schedule, fitted), with truth the checked z
+    of _true_params, scorer the prior and CDF table that every trial draws
+    its scores from at truth (graph._scorer, built once here), schedule
+    that of _comm_schedule and fitted the configured estimators other than
+    "oracle".  A run starts here, so this raises what a run raises before
+    its first trial."""
     cfg = config.resolved()
     for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
                      ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
@@ -171,7 +173,10 @@ def _prepare(config: ExperimentConfig) -> tuple:
     if "exact" in cfg.estimators and cfg.n_agents > MAX_EXACT_AGENTS:
         raise ValueError(f"exact estimator is limited to {MAX_EXACT_AGENTS} agents")
     fitted = tuple(est for est in cfg.estimators if est != "oracle")
-    return cfg, model, _true_params(cfg, model), _comm_schedule(cfg), fitted
+    truth = _true_params(cfg, model)
+    theta, gamma = model.feasible.split(truth)
+    scorer = _scorer(model, model.tensor_fn(theta), model.prior_fn(gamma))
+    return cfg, model, truth, scorer, _comm_schedule(cfg), fitted
 
 
 def _param_names(model: ModelSpec, indexed: bool = False) -> tuple:
@@ -182,12 +187,13 @@ def _param_names(model: ModelSpec, indexed: bool = False) -> tuple:
                  for k in range(dim))
 
 
-def _squared_errors(model: ModelSpec, z_hat, z_true) -> np.ndarray:
-    """Per-coordinate squared error of z_hat; a label-swap-symmetric gamma
-    counts the distance to the nearer of gamma_true and 1 - gamma_true."""
+def _squared_errors(model: ModelSpec, z_hat: np.ndarray, z_true) -> np.ndarray:
+    """Per-coordinate squared error of z_hat, one point or a stack (..., dim);
+    a label-swap-symmetric gamma counts the distance to the nearer of
+    gamma_true and 1 - gamma_true."""
     err = np.abs(z_hat - z_true)
     if model.label_swap_symmetric:     # then gamma is the last coordinate of z
-        err[-1] = min(err[-1], abs(z_hat[-1] - (1.0 - z_true[-1])))
+        err[..., -1] = np.minimum(err[..., -1], np.abs(z_hat[..., -1] - (1.0 - z_true[-1])))
     # libm's pow, as Python's float ** uses; numpy's ** 2 is err * err, which
     # differs from it in the last bit of about one square in a thousand
     return np.float_power(err, 2)
@@ -259,7 +265,7 @@ def _run_distributed_trial(counts, model, config, schedule, record_trace):
     return _canonical_swap(run.final_z[0], model)[0], run
 
 
-def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, keys,
+def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule, keys,
                record_trace: bool = False, keep_graphs: bool = False) -> list:
     """Sample, fit and classify the instances `keys`, (n_edges, trial) pairs
     in sweep order: a list of _Instance.
@@ -271,7 +277,9 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, keys,
     kernel call per request kind and round (estimators._solve_together),
     and the true parameters and all estimates of all instances are
     classified in one stacked _soft_classify pass.  `truth` is the checked z
-    of _true_params, so the oracle classifies without checking it again.
+    of _true_params, so the oracle classifies without checking it again,
+    and `scorer` the tables every instance draws its scores from at truth
+    (see _prepare).
     With `record_trace` each solve keeps its trace and FR-distributed
     records every round.
 
@@ -293,7 +301,7 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, schedule, keys,
         try:
             rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
             graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
-            scored, item.states = generate_scores(graph, model, *model.feasible.split(truth), rng)
+            scored, item.states = _draw_scores(graph, scorer, rng)
             item.counts = aggregate_counts(scored)
             if keep_graphs:
                 item.graph = scored
@@ -396,26 +404,28 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     solver round, and the chunk classifies in one stacked pass.  Every
     result has the bits of a trial-by-trial run, and the points aggregate
     the trials in order, so the RMSE and misclassification means sum the
-    same floats in the same order.
+    same floats in the same order (see _sweep_point).
     """
-    cfg, model, truth, schedule, fitted = _prepare(config)
+    cfg, model, truth, scorer, schedule, fitted = _prepare(config)
     names = _param_names(model)
     classifiers = ("oracle", *fitted)
     keys = [(n_edges, trial) for n_edges in cfg.sweep for trial in range(cfg.trials)]
     points, numbers = [], []
     t_start = time.perf_counter()
     for first in range(0, len(keys), SWEEP_CHUNK):
-        for item in _run_chunk(cfg, model, truth, schedule, keys[first:first + SWEEP_CHUNK]):
+        for item in _run_chunk(cfg, model, truth, scorer, schedule,
+                               keys[first:first + SWEEP_CHUNK]):
             start = time.perf_counter()
             numbers.append((
                 [misclassification_rate(item.outputs[cls].labels, item.states)
                  for cls in classifiers],
-                [_squared_errors(model, item.fits[est][0], truth) for est in fitted],
+                [item.fits[est][0] for est in fitted],
                 [item.fits[est][1].spread() for est in fitted if est == "FR-distributed"],
                 item.seconds + time.perf_counter() - start,
             ))
             if len(numbers) == cfg.trials:
-                points.append(_sweep_point(item.n_edges, names, fitted, classifiers, numbers))
+                points.append(_sweep_point(item.n_edges, model, truth, names, fitted,
+                                           classifiers, numbers))
                 numbers = []
     return SweepResult(
         config=cfg,
@@ -428,18 +438,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     )
 
 
-def _sweep_point(n_edges: int, names: tuple, fitted: tuple, classifiers: tuple,
-                 numbers: list) -> SweepPoint:
+def _sweep_point(n_edges: int, model: ModelSpec, truth, names: tuple, fitted: tuple,
+                 classifiers: tuple, numbers: list) -> SweepPoint:
     """The SweepPoint of one edge count from its trials' (misclassification
-    rates, squared errors, spreads, seconds), in trial order."""
-    mis, errors, spreads, seconds = zip(*numbers)
+    rates, estimates, spreads, seconds), in trial order.
+
+    Each table takes one reduction whose summation order is that of numpy's
+    mean over one estimator's (trials, dim) squared errors, or over one
+    classifier's list of rates, so every number has the bits of such a
+    mean: the errors as a left fold over the trials, along axis 0 of the
+    (trials, E, dim) table, except at dim = 1, where numpy sums the one
+    contiguous column pairwise, as it does each row of the contiguous
+    (E, trials) table here; the rates pairwise, along the contiguous rows of
+    a (K, trials) table.
+    """
+    mis, estimates, spreads, seconds = zip(*numbers)
+    trials = len(numbers)
+    errors = _squared_errors(model, np.array(estimates).reshape(trials, len(fitted), len(names)),
+                             truth)
+    total = (np.add.reduce(errors, axis=0) if len(names) > 1
+             else np.add.reduce(np.ascontiguousarray(errors[..., 0].T), axis=-1)[:, None])
+    rates = np.add.reduce(np.ascontiguousarray(np.array(mis).T), axis=-1) / trials
     return SweepPoint(
         n_edges=n_edges,
-        trials=len(numbers),
-        rmse={est: dict(zip(names, np.sqrt(np.mean(np.asarray([e[k] for e in errors]),
-                                                   axis=0))))
-              for k, est in enumerate(fitted)},
-        misclass={cls: float(np.mean([m[k] for m in mis])) for k, cls in enumerate(classifiers)},
+        trials=trials,
+        rmse={est: dict(zip(names, row)) for est, row in zip(fitted, np.sqrt(total / trials))},
+        misclass=dict(zip(classifiers, rates.tolist())),
         spread={"FR-distributed": float(np.max(spreads))} if spreads[0] else {},
         wall_clock=sum(seconds),
     )
@@ -485,7 +509,7 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_clock_seconds": result.wall_clock,
-        "config": asdict(result.config),
+        "config": vars(result.config),
         "model": result.model_name,
         "points": [
             {"n": p.n_edges, "trials": p.trials, "wall_clock_seconds": p.wall_clock,
@@ -498,14 +522,22 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
 
 
 def _read_csv(path, header: str, error: str) -> dict:
-    """Parse `n,<key columns>,value` rows back into {(n, *keys): value}."""
+    """Parse `n,<key columns>,value` rows back into {(n, *keys): value}; a
+    row that does not fit raises ValueError prefixed with `path:line:`."""
     out = {}
+    width = header.count(",") + 1
     with open(path) as fh:
         if fh.readline().strip() != header:
             raise ValueError(error)
-        for line in fh:
-            n, *keys, value = line.strip().split(",")
-            out[(int(n), *keys)] = float(value)
+        for lineno, line in enumerate(fh, start=2):
+            row = line.strip().split(",")
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            n, *keys, value = row
+            try:
+                out[(int(n), *keys)] = float(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -536,9 +568,9 @@ class SingleRunResult:
 
 def run_single(config: ExperimentConfig) -> SingleRunResult:
     """Run trial 0 of the first sweep point, with solver traces and every round recorded."""
-    cfg, model, truth, schedule, fitted = _prepare(config)
-    (item,) = _run_chunk(cfg, model, truth, schedule, [(cfg.sweep[0], 0)], record_trace=True,
-                         keep_graphs=True)
+    cfg, model, truth, scorer, schedule, fitted = _prepare(config)
+    (item,) = _run_chunk(cfg, model, truth, scorer, schedule, [(cfg.sweep[0], 0)],
+                         record_trace=True, keep_graphs=True)
     return SingleRunResult(
         config=cfg,
         model_name=model.name,
@@ -606,7 +638,7 @@ def emit_single_outputs(result: SingleRunResult, out_dir) -> dict:
         "package": "scoregraph",
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": asdict(result.config),
+        "config": vars(result.config),
         "model": result.model_name,
         "misclassification": {
             name: misclassification_rate(out.labels, result.states)
@@ -643,10 +675,11 @@ def parse_config_file(path) -> ExperimentConfig:
 
     One `key = value` per line; `#` starts a comment; lists are
     comma-separated, and an empty list value gives () (for theta and gamma:
-    the model default).  A value that does not convert raises ValueError
-    prefixed with `path:line:`.  Keys: model, C, R, theta, gamma, N, sweep,
-    trials, estimators, comm.family, comm.Q, solver.alpha, solver.T,
-    solver.tol, solver.max_iters, solver.grid_points, seed, out.
+    the model default).  A value that does not convert, or a key set
+    twice, raises ValueError prefixed with `path:line:`.  Keys: model, C, R,
+    theta, gamma, N, sweep, trials, estimators, comm.family, comm.Q,
+    solver.alpha, solver.T, solver.tol, solver.max_iters,
+    solver.grid_points, seed, out.
     """
     values = {}
     with open(path) as fh:
@@ -661,6 +694,8 @@ def parse_config_file(path) -> ExperimentConfig:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field_name, kind = _CONFIG_KEYS[key]
+            if field_name in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
             try:
                 if isinstance(kind, str):   # a list; an empty value is ()
                     item = {"floats": float, "ints": int, "strs": str.strip}[kind]

@@ -297,6 +297,10 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
     cumulative probability exceeds u[e], read from an (R, C^2) table of
     per-state-pair CDFs.  The draws and their order are a contract pinned by tests.
 
+    theta and gamma are checked here, and the prior and the CDF table built
+    from them; a sweep builds those once at its checked truth and draws
+    every trial from them (see _scorer and _draw_scores).
+
     Returns
     -------
     (ScoreGraph, ndarray)
@@ -304,19 +308,29 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
         and the length-N array of true state indices.
     """
     rng = as_rng(rng)
-    tensor = model.tensor(theta)
-    prior = model.prior(gamma)
-    n_states = model.n_states
+    return _draw_scores(graph, _scorer(model, model.tensor(theta), model.prior(gamma)), rng)
+
+
+def _scorer(model, tensor: np.ndarray, prior: np.ndarray) -> tuple:
+    """What generate_scores draws from at one point, from the model's tensor
+    and prior there: (C, R, prior, cdf), with cdf[h, l*C + m] = P(score <= h)
+    for an evaluator in state l and a target in state m."""
+    n_states, n_scores = model.n_states, model.n_scores
+    return (n_states, n_scores, prior,
+            np.cumsum(tensor, axis=0).reshape(n_scores, n_states * n_states))
+
+
+def _draw_scores(graph: ScoreGraph, scorer: tuple, rng: np.random.Generator):
+    """generate_scores from the tables of _scorer: the same draws and bits."""
+    n_states, n_scores, prior, cdf = scorer
     states = rng.choice(n_states, size=graph.n_agents, p=prior)
-    # cdf[h, l*C + m]: P(score <= h) for an evaluator in state l and a target in state m
-    cdf = np.cumsum(tensor, axis=0).reshape(model.n_scores, n_states * n_states)
     pair = states[graph.edges[:, 0]] * n_states + states[graph.edges[:, 1]]
     u = rng.random(graph.n_edges)
-    scores = np.zeros(graph.n_edges, dtype=np.min_scalar_type(model.n_scores))
+    scores = np.zeros(graph.n_edges, dtype=np.min_scalar_type(n_scores))
     for level in cdf:                     # one pass per score: count the CDF levels u reaches
         scores += u >= level[pair]
-    scores = np.minimum(scores, model.n_scores - 1).astype(np.int64)  # guard cdf rounding
-    scored = _trusted_graph(graph.n_agents, model.n_scores, graph.edges, _freeze(scores))
+    scores = np.minimum(scores, n_scores - 1).astype(np.int64)  # guard cdf rounding
+    scored = _trusted_graph(graph.n_agents, n_scores, graph.edges, _freeze(scores))
     return scored, states
 
 

@@ -11,7 +11,7 @@ from scoregraph import estimators, experiments
 from scoregraph._logdomain import counted_log_factor
 from scoregraph.classifier import _soft_classify
 from scoregraph.errors import DegenerateModelError, NonFiniteError
-from scoregraph.experiments import ExperimentConfig, build_model, run_sweep
+from scoregraph.experiments import ExperimentConfig, run_sweep
 
 MODELS = (sg.preparata_model(), sg.reliability_model(5), sg.social_ranking_model(3, 3),
           sg.social_ranking_model(4, 5), sg.categorical_model(2, 3))
@@ -38,6 +38,12 @@ def _same(a, b) -> bool:
         return False
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _own(answer):
+    """A solver answer with its kept table resolved to the problem's own: a
+    stacked answer keeps the stacked table and the problem's row in it."""
+    return (answer[0], estimators._own_table(answer[1]), *answer[2:])
 
 
 def _assert_same_solve(got, want, where):
@@ -95,7 +101,7 @@ class TestStackedKernels:
                 want = [estimators._answer(p, q) for p, q in zip(group, requests)]
                 for g, w in zip(got, want):
                     assert len(w) == (2 if op == "evaluate" else 3), (kind, shape)
-                    assert _same(g, w), (kind, shape)
+                    assert _same(_own(g), w), (kind, shape)
                 requests = [("gradient", z, w[1]) for z, w in zip(points, want)]
                 got = estimators._answer_stack(group, requests)
                 for p, g, q in zip(group, got, requests):
@@ -113,7 +119,8 @@ class TestStackedKernels:
             for problem, (_, points, _), (values, kept, grads) in zip(
                     group, requests, estimators._answer_stack(group, requests)):
                 assert np.isfinite(values).all()
-                assert _same(grads, problem.gradient(points, kept)), problem.kind
+                assert _same(grads, problem.gradient(points, estimators._own_table(kept))), \
+                    problem.kind
 
     def test_a_request_that_raises_gets_its_own_exception(self):
         # an NR gradient at a point where the objective is -inf raises; the
@@ -137,9 +144,10 @@ class TestStackedKernels:
         ((values, kept, grads), error), ((_, kept_1, grads_1), error_1) = answers
         assert error is None and values[0] == -np.inf and np.isfinite(values[1])
         assert grads is None
-        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil, kept_1))
+        assert error_1 is None and _same(
+            grads_1, problems[1].gradient(stencil, estimators._own_table(kept_1)))
         with pytest.raises(NonFiniteError):
-            problems[0].gradient(stencil[0], estimators._first_point(kept))
+            problems[0].gradient(stencil[0], estimators._first_point(estimators._own_table(kept)))
         # a gradient that raises where every value is finite is kept in the
         # answer, and the solve raises it where it asks for the gradient: after
         # its first cost evaluation, not at it
@@ -156,7 +164,8 @@ class TestStackedKernels:
         ((values, _, grads), error), ((_, kept_1, grads_1), error_1) = answers
         assert error is None and np.isfinite(values).all()
         assert isinstance(grads, NonFiniteError)
-        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil, kept_1))
+        assert error_1 is None and _same(
+            grads_1, problems[1].gradient(stencil, estimators._own_table(kept_1)))
         steps = estimators._solve_steps(problems[0], np.array([0.3]), 5000, 1e-8, False)
         request = steps.send(None)
         assert request[0] == "evaluate+gradient"
@@ -175,16 +184,15 @@ class TestSolveTogether:
     def test_the_criterion_sweeps_solve_as_alone(self, criterion, model, theta, monkeypatch):
         # every NR and FR solve of the 100-trial criterion 7 and 8 sweeps,
         # batched as run_sweep batches them, against estimate on its own
-        cfg = ExperimentConfig(model=model.name, theta=theta, gamma=(0.3,)).resolved()
-        model = build_model(cfg)
-        truth = experiments._true_params(cfg, model)
+        cfg, model, truth, scorer, _, _ = experiments._prepare(
+            ExperimentConfig(model=model.name, theta=theta, gamma=(0.3,)))
         calls = {"stacked": 0, "raised": 0}
         answer_stack = estimators._answer_stack
 
-        def counted(problems, requests):
+        def counted(problems, requests, stacks):
             calls["stacked"] += 1
             try:
-                return answer_stack(problems, requests)
+                return answer_stack(problems, requests, stacks)
             except Exception:
                 calls["raised"] += 1
                 raise
@@ -193,7 +201,7 @@ class TestSolveTogether:
         keys = [(n, t) for n in cfg.sweep for t in range(cfg.trials)]
         checked = 0
         for first in range(0, len(keys), experiments.SWEEP_CHUNK):
-            for item in experiments._run_chunk(cfg, model, truth, None,
+            for item in experiments._run_chunk(cfg, model, truth, scorer, None,
                                                keys[first:first + experiments.SWEEP_CHUNK]):
                 for est, build in (("NR", sg.nr_problem), ("FR", sg.fr_problem)):
                     got = item.fits[est][1]
@@ -224,6 +232,36 @@ class TestSolveTogether:
             assert not isinstance(got, Exception), got
             _assert_same_solve(got, _solve_alone(problem, grid(problem), True), problem.kind)
             _canonical_and_feasible(got, problem.model)
+
+    def test_groups_that_change_members_between_rounds_solve_as_alone(self, monkeypatch):
+        # NR problems that stop at different iterations, on a box model (one
+        # Newton request per iteration) and on a simplex model (spectral
+        # steps, whose evaluate and gradient requests drift out of phase):
+        # a group key meets again with other members of the same count, so
+        # its stacked data must follow the members, not the key or the count
+        rng = np.random.default_rng(241)
+        problems = [sg.nr_problem(_counts(model, 10, n_edges, rng), model)
+                    for model in (MODELS[1], MODELS[4]) for n_edges in (10, 30, 60, 90) * 2]
+        groups = []
+        answer_group = estimators._answer_group
+
+        def recorded(group, requests, stacks):
+            op, points, _ = requests[0]
+            groups.append(((op, group[0].model.name, points.shape, len(group)),
+                           tuple(map(id, group))))
+            return answer_group(group, requests, stacks)
+
+        monkeypatch.setattr(estimators, "_answer_group", recorded)
+        jobs = [(p, estimators._estimate_steps(p, 9, 5000, 1e-8, True)) for p in problems]
+        results = estimators._solve_together(jobs)
+        members = {}
+        for key, ids in groups:
+            members.setdefault(key, set()).add(ids)
+        assert any(len(sets) > 1 for key, sets in members.items() if key[-1] > 1)
+        assert len({result.n_iters for result in results}) > 2
+        for problem, got in zip(problems, results):
+            assert not isinstance(got, Exception), got
+            _assert_same_solve(got, _solve_alone(problem, 9, True), problem.model.name)
 
     def test_a_failing_solve_raises_alone_and_the_others_finish(self):
         model = sg.preparata_model()
@@ -261,14 +299,12 @@ class TestSweepChunks:
             assert len(texts) == 1, key
 
     def test_a_chunk_mixing_exact_distributed_nr_and_fr_fits_as_alone(self):
-        cfg = ExperimentConfig(model="preparata", n_agents=8, sweep=(8, 20), trials=4,
-                               estimators=("exact", "FR-distributed", "NR", "FR"),
-                               solver_rounds=50).resolved()
-        model = build_model(cfg)
-        truth = experiments._true_params(cfg, model)
+        cfg, model, truth, scorer, schedule, _ = experiments._prepare(ExperimentConfig(
+            model="preparata", n_agents=8, sweep=(8, 20), trials=4,
+            estimators=("exact", "FR-distributed", "NR", "FR"), solver_rounds=50))
         keys = [(n, t) for n in cfg.sweep for t in range(cfg.trials)]
-        schedule = experiments._comm_schedule(cfg)
-        chunk = experiments._run_chunk(cfg, model, truth, schedule, keys, keep_graphs=True)
+        chunk = experiments._run_chunk(cfg, model, truth, scorer, schedule, keys,
+                                       keep_graphs=True)
         for item in chunk:
             for est, problem, grid in (("exact", sg.exact_problem(item.graph, model), 21),
                                        ("NR", sg.nr_problem(item.counts, model), 33),
@@ -279,10 +315,9 @@ class TestSweepChunks:
             assert _same(item.fits["FR-distributed"][1].final_z, run.final_z)
 
     def test_a_chunk_keeps_no_graph(self):
-        cfg = ExperimentConfig(n_agents=10, sweep=(30,), trials=2).resolved()
-        model = build_model(cfg)
-        chunk = experiments._run_chunk(cfg, model, experiments._true_params(cfg, model),
-                                       None, [(30, 0), (30, 1)])
+        cfg, model, truth, scorer, schedule, _ = experiments._prepare(
+            ExperimentConfig(n_agents=10, sweep=(30,), trials=2))
+        chunk = experiments._run_chunk(cfg, model, truth, scorer, schedule, [(30, 0), (30, 1)])
         assert [item.graph for item in chunk] == [None, None]
 
     @pytest.mark.parametrize("estimators_", [("FR-distributed",), ("NR", "FR", "FR-distributed")])

@@ -154,6 +154,9 @@ def test_misclassification_rate_examples():
     assert sg.misclassification_rate(a, 1 - a) == 1.0
     with pytest.raises(ValueError):
         sg.misclassification_rate(np.array([0, 1]), np.array([0]))
+    # empty input has no rate (the mean of an empty mask is nan, with a warning)
+    with pytest.raises(ValueError, match="must not be empty"):
+        sg.misclassification_rate([], [])
 
 
 def test_posterior_rows_normalized_and_nonnegative():

@@ -225,6 +225,14 @@ out = results
         with pytest.raises(ValueError, match=r"cfg\.txt:2: gamma: could not convert"):
             parse_config_file(path)
 
+    def test_a_key_set_twice_is_rejected(self, tmp_path):
+        # the later value used to override the earlier one silently
+        path = tmp_path / "cfg.txt"
+        path.write_text("trials = 2\nN = 20\n# again\ntrials = 3\n")
+        where = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{where}:4: key 'trials' is set twice$"):
+            parse_config_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("just some words\n")
@@ -376,6 +384,21 @@ class TestRunSweep:
             read_rmse_csv(path)
         with pytest.raises(ValueError):
             read_misclass_csv(path)
+
+    def test_a_short_or_bad_row_names_the_file_and_line(self, tmp_path):
+        for read, name, header, rows, error in (
+                (read_rmse_csv, "rmse.csv", "n,estimator,param,rmse",
+                 "50,NR,gamma,0.1\n50,NR,gamma\n", ":3: expected 4 columns, got 3$"),
+                (read_rmse_csv, "rmse.csv", "n,estimator,param,rmse",
+                 "50,NR,gamma,x\n", ":2: could not convert string to float: 'x'$"),
+                (read_misclass_csv, "misclass.csv", "n,classifier,rate",
+                 "50,oracle,0.1\n500,NR,0.2,0.3\n", ":3: expected 3 columns, got 4$"),
+                (read_misclass_csv, "misclass.csv", "n,classifier,rate",
+                 "50,oracle\n", ":2: expected 3 columns, got 2$")):
+            path = tmp_path / name
+            path.write_text(f"{header}\n{rows}")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{error}"):
+                read(path)
 
 
 class TestRunSingle:

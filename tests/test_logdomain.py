@@ -4,6 +4,7 @@ and against the previous max-shift formula, which it reproduces bit for bit."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -79,6 +80,33 @@ def test_equals_the_previous_formula_bit_for_bit(rows, k, data):
             want = _reference_logsumexp(view.copy(), axis=0)
             np.testing.assert_array_equal(logsumexp(view, axis=0), want)
             np.testing.assert_array_equal(a, before)   # the input is never written
+
+
+@pytest.mark.parametrize("shape, axis", [((6, 5, 3), -1), ((6, 3, 40), -2)],
+                         ids=["folded-last-axis", "states-axis"])
+@pytest.mark.parametrize("case", ["no tie", "one tied slice", "all -inf slices"])
+def test_the_tie_and_no_tie_branches_equal_the_reference_bit_for_bit(shape, axis, case):
+    # logsumexp skips the tie count, the divide and log(m) when no slice has
+    # a tied maximum; both branches give the reference's bits, the sign of a
+    # zero included (slices whose rest is +0 give +0)
+    a = np.random.default_rng(17).normal(scale=30.0, size=shape)
+    a = np.moveaxis(a, axis, -1)                # a view whose last axis is the reduced one
+    a[0, 0] = [0.0, -np.inf] + [-np.inf] * (a.shape[-1] - 2)    # rest exactly +0
+    a[1, 1, 1] = -np.inf
+    if case == "one tied slice":
+        a[2, 1, :2] = a[2, 1].max()
+    elif case == "all -inf slices":
+        a[3, 2] = -np.inf
+        a[4, 0] = -np.inf
+    a = np.moveaxis(a, -1, axis)
+    top = a == a.max(axis=axis, keepdims=True)
+    tied = (np.count_nonzero(top, axis=axis) > 1).sum()
+    assert tied == {"no tie": 0, "one tied slice": 1, "all -inf slices": 2}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, axis=axis)
+        want = _reference_logsumexp(a, axis=axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_input_is_never_written():
