@@ -103,7 +103,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._logdomain import counted_log_factor, logsumexp
-from .errors import InfeasibleError, NonFiniteError
+from .errors import InfeasibleError, NonFiniteError, ScoregraphError
 from .graph import NeighborCounts, ScoreGraph, as_rng
 from .models import ModelSpec
 
@@ -989,11 +989,16 @@ def _group_key(problem: EstimatorProblem, request) -> tuple:
 
 def _answer_group(problems: list, requests: list, stacks: dict | None = None) -> list:
     """(answer, None) or (None, exception) for each request of one group;
-    `stacks` is the group's stacked data, if kept (see _answer_stack)."""
+    `stacks` is the group's stacked data, if kept (see _answer_stack).
+
+    Only an error a kernel raises on data (a ScoregraphError such as
+    NonFiniteError, or an ArithmeticError) sends the group to direct calls;
+    any other exception of the stacked path is a fault in it and propagates.
+    """
     if len(problems) > 1 and problems[0].kind != "exact":
         try:
             return [(answer, None) for answer in _answer_stack(problems, requests, stacks)]
-        except Exception:
+        except (ScoregraphError, ArithmeticError):
             pass    # answered one at a time below, where each raises what it raises
     out = []
     for problem, request in zip(problems, requests):

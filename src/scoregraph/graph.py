@@ -79,7 +79,7 @@ class ScoreGraph:
     otherwise; any other order is sorted by one stable argsort of the keys
     that permutes the scores alongside.  `sample_score_graph` (edges read off
     an N^2 mask in key order, with the N-cycle or every pair) and
-    `generate_scores` (checked edges, clipped scores) skip the checks via `_trusted_graph`.
+    `generate_scores` (checked edges, scores below R) skip the checks via `_trusted_graph`.
     """
 
     n_agents: int
@@ -196,6 +196,19 @@ def _off_diagonal(n_agents: int) -> np.ndarray:
     return mask
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal of a square (N, N) array as an (N - 1, N) array whose
+    entries, read row by row, are a[i, j] for the N(N - 1) pairs i != j in key
+    order: a view of `a` when `a` is C-contiguous, else of a contiguous copy.
+
+    Row r of the flat array from index 1, cut into rows of N + 1, runs from
+    a[r, r + 1] to a[r + 1, r + 1]; dropping that last diagonal entry leaves
+    a[r, r + 1:] followed by a[r + 1, :r + 1].
+    """
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+
+
 def _mask_edges(mask: np.ndarray, n_agents: int) -> np.ndarray:
     """Read-only (n, 2) edges (i, j) of the True flat keys of an N^2 mask, in key order.
 
@@ -293,9 +306,13 @@ def generate_scores(graph: ScoreGraph, model, theta, gamma, rng=None):
     Edges are processed in the graph's canonical (sorted) order from a single
     random stream, so a fixed seed fully determines the output.  The draws
     are `rng.choice(C, size=N, p=prior)` for the states, then one
-    `rng.random(n)` for the scores; edge e takes the first score whose
-    cumulative probability exceeds u[e], read from an (R, C^2) table of
-    per-state-pair CDFs.  The draws and their order are a contract pinned by tests.
+    `rng.random(n)` for the scores; edge e's score is the number of the
+    lower R - 1 levels of its state pair's CDF, read from an (R, C^2) table,
+    that u[e] reaches: the first score whose cumulative probability exceeds
+    u[e], or the top score R - 1 where no lower one does, also where
+    rounding puts the top level (nominally 1) at or below u[e], so no clip
+    is needed (see _draw_scores).  The draws and their order are a contract
+    pinned by tests.
 
     theta and gamma are checked here, and the prior and the CDF table built
     from them; a sweep builds those once at its checked truth and draws
@@ -321,16 +338,35 @@ def _scorer(model, tensor: np.ndarray, prior: np.ndarray) -> tuple:
 
 
 def _draw_scores(graph: ScoreGraph, scorer: tuple, rng: np.random.Generator):
-    """generate_scores from the tables of _scorer: the same draws and bits."""
+    """generate_scores from the tables of _scorer: the same draws and bits.
+
+    An edge's score counts the lower R - 1 CDF levels that u reaches.  The
+    CDF of a state pair is a cumulative sum of nonnegative entries, so it
+    never decreases: u at or above the top level is at or above every lower
+    one, and the count over R - 1 levels is min(count over R levels, R - 1),
+    which takes no clip even where rounding puts the top level below u.  A
+    graph of N(N - 1) edges is the complete one, its edges every pair in key
+    order, so each level is read off the off-diagonal (_pairs) of an (N, N)
+    table of that level at (states[i], states[j]), built by a row gather of
+    a (C, N) table, rather than by two per-edge state gathers and one
+    per-edge level gather.
+    """
     n_states, n_scores, prior, cdf = scorer
-    states = rng.choice(n_states, size=graph.n_agents, p=prior)
-    pair = states[graph.edges[:, 0]] * n_states + states[graph.edges[:, 1]]
-    u = rng.random(graph.n_edges)
-    scores = np.zeros(graph.n_edges, dtype=np.min_scalar_type(n_scores))
-    for level in cdf:                     # one pass per score: count the CDF levels u reaches
-        scores += u >= level[pair]
-    scores = np.minimum(scores, n_scores - 1).astype(np.int64)  # guard cdf rounding
-    scored = _trusted_graph(graph.n_agents, n_scores, graph.edges, _freeze(scores))
+    n = graph.n_agents
+    states = rng.choice(n_states, size=n, p=prior)
+    if graph.n_edges == n * (n - 1):
+        shape = (n - 1, n)
+        levels = (_pairs(level.reshape(n_states, n_states)[:, states][states])  # at (s_i, s_j)
+                  for level in cdf[:-1])
+    else:
+        shape = (graph.n_edges,)
+        pair = states[graph.edges[:, 0]] * n_states + states[graph.edges[:, 1]]
+        levels = (level[pair] for level in cdf[:-1])
+    u = rng.random(graph.n_edges).reshape(shape)
+    scores = np.zeros(shape, dtype=np.min_scalar_type(n_scores - 1))
+    for level in levels:                  # one pass per lower level: count those u reaches
+        scores += u >= level
+    scored = _trusted_graph(n, n_scores, graph.edges, _freeze(scores.reshape(-1).astype(np.int64)))
     return scored, states
 
 
@@ -338,24 +374,40 @@ def aggregate_counts(graph: ScoreGraph) -> NeighborCounts:
     """Aggregate the per-agent histograms every estimator and the classifier use.
 
     Each histogram is one `np.bincount` over flat (agent, score[, score])
-    indices; the reverse edge's score comes from an N^2-entry table (R marks
-    an absent edge, in the smallest type that holds R), so the cost is O(n + N^2).
+    indices.  On a sparse graph the reverse edge's score comes from an
+    N^2-entry table (R marks an absent edge, in the smallest type that holds
+    R), so the cost is O(n + N^2).  A graph of N(N - 1) edges is the complete
+    one, its edges every pair in key order: the scores fill the off-diagonal
+    of an (N, N) table (_pairs; the smallest type that holds R - 1), each
+    reverse score is the same view of its transpose, every neighbor is
+    mutual, so `mutual` is one bincount, `received` its sum over the given
+    score, and the one-sided histograms are zero.
     """
     if graph.scores is None:
         raise ValueError("graph has no scores; generate or load them first")
     n, big = graph.n_agents, graph.n_scores
     i, j, h = graph.edges[:, 0], graph.edges[:, 1], graph.scores
-    back = np.full(n * n, big, dtype=np.min_scalar_type(big))
-    back[i * n + j] = h
-    back = back[j * n + i]                # score of the edge (j, i), or R if it is absent
-    m = back < big                        # the edge (j, i) exists
-    given = i * big + h                   # flat (evaluator, score)
-    got = j * big + h                     # flat (target, score)
+    if graph.n_edges == n * (n - 1):
+        table = np.empty((n, n), dtype=np.min_scalar_type(big - 1))
+        _pairs(table)[...] = h.reshape(n - 1, n)
+        back = _pairs(table.T).reshape(-1)    # score of the edge (j, i)
+        mutual = np.bincount((i * big + h) * big + back, minlength=n * big * big).reshape(
+            n, big, big)
+        received = mutual.sum(axis=1)
+        received_only = np.zeros((n, big), dtype=received.dtype)
+        given_only = np.zeros((n, big), dtype=received.dtype)
+    else:
+        back = np.full(n * n, big, dtype=np.min_scalar_type(big))
+        back[i * n + j] = h
+        back = back[j * n + i]            # score of the edge (j, i), or R if it is absent
+        m = back < big                    # the edge (j, i) exists
+        given = i * big + h               # flat (evaluator, score)
+        got = j * big + h                 # flat (target, score)
 
-    received = np.bincount(got, minlength=n * big).reshape(n, big)
-    mutual = np.bincount(given[m] * big + back[m], minlength=n * big * big).reshape(n, big, big)
-    received_only = np.bincount(got[~m], minlength=n * big).reshape(n, big)
-    given_only = np.bincount(given[~m], minlength=n * big).reshape(n, big)
+        received = np.bincount(got, minlength=n * big).reshape(n, big)
+        mutual = np.bincount(given[m] * big + back[m], minlength=n * big * big).reshape(n, big, big)
+        received_only = np.bincount(got[~m], minlength=n * big).reshape(n, big)
+        given_only = np.bincount(given[~m], minlength=n * big).reshape(n, big)
 
     return NeighborCounts(*map(_freeze, (received, mutual, received_only, given_only,
                                          received.sum(axis=1))))

@@ -134,6 +134,18 @@ class TestStackedKernels:
         assert answers[1][1] is None
         assert _same(answers[1][0], problems[1].gradient(point))
 
+    def test_a_fault_in_the_stacked_path_is_not_answered_directly(self, monkeypatch):
+        # only the errors a kernel raises on data send a group to direct
+        # calls; a TypeError of the stacked path propagates
+        def broken(problems, requests, stacks=None):
+            raise TypeError("stacked path called wrongly")
+
+        monkeypatch.setattr(estimators, "_answer_stack", broken)
+        problems = _gamma_zero_problems()
+        requests = [("evaluate", np.array([0.3]), None)] * 2
+        with pytest.raises(TypeError, match="stacked path called wrongly"):
+            estimators._answer_group(problems, requests)
+
     def test_a_gradient_error_surfaces_only_at_the_gradient_step(self, monkeypatch):
         problems = _gamma_zero_problems()
         # a stencil at gamma = 0: both evaluations are answered, and the one

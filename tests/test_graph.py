@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import scoregraph as sg
 from scoregraph.errors import InfeasibleError
-from scoregraph.graph import _complete_edges, _key_sets
+from scoregraph.graph import _complete_edges, _draw_scores, _key_sets, _scorer
 
 
 def test_minimum_edge_count_forces_pure_cycle():
@@ -312,6 +312,15 @@ def test_data_path_matches_reference_implementations(n, name):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _assert_reference_counts(graph, ref_edges, ref_scores):
+    """aggregate_counts(graph) equals _reference_counts, dtypes included."""
+    c = sg.aggregate_counts(graph)
+    ref = _reference_counts(ref_edges, ref_scores, graph.n_agents, graph.n_scores)
+    got = (c.received, c.mutual, c.received_only, c.given_only, c.in_degree)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("n", [2, 3, 300])
 def test_cached_key_sets_keep_the_reference_graphs_and_rng_stream(n):
     """Near and at N(N-1) edges the sampler, which builds each N's key sets
@@ -333,6 +342,48 @@ def test_cached_key_sets_keep_the_reference_graphs_and_rng_stream(n):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if target == max_edges:
                 assert np.array_equal(g.edges, sg.sample_score_graph(n, target, "complete").edges)
+                _assert_reference_counts(scored, ref_edges, ref_scores)
+
+
+@pytest.mark.parametrize("big", [2, 5, 300])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_complete_graphs_from_shuffled_pairs_count_as_the_reference(n, big):
+    """A ScoreGraph of all N(N-1) pairs, given in a shuffled order with random
+    scores (R = 300 takes a uint16 score table), counts as the reference."""
+    rng = np.random.default_rng(n * 1000 + big)
+    i, j = np.divmod(np.arange(n * n), n)
+    pairs = np.column_stack([i, j])[i != j]
+    scores = rng.integers(0, big, size=len(pairs))
+    scores[:2] = big - 1, 0
+    order = rng.permutation(len(pairs))
+    g = sg.ScoreGraph(n, big, pairs[order], scores[order])
+    assert np.array_equal(g.edges, pairs) and np.array_equal(g.scores, scores)
+    _assert_reference_counts(g, pairs, scores)
+    _assert_naive_recount(g)
+
+
+def test_scores_count_the_lower_levels_even_past_the_top_level():
+    """Only the R - 1 lower CDF levels are counted.  With each conditional
+    score distribution summing to 1/2, half of the draws land above the top
+    level; every score still equals the count over all R levels clipped at
+    R - 1, on a sparse graph and on the complete one."""
+    model = sg.categorical_model(3, 4)
+    theta, gamma = model.feasible.split(model.feasible.sample_interior(np.random.default_rng(2)))
+    prior = model.prior(gamma)
+    scorer = _scorer(model, model.tensor(theta) / 2, prior)
+    cdf = scorer[3]
+    assert cdf[-1].max() <= 0.5 + 1e-12
+    for n, target in ((9, 30), (9, 72)):
+        g = sg.sample_score_graph(n, target, "cyclic-plus-random-edges", 6)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        scored, states = _draw_scores(g, scorer, rng)
+        ref_states = ref_rng.choice(model.n_states, size=n, p=prior)
+        pair = ref_states[g.edges[:, 0]] * model.n_states + ref_states[g.edges[:, 1]]
+        u = ref_rng.random(g.n_edges)
+        guarded = np.minimum((u[:, None] >= cdf[:, pair].T).sum(1), model.n_scores - 1)
+        assert np.array_equal(states, ref_states) and (u >= cdf[-1, pair]).mean() > 0.2
+        assert scored.scores.dtype == np.int64 and np.array_equal(scored.scores, guarded)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_cached_key_sets_are_keyed_by_the_number_of_agents():
