@@ -28,7 +28,7 @@ from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, _estimate_steps, _solve_together,
                          exact_problem, fr_problem, nr_problem)
-from .graph import (_draw_scores, _scorer, _write_in_place, aggregate_counts,
+from .graph import (_draw_scores, _scorer, aggregate_counts,
                     make_comm_schedule, sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
                      reliability_model, social_ranking_model)
@@ -148,8 +148,8 @@ def _prepare(config: ExperimentConfig) -> tuple:
                      ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
         if getattr(cfg, key) < low:
             raise ValueError(f"{key} must be >= {low}")
-    if cfg.solver_alpha is not None and not cfg.solver_alpha > 0:
-        raise ValueError("solver_alpha must be positive")
+    if cfg.solver_alpha is not None and not 0 < cfg.solver_alpha < np.inf:
+        raise ValueError("solver_alpha must be positive and finite")
     if not cfg.solver_tol >= 0:
         raise ValueError("solver_tol must be nonnegative")
     model = build_model(cfg)
@@ -474,12 +474,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(lines, path) -> str:
-    _write_in_place("\n".join(lines) + "\n", path)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
 def _write_json(obj, path) -> str:
-    _write_in_place(json.dumps(obj, indent=2) + "\n", path)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
     return path
 
 
@@ -489,8 +491,7 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
     CSV numerics round-trip exactly (shortest-repr floats); only the sidecar
     carries timestamps, so identical runs produce byte-identical CSVs.  A
     point's wall_clock_seconds in the sidecar is SweepPoint.wall_clock.
-    Existing files are rewritten in place, with no fsync; a write that
-    fails leaves the file empty (see graph._write_in_place).
+    Each file is written with a plain truncating write and is not fsynced.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["n,estimator,param,rmse"]

@@ -8,8 +8,6 @@ plain-text serialization format is 1-based.
 
 from __future__ import annotations
 
-import os
-import stat
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -177,16 +175,21 @@ class NeighborCounts:
         return self.received.sum(axis=0) / self.n_edges
 
     def validate(self) -> None:
-        """Check internal consistency identities; raise AssertionError on failure."""
-        assert np.array_equal(self.received.sum(axis=1), self.in_degree)
-        # received = received_only + mutual summed over the given-score axis
-        recombined = self.received_only + self.mutual.sum(axis=1)
-        assert np.array_equal(recombined, self.received)
-        # every non-mutual edge shows up once as given-only and once as received-only
-        assert self.given_only.sum() == self.received_only.sum()
-        # network-wide mutual histogram is symmetric in (given, received)
+        """Check internal consistency identities; raise AssertionError on failure
+        (explicitly, so the checks also run under python -O)."""
         total_mutual = self.mutual.sum(axis=0)
-        assert np.array_equal(total_mutual, total_mutual.T)
+        for holds, identity in (
+                (np.array_equal(self.received.sum(axis=1), self.in_degree),
+                 "received summed over scores is in_degree"),
+                (np.array_equal(self.received_only + self.mutual.sum(axis=1), self.received),
+                 "received is received_only plus mutual summed over the given score"),
+                # every non-mutual edge shows up once as given-only and once as received-only
+                (self.given_only.sum() == self.received_only.sum(),
+                 "given_only and received_only have the same total"),
+                (np.array_equal(total_mutual, total_mutual.T),
+                 "the network-wide mutual histogram is symmetric")):
+            if not holds:
+                raise AssertionError(f"NeighborCounts violates: {identity}")
 
 
 def _off_diagonal(n_agents: int) -> np.ndarray:
@@ -529,48 +532,14 @@ def _text_rows(rows: np.ndarray) -> str:
     return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
-def _write_in_place(text: str, path) -> None:
-    """Write `text` as the whole content of the file at `path`, rewriting a
-    regular file in place.
-
-    The file is opened without truncation (a new one gets mode 0o666 under
-    the umask, as with open(path, "w")), written as UTF-8 (every caller
-    writes ASCII), then truncated to the written length.  A truncation to
-    zero makes ext4 (auto_da_alloc) start the file's writeback when it is
-    closed, which costs far more than the write itself; an in-place rewrite
-    goes without it.  There is no fsync, so after a system crash a
-    rewritten file can hold a mix of old and new blocks.  If the write or
-    the truncation raises, the file is truncated to zero and the exception
-    propagates: a failed rewrite leaves an empty file, never a new prefix
-    over a stale tail.  A process killed between the write and the
-    truncation leaves the stale tail of a longer old file.  Anything but a
-    regular file (/dev/null, a pipe) is written without the truncations.
-    """
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        try:
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
-            if regular:
-                os.ftruncate(fd, written)
-        except BaseException:
-            if regular:
-                os.ftruncate(fd, 0)
-            raise
-    finally:
-        os.close(fd)
-
-
 def save_score_graph(graph: ScoreGraph, path) -> None:
     """Write the 1-based edge-list format: header `scoregraph N R n`, lines `i j h`."""
     if graph.scores is None:
         raise ValueError("only scored graphs are serializable")
     rows = np.column_stack([graph.edges, graph.scores]) + 1
-    _write_in_place(f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}\n"
-                    + _text_rows(rows), path)
+    with open(path, "w") as fh:
+        fh.write(f"scoregraph {graph.n_agents} {graph.n_scores} {graph.n_edges}\n"
+                 + _text_rows(rows))
 
 
 def _int_rows(source, kind: str) -> np.ndarray:
@@ -600,7 +569,8 @@ def save_states(states, path) -> None:
     """Write states as 1-based `i x_index` lines."""
     states = np.asarray(states, dtype=np.int64)
     rows = np.column_stack([np.arange(states.size), states]) + 1
-    _write_in_place(_text_rows(rows), path)
+    with open(path, "w") as fh:
+        fh.write(_text_rows(rows))
 
 
 def load_states(path) -> np.ndarray:

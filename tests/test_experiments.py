@@ -1,7 +1,7 @@
 """Monte Carlo harness: configs, sweeps, file outputs, CLI."""
 
-import errno
 import json
+import math
 import os
 import re
 import stat
@@ -93,7 +93,7 @@ class TestConfig:
             ExperimentConfig(estimators=("NR", "newton")).validate()
         with pytest.raises(ValueError, match="exact"):
             ExperimentConfig(estimators=("exact",), n_agents=13).validate()
-        for alpha in (0.0, -0.05):
+        for alpha in (0.0, -0.05, math.inf, math.nan):
             with pytest.raises(ValueError, match="solver_alpha"):
                 ExperimentConfig(solver_alpha=alpha).validate()
         with pytest.raises(ValueError, match="solver_tol must be nonnegative"):
@@ -477,7 +477,7 @@ class TestRunSingle:
 
 
 class TestWriteInPlace:
-    """Output files are rewritten in place (see graph._write_in_place)."""
+    """Output files are written with a plain truncating write and are not fsynced."""
 
     @staticmethod
     def _files(out_dir) -> dict:
@@ -527,40 +527,8 @@ class TestWriteInPlace:
         assert stat.S_IMODE((tmp_path / "states.txt").stat().st_mode) == 0o640
         assert (tmp_path / "states.txt").read_text() == "1 1\n"
 
-    @pytest.mark.parametrize("fails", ["write", "ftruncate"])
-    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
-                                       KeyboardInterrupt()])
-    def test_a_failed_rewrite_leaves_an_empty_file_not_a_stale_tail(
-            self, tmp_path, monkeypatch, fails, error):
-        from scoregraph.experiments import _write_lines
-        path = tmp_path / "rmse.csv"
-        path.write_bytes(b"n,estimator,param,rmse\n" + b"50,NR,gamma,0.125\n" * 100)
-        real = {"write": os.write, "ftruncate": os.ftruncate}
-        calls = []
-
-        def failing(fd, arg):
-            # a write stores a 10-byte prefix of the new text, then fails
-            calls.append(fails)
-            if fails == "write" and len(calls) == 1:
-                return real["write"](fd, arg[:10])
-            if len(calls) == 1 + (fails == "write"):
-                raise error
-            return real[fails](fd, arg)
-
-        monkeypatch.setattr(os, fails, failing)
-        with pytest.raises(type(error)):
-            _write_lines(["n,classifier,rate", "50,oracle,0.25"], path)
-        monkeypatch.undo()
-        assert len(calls) == 2
-        assert path.read_bytes() == b""
-        _write_lines(["n,classifier,rate"], path)
-        assert path.read_bytes() == b"n,classifier,rate\n"
-
-    def test_writing_to_dev_null_neither_raises_nor_truncates(self):
+    def test_writing_to_dev_null_does_not_raise(self):
         from scoregraph.experiments import _write_json, _write_lines
-        # truncating /dev/null raises, so a write that does not raise did not truncate
-        with open(os.devnull, "w") as fh, pytest.raises(OSError):
-            fh.truncate()
         single = run_single(TestRunSingle.CFG)
         _write_lines(["n,classifier,rate"], os.devnull)
         _write_json({"k": [1]}, os.devnull)

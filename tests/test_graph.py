@@ -1,5 +1,9 @@
 """Graph sampling, score generation, count aggregation, schedules, file I/O."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +222,36 @@ def test_count_identities_hold_on_random_graphs(n, data):
     c = sg.aggregate_counts(scored)
     c.validate()
     assert np.array_equal(c.received, c.received_only + c.mutual.sum(axis=1))
+
+
+def test_validate_raises_under_python_O():
+    """validate() raises AssertionError itself, so python -O keeps its checks."""
+    code = """
+import dataclasses, sys
+import numpy as np
+import scoregraph as sg
+if not sys.flags.optimize:
+    sys.exit("python -O did not take effect")
+rng = np.random.default_rng(0)
+g = sg.sample_score_graph(5, 8, "cyclic-plus-random-edges", rng)
+scored, _ = sg.generate_scores(g, sg.reliability_model(3), (), (0.3,), rng)
+c = sg.aggregate_counts(scored)
+c.validate()
+bad = dataclasses.replace(c, in_degree=c.in_degree + np.eye(1, c.n_agents, dtype=int)[0])
+try:
+    bad.validate()
+except AssertionError as err:
+    print(err)
+else:
+    sys.exit("validate() passed counts whose in_degree is off by one")
+"""
+    package_root = os.path.dirname(os.path.dirname(sg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "NeighborCounts violates: received summed over scores is in_degree\n"
 
 
 def test_aggregate_requires_scores():
