@@ -1,9 +1,12 @@
 """Monte Carlo harness: configs, sweeps, file outputs, CLI."""
 
+import errno
 import json
 import math
 import os
 import re
+import resource
+import signal
 import stat
 from dataclasses import replace
 from pathlib import Path
@@ -527,8 +530,45 @@ class TestWriteInPlace:
         assert stat.S_IMODE((tmp_path / "states.txt").stat().st_mode) == 0o640
         assert (tmp_path / "states.txt").read_text() == "1 1\n"
 
-    def test_writing_to_dev_null_does_not_raise(self):
+    @pytest.mark.parametrize("writer", ["_write_lines", "_write_json",
+                                        "save_score_graph", "save_states"])
+    def test_a_failed_write_leaves_a_prefix_of_the_new_text_not_a_stale_tail(
+            self, tmp_path, writer):
+        """A write cut short by the file-size limit (EFBIG) leaves the bytes it
+        stored: the truncating open already dropped the longer old file."""
         from scoregraph.experiments import _write_json, _write_lines
+        single = run_single(TestRunSingle.CFG)
+        write = {
+            "_write_lines": lambda p: _write_lines(["n,classifier,rate", "50,oracle,0.25"], p),
+            "_write_json": lambda p: _write_json({"n": [50, 500], "rate": 0.25}, p),
+            "save_score_graph": lambda p: sg.save_score_graph(single.graph, p),
+            "save_states": lambda p: sg.save_states(single.states, p),
+        }[writer]
+        path = tmp_path / "out.txt"
+        write(path)
+        want = path.read_bytes()
+        limit = 10
+        assert len(want) > limit
+        path.write_bytes(b"x" * (len(want) + 4096))
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+            with pytest.raises(OSError) as failed:
+                write(path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert failed.value.errno == errno.EFBIG
+        assert path.read_bytes() == want[:limit]
+        write(path)
+        assert path.read_bytes() == want
+
+    def test_writing_to_dev_null_neither_raises_nor_truncates(self):
+        from scoregraph.experiments import _write_json, _write_lines
+        # truncating /dev/null raises, so a write that does not raise did not truncate
+        with open(os.devnull, "w") as fh, pytest.raises(OSError):
+            fh.truncate()
         single = run_single(TestRunSingle.CFG)
         _write_lines(["n,classifier,rate"], os.devnull)
         _write_json({"k": [1]}, os.devnull)
