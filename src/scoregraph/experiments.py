@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -144,6 +145,13 @@ def _prepare(config: ExperimentConfig) -> tuple:
     "oracle".  A run starts here, so this raises what a run raises before
     its first trial."""
     cfg = config.resolved()
+    for key, value in [(key, getattr(cfg, key)) for key in (
+            "trials", "n_agents", "solver_grid_points", "solver_max_iters", "solver_rounds",
+            "master_seed", "comm_window")] + [("sweep value", v) for v in cfg.sweep]:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{key} must be an integer") from None
     for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
                      ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
         if getattr(cfg, key) < low:
@@ -230,7 +238,7 @@ SWEEP_CHUNK = 64
 class _Instance:
     """One (edge count, trial) instance of a sweep chunk: its counts and
     true states, each fitted estimator's (z_hat, detail), the classifier
-    outputs, its first failure (step, exception), and its seconds."""
+    outputs, its first failure (step, exception), and its seconds by stage."""
 
     n_edges: int
     trial: int
@@ -240,13 +248,18 @@ class _Instance:
     fits: dict = field(default_factory=dict)
     outputs: dict | None = None
     failure: tuple | None = None
-    seconds: float = 0.0
+    stages: dict = field(default_factory=dict)
 
     def fail(self, step: int, exc: Exception) -> None:
         """Record that `step` raised: -1 the data, k the k-th fitted
         estimator, and one past the estimators the classification."""
         if self.failure is None or step < self.failure[0]:
             self.failure = (step, exc)
+
+    def lap(self, stage: str, start: float) -> float:
+        """Add the seconds since `start` to `stage`; return the time now."""
+        self.stages[stage] = self.stages.get(stage, 0.0) + (now := time.perf_counter()) - start
+        return now
 
 
 def _run_distributed_trial(counts, model, config, schedule, record_trace):
@@ -287,44 +300,49 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
     Once the chunk is done the first failure in sweep order is raised,
     taking an instance's steps in the order a trial runs them (data, the
     estimators as configured, classification), so a chunk raises what a
-    trial-by-trial sweep raises.  An instance's seconds are its own data
-    time plus its share of the chunk's solve time, by problem count, and of
-    its classification time, by instance count.
+    trial-by-trial sweep raises.  An instance's `stages` are its seconds
+    in "sample", "score", "aggregate", "FR-distributed", "solve" (building
+    its NR, FR and exact problems, and its share of the chunk's solve time
+    by problem count) and "classify" (its share of the classification time
+    by instance count), each stage that the config runs.
     """
     fitted = [est for est in cfg.estimators if est != "oracle"]
     chunk, jobs = [], []
     for n_edges, trial in keys:
         item = _Instance(n_edges, trial)
         chunk.append(item)
-        start = time.perf_counter()
-        step = -1
+        step, start = -1, time.perf_counter()
         try:
             rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
             graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
+            start = item.lap("sample", start)
             scored, item.states = _draw_scores(graph, scorer, rng)
+            start = item.lap("score", start)
             item.counts = aggregate_counts(scored)
+            start = item.lap("aggregate", start)
             if keep_graphs:
                 item.graph = scored
             for step, est in enumerate(fitted):
                 if est == "FR-distributed":
                     item.fits[est] = _run_distributed_trial(item.counts, model, cfg, schedule,
                                                             record_trace)
+                    start = item.lap(est, start)
                     continue
                 build, grid_points = _ESTIMATORS[est]
                 problem = build(scored, item.counts, model)
                 jobs.append((item, step, est, problem, _estimate_steps(
                     problem, grid_points or cfg.solver_grid_points, cfg.solver_max_iters,
                     cfg.solver_tol, record_trace)))
+                start = item.lap("solve", start)
         except Exception as exc:
             item.fail(step, exc)
-        item.seconds = time.perf_counter() - start
         if item.failure is not None:
             break
     start = time.perf_counter()
     results = _solve_together([(problem, steps) for *_, problem, steps in jobs])
     share = (time.perf_counter() - start) / max(1, len(jobs))
     for (item, step, est, _, _), result in zip(jobs, results):
-        item.seconds += share
+        item.stages["solve"] += share
         if isinstance(result, Exception):
             item.fail(step, result)
         else:
@@ -335,7 +353,7 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
         _classify(fit, model, truth, fitted)
         share = (time.perf_counter() - start) / len(fit)
         for item in fit:
-            item.seconds += share
+            item.stages["classify"] = share
     for item in chunk:
         if item.failure is not None:
             raise item.failure[1]
@@ -371,8 +389,11 @@ def _classify(chunk: list, model: ModelSpec, truth, fitted: list) -> None:
 class SweepPoint:
     """Aggregated results at one edge count.
 
-    `wall_clock` is the point's own data and classification time plus its
-    share of each chunk's solve time, by problem count (see _run_chunk).
+    `stage_seconds` sums the trials' seconds by stage (see _run_chunk), and
+    `wall_clock` is their total plus the point's own aggregation time.
+    `solves` gives each NR, FR and exact estimator's "iterations", [median,
+    max] of n_iters, and "unconverged_trials", the trials whose solve did
+    not converge.
     """
 
     n_edges: int
@@ -381,6 +402,8 @@ class SweepPoint:
     misclass: dict
     spread: dict
     wall_clock: float
+    stage_seconds: dict
+    solves: dict
 
 
 @dataclass(frozen=True)
@@ -420,8 +443,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 [misclassification_rate(item.outputs[cls].labels, item.states)
                  for cls in classifiers],
                 [item.fits[est][0] for est in fitted],
-                [item.fits[est][1].spread() for est in fitted if est == "FR-distributed"],
-                item.seconds + time.perf_counter() - start,
+                [item.fits[est][1] for est in fitted],
+                item.stages,
+                time.perf_counter() - start,
             ))
             if len(numbers) == cfg.trials:
                 points.append(_sweep_point(item.n_edges, model, truth, names, fitted,
@@ -441,7 +465,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _sweep_point(n_edges: int, model: ModelSpec, truth, names: tuple, fitted: tuple,
                  classifiers: tuple, numbers: list) -> SweepPoint:
     """The SweepPoint of one edge count from its trials' (misclassification
-    rates, estimates, spreads, seconds), in trial order.
+    rates, estimates, details, stage seconds, aggregation seconds), in
+    trial order.
 
     Each table takes one reduction whose summation order is that of numpy's
     mean over one estimator's (trials, dim) squared errors, or over one
@@ -452,20 +477,29 @@ def _sweep_point(n_edges: int, model: ModelSpec, truth, names: tuple, fitted: tu
     (E, trials) table here; the rates pairwise, along the contiguous rows of
     a (K, trials) table.
     """
-    mis, estimates, spreads, seconds = zip(*numbers)
+    mis, estimates, details, stages, seconds = zip(*numbers)
     trials = len(numbers)
     errors = _squared_errors(model, np.array(estimates).reshape(trials, len(fitted), len(names)),
                              truth)
     total = (np.add.reduce(errors, axis=0) if len(names) > 1
              else np.add.reduce(np.ascontiguousarray(errors[..., 0].T), axis=-1)[:, None])
     rates = np.add.reduce(np.ascontiguousarray(np.array(mis).T), axis=-1) / trials
+    stage_seconds = {key: sum(row[key] for row in stages) for key in stages[0]}
     return SweepPoint(
         n_edges=n_edges,
         trials=trials,
         rmse={est: dict(zip(names, row)) for est, row in zip(fitted, np.sqrt(total / trials))},
         misclass=dict(zip(classifiers, rates.tolist())),
-        spread={"FR-distributed": float(np.max(spreads))} if spreads[0] else {},
-        wall_clock=sum(seconds),
+        spread={est: float(np.max([run.spread() for run in runs]))
+                for est, runs in zip(fitted, zip(*details)) if est == "FR-distributed"},
+        wall_clock=sum(stage_seconds.values()) + sum(seconds),
+        stage_seconds=stage_seconds,
+        # medians of sorted lists in Python: np.median's overhead shows in a short sweep
+        solves={est: {"iterations": [(n_it[(trials - 1) // 2] + n_it[trials // 2]) / 2, n_it[-1]],
+                      "unconverged_trials": [k for k, res in enumerate(results)
+                                             if not res.converged]}
+                for est, results in zip(fitted, zip(*details)) if est != "FR-distributed"
+                for n_it in [sorted(res.n_iters for res in results)]},
     )
 
 
@@ -481,7 +515,7 @@ def _write_lines(lines, path) -> str:
 
 def _write_json(obj, path) -> str:
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(json.dumps(obj) + "\n")
     return path
 
 
@@ -490,7 +524,8 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
 
     CSV numerics round-trip exactly (shortest-repr floats); only the sidecar
     carries timestamps, so identical runs produce byte-identical CSVs.  A
-    point's wall_clock_seconds in the sidecar is SweepPoint.wall_clock.
+    point's wall_clock_seconds, stage_seconds and solves in the sidecar are
+    those of its SweepPoint; the sidecar is compact JSON.
     Each file is written with a plain truncating write and is not fsynced.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -514,7 +549,7 @@ def emit_outputs(result: SweepResult, out_dir) -> dict:
         "model": result.model_name,
         "points": [
             {"n": p.n_edges, "trials": p.trials, "wall_clock_seconds": p.wall_clock,
-             "spread": p.spread}
+             "spread": p.spread, "stage_seconds": p.stage_seconds, "solves": p.solves}
             for p in result.points
         ],
     }

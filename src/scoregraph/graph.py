@@ -91,6 +91,8 @@ class ScoreGraph:
         if self.n_scores < 2:
             raise ValueError("score alphabet size must be >= 2")
         edges = np.asarray(self.edges, dtype=np.int64)
+        if np.any(edges != self.edges):
+            raise ValueError("edge endpoints must be integers")
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must have shape (n, 2)")
         if edges.shape[0] == 0:
@@ -110,6 +112,8 @@ class ScoreGraph:
         object.__setattr__(self, "edges", _owned(edges, order))
         if self.scores is not None:
             scores = np.asarray(self.scores, dtype=np.int64)
+            if np.any(scores != self.scores):
+                raise ValueError("score indices must be integers")
             if scores.shape != (edges.shape[0],):
                 raise ValueError("scores must align with edges")
             if scores.min() < 0 or scores.max() >= self.n_scores:

@@ -80,7 +80,7 @@ class Box:
     def __post_init__(self):
         lo = np.array(self.lo, dtype=np.float64, ndmin=1)
         hi = np.array(self.hi, dtype=np.float64, ndmin=1)
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        if lo.shape != hi.shape or not np.all(lo < hi):
             raise ValueError("box bounds must satisfy lo < hi elementwise")
         lo.setflags(write=False)
         hi.setflags(write=False)

@@ -123,6 +123,14 @@ class TestConfig:
             ExperimentConfig(estimators=("FR", "NR", "FR")).validate()
         with pytest.raises(ValueError, match="sweep value 12 is listed twice"):
             ExperimentConfig(n_agents=10, sweep=(12, 30, 12)).validate()
+        # an integer field holding a float is an error before the first trial
+        for key, bad in (("trials", 1.5), ("n_agents", 5.5), ("solver_grid_points", 2.5),
+                         ("solver_max_iters", 2.5), ("solver_rounds", 2.5),
+                         ("master_seed", 1.5), ("comm_window", 1.5)):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
+                ExperimentConfig(**{key: bad}).validate()
+        with pytest.raises(ValueError, match="^sweep value must be an integer$"):
+            ExperimentConfig(n_agents=5, sweep=(5.5,)).validate()
         ExperimentConfig(solver_tol=0.0).validate()
         ExperimentConfig(solver_grid_points=1, solver_max_iters=0,
                          solver_rounds=0).validate()
@@ -278,7 +286,7 @@ class TestRunSweep:
         assert path.read_bytes() == b"c\n"
         _write_json({"key": list(range(50))}, path)
         _write_json({"k": [1]}, path)
-        assert path.read_bytes() == b'{\n  "k": [\n    1\n  ]\n}\n'
+        assert path.read_bytes() == b'{"k": [1]}\n'
         # longer stale files in the output directory, then a fresh directory
         stale, fresh = tmp_path / "stale", tmp_path / "fresh"
         stale.mkdir()
@@ -379,6 +387,43 @@ class TestRunSweep:
         point = result.points[0]
         assert point.spread["FR-distributed"] >= 0.0
         assert "FR-distributed" in point.rmse
+        assert set(point.stage_seconds) == {"sample", "score", "aggregate", "FR-distributed",
+                                            "classify"}
+        assert point.solves == {}
+
+    def test_each_point_records_its_stages_and_the_outcomes_of_lone_solves(self, tmp_path):
+        # the default criterion 7 sweep: rebuild every instance from its rng key
+        # [0, n, trial] and solve it alone with `estimate`
+        cfg = ExperimentConfig()
+        result = run_sweep(cfg)
+        model = build_model(cfg)
+        emit_outputs(result, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        unconverged = 0
+        for point, record in zip(result.points, meta["points"], strict=True):
+            lone = {"NR": [], "FR": []}
+            for trial in range(cfg.trials):
+                rng = np.random.default_rng([0, point.n_edges, trial])
+                graph = sg.sample_score_graph(50, point.n_edges, "cyclic-plus-random-edges", rng)
+                scored, _ = sg.generate_scores(graph, model, (), (0.3,), rng)
+                counts = sg.aggregate_counts(scored)
+                for est, build in (("NR", sg.nr_problem), ("FR", sg.fr_problem)):
+                    lone[est].append(sg.estimate(build(counts, model), grid_points=33,
+                                                 tol=1e-8, max_iters=5000))
+            assert point.solves == {
+                est: {"iterations": [np.median([res.n_iters for res in results]),
+                                     max(res.n_iters for res in results)],
+                      "unconverged_trials": [k for k, res in enumerate(results)
+                                             if not res.converged]}
+                for est, results in lone.items()}
+            unconverged += sum(len(s["unconverged_trials"]) for s in point.solves.values())
+            assert list(point.stage_seconds) == ["sample", "score", "aggregate", "solve",
+                                                 "classify"]
+            assert all(seconds >= 0.0 for seconds in point.stage_seconds.values())
+            assert sum(point.stage_seconds.values()) <= point.wall_clock
+            assert record["stage_seconds"] == point.stage_seconds
+            assert record["solves"] == point.solves
+        assert unconverged > 0      # so the comparison covers a solve that did not converge
 
     def test_bad_csv_headers_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

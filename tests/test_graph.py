@@ -54,6 +54,10 @@ def test_score_graph_rejects_malformed_edges():
         sg.ScoreGraph(3, 2, np.array([(0, 1), (0, 1), (1, 0), (2, 0)]))  # dup
     with pytest.raises(ValueError):
         sg.ScoreGraph(3, 2, np.array([(1, 0), (0, 2), (2, 1)])[:2])  # no in-edge
+    with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        sg.ScoreGraph(3, 2, [[0, 1.7], [1, 2], [2, 0]])
+    with pytest.raises(ValueError, match="score indices must be integers"):
+        sg.ScoreGraph(3, 2, [[0, 1], [1, 2], [2, 0]], [0.9, 1, 0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -266,6 +266,12 @@ def test_box_bounds_are_read_only_copies():
                         bound[0] = 0.5
 
 
+def test_box_bounds_must_be_ordered_numbers():
+    for lo, hi in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="box bounds must satisfy lo < hi"):
+            Box(lo, hi)
+
+
 def test_a_block_may_not_straddle_the_split():
     blocks = (Box(np.zeros(2), np.ones(2)), Simplex(3))
     for theta_dim in (0, 2, 5):
