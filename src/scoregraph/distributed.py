@@ -4,13 +4,17 @@ Each agent keeps push-sum accumulators (xi, eta) whose ratio phi_i tracks the
 network-wide score distribution, plus a local parameter iterate z_i.  A round
 applies one projected-gradient step of the phi-weighted fully-relaxed cost on
 every agent and one ratio-consensus exchange over the active communication
-frame.  The step is one fully-relaxed gradient step and one projection over
-the whole agent stack; the exchange is one product of the frame's mixing
-matrix with the (N, R + 1) accumulator [xi | eta].  run_distributed checks
-phi once, before the first round, and builds no state object inside the loop.
-With a window-connected schedule the phi_i converge geometrically to the true
-empirical distribution and the iterates approach stationary points of the
-fully-relaxed problem.
+frame: one product of the frame's mixing matrix with the (N, R + 1)
+accumulator [xi | eta].  With a window-connected schedule the phi_i converge
+geometrically to the true empirical distribution and the iterates approach
+stationary points of the fully-relaxed problem.
+
+The ratios never depend on the iterates, so run_distributed takes its rounds
+in blocks of 64: the block's products, each into the next row of a
+(B + 1, N, R + 1) buffer, then one divide for all of its ratios, its steps,
+and one slice assignment for the snapshots it records, with the bits of one
+round at a time.  At N = 50 a round is a few numpy calls on small arrays, so
+blocks save per-call cost; at N = 300 the dense N x N mixing product dominates.
 
 When the model has no theta, its tensor is one (R, 2, 2) table T and its prior
 is the Bernoulli (1 - gamma, gamma) (the reliability family), the edge score
@@ -23,12 +27,14 @@ point instead, so that mesh values and Newton stencil rows keep single-point
 bits; the round needs no such bits.  The two agree up to rounding, so
 FR-distributed results on these models may differ from earlier releases in
 the last bits.  At gamma = 0, t is T[:, 0, 0] exactly, as in the kernel.  A
-round where some t_h <= 0, and every round of a model with theta, steps
-through the kernel (which names the first agent with +inf cost).
+block runs these steps unchecked and then checks once that every t_h > 0
+(a NaN fails too).  If not, it reruns from its start one checked round at a
+time, and a round where some t_h <= 0, like every round of a model with
+theta, steps through the kernel (which names the first agent with +inf cost).
 """
-
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -45,6 +51,8 @@ __all__ = [
     "local_gradient_step",
     "run_distributed",
 ]
+
+_BLOCK = 64     # rounds per block of run_distributed
 
 
 @dataclass
@@ -77,7 +85,9 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     theta, _ = model.as_arrays(*model.feasible.split(z))   # InfeasibleError on a wrong dimension
     if (rows := _quadratic_rows(model, theta, alpha)) is None:
         return _kernel_step(z, phi, model, alpha)
-    return _quadratic_step(_powers(z), phi, model, alpha, rows).copy()
+    powers, out = _powers(z), np.empty(z.shape[:-1] + (3,))
+    _checked_quadratic_step(powers, phi, model, alpha, rows, powers @ rows[0], out)
+    return out[..., 1:2].copy()
 
 
 def _kernel_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
@@ -102,23 +112,28 @@ def _powers(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones_like(z), z, np.square(z)], axis=-1)
 
 
-def _quadratic_step(powers: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float,
-                    rows) -> np.ndarray:
-    """local_gradient_step of the iterates held as powers (see _powers), in
-    place, with the rows of _quadratic_rows: gamma + (r D) . [1, gamma] with
-    r = phi / t, clipped to the box, then gamma^2.  Where some t_h <= 0 the
-    gradient comes from _fr_gradient, which names the first +inf agent.
-    Returns the view powers[..., 1:2] of the new iterates."""
-    t = powers @ rows[0]
-    gamma = powers[..., 1:2]
-    if t.min() > 0:
-        stepped = gamma + np.vecdot((phi / t) @ rows[1], powers[..., :2], keepdims=True)
-    else:
-        stepped = gamma - alpha * _fr_gradient(phi, model, *model.feasible.split(gamma))
-    np.maximum(stepped, model.feasible.bounds[0], out=gamma)
-    np.minimum(gamma, model.feasible.bounds[1], out=gamma)
-    np.square(gamma, out=powers[..., 2:])
-    return gamma
+def _quadratic_step(powers: np.ndarray, phi: np.ndarray, box, rows, t: np.ndarray,
+                    out: np.ndarray) -> None:
+    """local_gradient_step of the iterates held as powers (see _powers),
+    unchecked, with the rows of _quadratic_rows: t = powers K into t, then
+    gamma + (r D) . [1, gamma] with r = phi / t, clipped to box = (lo, hi) as
+    floats, and its square into out[..., 1:].  Right only where every
+    t_h > 0; elsewhere it writes NaN or a clipped infinity, and warns."""
+    np.matmul(powers, rows[0], out=t)
+    gamma = out[..., 1]
+    np.maximum(powers[..., 1] + np.vecdot((phi / t) @ rows[1], powers[..., :2]), box[0], out=gamma)
+    np.minimum(gamma, box[1], out=gamma)
+    np.square(gamma, out=out[..., 2])
+
+
+def _checked_quadratic_step(powers, phi, model: ModelSpec, alpha: float, rows, t, out) -> None:
+    """_quadratic_step where every t_h > 0, else the step of _kernel_step,
+    which names the first agent with +inf cost; out is apart from powers."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _quadratic_step(powers, phi, [b.item() for b in model.feasible.bounds], rows, t, out)
+    if not t.min() > 0:
+        out[..., 1:2] = _kernel_step(powers[..., 1:2], phi, model, alpha)
+        np.square(out[..., 1:2], out=out[..., 2:])
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,11 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     record_every : int
         Snapshot stride, an integer; round 0 and the final round are always
         recorded, into trajectories allocated up front.
+
+    Rounds run in blocks of 64 with the same bits (see the module docstring):
+    products, ratios and snapshots are taken once per block, and on models
+    with the quadratic step the steps are checked once per block, with a
+    per-round rerun of a block whose check fails.
     """
     try:
         n_rounds, record_every = operator.index(n_rounds), operator.index(record_every)
@@ -185,35 +205,52 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         raise ValueError("counts and model disagree on the score alphabet")
     if alpha is None:
         alpha = lipschitz_stepsize(fr_problem(counts, model), rng=rng)
-    elif not 0 < alpha < np.inf:
+    elif not (isinstance(alpha, numbers.Real) and 0 < alpha < np.inf):
         raise ValueError("alpha must be positive and finite")
     times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
-    phi_traj = np.empty((times.size,) + counts.received.shape)
-    z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
-    z_traj = np.empty((times.size,) + z.shape)
-    z_traj[0] = z
-    acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
-    phi = _check_phi(np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[0]),
-                     model.n_scores, stacked=True)
-    if (rows := _quadratic_rows(model, model.feasible.split(z)[0], alpha)) is not None:
-        powers = _powers(z)         # each step writes gamma and gamma^2 in place
+    n_agents, block = counts.n_agents, min(_BLOCK, n_rounds)
+    acc = np.empty((block + 1, n_agents, model.n_scores + 1))    # [xi | eta] before each round
+    acc[0] = np.column_stack([counts.received, counts.in_degree])
+    phi = np.empty(acc[:, :, :-1].shape)
+    _check_phi(np.divide(acc[0, :, :-1], acc[0, :, -1:], out=phi[0]), model.n_scores, stacked=True)
+    centroid = np.tile(model.feasible.centroid(), (n_agents, 1))
+    if (rows := _quadratic_rows(model, model.feasible.split(centroid)[0], alpha)) is None:
+        z = states = np.empty((block + 1,) + centroid.shape)    # iterates before each round
+        states[0] = centroid
+    else:
+        states = np.ones((block + 1, n_agents, 3))     # [1, gamma, gamma^2] before each round
+        states[0] = _powers(centroid)
+        z = states[..., 1:2]
+        t = np.empty((block, n_agents, model.n_scores))
+        box = [b.item() for b in model.feasible.bounds]
+    phi_traj, z_traj = (np.empty((times.size,) + stack.shape[1:]) for stack in (phi, z))
+    phi_traj[0], z_traj[0] = phi[0], z[0]
     mats = schedule.matrices
-    recorded = times.tolist()
-    k = 1
-    for t in range(n_rounds):
-        try:
-            z = (_kernel_step(z, phi, model, alpha) if rows is None
-                 else _quadratic_step(powers, phi, model, alpha, rows))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"round {t}: {exc}") from exc
-        acc = mats[t % len(mats)] @ acc
-        if t + 1 == recorded[k]:
-            phi = np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[k])
-            z_traj[k] = z
-            k += 1
-        else:
-            phi = acc[:, :-1] / acc[:, -1:]
-    state = DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=np.ascontiguousarray(z))
+    for start in range(0, n_rounds, _BLOCK):
+        size = min(_BLOCK, n_rounds - start)
+        for j in range(size):
+            np.matmul(mats[(start + j) % len(mats)], acc[j], out=acc[j + 1])
+        np.divide(acc[1:size + 1, :, :-1], acc[1:size + 1, :, -1:], out=phi[1:size + 1])
+        if rows is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for j in range(size):
+                    _quadratic_step(states[j], phi[j], box, rows, t[j], states[j + 1])
+        if rows is None or not np.minimum.reduce(t[:size], axis=None) > 0:
+            try:
+                for j in range(size):
+                    if rows is None:
+                        states[j + 1] = _kernel_step(states[j], phi[j], model, alpha)
+                    else:
+                        _checked_quadratic_step(states[j], phi[j], model, alpha, rows, t[j],
+                                                states[j + 1])
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"round {start + j}: {exc}") from exc
+        lo, hi = np.searchsorted(times, (start + 1, start + size + 1))
+        phi_traj[lo:hi] = phi[times[lo:hi] - start]
+        z_traj[lo:hi] = z[times[lo:hi] - start]
+        acc[0], phi[0], states[0] = acc[size], phi[size], states[size]
+    acc = acc[0].copy()
+    state = DistributedState(xi=acc[:, :-1], eta=acc[:, -1], z=z[0].copy())
     return DistributedRun(
         times=times,
         phi_traj=phi_traj,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import operator
 import os
 import time
@@ -156,7 +157,8 @@ def _prepare(config: ExperimentConfig) -> tuple:
                      ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
         if getattr(cfg, key) < low:
             raise ValueError(f"{key} must be >= {low}")
-    if cfg.solver_alpha is not None and not 0 < cfg.solver_alpha < np.inf:
+    if cfg.solver_alpha is not None and not (isinstance(cfg.solver_alpha, numbers.Real)
+                                             and 0 < cfg.solver_alpha < np.inf):
         raise ValueError("solver_alpha must be positive and finite")
     if not cfg.solver_tol >= 0:
         raise ValueError("solver_tol must be nonnegative")

@@ -1,6 +1,7 @@
 """Push-sum consensus plus local gradient steps, simulated synchronously."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,116 @@ def test_quadratic_round_follows_the_flat_table_round(model):
         sg.local_gradient_step(edge, phi[::-1], model, run.alpha)
 
 
+def _per_round_step(powers, phi, model, alpha, rows):
+    """The checked quadratic step of _per_round_run, in place on powers (see
+    _powers): the closed form where every t_h > 0, else the solver's kernel."""
+    t = powers @ rows[0]
+    gamma = powers[..., 1:2]
+    if t.min() > 0:
+        stepped = gamma + np.vecdot((phi / t) @ rows[1], powers[..., :2], keepdims=True)
+    else:
+        stepped = gamma - alpha * _fr_gradient(phi, model, *model.feasible.split(gamma))
+    np.maximum(stepped, model.feasible.bounds[0], out=gamma)
+    np.minimum(gamma, model.feasible.bounds[1], out=gamma)
+    np.square(gamma, out=powers[..., 2:])
+    return gamma
+
+
+def _per_round_run(counts, model, schedule, alpha, n_rounds, record_every=1):
+    """run_distributed one round at a time: a checked step, mats[t % Q] @ acc
+    and a divide every round.  (times, phi_traj, z_traj, acc, final z)."""
+    times = np.unique(np.append(np.arange(0, n_rounds + 1, record_every), n_rounds))
+    phi_traj = np.empty((times.size,) + counts.received.shape)
+    z = np.tile(model.feasible.centroid(), (counts.n_agents, 1))
+    z_traj = np.empty((times.size,) + z.shape)
+    z_traj[0] = z
+    acc = np.column_stack([counts.received, counts.in_degree]).astype(np.float64)
+    phi = np.divide(acc[:, :-1], acc[:, -1:], out=phi_traj[0])
+    if (rows := _quadratic_rows(model, model.feasible.split(z)[0], alpha)) is not None:
+        powers = _powers(z)
+    mats = schedule.matrices
+    k = 1
+    for t in range(n_rounds):
+        try:
+            if rows is None:
+                z = model.feasible.project(
+                    z - alpha * _fr_gradient(phi, model, *model.feasible.split(z)))
+            else:
+                z = _per_round_step(powers, phi, model, alpha, rows)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"round {t}: {exc}") from exc
+        acc = mats[t % len(mats)] @ acc
+        phi = acc[:, :-1] / acc[:, -1:]
+        if t + 1 == times[k]:
+            phi_traj[k], z_traj[k] = phi, z
+            k += 1
+    return times, phi_traj, z_traj, acc, np.ascontiguousarray(z)
+
+
+def _assert_same_run(run, ref):
+    times, phi_traj, z_traj, acc, z = ref
+    for got, want in ((run.times, times), (run.phi_traj, phi_traj), (run.z_traj, z_traj),
+                      (run.state.xi, acc[:, :-1]), (run.state.eta, acc[:, -1]), (run.final_z, z)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+BLOCK_MODELS = (sg.reliability_model(5), sg.reliability_model(16), sg.preparata_model(),
+                sg.social_ranking_model(3, 3), sg.categorical_model(2, 3))
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: f"{m.name}-{m.n_scores}")
+def test_blocks_of_rounds_keep_the_per_round_bits(model):
+    # run lengths below, at and across the 64-round block, snapshot strides
+    # inside a block, across blocks and past the run
+    rng = np.random.default_rng(31)
+    g = sg.sample_score_graph(12, 40, "cyclic-plus-random-edges", rng)
+    theta, gamma = model.feasible.split(model.feasible.sample_interior(rng))
+    counts = sg.aggregate_counts(sg.generate_scores(g, model, theta, gamma, rng)[0])
+    sched = sg.make_comm_schedule(12, "periodic-edge-partition", 3, rng=rng)
+    for n_rounds in (0, 1, 63, 64, 65, 130, 500):
+        for every in (1, 7, n_rounds + 1):
+            run = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=n_rounds,
+                                     record_every=every)
+            _assert_same_run(run, _per_round_run(counts, model, sched, 0.02, n_rounds, every))
+
+
+def _late_infinity():
+    """Reliability(5) counts where agent 4 received only score 0, under a
+    schedule of 70 empty frames and then the complete one (window 71): agent
+    4 steps to gamma = 0, where score 4 has probability 0, and mixing brings
+    it score-4 mass only in round 70."""
+    edges = [(0, 4), (1, 4), (4, 0), (2, 0), (3, 0), (4, 1), (5, 1), (4, 2), (5, 2),
+             (0, 3), (2, 3), (1, 5), (3, 5)]
+    scores = [0, 0, 1, 2, 3, 2, 4, 1, 3, 2, 4, 3, 1]
+    counts = sg.aggregate_counts(sg.ScoreGraph(6, 5, np.array(edges), np.array(scores)))
+    complete = [(i, j) for i in range(6) for j in range(6) if i != j]
+    return counts, sg.reliability_model(5), sg.CommSchedule(6, ([],) * 70 + (complete,), 71)
+
+
+def test_a_failed_block_check_reruns_the_block_round_by_round():
+    # agent 4 sits at gamma = 0 with t_4 = 0 within the first block, so each block
+    # fails its check; with no score-4 mass its cost stays finite, and the
+    # rerun gives the per-round bits without a warning
+    counts, model, sched = _late_infinity()
+    ref = _per_round_run(counts, model, sched, 0.2, 71)
+    assert ref[2][63, 4, 0] == 0.0 and ref[2][-1, 4, 0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_run(sg.run_distributed(counts, model, sched, alpha=0.2, n_rounds=71), ref)
+
+
+def test_an_infinite_cost_past_the_first_block_names_the_per_round_round_and_agent():
+    counts, model, sched = _late_infinity()
+    with pytest.raises(NonFiniteError) as want:
+        _per_round_run(counts, model, sched, 0.2, 200)
+    assert str(want.value) == "round 71: fully-relaxed cost is +inf at agent 4"
+    for every in (1, 50, 201):
+        with pytest.raises(NonFiniteError) as got:
+            sg.run_distributed(counts, model, sched, alpha=0.2, n_rounds=200, record_every=every)
+        assert str(got.value) == str(want.value)
+
+
 def test_only_theta_free_bernoulli_tables_take_the_closed_form():
     for model in QUADRATIC_MODELS:
         assert _quadratic_rows(model, np.empty((3, 0)), 0.1) is not None
@@ -403,9 +514,12 @@ class TestRunDistributed:
                     dict(n_rounds=2.5)):
             with pytest.raises(ValueError):
                 sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
-        for alpha in (0.0, -0.05, float("nan"), float("inf")):
+        for alpha in (0.0, -0.05, float("nan"), float("inf"), np.array([0.1]), np.array(0.1),
+                      "0.1", 0.1 + 0j):
             with pytest.raises(ValueError, match="alpha must be positive"):
                 sg.run_distributed(counts, model, sched, alpha=alpha)
+        for alpha in (1, np.int64(1), np.float32(0.02), np.float64(0.02)):    # real scalars
+            assert sg.run_distributed(counts, model, sched, alpha=alpha, n_rounds=1).alpha == alpha
 
     def test_infinite_cost_names_the_round_and_agent(self):
         _, counts, model = _fixture()

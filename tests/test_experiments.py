@@ -99,6 +99,13 @@ class TestConfig:
         for alpha in (0.0, -0.05, math.inf, math.nan):
             with pytest.raises(ValueError, match="solver_alpha"):
                 ExperimentConfig(solver_alpha=alpha).validate()
+        # only a real scalar: an array or a string is an error before the first trial
+        for alpha in (np.array([0.01]), np.array(0.01), "0.01", 0.01 + 0j):
+            cfg = ExperimentConfig(solver_alpha=alpha, estimators=("FR-distributed",))
+            with pytest.raises(ValueError, match="^solver_alpha must be positive and finite$"):
+                cfg.validate()
+            with pytest.raises(ValueError, match="^solver_alpha must be positive and finite$"):
+                run_sweep(cfg)
         with pytest.raises(ValueError, match="solver_tol must be nonnegative"):
             ExperimentConfig(solver_tol=-1.0).validate()
         for n_agents in (1, 0):
