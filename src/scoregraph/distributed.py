@@ -13,8 +13,11 @@ The ratios never depend on the iterates, so run_distributed takes its rounds
 in blocks of 64: the block's products, each into the next row of a
 (B + 1, N, R + 1) buffer, then one divide for all of its ratios, its steps,
 and one slice assignment for the snapshots it records, with the bits of one
-round at a time.  At N = 50 a round is a few numpy calls on small arrays, so
-blocks save per-call cost; at N = 300 the dense N x N mixing product dominates.
+round at a time.  A round's product and quadratic step are 2-D np.dot calls
+(matmul's bits, less per-call cost) on views into the block buffers built
+once per run.  With one BLAS thread a round takes about 8-9 us at N = 50 (500
+edges), mostly per-call cost, and 57 us at N = 300 (3,000 edges), mostly the
+dense N x N mixing product.
 
 When the model has no theta, its tensor is one (R, 2, 2) table T and its prior
 is the Bernoulli (1 - gamma, gamma) (the reliability family), the edge score
@@ -77,17 +80,23 @@ def local_gradient_step(z, phi, model: ModelSpec, alpha: float) -> np.ndarray:
     """Projected-gradient step on the phi-weighted relaxed cost, for every agent at once.
 
     z (N, dim) and phi (N, R) hold one row per agent; a single agent's
-    z (dim,) and phi (R,) work the same way.  NonFiniteError names the
-    first agent whose cost is +inf.
+    z (dim,) and phi (R,) work the same way.  alpha is a finite real scalar
+    >= 0.  NonFiniteError names the first agent whose cost is +inf.
     """
+    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < np.inf):
+        raise ValueError("alpha must be nonnegative and finite")
     phi = _check_phi(phi, model.n_scores, stacked=True)
     z = np.asarray(z, dtype=np.float64)
+    if z.shape[:-1] != phi.shape[:-1]:
+        raise ValueError("z and phi disagree on the number of agents")
     theta, _ = model.as_arrays(*model.feasible.split(z))   # InfeasibleError on a wrong dimension
     if (rows := _quadratic_rows(model, theta, alpha)) is None:
         return _kernel_step(z, phi, model, alpha)
-    powers, out = _powers(z), np.empty(z.shape[:-1] + (3,))
-    _checked_quadratic_step(powers, phi, model, alpha, rows, powers @ rows[0], out)
-    return out[..., 1:2].copy()
+    states, flat = np.empty((2, z.size, 3)), phi.reshape(1, -1, model.n_scores)
+    states[0] = _powers(z.reshape(-1, 1))
+    _checked_quadratic_step(_step_views(states, flat, np.empty(flat.shape))[0], model, alpha,
+                            rows, z, phi)
+    return states[1, :, 1:2].reshape(z.shape).copy()
 
 
 def _kernel_step(z: np.ndarray, phi: np.ndarray, model: ModelSpec, alpha: float) -> np.ndarray:
@@ -112,28 +121,37 @@ def _powers(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones_like(z), z, np.square(z)], axis=-1)
 
 
-def _quadratic_step(powers: np.ndarray, phi: np.ndarray, box, rows, t: np.ndarray,
-                    out: np.ndarray) -> None:
-    """local_gradient_step of the iterates held as powers (see _powers),
-    unchecked, with the rows of _quadratic_rows: t = powers K into t, then
-    gamma + (r D) . [1, gamma] with r = phi / t, clipped to box = (lo, hi) as
-    floats, and its square into out[..., 1:].  Right only where every
+def _step_views(states: np.ndarray, phi: np.ndarray, t: np.ndarray) -> list:
+    """_quadratic_step's views of each round j < len(t) into the buffers
+    states (B + 1, N, 3) of powers (see _powers), phi (>= B, N, R) and t
+    (B, N, R): it reads states[j], phi[j] and writes t[j], states[j + 1]."""
+    return [(now, now[:, 1], now[:, :2], ratios, t_j, after[:, 1], after[:, 2])
+            for now, after, ratios, t_j in zip(states[:-1], states[1:], phi, t)]
+
+
+def _quadratic_step(powers, gamma, head, phi, t, gamma_next, square_next,
+                    table, slope, lo, hi) -> None:
+    """local_gradient_step of one round's views (see _step_views), unchecked,
+    with the rows (table, slope) of _quadratic_rows: t = powers K into t,
+    then gamma + (r D) . [1, gamma] with r = phi / t, clipped to [lo, hi],
+    into gamma_next and its square into square_next.  Right only where every
     t_h > 0; elsewhere it writes NaN or a clipped infinity, and warns."""
-    np.matmul(powers, rows[0], out=t)
-    gamma = out[..., 1]
-    np.maximum(powers[..., 1] + np.vecdot((phi / t) @ rows[1], powers[..., :2]), box[0], out=gamma)
-    np.minimum(gamma, box[1], out=gamma)
-    np.square(gamma, out=out[..., 2])
+    np.dot(powers, table, out=t)
+    step = gamma + np.vecdot(np.dot(phi / t, slope), head)
+    np.minimum(np.maximum(step, lo, out=step), hi, out=gamma_next)
+    np.square(gamma_next, out=square_next)
 
 
-def _checked_quadratic_step(powers, phi, model: ModelSpec, alpha: float, rows, t, out) -> None:
-    """_quadratic_step where every t_h > 0, else the step of _kernel_step,
-    which names the first agent with +inf cost; out is apart from powers."""
+def _checked_quadratic_step(views, model: ModelSpec, alpha: float, rows, z, phi) -> None:
+    """_quadratic_step of one round's views where every t_h > 0, else the
+    step of _kernel_step from z and phi, the round's iterates and ratios in
+    the caller's shape, which names the first agent with +inf cost."""
+    *_, t, gamma_next, square_next = views
     with np.errstate(divide="ignore", invalid="ignore"):
-        _quadratic_step(powers, phi, [b.item() for b in model.feasible.bounds], rows, t, out)
+        _quadratic_step(*views, *rows, *(b.item() for b in model.feasible.bounds))
     if not t.min() > 0:
-        out[..., 1:2] = _kernel_step(powers[..., 1:2], phi, model, alpha)
-        np.square(out[..., 1:2], out=out[..., 2:])
+        gamma_next[:] = _kernel_step(z, phi, model, alpha).reshape(-1)
+        np.square(gamma_next, out=square_next)
 
 
 @dataclass(frozen=True)
@@ -222,27 +240,28 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
         states[0] = _powers(centroid)
         z = states[..., 1:2]
         t = np.empty((block, n_agents, model.n_scores))
-        box = [b.item() for b in model.feasible.bounds]
+        steps = _step_views(states, phi, t)
+        coefs = (*rows, *(b.item() for b in model.feasible.bounds))
+    products = [(acc[j], acc[j + 1]) for j in range(block)]
     phi_traj, z_traj = (np.empty((times.size,) + stack.shape[1:]) for stack in (phi, z))
     phi_traj[0], z_traj[0] = phi[0], z[0]
     mats = schedule.matrices
     for start in range(0, n_rounds, _BLOCK):
         size = min(_BLOCK, n_rounds - start)
-        for j in range(size):
-            np.matmul(mats[(start + j) % len(mats)], acc[j], out=acc[j + 1])
+        for j, (before, after) in enumerate(products[:size]):
+            np.dot(mats[(start + j) % len(mats)], before, out=after)
         np.divide(acc[1:size + 1, :, :-1], acc[1:size + 1, :, -1:], out=phi[1:size + 1])
         if rows is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
-                for j in range(size):
-                    _quadratic_step(states[j], phi[j], box, rows, t[j], states[j + 1])
+                for views in steps[:size]:
+                    _quadratic_step(*views, *coefs)
         if rows is None or not np.minimum.reduce(t[:size], axis=None) > 0:
             try:
                 for j in range(size):
                     if rows is None:
                         states[j + 1] = _kernel_step(states[j], phi[j], model, alpha)
                     else:
-                        _checked_quadratic_step(states[j], phi[j], model, alpha, rows, t[j],
-                                                states[j + 1])
+                        _checked_quadratic_step(steps[j], model, alpha, rows, z[j], phi[j])
             except NonFiniteError as exc:
                 raise NonFiniteError(f"round {start + j}: {exc}") from exc
         lo, hi = np.searchsorted(times, (start + 1, start + size + 1))

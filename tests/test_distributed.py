@@ -158,6 +158,30 @@ class TestLocalGradientStep:
         with pytest.raises(NonFiniteError, match="at this point"):
             sg.local_gradient_step(z[3], phi[3], model, 0.01)
 
+    def test_alpha_must_be_a_nonnegative_finite_real_scalar(self):
+        model = sg.reliability_model(5)
+        z, phi = np.array([0.3]), np.full(5, 0.2)
+        for alpha in (np.nan, -0.1, np.inf, np.array([0.1]), np.array(0.1), "0.1", 0.1 + 0j):
+            with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+                sg.local_gradient_step(z, phi, model, alpha)
+        want = sg.local_gradient_step(z, phi, model, 0.1)
+        for alpha in (0, np.int64(0), np.float32(0.0)):
+            np.testing.assert_array_equal(sg.local_gradient_step(z, phi, model, alpha), z)
+        np.testing.assert_array_equal(sg.local_gradient_step(z, phi, model, np.float64(0.1)), want)
+
+    def test_z_and_phi_must_agree_on_the_number_of_agents(self):
+        ranking = sg.social_ranking_model(3, 3)
+        centroid = ranking.feasible.centroid()
+        cases = [(sg.reliability_model(5), np.full(1, 0.3), np.full((2, 5), 0.2)),
+                 (sg.reliability_model(5), np.full((3, 1), 0.3), np.full((2, 5), 0.2)),
+                 (sg.reliability_model(5), np.full((2, 1), 0.3), np.full(5, 0.2)),
+                 (ranking, centroid, np.full((2, 3), 1 / 3)),
+                 (ranking, np.tile(centroid, (3, 1)), np.full((2, 3), 1 / 3)),
+                 (ranking, np.tile(centroid, (2, 1)), np.full(3, 1 / 3))]
+        for model, z, phi in cases:
+            with pytest.raises(ValueError, match="z and phi disagree on the number of agents"):
+                sg.local_gradient_step(z, phi, model, 0.01)
+
 
 def _reference_run(counts, model, schedule, alpha, n_rounds):
     """The per-agent loop: every round steps each agent's 1-D row on its own,
@@ -364,6 +388,37 @@ def test_blocks_of_rounds_keep_the_per_round_bits(model):
             run = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=n_rounds,
                                      record_every=every)
             _assert_same_run(run, _per_round_run(counts, model, sched, 0.02, n_rounds, every))
+
+
+def test_blocks_keep_the_per_round_bits_at_n300():
+    # a dense 300 x 300 mixing product per round, snapshots across blocks
+    model = sg.reliability_model(5)
+    rng = np.random.default_rng(43)
+    g = sg.sample_score_graph(300, 3000, "cyclic-plus-random-edges", rng)
+    counts = sg.aggregate_counts(sg.generate_scores(g, model, (), (0.3,), rng)[0])
+    sched = sg.make_comm_schedule(300, "periodic-edge-partition", 3, rng=rng)
+    run = sg.run_distributed(counts, model, sched, n_rounds=130, record_every=7, rng=43)
+    _assert_same_run(run, _per_round_run(counts, model, sched, run.alpha, 130, 7))
+
+
+@pytest.mark.parametrize("model", QUADRATIC_MODELS, ids=lambda m: f"{m.name}-{m.n_scores}")
+def test_local_step_keeps_the_per_round_bits(model):
+    # interior agents, and one at gamma = 0 with no mass on the top score,
+    # whose t_h = 0 sends the whole step through the kernel
+    rng = np.random.default_rng(47)
+    rows = _quadratic_rows(model, np.empty((1, 0)), 0.05)
+    z = rng.uniform(0.05, 0.95, size=(20, 1))
+    phi = rng.dirichlet(np.ones(model.n_scores), size=20)
+    edge_z = np.vstack([z, [0.0]])
+    edge_phi = np.vstack([phi, np.append(rng.dirichlet(np.ones(model.n_scores - 1)), 0.0)])
+    for zs, phis in ((z, phi), (edge_z, edge_phi)):
+        want = _per_round_step(_powers(zs), phis, model, 0.05, rows)
+        np.testing.assert_array_equal(sg.local_gradient_step(zs, phis, model, 0.05), want)
+        for i in (0, len(zs) - 1):
+            want = _per_round_step(_powers(zs[i]), phis[i], model, 0.05, rows)
+            got = sg.local_gradient_step(zs[i], phis[i], model, 0.05)
+            assert got.shape == (1,)
+            np.testing.assert_array_equal(got, want)
 
 
 def _late_infinity():
