@@ -96,6 +96,7 @@ the GRID_BLOCK * N * C floats of a call on all rows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -822,6 +823,10 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         raise InfeasibleError("start point is outside the feasible set")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError("max_iters must be an integer") from None
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     sign = -1.0 if problem.maximize else 1.0
@@ -1223,6 +1228,10 @@ def _estimate_steps(problem: EstimatorProblem, grid_points: int, max_iters: int,
                     record_trace: bool):
     """estimate as a solver coroutine (see _solve_steps): the grid start runs
     in place, the solve and the mirror's evaluation go through requests."""
+    try:
+        grid_points = operator.index(grid_points)
+    except TypeError:
+        raise ValueError("grid_points must be an integer") from None
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     solve = yield from _solve_steps(problem, _grid_start(problem, grid_points), max_iters,

@@ -19,6 +19,7 @@ import json
 import numbers
 import operator
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -227,12 +228,24 @@ _ESTIMATORS = {
     "FR-distributed": None,
     "oracle": None,
 }
+# Instances of at least this many edges draw their data (sample, score,
+# aggregate) on threads when a chunk holds two or more of them (see
+# _draw_on_threads); their numpy calls mostly release the GIL.  One chunk
+# of two N = 300 oracle instances, medians of 400 alternating runs on a
+# shared 2-vCPU VM, serial -> threaded: 300 edges 1.09 -> 1.66 ms, 3,000
+# 1.41 -> 2.10, 6,000 2.75 -> 2.91, 10,000 3.34 -> 3.17, 20,000 5.75 -> 4.62
+# and 89,700 11.0 -> 6.97 ms; below the crossover the thread costs more
+# than the overlap saves.
+_THREADED_EDGES = 10_000
 # (edge count, trial) instances per chunk of a sweep, whose centralized
 # problems are solved together and whose classifications take one pass; a
 # chunk holds at most this many problems of each estimator, and their
 # counts and states, never their graphs.  On the criterion 7 and 8 sweeps,
 # desk and full scale, smaller chunks solved slower and larger ones were no
-# faster while each instance added about 0.4 MB of peak memory at N = 300
+# faster while each instance added about 0.4 MB of peak memory at N = 300.
+# The data stages of a chunk's large instances overlap, one per thread:
+# each N = 300 instance of 89,700 edges in flight peaks at about 2.3 MB of
+# arrays (tracemalloc), so on 2 CPUs the overlap adds about that much
 SWEEP_CHUNK = 64
 
 
@@ -286,15 +299,20 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
     in sweep order: a list of _Instance.
 
     Each instance draws from the stream keyed by (master_seed, n_edges,
-    trial): it samples, scores and aggregates, keeps its counts and states
-    (and its graph with `keep_graphs`) and runs FR-distributed.  Then every
-    centralized estimate of the chunk is solved at once, with one stacked
-    kernel call per request kind and round (estimators._solve_together),
-    and the true parameters and all estimates of all instances are
-    classified in one stacked _soft_classify pass.  `truth` is the checked z
-    of _true_params, so the oracle classifies without checking it again,
-    and `scorer` the tables every instance draws its scores from at truth
-    (see _prepare).
+    trial): its data stage samples, scores and aggregates and keeps its
+    counts and states (and its graph with `keep_graphs`, or while the exact
+    estimator needs it).  When the chunk holds two or more instances of at
+    least _THREADED_EDGES edges, their data stages run first, on
+    min(their count, usable CPUs) threads, this one among them
+    (_draw_on_threads); the other instances draw here, in sweep order.
+    Then each instance, in sweep order, runs FR-distributed and builds its
+    centralized problems, every centralized estimate of the chunk is solved
+    at once, with one stacked kernel call per request kind and round
+    (estimators._solve_together), and the true parameters and all
+    estimates of all instances are classified in one stacked _soft_classify
+    pass.  `truth` is the checked z of _true_params, so the oracle
+    classifies without checking it again, and `scorer` the tables every
+    instance draws its scores from at truth (see _prepare).
     With `record_trace` each solve keeps its trace and FR-distributed
     records every round.
 
@@ -306,24 +324,39 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
     in "sample", "score", "aggregate", "FR-distributed", "solve" (building
     its NR, FR and exact problems, and its share of the chunk's solve time
     by problem count) and "classify" (its share of the classification time
-    by instance count), each stage that the config runs.
+    by instance count), each stage that the config runs.  Data stages on
+    threads overlap, so the stage seconds of a chunk can add up to more
+    than its wall time.
     """
     fitted = [est for est in cfg.estimators if est != "oracle"]
-    chunk, jobs = [], []
-    for n_edges, trial in keys:
-        item = _Instance(n_edges, trial)
-        chunk.append(item)
-        step, start = -1, time.perf_counter()
+    keep = keep_graphs or "exact" in fitted
+
+    def draw(item: _Instance) -> None:
+        start = time.perf_counter()
         try:
-            rng = np.random.default_rng([cfg.master_seed, n_edges, trial])
-            graph = sample_score_graph(cfg.n_agents, n_edges, "cyclic-plus-random-edges", rng)
+            rng = np.random.default_rng([cfg.master_seed, item.n_edges, item.trial])
+            graph = sample_score_graph(cfg.n_agents, item.n_edges, "cyclic-plus-random-edges", rng)
             start = item.lap("sample", start)
             scored, item.states = _draw_scores(graph, scorer, rng)
             start = item.lap("score", start)
             item.counts = aggregate_counts(scored)
-            start = item.lap("aggregate", start)
-            if keep_graphs:
+            item.lap("aggregate", start)
+            if keep:
                 item.graph = scored
+        except Exception as exc:
+            item.fail(-1, exc)
+
+    chunk = [_Instance(n_edges, trial) for n_edges, trial in keys]
+    large = [item for item in chunk if item.n_edges >= _THREADED_EDGES]
+    threaded = _draw_on_threads(large, draw)
+    jobs = []
+    for item in chunk:
+        if not (threaded and item.n_edges >= _THREADED_EDGES):
+            draw(item)
+        if item.failure is not None:
+            break
+        start = time.perf_counter()
+        try:
             for step, est in enumerate(fitted):
                 if est == "FR-distributed":
                     item.fits[est] = _run_distributed_trial(item.counts, model, cfg, schedule,
@@ -331,13 +364,15 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
                     start = item.lap(est, start)
                     continue
                 build, grid_points = _ESTIMATORS[est]
-                problem = build(scored, item.counts, model)
+                problem = build(item.graph, item.counts, model)
                 jobs.append((item, step, est, problem, _estimate_steps(
                     problem, grid_points or cfg.solver_grid_points, cfg.solver_max_iters,
                     cfg.solver_tol, record_trace)))
                 start = item.lap("solve", start)
         except Exception as exc:
             item.fail(step, exc)
+        if not keep_graphs:
+            item.graph = None
         if item.failure is not None:
             break
     start = time.perf_counter()
@@ -360,6 +395,65 @@ def _run_chunk(cfg: ExperimentConfig, model: ModelSpec, truth, scorer, schedule,
         if item.failure is not None:
             raise item.failure[1]
     return chunk
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_on_threads(items: list, draw) -> bool:
+    """Run `draw` on each of `items` on min(len(items), usable CPUs) threads,
+    this one and the workers it starts, and return True; return False,
+    having run nothing, when that is one thread.
+
+    The threads take the items in order.  Once an item records a failure,
+    or once a thread raises (KeyboardInterrupt here, say), the items not yet
+    taken are cancelled.  Every worker has ended when this returns or
+    raises; what this thread raised, else what a worker raised, is raised.
+    """
+    n_threads = min(len(items), _usable_cpus())
+    if n_threads < 2:
+        return False
+    todo, lock, raised = iter(items), threading.Lock(), []
+    stop = False
+
+    def work():
+        nonlocal stop
+        while True:
+            with lock:
+                item = None if stop else next(todo, None)
+            if item is None:
+                return
+            draw(item)
+            if item.failure is not None:
+                stop = True
+
+    def worker():
+        nonlocal stop
+        try:
+            work()
+        except BaseException as exc:    # raised again by the calling thread
+            stop = True
+            raised.append(exc)
+
+    workers = []
+    try:
+        for _ in range(n_threads - 1):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            workers.append(thread)
+        work()
+    finally:
+        stop = True
+        for thread in workers:
+            thread.join()
+    if raised:
+        raise raised[0]
+    return True
 
 
 def _classify(chunk: list, model: ModelSpec, truth, fitted: list) -> None:
@@ -393,6 +487,8 @@ class SweepPoint:
 
     `stage_seconds` sums the trials' seconds by stage (see _run_chunk), and
     `wall_clock` is their total plus the point's own aggregation time.
+    Both sum per-instance elapsed times: where the data stages of large
+    instances overlap on threads, they can exceed the wall time that passed.
     `solves` gives each NR, FR and exact estimator's "iterations", [median,
     max] of n_iters, and "unconverged_trials", the trials whose solve did
     not converge.
@@ -424,7 +520,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     The (edge count, trial) instances run in sweep order, in chunks of up to
     SWEEP_CHUNK (see _run_chunk): each instance samples its data and keeps
-    only its counts and states, every centralized problem of the chunk is
+    only its counts and states (a chunk's large instances on parallel
+    threads), every centralized problem of the chunk is
     solved together, with one stacked kernel call per request kind and
     solver round, and the chunk classifies in one stacked pass.  Every
     result has the bits of a trial-by-trial run, and the points aggregate

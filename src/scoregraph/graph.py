@@ -8,6 +8,7 @@ plain-text serialization format is 1-based.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -276,6 +277,10 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
     the last 4 values of N (about 24 N^2 bytes each, 2.2 MB at N = 300);
     graphs of one N share these read-only arrays.
     """
+    try:
+        n_agents, edge_count_target = operator.index(n_agents), operator.index(edge_count_target)
+    except TypeError:
+        raise ValueError("n_agents and edge_count_target must be integers") from None
     if n_agents < 2:
         raise ValueError("n_agents must be >= 2")
     max_edges = n_agents * (n_agents - 1)

@@ -405,6 +405,13 @@ class TestProjectedGradient:
             sg.projected_gradient_solve(problem, start, max_iters=-1)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             sg.estimate(problem, max_iters=-1)
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="grid_points must be an integer"):
+                sg.estimate(problem, grid_points=bad)
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                sg.estimate(problem, max_iters=bad)
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                sg.projected_gradient_solve(problem, start, max_iters=bad)
         assert sg.estimate(problem, grid_points=1).converged
         res = sg.projected_gradient_solve(problem, start, max_iters=0)
         assert res.n_iters == 0 and not res.converged

@@ -8,6 +8,9 @@ import re
 import resource
 import signal
 import stat
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -454,6 +457,125 @@ class TestRunSweep:
             path.write_text(f"{header}\n{rows}")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{error}"):
                 read(path)
+
+
+class TestThreadedDataStage:
+    """A chunk's instances of at least _THREADED_EDGES edges draw their data on
+    threads when there are two or more of them; every result is the serial one."""
+
+    # N = 150 on the complete graph: 22,350 edges per instance
+    CFG = ExperimentConfig(n_agents=150, sweep=(22350,), trials=3,
+                           estimators=("NR", "FR", "FR-distributed", "oracle"),
+                           comm_family="static-complete", solver_rounds=30)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started, on two usable CPUs whatever the machine has."""
+        from scoregraph import experiments
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        return started
+
+    @staticmethod
+    def _failing_draws(monkeypatch, failing, slow=()):
+        """Patch the score draw to raise failing[key]("(n, trial)") at each
+        instance key of `failing`, after a sleep at `slow`; return the list of
+        (n, trial) keys it saw."""
+        from scoregraph import experiments
+        seen, draw = [], experiments._draw_scores
+
+        def patched(graph, scorer, rng):
+            key = tuple(int(k) for k in rng.bit_generator.seed_seq.entropy[1:])
+            seen.append(key)
+            if key in slow:
+                time.sleep(0.2)
+            if key in failing:
+                raise failing[key](str(key))
+            return draw(graph, scorer, rng)
+
+        monkeypatch.setattr(experiments, "_draw_scores", patched)
+        return seen
+
+    def test_threaded_instances_give_the_serial_results(self, tmp_path, monkeypatch, started):
+        from scoregraph import experiments
+        cfg, model, truth, scorer, schedule, _ = experiments._prepare(self.CFG)
+        keys = [(22350, trial) for trial in range(3)]
+        runs = {}
+        for mode, threshold in (("threaded", experiments._THREADED_EDGES), ("serial", 22351)):
+            monkeypatch.setattr(experiments, "_THREADED_EDGES", threshold)
+            before = len(started)
+            runs[mode] = experiments._run_chunk(cfg, model, truth, scorer, schedule, keys)
+            emit_outputs(run_sweep(self.CFG), tmp_path / mode)
+            assert (len(started) > before) == (mode == "threaded")
+        for threaded, serial in zip(runs["threaded"], runs["serial"], strict=True):
+            assert threaded.graph is None and serial.graph is None
+            for field in ("received", "mutual", "received_only", "given_only", "in_degree"):
+                np.testing.assert_array_equal(getattr(threaded.counts, field),
+                                              getattr(serial.counts, field))
+            np.testing.assert_array_equal(threaded.states, serial.states)
+            assert sorted(threaded.fits) == ["FR", "FR-distributed", "NR"]
+            for est in threaded.fits:
+                assert threaded.fits[est][0].tobytes() == serial.fits[est][0].tobytes()
+            np.testing.assert_array_equal(threaded.fits["FR-distributed"][1].z_traj,
+                                          serial.fits["FR-distributed"][1].z_traj)
+            assert list(threaded.stages) == list(serial.stages)
+        for name in ("rmse.csv", "misclass.csv"):
+            assert ((tmp_path / "threaded" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    @pytest.mark.parametrize("failing, slow, raised", [
+        # a threaded instance alone
+        ({(22350, 1): ValueError}, (), (22350, 1)),
+        # an earlier threaded instance beats a later one that fails first
+        ({(20000, 1): ValueError, (22350, 0): ValueError}, {(20000, 1)}, (20000, 1)),
+        # an earlier instance drawn inline beats a later threaded one
+        ({(150, 1): ValueError, (22350, 0): ValueError}, (), (150, 1)),
+    ])
+    def test_the_first_failure_in_sweep_order_is_raised(self, monkeypatch, started, failing,
+                                                        slow, raised):
+        self._failing_draws(monkeypatch, failing, slow)
+        threads = threading.active_count()
+        cfg = ExperimentConfig(n_agents=150, sweep=(150, 20000, 22350), trials=2,
+                               estimators=("oracle",))
+        with pytest.raises(ValueError, match=re.escape(str(raised))):
+            run_sweep(cfg)
+        assert started and threading.active_count() == threads
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_failure_cancels_the_instances_not_yet_taken(self, monkeypatch, started, error):
+        # (20000, 0) and (20000, 1) run side by side; the first raises while the
+        # other sleeps, so neither 22,350-edge instance is ever taken
+        seen = self._failing_draws(monkeypatch, {(20000, 0): error}, slow={(20000, 1)})
+        threads = threading.active_count()
+        cfg = ExperimentConfig(n_agents=150, sweep=(20000, 22350), trials=2,
+                               estimators=("oracle",))
+        with pytest.raises(error, match=re.escape("(20000, 0)")):
+            run_sweep(cfg)
+        assert sorted(seen) == [(20000, 0), (20000, 1)]
+        assert len(started) == 1 and threading.active_count() == threads
+
+    def test_each_item_is_drawn_once_by_more_threads_than_cores(self, monkeypatch):
+        from scoregraph import experiments
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        items = [experiments._Instance(22350, trial) for trial in range(400)]
+
+        def draw(item):
+            item.stages["draws"] = item.stages.get("draws", 0) + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert experiments._draw_on_threads(items, draw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [item.stages for item in items] == [{"draws": 1}] * 400
+
+    def test_the_desk_sweeps_start_no_thread(self, started):
+        run_sweep(ExperimentConfig())
+        run_sweep(ExperimentConfig(model="social-ranking", theta=(0.5,), gamma=(0.3,)))
+        assert started == []
 
 
 class TestRunSingle:

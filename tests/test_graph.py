@@ -45,6 +45,15 @@ def test_edge_count_range_is_enforced():
         sg.sample_score_graph(1, 1, "cyclic-plus-random-edges")
     with pytest.raises(ValueError):
         sg.sample_score_graph(5, 12, "complete")   # complete means all pairs
+    # a non-integer count is rejected before any draw
+    for n_agents, target, topology in ((10, 20.0, "cyclic-plus-random-edges"),
+                                       (10.5, 20, "cyclic-plus-random-edges"),
+                                       (5.0, 20, "complete")):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be integers"):
+            sg.sample_score_graph(n_agents, target, topology, rng)
+        assert rng.bit_generator.state == before
 
 
 def test_score_graph_rejects_malformed_edges():
