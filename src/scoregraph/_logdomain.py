@@ -7,13 +7,9 @@ axis reduces each slice on its own."""
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 __all__ = ["counted_log_factor", "logsumexp"]
-
-SHORT_AXIS = 8   # logsumexp folds a last axis shorter than this
 
 
 def logsumexp(a, axis=None) -> np.ndarray:
@@ -30,21 +26,14 @@ def logsumexp(a, axis=None) -> np.ndarray:
     dense buffer in the memory order of `a`) and one boolean mask; `a`
     itself is never written.
 
-    Along a last axis shorter than SHORT_AXIS (the C states of a classifier
-    table (N, C)), the max, the tie count and the sum fold the slices
-    elementwise instead of reducing row by row.  The bits stay the same: max
-    is exact, and np.sum over a contiguous axis shorter than 8 (where its
-    pairwise summation starts) is the same left fold over the C-ordered
-    exponentials.  Any other axis goes to the ufunc reductions, called as
-    np.maximum.reduce and np.add.reduce, which skip the wrappers of np.max
-    and np.sum; on the states axis -2 of an NR table (..., C, N) numpy runs
-    them elementwise along the contiguous last axis already.
+    Every axis goes to the ufunc reductions, called as np.maximum.reduce
+    and np.add.reduce, which skip the wrappers of np.max and np.sum: the
+    last axis of a classifier table (..., N, C) row by row, and the states
+    axis -2 of an NR table (..., C, N) elementwise along the contiguous last
+    axis, alike at every point of a stack.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[-1] if a.ndim else 0
-    fold = axis is not None and axis in (-1, a.ndim - 1) and 1 < n < SHORT_AXIS
-    a_max = (reduce(np.maximum, _slices(a)) if fold
-             else np.maximum.reduce(a, axis=axis, keepdims=True))
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     below = a < a_max                         # every entry but the maximal ones
     if np.isfinite(a_max).all():
         shifted = np.subtract(a, a_max, order="K")
@@ -53,22 +42,13 @@ def logsumexp(a, axis=None) -> np.ndarray:
     else:                                     # inf - inf is NaN: keep those entries at -inf
         shifted = np.subtract(a, a_max, out=np.full_like(a, -np.inf), where=below)
         np.exp(shifted, out=shifted)
-    rest = (reduce(np.add, _slices(shifted)) if fold
-            else np.add.reduce(shifted, axis=axis, keepdims=True))
+    rest = np.add.reduce(shifted, axis=axis, keepdims=True)
     if np.count_nonzero(below) == a.size - a_max.size:
         # one maximal entry per slice: log1p(rest / 1) + log(1) is log1p(rest)
         # bit for bit, since rest is at least +0
         return (np.log1p(rest) + a_max).squeeze(axis=axis)
-    if fold:
-        m = np.subtract(n, reduce(np.add, _slices(below.view(np.uint8))), dtype=np.float64)
-    else:
-        m = a.size // a_max.size - np.add.reduce(below, axis=axis, keepdims=True)
+    m = a.size // a_max.size - np.add.reduce(below, axis=axis, keepdims=True)
     return (np.log1p(rest / m) + np.log(m) + a_max).squeeze(axis=axis)
-
-
-def _slices(a: np.ndarray) -> list:
-    """The last-axis slices a[..., j:j + 1], in order."""
-    return [a[..., j:j + 1] for j in range(a.shape[-1])]
 
 
 def counted_log_factor(counts: np.ndarray, log_table: np.ndarray,

@@ -612,10 +612,14 @@ def _newton_direction(z, grad, hess, lo, hi):
     A coordinate is active when it sits at a bound and the gradient pushes
     outward; it takes -g.  The free coordinates F take d_F with
     H_FF d_F = -g_F: one free coordinate takes -g_k / h_kk, the bits LAPACK's
-    solve gives for a 1 x 1 system, positive definite where h_kk > 0; larger
-    systems take _positive_definite and LAPACK's solve.  The free set and the
-    direction are built per coordinate on Python floats (or on the entries
-    of arrays passed in), whose comparisons and negations are numpy's bits.
+    solve gives for a 1 x 1 system, positive definite where h_kk > 0; a
+    larger block is positive definite where its entries are finite (LAPACK
+    lets a NaN pivot through) and np.linalg.cholesky factors it, and takes
+    LAPACK's solve, None where that finds the block singular (a pivot of
+    its LU can round to 0 within rounding of singular).  The free set and
+    the direction are built per coordinate on Python floats (or on the
+    entries of arrays passed in), whose comparisons and negations are
+    numpy's bits.
     """
     direction = [-g for g in grad]
     free = [k for k, (x, g, a, b) in enumerate(zip(z, grad, lo, hi))
@@ -627,34 +631,16 @@ def _newton_direction(z, grad, hess, lo, hi):
         direction[k] = direction[k] / hess[k][k]
     elif free:
         block = [[hess[j][k] for k in free] for j in free]
-        if not _positive_definite(block):
+        if not all(math.isfinite(x) for row in block for x in row):
             return None
-        d_free = np.linalg.solve(block, [direction[k] for k in free])
+        try:
+            np.linalg.cholesky(block)
+            d_free = np.linalg.solve(block, [direction[k] for k in free])
+        except np.linalg.LinAlgError:
+            return None
         for k, d in zip(free, d_free.tolist()):
             direction[k] = d
     return direction
-
-
-def _positive_definite(a) -> bool:
-    """Whether the symmetric matrix a (rows of floats) is positive definite:
-    the pivot test of an unblocked Cholesky factorization, on floats.
-
-    Column j of the factor is scaled by the reciprocal of its pivot's root,
-    as OpenBLAS's potf2 does, so at 2 x 2 (a00 > 0, then
-    a11 - (a10 (1 / sqrt(a00)))^2 > 0) the decision is np.linalg.cholesky's,
-    also within rounding of singular; a quotient a10 / sqrt(a00) there
-    differs from it.  A NaN pivot is not positive here, where LAPACK lets it
-    through and its solve returns NaN.
-    """
-    low = [[0.0] * len(a) for _ in a]
-    for j, row in enumerate(a):
-        pivot = row[j] - sum(x * x for x in low[j][:j])
-        if not pivot > 0:
-            return False
-        scale = 1.0 / math.sqrt(pivot)
-        for i in range(j + 1, len(a)):
-            low[i][j] = (a[i][j] - sum(x * y for x, y in zip(low[i][:j], low[j][:j]))) * scale
-    return True
 
 
 def _backtrack(cost, project, z, f, grad, direction, step, floor):

@@ -202,7 +202,9 @@ def test_soft_csv_round_trip(tmp_path):
         assert int(cells[4]) == out.labels[i] + 1          # 1-based labels
 
 
-STACK_MODELS = MODELS + [sg.social_ranking_model(4, 5)]
+# every state count from C = 2 to 7
+STACK_MODELS = MODELS + [sg.social_ranking_model(4, 5), sg.social_ranking_model(5, 3),
+                         sg.social_ranking_model(6, 3), sg.categorical_model(7, 2)]
 
 
 def _stack_points(model, rng, n_points=12):

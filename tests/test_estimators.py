@@ -751,6 +751,31 @@ def _lapack_direction_1x1(g, h):
     return np.linalg.solve(np.array([[h]]), np.array([-g])).tolist()
 
 
+def _interior_direction(hess):
+    """The projected Newton direction at the centre of the unit box, where
+    every coordinate is free, for the gradient 1."""
+    n = len(hess)
+    return estimators._newton_direction([0.5] * n, [1.0] * n, hess, [0.0] * n, [1.0] * n)
+
+
+def _check_newton_block(hess):
+    """Check _interior_direction on one block against LAPACK: None where
+    np.linalg.cholesky raises, else np.linalg.solve's direction, or None
+    where that solve finds the block singular.  Returns which it was: False,
+    True or "singular"."""
+    got = _interior_direction(hess)
+    if not _cholesky_succeeds(hess):
+        assert got is None, hess
+        return False
+    try:
+        want = np.linalg.solve(np.array(hess), -np.ones(len(hess)))
+    except np.linalg.LinAlgError:
+        assert got is None, hess
+        return "singular"
+    assert _same_bits(np.array(got), want), hess
+    return True
+
+
 def _cholesky_succeeds(a) -> bool:
     try:
         np.linalg.cholesky(np.array(a, dtype=float))
@@ -1000,9 +1025,9 @@ class TestProjectedNewton:
         assert _same_bits(np.array(_direction_1x1(g, h), dtype=float),
                           np.array(_lapack_direction_1x1(g, h), dtype=float))
 
-    def test_the_positive_definite_test_decides_as_cholesky(self):
+    def test_a_newton_block_is_positive_definite_where_cholesky_factors_it(self):
         rng = np.random.default_rng(193)
-        seen = {True: 0, False: 0}
+        seen = {True: 0, False: 0, "singular": 0}
         for k in range(20000):
             a00, a10, a11 = rng.standard_normal(3) * 10.0 ** rng.uniform(-6, 6, 3)
             if k % 3 == 0:
@@ -1012,25 +1037,20 @@ class TestProjectedNewton:
                 low = a10 * (1.0 / math.sqrt(a00))
                 a11 = low * low + int(rng.integers(-3, 4)) * math.ulp(low * low)
             a = [[a00, a10], [a10, a11]]
-            want = _cholesky_succeeds(a)
-            assert estimators._positive_definite(a) == want, a
-            seen[want] += 1
-        assert min(seen.values()) > 3000
+            seen[_check_newton_block(a)] += 1
+        assert seen[False] > 3000 and seen[True] > 3000 and seen["singular"] > 300
         for k in range(2000):
             m = rng.standard_normal((3, 3))
             a = (m @ m.T if k % 2 else 0.5 * (m + m.T)).tolist()
-            assert estimators._positive_definite(a) == _cholesky_succeeds(a), a
+            _check_newton_block(a)
 
-    def test_a_nan_hessian_is_not_positive_definite(self):
+    def test_a_nan_hessian_gives_no_newton_direction(self):
         # np.linalg.cholesky lets a NaN pivot through and its solve returns a
         # NaN direction; the solver takes the spectral step instead
         for a in ([[np.nan]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
                   [[1.0, 0.0], [0.0, np.nan]]):
             assert _cholesky_succeeds(a)
-            assert not estimators._positive_definite(a)
-            n = len(a)
-            assert estimators._newton_direction([0.5] * n, [1.0] * n, a, [0.0] * n,
-                                                [1.0] * n) is None
+            assert _interior_direction(a) is None
 
     def test_a_coordinate_on_a_bound_with_an_outward_gradient_stays_there(self):
         # with gamma = 0 in the data the NR optimum lies on the bound gamma = 0
