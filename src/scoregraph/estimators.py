@@ -76,16 +76,18 @@ projected_gradient_solve).  It is a coroutine that asks for each cost
 evaluation and each gradient it does not carry: alone, each request is
 answered by direct calls; in a sweep, _solve_together answers the like
 requests of many problems with one stacked kernel call, with the same
-results.
+results.  A kept table leaves the request that built it only as its own
+problem's slice (a value-only answer), or not at all (a Newton cost
+evaluation answers with its values and the gradients it carries).
 
 Each relaxed objective is a model half, which reads only the model at the
 points (NR: the tensor, prior, m_in and the logs of m_in and the prior;
 FR: the edge score distribution t and log t), then a data half, which
 combines those logs with the counts or phi.  The grid start runs the same
 data-half functions on a model half at the mesh that is built once per
-model object, grid size and kind and kept in a small module cache, so
-neither objective has a second formula and every mesh value has the bits
-of problem.evaluate at its point.  FR evaluates the whole mesh in one
+model object, grid size and kind and kept on that object, so neither
+objective has a second formula and every mesh value has the bits of
+problem.evaluate at its point.  FR evaluates the whole mesh in one
 call.  NR runs on the U distinct received histograms when 2 <= U <= N/2
 (3 to 5 of 50 at n = N) and gathers the per-agent values in C order
 before the sum over agents, in calls of GRID_BLOCK * min(C, N // U) mesh
@@ -99,7 +101,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,9 +133,6 @@ PHI_TOL = 1e-9
 # points: the table (points, C, U) and the per-agent gather (points, N) then
 # stay within the same bound, and no call takes fewer than GRID_BLOCK points
 GRID_BLOCK = 64
-# models, grid sizes and kinds whose model half at the mesh is kept
-_MESH_CACHE_SIZE = 8
-_MESH_TABLES: dict = {}
 
 
 def exact_loglikelihood(graph: ScoreGraph, model: ModelSpec, theta, gamma) -> float:
@@ -273,8 +271,10 @@ def nr_gradient(counts: NeighborCounts, model: ModelSpec, theta, gamma) -> np.nd
         d/d theta_k = sum_hml dT[k, h, m, l] p_m G[h, l],
         d/d gamma_k = sum_m dprior[k, m] (u_m + W_m / p_m),
 
-    with u_m = sum_hl T[h, m, l] G[h, l], W_m = sum_i w[i, m] and W_m / p_m
-    = 0 where p_m = 0.  The rows of G and W are one product of the constant
+    with u_m = sum_hl T[h, m, l] G[h, l] and W_m = sum_i w[i, m].  Where
+    p_m = 0, W_m / p_m is its limit sum_i exp(c[m, i] - row_lse_i), with
+    c[m, i] = s[m, i] - log p_m agent i's log count product in state m (see
+    _zero_mass_limit).  The rows of G and W are one product of the constant
     (R + 1, N) rows [received^T; 1] (see _float_rows) with w.
     """
     theta, gamma = model.as_arrays(theta, gamma)
@@ -309,14 +309,41 @@ def _nr_gradient(rows: np.ndarray, model: ModelSpec, theta: np.ndarray, gamma: n
     sums = rows @ np.exp(w, out=w)
     g = np.divide(sums[..., :-1, :], m_in, out=np.zeros_like(m_in), where=m_in > 0)
     total = sums[..., -1, :]
-    v = (_contract(np.swapaxes(tensor, -3, -2), g, 2)
-         + np.divide(total, prior, out=np.zeros_like(total), where=prior > 0))
-    grad_gamma = _contract(model.prior_grad_fn(gamma), v, 1)
+    dprior = model.prior_grad_fn(gamma)
+    positive = prior > 0
+    per_mass = np.divide(total, prior, out=np.zeros_like(total), where=positive)
+    if not positive.all():
+        # a state whose prior derivative row is 0 adds nothing, and gets 0
+        zero = ~positive & (dprior != 0).any(axis=-2)
+        per_mass = np.where(zero, _zero_mass_limit(rows, m_in, row_lse, zero), per_mass)
+    v = _contract(np.swapaxes(tensor, -3, -2), g, 2) + per_mass
+    grad_gamma = _contract(dprior, v, 1)
     if not model.theta_dim:
         return grad_gamma
     outer = prior[..., None, :, None] * g[..., :, None, :]    # p_m G[h, l]
     grad_theta = _contract(model.tensor_grad_fn(theta, tensor), outer, 3)
     return np.concatenate([grad_theta, grad_gamma], axis=-1)
+
+
+def _zero_mass_limit(rows: np.ndarray, m_in: np.ndarray, row_lse: np.ndarray,
+                     states: np.ndarray) -> np.ndarray:
+    """sum_i exp(c[m, i] - row_lse_i) in the states m that `states` marks, 0
+    elsewhere: the limit of W_m / p_m as p_m -> 0 in _nr_gradient, where the
+    state table holds only log p_m + c[m, i] = -inf.
+
+    The count products c (..., N, C) are built again, by the product of the
+    NR table on C-contiguous received rows, and the exponentials are summed
+    along a C-contiguous agents axis, so a stack gets the bits of its
+    per-point calls.  The limit is +inf where the exponential overflows: the
+    data in state m is then far likelier than under the prior's support.
+    """
+    received = np.ascontiguousarray(np.swapaxes(rows[..., :-1, :], -1, -2))
+    with np.errstate(divide="ignore"):
+        products = np.swapaxes(counted_log_factor(received, np.log(m_in), 1), -1, -2)
+    shifted = np.full(products.shape, -np.inf)
+    np.subtract(products, row_lse[..., None, :], out=shifted, where=states[..., :, None])
+    with np.errstate(over="ignore"):
+        return np.exp(shifted, out=shifted).sum(axis=-1)
 
 
 def _edge_score_distribution(model: ModelSpec, theta: np.ndarray, gamma: np.ndarray):
@@ -677,7 +704,7 @@ def _backtrack(cost, project, z, f, grad, direction, step, floor):
 
 # the kernel requests of a solver coroutine: (op, points, kept), answered with
 # problem.evaluate(points), problem.gradient(points, kept), or, for a Newton
-# cost evaluation, both: (values, kept, the gradients there; see _carried_gradients)
+# cost evaluation, (values, the gradients it carries; see _carried_gradients)
 _EVALUATE, _GRADIENT, _EVALUATE_AND_GRADIENT = "evaluate", "gradient", "evaluate+gradient"
 
 
@@ -707,7 +734,8 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
     That evaluation carries the gradients at its points: one stacked
     problem.gradient call on the table it kept, in the same request, made
     for a trial that is then rejected too (cheaper than a second request
-    per accepted point).  At an accepted point they give g and the Hessian
+    per accepted point), or the gradient at z alone where a stencil row is
+    not finite.  At an accepted point they give g and the Hessian
     columns (g_k - g) / h_k, symmetrized.  Where H_FF is not positive
     definite, a stencil row is not finite, or the Newton arc finds no
     decrease, the step is the spectral one below.  A full Newton step whose
@@ -742,16 +770,20 @@ def projected_gradient_solve(problem: EstimatorProblem, start,
 
     The driver is a coroutine (_solve_steps) that asks for each cost
     evaluation, with its gradients on the Newton path, and for each gradient
-    that no evaluation carried (spectral steps, a non-finite stencil row);
-    here it runs alone through _solve_together, which answers each request,
-    a group of one, by the direct calls on `problem` and raises what the
-    coroutine raised.  A sweep runs many such coroutines side by side and
+    of a spectral step; here it runs alone through _solve_together, which
+    answers each request, a group of one, by the direct calls on `problem`
+    and raises what the coroutine raised.  A sweep runs many such coroutines side by side and
     answers the requests of many problems with one stacked kernel call (see
     _solve_together), which gives each problem the bits of its direct call,
     so its results are this function's.
     """
-    (result,) = _solve_together([(problem, _solve_steps(problem, start, max_iters, tol,
-                                                         record_trace))])
+    return _run_alone(problem, _solve_steps(problem, start, max_iters, tol, record_trace))
+
+
+def _run_alone(problem: EstimatorProblem, steps):
+    """Run one solver coroutine on `problem`, a group of one in
+    _solve_together, and return its result or raise what it raised."""
+    (result,) = _solve_together([(problem, steps)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -761,38 +793,23 @@ def _answer(problem: EstimatorProblem, request):
     """The direct calls that answer one solver request (op, points, kept)."""
     op, points, kept = request
     if op == _GRADIENT:
-        return problem.gradient(points, _own_table(kept))
+        return problem.gradient(points, kept)
     values, kept = problem.evaluate(points)
     if op == _EVALUATE:
         return values, kept
-    return values, kept, _carried_gradients(problem, points, values, kept)
-
-
-class _Row(NamedTuple):
-    """What a stacked evaluation kept for one problem: the stacked table and
-    the problem's row in it, sliced out (see _own_table) only where a
-    gradient request or a non-finite stencil needs that problem's table."""
-
-    table: tuple
-    row: int
-
-
-def _own_table(kept):
-    """The table an evaluation kept for its problem: `kept` itself, or its
-    row of a stacked table."""
-    return _first_point(*kept) if isinstance(kept, _Row) else kept
+    return values, _carried_gradients(problem, points, values, kept)
 
 
 def _carried_gradients(problem: EstimatorProblem, points, values, kept):
-    """The gradients that a Newton cost evaluation carries: at its points,
-    from the table it kept; the exception that gradient call raised, which
-    the solver raises where it asks for the gradient; or None where a value
-    is not finite, since the solver then takes the gradient at the first
-    point alone."""
-    if not np.isfinite(values).all():
-        return None
+    """The gradients that a Newton cost evaluation carries, from the table it
+    kept: at its points, or at its first point alone where another value is
+    not finite (the stencil then gives no Hessian); or the exception that
+    gradient call raised, which the solver raises where it needs the
+    gradient."""
     try:
-        return problem.gradient(points, kept)
+        if np.isfinite(values).all():
+            return problem.gradient(points, kept)
+        return problem.gradient(points[0], _first_point(kept))
     except Exception as exc:
         return exc
 
@@ -801,8 +818,10 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
                  record_trace: bool):
     """projected_gradient_solve as a coroutine: it yields each request
     (op, points, kept) for problem.evaluate(points), for
-    problem.gradient(points, kept), or for both (a Newton cost evaluation),
-    takes the answer back (see _answer), and returns the SolveResult."""
+    problem.gradient(points, kept), or for a Newton cost evaluation, which
+    is answered with its values and the gradients it carries (see
+    _carried_gradients), takes the answer back (see _answer), and returns
+    the SolveResult."""
     feas = problem.model.feasible
     z = np.asarray(start, dtype=np.float64).copy()
     if not feas.contains(z):
@@ -830,9 +849,9 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         for k, (x, b) in enumerate(zip(v, hi)):
             h = HESSIAN_STEP * max(1.0, abs(x))
             points.append(v[:k] + [x - h if x + h > b else x + h] + v[k + 1:])
-        values, state, grads = yield _EVALUATE_AND_GRADIENT, np.array(points), None
+        values, grads = yield _EVALUATE_AND_GRADIENT, np.array(points), None
         values = values.tolist()
-        return sign * values[0], (points, values, state, grads)
+        return sign * values[0], (points, values, grads)
 
     def signed(g):
         """sign * g on the floats of g: a negation, numpy's bits for -1.0 * x."""
@@ -843,12 +862,11 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         Hessian (a list of rows) or None."""
         if not newton:
             return signed((yield _GRADIENT, np.array(v), kept).tolist()), None
-        points, values, state, grads = kept
-        if not all(map(math.isfinite, values)):
-            grad = yield _GRADIENT, np.array(points[0]), _first_point(_own_table(state))
-            return signed(grad.tolist()), None
+        points, values, grads = kept
         if isinstance(grads, Exception):
             raise grads
+        if not all(map(math.isfinite, values)):
+            return signed(grads.tolist()), None
         g, *rows = map(signed, grads.tolist())
         if not all(math.isfinite(x) for row in rows for x in row):
             return g, None
@@ -931,16 +949,9 @@ def _solve_together(jobs: list) -> list:
     stacked call that raises is answered again one request at a time, so
     that each coroutine gets its own answer or exception thrown in at its
     request.
-
-    The stacked data of a group (received rows, gradient rows, phi) is
-    built when the group first meets and reused while the same members meet
-    again under the same key; a change of members rebuilds it.  It is kept
-    per key for this call only, which bounds it to a few stacks of the
-    jobs' data.
     """
     results = [None] * len(jobs)
     pending = {}     # job -> (group key, request)
-    stacks = {}      # group key -> (members, their stacked data by item)
 
     def resume(k, answer=None, error=None):
         problem, steps = jobs[k]
@@ -959,13 +970,10 @@ def _solve_together(jobs: list) -> list:
         groups = {}
         for k, (key, _) in pending.items():
             groups.setdefault(key, []).append(k)
-        key, members = max(groups.items(), key=lambda group: len(group[1]))
-        members = tuple(members)
-        if key not in stacks or stacks[key][0] != members:
-            stacks[key] = members, {}
+        members = max(groups.values(), key=len)
         requests = [pending.pop(k)[1] for k in members]
         for k, (answer, error) in zip(members, _answer_group(
-                [jobs[k][0] for k in members], requests, stacks[key][1])):
+                [jobs[k][0] for k in members], requests)):
             resume(k, answer, error)
     return results
 
@@ -978,9 +986,8 @@ def _group_key(problem: EstimatorProblem, request) -> tuple:
     return op, problem.kind, id(problem.model), points.shape, getattr(data, "shape", None)
 
 
-def _answer_group(problems: list, requests: list, stacks: dict | None = None) -> list:
-    """(answer, None) or (None, exception) for each request of one group;
-    `stacks` is the group's stacked data, if kept (see _answer_stack).
+def _answer_group(problems: list, requests: list) -> list:
+    """(answer, None) or (None, exception) for each request of one group.
 
     Only an error a kernel raises on data (a ScoregraphError such as
     NonFiniteError, or an ArithmeticError) sends the group to direct calls;
@@ -988,7 +995,7 @@ def _answer_group(problems: list, requests: list, stacks: dict | None = None) ->
     """
     if len(problems) > 1 and problems[0].kind != "exact":
         try:
-            return [(answer, None) for answer in _answer_stack(problems, requests, stacks)]
+            return [(answer, None) for answer in _answer_stack(problems, requests)]
         except (ScoregraphError, ArithmeticError):
             pass    # answered one at a time below, where each raises what it raises
     out = []
@@ -1000,39 +1007,35 @@ def _answer_group(problems: list, requests: list, stacks: dict | None = None) ->
     return out
 
 
-def _answer_stack(problems: list, requests: list, stacks: dict | None = None) -> list:
+def _answer_stack(problems: list, requests: list) -> list:
     """The answers to P same-shaped requests of NR or FR problems of one
     model, from one kernel call on their stacked data.
 
     The points stack to (P, *shape), and each problem's data gets a problem
     axis and a unit axis per stack axis of its points: received rows
     (P, 1, N, R) for an NR stencil, gradient rows (P, 1, R + 1, N), phi
-    (P, 1, R).  Each is stacked on first use and kept in `stacks`, which
-    _solve_together holds for as long as the same problems meet again under
-    the same key.  The kernels take every product per point and reduce per
-    row (see the module docstring), so answer p has the bits of the direct
-    call on problem p.  Kept tables come back as the stacked table and the
-    problem's row in it (_Row), and a gradient request stacks each
-    problem's own table again.  An evaluate+gradient request takes the
-    gradients from the stacked table the evaluation just built, in one more
-    kernel call; if that call raises (a non-finite value raises there),
-    _answer_group answers each request by its direct calls instead (see
+    (P, 1, R).  The data is stacked anew on every call.  The kernels take
+    every product per point and reduce per row (see the module docstring),
+    so answer p has the bits of the direct call on problem p.  An evaluate
+    request answers each problem with its own slice of the stacked table,
+    and a gradient request stacks those slices again.  An evaluate+gradient
+    request answers with the values and the gradients from the stacked
+    table the evaluation just built, in one more kernel call, and no table;
+    if that call raises (a non-finite value raises there), _answer_group
+    answers each request by its direct calls instead (see
     _carried_gradients).
     """
     op, points, _ = requests[0]
     kind, model = problems[0].kind, problems[0].model
     theta, gamma = model.feasible.split(np.stack([request[1] for request in requests]))
     lead = (len(problems),) + (1,) * (points.ndim - 1)
-    stacks = {} if stacks is None else stacks
 
     def stacked(item):
         """Item `item` of each problem's data: NR (received rows, gradient
         rows), FR (phi,)."""
-        if item not in stacks:
-            data = [problem._nr_rows[item] if kind == "nr" else problem.data
-                    for problem in problems]
-            stacks[item] = np.stack(data).reshape(lead + data[0].shape)
-        return stacks[item]
+        data = [problem._nr_rows[item] if kind == "nr" else problem.data
+                for problem in problems]
+        return np.stack(data).reshape(lead + data[0].shape)
 
     def gradients(kept):
         if kind == "nr":
@@ -1041,14 +1044,13 @@ def _answer_stack(problems: list, requests: list, stacks: dict | None = None) ->
 
     if op == _GRADIENT:
         return gradients(tuple(parts[0] if all(a is parts[0] for a in parts) else np.stack(parts)
-                               for parts in zip(*(_own_table(request[2])
-                                                  for request in requests))))
+                               for parts in zip(*(request[2] for request in requests))))
     values, kept = (_nr_kept_table if kind == "nr" else _fr_kept_table)(
         stacked(0), model, theta, gamma)
-    answers = [(_point_or_rows(values[p]), _Row(kept, p)) for p in range(len(problems))]
+    values = [_point_or_rows(row) for row in values]
     if op == _EVALUATE:
-        return answers
-    return [(*answer, grad) for answer, grad in zip(answers, gradients(kept))]
+        return [(value, _first_point(kept, p)) for p, value in enumerate(values)]
+    return list(zip(values, gradients(kept)))
 
 
 def _canonical_swap(z: np.ndarray, model: ModelSpec):
@@ -1158,17 +1160,15 @@ def _mesh_points(model: ModelSpec, grid_points: int) -> np.ndarray | None:
 
 def _mesh_tables(model: ModelSpec, grid_points: int, kind: str):
     """(mesh points, the model half of the `kind` objective at them), built
-    once per model, grid_points and kind; (None, None) without a mesh.
+    once per model object, grid_points and kind and kept on the model (see
+    ModelSpec._mesh_cache), so they go with it; (None, None) without a mesh.
 
     The model half is (log m_in, log prior) for NR (see _nr_model_half),
-    (log t,) for FR and None for exact; the arrays are read-only.  Entries
-    are keyed by the model's id and each holds the model, so that no other
-    object can take that id while the entry lives; past _MESH_CACHE_SIZE
-    entries the oldest goes.
+    (log t,) for FR and None for exact; the arrays are read-only.
     """
-    key = (id(model), grid_points, kind)
-    entry = _MESH_TABLES.get(key)
-    if entry is None:
+    key = (grid_points, kind)
+    tables = model._mesh_cache
+    if key not in tables:
         points, half = _mesh_points(model, grid_points), None
         if points is not None and kind != "exact":
             theta, gamma = model.feasible.split(points)
@@ -1177,10 +1177,8 @@ def _mesh_tables(model: ModelSpec, grid_points: int, kind: str):
                         else (_fr_model_half(model, theta, gamma)[0],))
             for a in half:
                 a.setflags(write=False)
-        if len(_MESH_TABLES) >= _MESH_CACHE_SIZE:
-            del _MESH_TABLES[next(iter(_MESH_TABLES))]
-        entry = _MESH_TABLES[key] = (model, points, half)
-    return entry[1:]
+        tables[key] = points, half
+    return tables[key]
 
 
 def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 100000,
@@ -1203,11 +1201,8 @@ def estimate(problem: EstimatorProblem, grid_points: int = 21, max_iters: int = 
     them together with one stacked kernel call per request kind and round,
     with the same results.
     """
-    (result,) = _solve_together([(problem, _estimate_steps(problem, grid_points, max_iters,
-                                                            tol, record_trace))])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _run_alone(problem, _estimate_steps(problem, grid_points, max_iters, tol,
+                                               record_trace))
 
 
 def _estimate_steps(problem: EstimatorProblem, grid_points: int, max_iters: int, tol: float,

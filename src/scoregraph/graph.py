@@ -87,6 +87,7 @@ class ScoreGraph:
     scores: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_integers(n_agents=self.n_agents, n_scores=self.n_scores)
         if self.n_agents < 2:
             raise ValueError("a score graph needs at least 2 agents")
         if self.n_scores < 2:
@@ -451,6 +452,15 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(reached.all())
 
 
+def _require_integers(**sizes) -> None:
+    """ValueError naming the first of `sizes` that is not an integer."""
+    for name, value in sizes.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class CommSchedule:
     """Periodic time-varying communication graph.
@@ -467,6 +477,7 @@ class CommSchedule:
     matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_integers(n_agents=self.n_agents, window=self.window)
         frames = tuple(
             _owned(np.asarray(f, dtype=np.int64).reshape(-1, 2), None) for f in self.frames)
         if self.window < 1 or not frames:
@@ -513,6 +524,7 @@ def make_comm_schedule(n_agents: int, family: str, window: int = 1, rng=0) -> Co
 
     The default rng seed is fixed so repeated calls build the same schedule.
     """
+    _require_integers(n_agents=n_agents, window=window)
     if n_agents < 2:
         raise ValueError("n_agents must be >= 2")
     idx = np.arange(n_agents)

@@ -268,6 +268,12 @@ class ModelSpec:
     def theta_dim(self) -> int:
         return self.feasible.theta_dim
 
+    @cached_property
+    def _mesh_cache(self) -> dict:
+        """The grid start's mesh tables of this model object, by grid size and
+        objective kind (see estimators._mesh_tables); they go with the object."""
+        return {}
+
     @property
     def gamma_dim(self) -> int:
         return self.feasible.gamma_dim

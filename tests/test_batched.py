@@ -40,12 +40,6 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _own(answer):
-    """A solver answer with its kept table resolved to the problem's own: a
-    stacked answer keeps the stacked table and the problem's row in it."""
-    return (answer[0], estimators._own_table(answer[1]), *answer[2:])
-
-
 def _assert_same_solve(got, want, where):
     for name in SOLVE_FIELDS:
         assert _same(getattr(got, name), getattr(want, name)), (where, name)
@@ -90,8 +84,9 @@ class TestStackedKernels:
                     for kind, build in (("nr", sg.nr_problem), ("fr", sg.fr_problem))}
         dim = model.feasible.dim
         for kind, group in problems.items():
-            # a single point (a spectral trial) and a Newton stencil, whose
-            # evaluation carries its gradients: (values, kept, gradients)
+            # a single point (a spectral trial), answered (value, its own kept
+            # table), and a Newton stencil, whose evaluation carries its
+            # gradients: (values, gradients)
             for shape, op in (((dim,), "evaluate"), ((dim + 1, dim), "evaluate+gradient")):
                 rows = shape[0] if len(shape) == 2 else 1
                 points = [model.feasible.sample_interior(rng, size=rows).reshape(shape)
@@ -100,15 +95,15 @@ class TestStackedKernels:
                 got = estimators._answer_stack(group, requests)
                 want = [estimators._answer(p, q) for p, q in zip(group, requests)]
                 for g, w in zip(got, want):
-                    assert len(w) == (2 if op == "evaluate" else 3), (kind, shape)
-                    assert _same(_own(g), w), (kind, shape)
-                requests = [("gradient", z, w[1]) for z, w in zip(points, want)]
+                    assert len(w) == 2, (kind, shape)
+                    assert _same(g, w), (kind, shape)
+                requests = [("gradient", z, p.evaluate(z)[1]) for p, z in zip(group, points)]
                 got = estimators._answer_stack(group, requests)
                 for p, g, q in zip(group, got, requests):
                     assert _same(g, estimators._answer(p, q)), (kind, shape)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}-{m.n_states}-{m.n_scores}")
-    def test_a_stacked_evaluation_carries_the_gradients_of_its_kept_tables(self, model):
+    def test_a_stacked_evaluation_carries_the_gradients_of_its_tables(self, model):
         rng = np.random.default_rng(233)
         dim = model.feasible.dim
         for build in (sg.nr_problem, sg.fr_problem):
@@ -116,10 +111,10 @@ class TestStackedKernels:
             requests = [("evaluate+gradient",
                          model.feasible.sample_interior(rng, size=dim + 1), None)
                         for _ in group]
-            for problem, (_, points, _), (values, kept, grads) in zip(
+            for problem, (_, points, _), (values, grads) in zip(
                     group, requests, estimators._answer_stack(group, requests)):
                 assert np.isfinite(values).all()
-                assert _same(grads, problem.gradient(points, estimators._own_table(kept))), \
+                assert _same(grads, problem.gradient(points, problem.evaluate(points)[1])), \
                     problem.kind
 
     def test_a_request_that_raises_gets_its_own_exception(self):
@@ -137,7 +132,7 @@ class TestStackedKernels:
     def test_a_fault_in_the_stacked_path_is_not_answered_directly(self, monkeypatch):
         # only the errors a kernel raises on data send a group to direct
         # calls; a TypeError of the stacked path propagates
-        def broken(problems, requests, stacks=None):
+        def broken(problems, requests):
             raise TypeError("stacked path called wrongly")
 
         monkeypatch.setattr(estimators, "_answer_stack", broken)
@@ -149,17 +144,22 @@ class TestStackedKernels:
     def test_a_gradient_error_surfaces_only_at_the_gradient_step(self, monkeypatch):
         problems = _gamma_zero_problems()
         # a stencil at gamma = 0: both evaluations are answered, and the one
-        # with a -inf value carries no gradients; the solver then asks for
-        # the gradient at row 0 alone, which raises for that problem only
+        # with a -inf value carries the gradient at row 0 alone, which raises
+        # for that problem only; the solver raises it where it needs it
         stencil = np.array([[0.0], [1e-6]])
         answers = estimators._answer_group(problems, [("evaluate+gradient", stencil, None)] * 2)
-        ((values, kept, grads), error), ((_, kept_1, grads_1), error_1) = answers
+        ((values, grads), error), ((_, grads_1), error_1) = answers
         assert error is None and values[0] == -np.inf and np.isfinite(values[1])
-        assert grads is None
-        assert error_1 is None and _same(
-            grads_1, problems[1].gradient(stencil, estimators._own_table(kept_1)))
-        with pytest.raises(NonFiniteError):
-            problems[0].gradient(stencil[0], estimators._first_point(estimators._own_table(kept)))
+        assert isinstance(grads, NonFiniteError)
+        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil))
+        # a finite row 0 next to a -inf row: the gradient at row 0 alone, from
+        # that row of the kept table, with the bits of a direct call
+        stencil = np.array([[1e-6], [0.0]])
+        answers = estimators._answer_group(problems, [("evaluate+gradient", stencil, None)] * 2)
+        ((values, grads), error), ((_, grads_1), error_1) = answers
+        assert error is None and np.isfinite(values[0]) and values[1] == -np.inf
+        assert _same(grads, problems[0].gradient(stencil[0]))
+        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil))
         # a gradient that raises where every value is finite is kept in the
         # answer, and the solve raises it where it asks for the gradient: after
         # its first cost evaluation, not at it
@@ -173,11 +173,10 @@ class TestStackedKernels:
         monkeypatch.setattr(estimators, "_nr_gradient", failing)
         stencil = np.array([[0.3], [0.300001]])
         answers = estimators._answer_group(problems, [("evaluate+gradient", stencil, None)] * 2)
-        ((values, _, grads), error), ((_, kept_1, grads_1), error_1) = answers
+        ((values, grads), error), ((_, grads_1), error_1) = answers
         assert error is None and np.isfinite(values).all()
         assert isinstance(grads, NonFiniteError)
-        assert error_1 is None and _same(
-            grads_1, problems[1].gradient(stencil, estimators._own_table(kept_1)))
+        assert error_1 is None and _same(grads_1, problems[1].gradient(stencil))
         steps = estimators._solve_steps(problems[0], np.array([0.3]), 5000, 1e-8, False)
         request = steps.send(None)
         assert request[0] == "evaluate+gradient"
@@ -201,10 +200,10 @@ class TestSolveTogether:
         calls = {"stacked": 0, "raised": 0}
         answer_stack = estimators._answer_stack
 
-        def counted(problems, requests, stacks):
+        def counted(problems, requests):
             calls["stacked"] += 1
             try:
-                return answer_stack(problems, requests, stacks)
+                return answer_stack(problems, requests)
             except Exception:
                 calls["raised"] += 1
                 raise
@@ -249,19 +248,19 @@ class TestSolveTogether:
         # NR problems that stop at different iterations, on a box model (one
         # Newton request per iteration) and on a simplex model (spectral
         # steps, whose evaluate and gradient requests drift out of phase):
-        # a group key meets again with other members of the same count, so
-        # its stacked data must follow the members, not the key or the count
+        # a group key meets again with other members of the same count, and
+        # each answer must be its own member's
         rng = np.random.default_rng(241)
         problems = [sg.nr_problem(_counts(model, 10, n_edges, rng), model)
                     for model in (MODELS[1], MODELS[4]) for n_edges in (10, 30, 60, 90) * 2]
         groups = []
         answer_group = estimators._answer_group
 
-        def recorded(group, requests, stacks):
+        def recorded(group, requests):
             op, points, _ = requests[0]
             groups.append(((op, group[0].model.name, points.shape, len(group)),
                            tuple(map(id, group))))
-            return answer_group(group, requests, stacks)
+            return answer_group(group, requests)
 
         monkeypatch.setattr(estimators, "_answer_group", recorded)
         jobs = [(p, estimators._estimate_steps(p, 9, 5000, 1e-8, True)) for p in problems]

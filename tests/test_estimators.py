@@ -140,14 +140,19 @@ def _nr_gradient_reference(counts, model, theta, gamma):
     """The NR gradient through per-agent (k, N, C) arrays, the formula the
     R x C weight table replaced (three-operand einsums).  Also returns the
     same sums over the absolute values of the terms, which scale the
-    rounding error of either formula."""
+    rounding error of either formula.  Where p_l = 0, w[i, l] / p_l is its
+    limit exp(c[i, l] - row_lse_i), c[i, l] agent i's log count product."""
     _, (s, tensor, prior, m_in, _) = estimators._nr_kept_table(counts.received, model,
                                                                 theta, gamma)
     s = np.swapaxes(s, -1, -2)      # the table is states-first; this formula reads s[..., i, l]
-    w = np.exp(s - logsumexp(s, axis=-1)[..., None])
+    lse = logsumexp(s, axis=-1)[..., None]
+    w = np.exp(s - lse)
     received = counts.received
     ratio_m = np.divide(1.0, m_in, out=np.zeros_like(m_in), where=m_in > 0)
-    prior_k = prior[..., None, :]
+    with np.errstate(divide="ignore"):
+        c = counted_log_factor(received, np.log(m_in))
+    p = prior[..., None, :]
+    per_mass = np.divide(w, p, out=np.exp(c - lse), where=p > 0)
     out = []
     for f in (lambda a: a, np.abs):
         if model.theta_dim:
@@ -159,9 +164,8 @@ def _nr_gradient_reference(counts, model, theta, gamma):
         d_prior = f(model.prior_grad(gamma))
         dm_gamma = np.einsum("...hml,...km->...khl", tensor, d_prior)
         b = np.einsum("ih,...khl,...hl->...kil", received, dm_gamma, ratio_m)
-        ratio_p = np.divide(d_prior, prior_k, where=prior_k > 0,
-                            out=np.zeros(np.broadcast_shapes(d_prior.shape, prior_k.shape)))
-        grad_gamma = np.einsum("...il,...kil->...k", w, b + ratio_p[..., None, :])
+        grad_gamma = (np.einsum("...il,...kil->...k", w, b)
+                      + np.einsum("...kl,...il->...k", d_prior, per_mass))
         out.append(np.concatenate([grad_theta, grad_gamma], axis=-1))
     return out[0], np.abs(out[1])
 
@@ -183,8 +187,9 @@ class TestNodeRelaxedGradient:
             assert got.shape == want.shape == z.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_a_zero_prior_state_contributes_no_ratio_term(self):
-        # reliability at gamma = 1: the unreliable state has prior 0 and weight 0
+    def test_a_zero_prior_state_takes_the_limit_of_its_ratio_term(self):
+        # reliability at gamma = 1: the reliable state has prior 0 and weight
+        # 0, and W_m / p_m is the limit sum_i exp(c[m, i] - row_lse_i)
         model = sg.reliability_model(5)
         scored, _, _ = _instance(model, np.random.default_rng(137), n_agents=8, n_edges=30)
         counts = sg.aggregate_counts(scored)
@@ -193,6 +198,30 @@ class TestNodeRelaxedGradient:
         want, scale = _nr_gradient_reference(counts, model, theta, gamma)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("model", [sg.reliability_model(5), sg.preparata_model(),
+                                       sg.social_ranking_model(3, 3),
+                                       sg.social_ranking_model(4, 5)],
+                             ids=lambda m: f"{m.name}-{m.n_states}-{m.n_scores}")
+    def test_gradient_at_a_zero_prior_mass_equals_a_one_sided_difference(self, model):
+        # at gamma = 0 or 1 a prior mass is 0, and the gamma derivative needs
+        # the limit of that state's W_m / p_m term: without it, social-ranking
+        # at gamma = 0 reads 0.21 against a difference of 181.3
+        rng = np.random.default_rng(11)
+        scored, _, _ = _instance(model, rng, n_agents=30, n_edges=200)
+        counts = sg.aggregate_counts(scored)
+        theta = np.full(model.theta_dim, 0.7)
+        checked = 0
+        for gamma, h in ((0.0, 1e-7), (1.0, -1e-7)):
+            value = sg.nr_objective(counts, model, theta, [gamma])
+            if not np.isfinite(value):
+                continue      # the data is impossible there
+            step = (sg.nr_objective(counts, model, theta, [gamma + h]) - value) / h
+            got = sg.nr_gradient(counts, model, theta, [gamma])[-1]
+            assert got == pytest.approx(step, rel=1e-5), gamma
+            checked += 1
+        # both bounds for the ranking models, gamma = 1 for the binary-state ones
+        assert checked == (2 if model.name == "social-ranking" else 1)
 
 
 class TestFullyRelaxedObjective:
@@ -513,10 +542,11 @@ class TestProjectedGradient:
                                               tol=1e-8, max_iters=5000, record_trace=False)
             assert res.converged
             n_iters += res.n_iters
-        # a Newton cost evaluation whose stencil values are all finite carries
-        # its gradients, accepted or not: one per iteration, plus the one
-        # rejected trial with a finite cost (in the reliability solve)
-        assert counted["gradient"] == n_iters + 1 == 42
+        # a Newton cost evaluation carries its gradients, accepted or not: one
+        # per iteration, plus one per rejected Newton trial, of which there
+        # are two: the stencil's gradients where its values are all finite,
+        # else the gradient at its first point alone
+        assert counted["gradient"] == n_iters + 2 == 44
         assert counted["evaluate"] > n_iters
         assert counted["table"] == counted["evaluate"]
 
@@ -576,7 +606,8 @@ class TestProjectedGradient:
         res = sg.projected_gradient_solve(problem, start=np.array([0.5]), record_trace=False)
         assert res.converged
         n_iters += res.n_iters
-        assert counted["gradient"] == n_iters
+        # that rejected trial carries the gradient at its first point, which raises
+        assert counted["gradient"] == n_iters + 1
         assert counted["evaluate"] > n_iters
         assert counted["table"] == counted["evaluate"]
 
@@ -848,8 +879,9 @@ class TestProjectedNewton:
 
     def test_a_non_finite_stencil_row_falls_back_without_another_evaluation(self, monkeypatch):
         # every stencil gets a non-finite neighbour row, so each step is the
-        # spectral one, from the gradient of row 0's slice of the kept table;
-        # the reliability tensor has no stack axis, the ranking tensor has one
+        # spectral one, from the gradient of row 0's slice of the kept table,
+        # which every evaluation carries, rejected trials included; the
+        # reliability tensor has no stack axis, the ranking tensor has one
         evaluate, gradient = estimators.EstimatorProblem.evaluate, estimators.EstimatorProblem.gradient
         shapes, evaluated = [], []
 
@@ -876,7 +908,8 @@ class TestProjectedNewton:
             res = sg.projected_gradient_solve(problem, start=model.feasible.sample_interior(rng),
                                               tol=1e-8, max_iters=2000)
             assert res.converged and res.n_iters > 2
-            assert shapes == [(model.feasible.dim,)] * res.n_iters
+            assert len(evaluated) >= res.n_iters
+            assert shapes == [(model.feasible.dim,)] * len(evaluated)
             assert set(evaluated) == {2}     # no point is evaluated again on its own
             grad = gradient(problem, res.z)
             assert res.residual == np.max(np.abs(res.z - model.feasible.project(res.z - grad)))
@@ -927,6 +960,22 @@ class TestProjectedNewton:
         # dim 1 an active coordinate leaves an empty H_FF, which always solves
         expected = {(False, False), (False, True), (True, False)}
         assert seen == (expected | {(True, True)} if dim > 1 else expected)
+
+    @pytest.mark.parametrize("trial", [17, 46, 86])
+    def test_criterion_8_nr_solves_leave_the_gamma_zero_bound(self, trial):
+        # criterion 8, n = 50: the inward gamma derivative at (0.64839, 0) is
+        # +0.495, so a solve must not stop there (objective -50.936069); a
+        # gradient without the W_m / p_m limit of the zero-mass states does
+        model = sg.social_ranking_model(3, 3)
+        problem = sg.nr_problem(_ranking_counts(50, trial), model)
+        z = np.array([0.64839, 0.0])
+        inward = (sg.nr_objective(problem.data, model, z[:1], [1e-7])
+                  - sg.nr_objective(problem.data, model, z[:1], [0.0])) / 1e-7
+        assert inward == pytest.approx(0.495, abs=1e-3)
+        assert problem.gradient(z)[1] == pytest.approx(inward, rel=1e-4)
+        res = sg.estimate(problem, grid_points=33, tol=1e-8, max_iters=5000)
+        assert res.converged and res.z[1] > 0.1
+        assert res.objective >= -50.904911
 
     def test_a_trial_point_equal_to_the_one_just_rejected_is_not_evaluated_again(
             self, monkeypatch):
@@ -1674,8 +1723,17 @@ def _agents_first_reference(received, model, theta, gamma):
     w = np.exp(s - row_lse[..., None])
     sums = np.concatenate([received.T, np.ones((1, len(received)))]) @ w
     g = np.divide(sums[:-1], m_in, out=np.zeros_like(m_in), where=m_in > 0)
-    v = (estimators._contract(np.swapaxes(tensor, -3, -2), g, 2)
-         + np.divide(sums[-1], prior, out=np.zeros_like(prior), where=prior > 0))
+    per_mass = np.divide(sums[-1], prior, out=np.zeros_like(prior), where=prior > 0)
+    # where p_m = 0 (and its derivative row is not), W_m / p_m is its limit
+    # sum_i exp(c[i, m] - row_lse_i), summed along a contiguous agents axis
+    zero = (prior == 0) & (model.prior_grad_fn(gamma) != 0).any(axis=-2)
+    with np.errstate(divide="ignore"):
+        c = counted_log_factor(received, np.log(m_in))
+    limit = np.full(c.T.shape, -np.inf)
+    np.subtract(c.T, row_lse, out=limit, where=zero[:, None])
+    with np.errstate(over="ignore"):
+        per_mass = np.where(zero, np.exp(limit).sum(axis=-1), per_mass)
+    v = estimators._contract(np.swapaxes(tensor, -3, -2), g, 2) + per_mass
     grad = estimators._contract(model.prior_grad_fn(gamma), v, 1)
     if model.theta_dim:
         outer = prior[None, :, None] * g[:, None, :]
@@ -1774,10 +1832,6 @@ class TestStatesFirstTable:
 
 
 class TestMeshCache:
-    @pytest.fixture(autouse=True)
-    def _empty_cache(self, monkeypatch):
-        monkeypatch.setattr(estimators, "_MESH_TABLES", {})
-
     @staticmethod
     def _counts(model):
         scored, _, _ = _instance(model, np.random.default_rng(149), n_agents=10, n_edges=30)
@@ -1795,10 +1849,8 @@ class TestMeshCache:
                 problem = sg.nr_problem(counts, model)
                 np.testing.assert_array_equal(estimators._grid_start(problem, grid_points),
                                               _grid_start_reference(problem, grid_points))
-        entries = list(estimators._MESH_TABLES.values())
-        assert len(entries) == 6
         for model in (base, twin, sharper):
-            assert sum(entry[0] is model for entry in entries) == 2
+            assert set(model._mesh_cache) == {(9, "nr"), (33, "nr")}
         tables = {id(model): estimators._mesh_tables(model, 9, "nr")[1][0]
                   for model in (base, twin, sharper)}
         assert tables[id(twin)] is not tables[id(base)]
@@ -1806,30 +1858,23 @@ class TestMeshCache:
         assert not np.array_equal(tables[id(sharper)], tables[id(base)])
         assert len(estimators._mesh_tables(base, 33, "nr")[0]) == 33 * 16
 
-    def test_the_cache_stays_within_its_bound(self):
-        counts = self._counts(sg.reliability_model(5))
-        for _ in range(3 * estimators._MESH_CACHE_SIZE):
-            model = sg.reliability_model(5)
-            for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
-                estimators._grid_start(problem, 9)
-            assert len(estimators._MESH_TABLES) <= estimators._MESH_CACHE_SIZE
-        assert len(estimators._MESH_TABLES) == estimators._MESH_CACHE_SIZE
-
-    def test_a_dropped_model_cannot_hand_its_tables_to_a_new_object(self):
+    def test_tables_are_built_once_per_model_object_and_go_with_it(self, monkeypatch):
         base = sg.reliability_model(5)
         counts = self._counts(base)
+        built = []
+        mesh_points = estimators._mesh_points
+        monkeypatch.setattr(estimators, "_mesh_points",
+                            lambda *args: built.append(args[1:]) or mesh_points(*args))
         model = replace(base)
         alive = weakref.ref(model)
-        estimators._grid_start(sg.nr_problem(counts, model), 9)
-        del model
+        for _ in range(3):
+            for problem in (sg.nr_problem(counts, model), sg.fr_problem(counts, model)):
+                estimators._grid_start(problem, 9)
+        assert built == [(9,), (9,)]      # the NR and FR tables, once each
+        del model, problem
         gc.collect()
-        # its entry holds it, so no other object can take its id
-        assert alive() is not None
-        for _ in range(estimators._MESH_CACHE_SIZE):
-            estimators._grid_start(sg.nr_problem(counts, replace(base)), 9)
-        gc.collect()
-        assert alive() is None        # dropped with its entry
-        # new objects, whatever ids they get, build tables from their own callables
+        assert alive() is None        # nothing else holds the model or its tables
+        # new objects build tables from their own callables
         for power in (2.0, 0.5):
             model = replace(base, prior_fn=lambda gamma, k=power: base.prior_fn(gamma ** k))
             problem = sg.nr_problem(counts, model)

@@ -342,11 +342,12 @@ class TestRunSweep:
         from scoregraph import estimators
         calls = []
         mesh_points = estimators._mesh_points
-        monkeypatch.setattr(estimators, "_MESH_TABLES", {})
         monkeypatch.setattr(estimators, "_mesh_points",
                             lambda *args: calls.append(args) or mesh_points(*args))
         cfg = ExperimentConfig(model="social-ranking", n_agents=8, sweep=(8, 30),
                                trials=2, solver_grid_points=9)
+        # the shared model of the config starts without tables
+        monkeypatch.setitem(vars(build_model(cfg)), "_mesh_cache", {})
         first = emit_outputs(run_sweep(cfg), tmp_path / "a")
         assert len(calls) == 2      # the NR and FR tables of the first sweep
         calls.clear()

@@ -69,6 +69,22 @@ def test_score_graph_rejects_malformed_edges():
         sg.ScoreGraph(3, 2, [[0, 1], [1, 2], [2, 0]], [0.9, 1, 0])
 
 
+def test_score_graph_rejects_non_integer_sizes(tmp_path):
+    # a fractional R would build a graph whose saved header load_score_graph
+    # rejects, and a float N fails inside numpy
+    edges, scores = [[0, 1], [1, 2], [2, 0]], [0, 1, 0]
+    for n_agents, n_scores, name in ((3, 2.5, "n_scores"), (3.0, 2, "n_agents"),
+                                     (3, 2.0, "n_scores"), ("3", 2, "n_agents")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            sg.ScoreGraph(n_agents, n_scores, edges, scores)
+    graph = sg.ScoreGraph(np.int64(3), np.int32(2), edges, scores)
+    sg.save_score_graph(graph, tmp_path / "g.txt")
+    loaded = sg.load_score_graph(tmp_path / "g.txt")
+    assert (loaded.n_agents, loaded.n_scores) == (3, 2)
+    np.testing.assert_array_equal(loaded.edges, graph.edges)
+    np.testing.assert_array_equal(loaded.scores, graph.scores)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.data())
 def test_sampled_graph_invariants(n, data):
@@ -553,6 +569,18 @@ class TestCommSchedules:
             mat = sched.matrix(t)
             np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-15)
             assert np.all(np.diag(mat) > 0)   # implicit self loops
+
+    def test_non_integer_sizes_are_rejected(self):
+        cycle = ([(0, 1), (1, 2), (2, 0)],)
+        for build, name in ((lambda: sg.CommSchedule(3.0, cycle, 1), "n_agents"),
+                            (lambda: sg.CommSchedule(3, cycle, 1.5), "window"),
+                            (lambda: sg.make_comm_schedule(6, "periodic-edge-partition", 2.0),
+                             "window"),
+                            (lambda: sg.make_comm_schedule(6.0, "static-cycle"), "n_agents")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                build()
+        assert sg.make_comm_schedule(np.int64(6), "periodic-edge-partition",
+                                     np.int64(2)).satisfies_window_connectivity()
 
     def test_two_agent_complete_matrix(self):
         mat = sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1).matrix(0)
