@@ -38,14 +38,13 @@ theta, steps through the kernel (which names the first agent with +inf cost).
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError
 from .estimators import _check_phi, _fr_gradient, fr_problem, lipschitz_stepsize
-from .graph import CommSchedule, NeighborCounts
+from .graph import CommSchedule, NeighborCounts, _count
 from .models import ModelSpec, _bernoulli_prior
 
 __all__ = [
@@ -211,12 +210,8 @@ def run_distributed(counts: NeighborCounts, model: ModelSpec, schedule: CommSche
     with the quadratic step the steps are checked once per block, with a
     per-round rerun of a block whose check fails.
     """
-    try:
-        n_rounds, record_every = operator.index(n_rounds), operator.index(record_every)
-    except TypeError:
-        raise ValueError("n_rounds and record_every must be integers") from None
-    if n_rounds < 0 or record_every < 1:
-        raise ValueError("n_rounds must be >= 0 and record_every >= 1")
+    n_rounds = _count("n_rounds", n_rounds, 0)
+    record_every = _count("record_every", record_every, 1)
     if schedule.n_agents != counts.n_agents:
         raise ValueError("schedule and counts disagree on the number of agents")
     if counts.n_scores != model.n_scores:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ScoregraphError", "InfeasibleError", "DegenerateModelError", "NonFiniteError"]
+
 
 class ScoregraphError(Exception):
     """Base class for package errors."""

@@ -98,7 +98,6 @@ the GRID_BLOCK * N * C floats of a call on all rows.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -106,7 +105,7 @@ import numpy as np
 
 from ._logdomain import counted_log_factor, logsumexp
 from .errors import InfeasibleError, NonFiniteError, ScoregraphError
-from .graph import NeighborCounts, ScoreGraph, as_rng
+from .graph import NeighborCounts, ScoreGraph, _count, as_rng
 from .models import ModelSpec
 
 __all__ = [
@@ -828,12 +827,7 @@ def _solve_steps(problem: EstimatorProblem, start, max_iters: int, tol: float,
         raise InfeasibleError("start point is outside the feasible set")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    try:
-        max_iters = operator.index(max_iters)
-    except TypeError:
-        raise ValueError("max_iters must be an integer") from None
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    max_iters = _count("max_iters", max_iters, 0)
     sign = -1.0 if problem.maximize else 1.0
     lo, hi = feas._bound_lists
     project = feas.project_list
@@ -1209,12 +1203,7 @@ def _estimate_steps(problem: EstimatorProblem, grid_points: int, max_iters: int,
                     record_trace: bool):
     """estimate as a solver coroutine (see _solve_steps): the grid start runs
     in place, the solve and the mirror's evaluation go through requests."""
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise ValueError("grid_points must be an integer") from None
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
+    grid_points = _count("grid_points", grid_points, 1)
     solve = yield from _solve_steps(problem, _grid_start(problem, grid_points), max_iters,
                                     tol, record_trace)
     z, mirror = _canonical_swap(solve.z, problem.model)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-import operator
 import os
 import threading
 import time
@@ -31,7 +30,7 @@ from .classifier import ClassifierOutput, _soft_classify, misclassification_rate
 from .distributed import run_distributed
 from .estimators import (MAX_EXACT_AGENTS, _canonical_swap, _estimate_steps, _solve_together,
                          exact_problem, fr_problem, nr_problem)
-from .graph import (_draw_scores, _scorer, aggregate_counts,
+from .graph import (_count, _draw_scores, _scorer, aggregate_counts,
                     make_comm_schedule, sample_score_graph, save_score_graph, save_states)
 from .models import (ModelSpec, categorical_model, preparata_model,
                      reliability_model, social_ranking_model)
@@ -139,7 +138,8 @@ def _true_params(config: ExperimentConfig, model: ModelSpec) -> np.ndarray:
 
 
 def _prepare(config: ExperimentConfig) -> tuple:
-    """The resolved config, checked, and what every trial of its run shares:
+    """The resolved config, checked and with its sizes as ints, and what every
+    trial of its run shares:
     (cfg, model, truth, scorer, schedule, fitted), with truth the checked z
     of _true_params, scorer the prior and CDF table that every trial draws
     its scores from at truth (graph._scorer, built once here), schedule
@@ -147,17 +147,10 @@ def _prepare(config: ExperimentConfig) -> tuple:
     "oracle".  A run starts here, so this raises what a run raises before
     its first trial."""
     cfg = config.resolved()
-    for key, value in [(key, getattr(cfg, key)) for key in (
-            "trials", "n_agents", "solver_grid_points", "solver_max_iters", "solver_rounds",
-            "master_seed", "comm_window")] + [("sweep value", v) for v in cfg.sweep]:
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{key} must be an integer") from None
-    for key, low in (("trials", 1), ("n_agents", 2), ("solver_grid_points", 1),
-                     ("solver_max_iters", 0), ("solver_rounds", 0), ("master_seed", 0)):
-        if getattr(cfg, key) < low:
-            raise ValueError(f"{key} must be >= {low}")
+    sizes = {key: _count(key, getattr(cfg, key), low) for key, low in (
+        ("trials", 1), ("n_agents", 2), ("solver_grid_points", 1), ("solver_max_iters", 0),
+        ("solver_rounds", 0), ("master_seed", 0), ("comm_window", None))}
+    cfg = replace(cfg, **sizes, sweep=tuple(_count("sweep value", v) for v in cfg.sweep))
     if cfg.solver_alpha is not None and not (isinstance(cfg.solver_alpha, numbers.Real)
                                              and 0 < cfg.solver_alpha < np.inf):
         raise ValueError("solver_alpha must be positive and finite")

@@ -87,14 +87,13 @@ class ScoreGraph:
     scores: np.ndarray | None = None
 
     def __post_init__(self):
-        _require_integers(n_agents=self.n_agents, n_scores=self.n_scores)
+        _count("n_agents", self.n_agents)
+        _count("n_scores", self.n_scores)
         if self.n_agents < 2:
             raise ValueError("a score graph needs at least 2 agents")
         if self.n_scores < 2:
             raise ValueError("score alphabet size must be >= 2")
-        edges = np.asarray(self.edges, dtype=np.int64)
-        if np.any(edges != self.edges):
-            raise ValueError("edge endpoints must be integers")
+        edges = _integers("edge endpoints", self.edges)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must have shape (n, 2)")
         if edges.shape[0] == 0:
@@ -113,9 +112,7 @@ class ScoreGraph:
             raise ValueError("every agent needs at least one incoming edge")
         object.__setattr__(self, "edges", _owned(edges, order))
         if self.scores is not None:
-            scores = np.asarray(self.scores, dtype=np.int64)
-            if np.any(scores != self.scores):
-                raise ValueError("score indices must be integers")
+            scores = _integers("score indices", self.scores)
             if scores.shape != (edges.shape[0],):
                 raise ValueError("scores must align with edges")
             if scores.min() < 0 or scores.max() >= self.n_scores:
@@ -278,12 +275,8 @@ def sample_score_graph(n_agents: int, edge_count_target: int, topology="cyclic-p
     the last 4 values of N (about 24 N^2 bytes each, 2.2 MB at N = 300);
     graphs of one N share these read-only arrays.
     """
-    try:
-        n_agents, edge_count_target = operator.index(n_agents), operator.index(edge_count_target)
-    except TypeError:
-        raise ValueError("n_agents and edge_count_target must be integers") from None
-    if n_agents < 2:
-        raise ValueError("n_agents must be >= 2")
+    n_agents = _count("n_agents", n_agents, 2)
+    edge_count_target = _count("edge_count_target", edge_count_target)
     max_edges = n_agents * (n_agents - 1)
     if not n_agents <= edge_count_target <= max_edges:
         raise ValueError(
@@ -452,13 +445,23 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(reached.all())
 
 
-def _require_integers(**sizes) -> None:
-    """ValueError naming the first of `sizes` that is not an integer."""
-    for name, value in sizes.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer") from None
+def _count(name: str, value, low=None) -> int:
+    """`value` as an int; ValueError naming `name` if it is not an integer or is below `low`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+def _integers(name: str, values) -> np.ndarray:
+    """`values` as an int64 array; ValueError naming `name` if an entry is not an integer."""
+    array = np.asarray(values, dtype=np.int64)
+    if np.any(array != values):
+        raise ValueError(f"{name} must be integers")
+    return array
 
 
 @dataclass(frozen=True)
@@ -477,7 +480,8 @@ class CommSchedule:
     matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_integers(n_agents=self.n_agents, window=self.window)
+        _count("n_agents", self.n_agents)
+        _count("window", self.window)
         frames = tuple(
             _owned(np.asarray(f, dtype=np.int64).reshape(-1, 2), None) for f in self.frames)
         if self.window < 1 or not frames:
@@ -524,9 +528,8 @@ def make_comm_schedule(n_agents: int, family: str, window: int = 1, rng=0) -> Co
 
     The default rng seed is fixed so repeated calls build the same schedule.
     """
-    _require_integers(n_agents=n_agents, window=window)
-    if n_agents < 2:
-        raise ValueError("n_agents must be >= 2")
+    _count("n_agents", n_agents, 2)
+    _count("window", window)
     idx = np.arange(n_agents)
     cycle = np.column_stack([idx, (idx + 1) % n_agents])
     if family == "static-complete":
@@ -587,8 +590,12 @@ def load_score_graph(path) -> ScoreGraph:
 
 
 def save_states(states, path) -> None:
-    """Write states as 1-based `i x_index` lines."""
-    states = np.asarray(states, dtype=np.int64)
+    """Write states as 1-based `i x_index` lines.  `states` must be a nonempty 1-D
+    array of integers >= 0, what load_states accepts; it is checked before the
+    file is opened, so a rejected call leaves an existing file as it was."""
+    states = _integers("states", states)
+    if states.ndim != 1 or states.size == 0 or states.min() < 0:
+        raise ValueError("states must be a nonempty 1-D array of integers >= 0")
     rows = np.column_stack([np.arange(states.size), states]) + 1
     with open(path, "w") as fh:
         fh.write(_text_rows(rows))

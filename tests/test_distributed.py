@@ -565,10 +565,22 @@ class TestRunDistributed:
         with pytest.raises(ValueError):
             sg.run_distributed(counts, sg.reliability_model(5), sched,
                                alpha=0.02)
-        for bad in (dict(record_every=0), dict(n_rounds=-1), dict(record_every=2.5),
-                    dict(n_rounds=2.5)):
-            with pytest.raises(ValueError):
+        for bad, message in ((dict(record_every=0), "record_every must be >= 1"),
+                             (dict(n_rounds=-1), "n_rounds must be >= 0"),
+                             (dict(record_every=2.5), "record_every must be an integer"),
+                             (dict(n_rounds=2.5), "n_rounds must be an integer"),
+                             (dict(record_every="2"), "record_every must be an integer"),
+                             (dict(n_rounds="2"), "n_rounds must be an integer")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 sg.run_distributed(counts, model, sched, alpha=0.02, **bad)
+        # numpy integer sizes give what Python ints give, across the 64-round block
+        want = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=65, record_every=2)
+        got = sg.run_distributed(counts, model, sched, alpha=0.02, n_rounds=np.int64(65),
+                                 record_every=np.int64(2))
+        for field in ("times", "phi_traj", "z_traj"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.state.xi.tobytes() == want.state.xi.tobytes()
+        assert got.n_rounds == want.n_rounds == 65
         for alpha in (0.0, -0.05, float("nan"), float("inf"), np.array([0.1]), np.array(0.1),
                       "0.1", 0.1 + 0j):
             with pytest.raises(ValueError, match="alpha must be positive"):

@@ -430,9 +430,9 @@ class TestProjectedGradient:
         for grid_points in (0, -3):
             with pytest.raises(ValueError, match="grid_points must be >= 1"):
                 sg.estimate(problem, grid_points=grid_points)
-        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        with pytest.raises(ValueError, match="^max_iters must be >= 0$"):
             sg.projected_gradient_solve(problem, start, max_iters=-1)
-        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        with pytest.raises(ValueError, match="^max_iters must be >= 0$"):
             sg.estimate(problem, max_iters=-1)
         for bad in (2.5, 3.0, "3"):
             with pytest.raises(ValueError, match="grid_points must be an integer"):
@@ -444,6 +444,14 @@ class TestProjectedGradient:
         assert sg.estimate(problem, grid_points=1).converged
         res = sg.projected_gradient_solve(problem, start, max_iters=0)
         assert res.n_iters == 0 and not res.converged
+        # numpy integer counts give what Python ints give
+        for sizes in (dict(grid_points=5, max_iters=3), dict(grid_points=33, max_iters=5000)):
+            want = sg.estimate(problem, **sizes)
+            got = sg.estimate(problem, **{k: np.int64(v) for k, v in sizes.items()})
+            assert (got.z.tobytes(), got.n_iters) == (want.z.tobytes(), want.n_iters)
+        want = sg.projected_gradient_solve(problem, start, max_iters=3)
+        got = sg.projected_gradient_solve(problem, start, max_iters=np.int32(3))
+        assert (got.z.tobytes(), got.n_iters) == (want.z.tobytes(), want.n_iters)
 
     def test_converges_to_closed_form(self):
         q = 0.4

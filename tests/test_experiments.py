@@ -114,9 +114,10 @@ class TestConfig:
         for n_agents in (1, 0):
             with pytest.raises(ValueError, match="n_agents must be >= 2"):
                 ExperimentConfig(n_agents=n_agents).validate()
-        for key, bad in (("solver_grid_points", 0), ("solver_grid_points", -3),
-                         ("solver_max_iters", -1), ("solver_rounds", -1)):
-            with pytest.raises(ValueError, match=f"{key} must be >= "):
+        for key, bad, low in (("solver_grid_points", 0, 1), ("solver_grid_points", -3, 1),
+                              ("solver_max_iters", -1, 0), ("solver_rounds", -1, 0),
+                              ("trials", 0, 1), ("master_seed", -1, 0)):
+            with pytest.raises(ValueError, match=f"^{key} must be >= {low}$"):
                 ExperimentConfig(**{key: bad}).validate()
         # a C or R that the fixed-size model does not have is an error, not ignored
         for kwargs, message in (
@@ -136,16 +137,29 @@ class TestConfig:
         # an integer field holding a float is an error before the first trial
         for key, bad in (("trials", 1.5), ("n_agents", 5.5), ("solver_grid_points", 2.5),
                          ("solver_max_iters", 2.5), ("solver_rounds", 2.5),
-                         ("master_seed", 1.5), ("comm_window", 1.5)):
+                         ("master_seed", 1.5), ("comm_window", 1.5), ("trials", "2"),
+                         ("solver_grid_points", "5"), ("solver_max_iters", "5"),
+                         ("solver_rounds", "5"), ("master_seed", "1"), ("comm_window", "2")):
             with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
                 ExperimentConfig(**{key: bad}).validate()
-        with pytest.raises(ValueError, match="^sweep value must be an integer$"):
-            ExperimentConfig(n_agents=5, sweep=(5.5,)).validate()
+        for sweep in ((5.5,), ("5",), (5, 6.0)):
+            with pytest.raises(ValueError, match="^sweep value must be an integer$"):
+                ExperimentConfig(n_agents=5, sweep=sweep).validate()
         ExperimentConfig(solver_tol=0.0).validate()
         ExperimentConfig(solver_grid_points=1, solver_max_iters=0,
                          solver_rounds=0).validate()
         ExperimentConfig(estimators=("exact",), n_agents=12,
                          sweep=(12,)).validate()
+        # numpy integer sizes run as Python ints do, into a config of Python ints
+        sizes = dict(n_agents=6, trials=2, solver_grid_points=5, solver_max_iters=50,
+                     solver_rounds=20, master_seed=3, comm_window=2)
+        rest = dict(estimators=("NR", "FR-distributed"), comm_family="periodic-edge-partition")
+        want = run_sweep(ExperimentConfig(sweep=(6, 12), **sizes, **rest))
+        got = run_sweep(ExperimentConfig(sweep=(np.int64(6), np.int32(12)), **rest,
+                                         **{key: np.int64(v) for key, v in sizes.items()}))
+        assert json.dumps(vars(got.config)) == json.dumps(vars(want.config))
+        for a, b in zip(got.points, want.points, strict=True):
+            assert (a.n_edges, a.rmse, a.misclass) == (b.n_edges, b.rmse, b.misclass)
 
     def test_build_model_dispatch(self):
         assert build_model(ExperimentConfig(model="preparata")).name == "preparata"

@@ -45,15 +45,25 @@ def test_edge_count_range_is_enforced():
         sg.sample_score_graph(1, 1, "cyclic-plus-random-edges")
     with pytest.raises(ValueError):
         sg.sample_score_graph(5, 12, "complete")   # complete means all pairs
-    # a non-integer count is rejected before any draw
-    for n_agents, target, topology in ((10, 20.0, "cyclic-plus-random-edges"),
-                                       (10.5, 20, "cyclic-plus-random-edges"),
-                                       (5.0, 20, "complete")):
+    # a non-integer count or too few agents is rejected before any draw, naming the size
+    for n_agents, target, topology, message in (
+            (10, 20.0, "cyclic-plus-random-edges", "edge_count_target must be an integer"),
+            (10, "20", "cyclic-plus-random-edges", "edge_count_target must be an integer"),
+            (10.5, 20, "cyclic-plus-random-edges", "n_agents must be an integer"),
+            ("10", 20, "cyclic-plus-random-edges", "n_agents must be an integer"),
+            (5.0, 20, "complete", "n_agents must be an integer"),
+            (1, 2, "cyclic-plus-random-edges", "n_agents must be >= 2")):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sg.sample_score_graph(n_agents, target, topology, rng)
         assert rng.bit_generator.state == before
+    # numpy integer sizes give what Python ints give
+    for topology, target in (("cyclic-plus-random-edges", 20), ("complete", 20)):
+        a = sg.sample_score_graph(5, target, topology, np.random.default_rng(3))
+        b = sg.sample_score_graph(np.int64(5), np.int64(target), topology,
+                                  np.random.default_rng(3))
+        assert np.array_equal(a.edges, b.edges) and (b.n_agents, b.n_edges) == (5, target)
 
 
 def test_score_graph_rejects_malformed_edges():
@@ -74,9 +84,15 @@ def test_score_graph_rejects_non_integer_sizes(tmp_path):
     # rejects, and a float N fails inside numpy
     edges, scores = [[0, 1], [1, 2], [2, 0]], [0, 1, 0]
     for n_agents, n_scores, name in ((3, 2.5, "n_scores"), (3.0, 2, "n_agents"),
-                                     (3, 2.0, "n_scores"), ("3", 2, "n_agents")):
+                                     (3, 2.0, "n_scores"), ("3", 2, "n_agents"),
+                                     (3, "2", "n_scores")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             sg.ScoreGraph(n_agents, n_scores, edges, scores)
+    # one below each bound keeps its own wording
+    with pytest.raises(ValueError, match="^a score graph needs at least 2 agents$"):
+        sg.ScoreGraph(1, 2, [[0, 0]])
+    with pytest.raises(ValueError, match="^score alphabet size must be >= 2$"):
+        sg.ScoreGraph(3, 1, edges)
     graph = sg.ScoreGraph(np.int64(3), np.int32(2), edges, scores)
     sg.save_score_graph(graph, tmp_path / "g.txt")
     loaded = sg.load_score_graph(tmp_path / "g.txt")
@@ -576,11 +592,25 @@ class TestCommSchedules:
                             (lambda: sg.CommSchedule(3, cycle, 1.5), "window"),
                             (lambda: sg.make_comm_schedule(6, "periodic-edge-partition", 2.0),
                              "window"),
-                            (lambda: sg.make_comm_schedule(6.0, "static-cycle"), "n_agents")):
+                            (lambda: sg.make_comm_schedule(6.0, "static-cycle"), "n_agents"),
+                            (lambda: sg.CommSchedule("3", cycle, 1), "n_agents"),
+                            (lambda: sg.make_comm_schedule(6, "static-cycle", "1"), "window")):
             with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
                 build()
-        assert sg.make_comm_schedule(np.int64(6), "periodic-edge-partition",
-                                     np.int64(2)).satisfies_window_connectivity()
+        # one below each bound
+        for build, message in (
+                (lambda: sg.CommSchedule(3, cycle, 0),
+                 "a schedule needs window >= 1 and at least one frame"),
+                (lambda: sg.make_comm_schedule(6, "periodic-edge-partition", 0),
+                 "a schedule needs window >= 1 and at least one frame"),
+                (lambda: sg.make_comm_schedule(1, "static-cycle"), "n_agents must be >= 2")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+        a = sg.make_comm_schedule(6, "periodic-edge-partition", 2, rng=5)
+        b = sg.make_comm_schedule(np.int64(6), "periodic-edge-partition", np.int64(2), rng=5)
+        assert b.satisfies_window_connectivity()
+        for x, y in zip(a.matrices, b.matrices, strict=True):
+            assert np.array_equal(x, y)
 
     def test_two_agent_complete_matrix(self):
         mat = sg.CommSchedule(2, ([(0, 1), (1, 0)],), 1).matrix(0)
@@ -667,11 +697,32 @@ class TestSerialization:
         assert np.array_equal(sg.load_states(tmp_path / "s.txt"), states)
 
     def test_states_round_trip(self, tmp_path):
-        states = np.array([0, 2, 1, 1])
         path = tmp_path / "states.txt"
+        # every input save_states accepts reads back as its integers
+        for states in ([0], [3, 0, 7], np.array([1.0, 0.0]), np.array([2, 1], dtype=np.uint8),
+                       (True, False), np.arange(50) % 4):
+            sg.save_states(states, path)
+            np.testing.assert_array_equal(sg.load_states(path), np.asarray(states, np.int64))
+        states = np.array([0, 2, 1, 1])
         sg.save_states(states, path)
         assert np.array_equal(sg.load_states(path), states)
         assert path.read_text().splitlines()[0] == "1 1"   # 1-based both columns
+
+    @pytest.mark.parametrize("states, fault", [
+        ([0.5, 1.7, 2], "states must be integers"),
+        (["0", "1"], "states must be integers"),
+        ([-1, 0], "states must be a nonempty 1-D array of integers >= 0"),
+        ([], "states must be a nonempty 1-D array of integers >= 0"),
+        ([[0, 1], [1, 0]], "states must be a nonempty 1-D array of integers >= 0"),
+        (1, "states must be a nonempty 1-D array of integers >= 0"),
+    ], ids=["fractional", "strings", "negative", "empty", "two-d", "scalar"])
+    def test_save_states_rejects_what_load_states_would(self, tmp_path, states, fault):
+        # checked before the file is opened: the old file keeps its bytes
+        path = tmp_path / "states.txt"
+        path.write_bytes(b"1 2\n2 1\n")
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            sg.save_states(states, path)
+        assert path.read_bytes() == b"1 2\n2 1\n"
 
     @pytest.mark.parametrize("text, fault", [
         ("0 1\n1 2\n", "agent id 0 in states file is outside 1..2"),
